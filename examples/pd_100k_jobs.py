@@ -8,11 +8,13 @@ performance model come into play:
   workload family) — no per-job ``Job`` objects are built up front;
 * the main loop runs in **arrival epochs**
   (:mod:`repro.perf.epochs`): blocks of consecutive arrivals are
-  consumed straight off the columns, with the release-order check,
-  window lookups, and a cheap-reject pre-screen hoisted into batched
-  numpy passes. The decisions are bit-identical to the per-arrival
-  loop — the differential suite (``tests/test_epochs.py``) asserts it —
-  batching only removes interpreter overhead;
+  consumed straight off the columns, with the release-order check and
+  window lookups hoisted into batched numpy passes, and an exact scalar
+  screen rejects every job whose price cap opens no interval of its
+  window without building a kernel. The decisions are bit-identical to
+  the per-arrival loop — the differential suite
+  (``tests/test_epochs.py``) asserts it — batching only removes
+  interpreter overhead;
 * cost is read off the scheduler's live per-interval stores with
   :meth:`PDScheduler.streaming_energy` / ``streaming_lost_value``
   instead of assembling the full ``(n, N)`` schedule matrix.

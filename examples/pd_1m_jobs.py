@@ -6,10 +6,12 @@ walkthrough. The per-arrival loop prices one job per Python
 each call (window lookup, kernel build, decision object) costs more
 than the water-filling arithmetic itself. The arrival-epoch layer
 (:mod:`repro.perf.epochs`) consumes the columnar job stream in blocks:
-one vectorized release-order check, one batched window lookup, and a
-cheap-reject pre-screen per block, with only the jobs that actually
-move water falling through to the scalar kernel. Decisions are
-bit-identical — batching changes how, never what.
+one vectorized release-order check and one batched window lookup per
+block, then an exact scalar screen per job that rejects, without a
+kernel, every job whose price cap opens no interval of its window (95%
+of this stream). Only the jobs that actually move water fall through
+to the scalar water-fill. Decisions are bit-identical — batching
+changes how, never what.
 
 The script first races both modes on a 100k-job prefix of the same
 stream (cheap enough to run twice) and checks the costs match to the
@@ -20,8 +22,8 @@ Run it:
     PYTHONPATH=src python examples/pd_1m_jobs.py
 
 Expected: the 100k calibration shows the epoch speedup with identical
-costs, and the full 1M-job epoch run finishes in tens of seconds where
-the per-arrival loop would take minutes.
+costs, and the full 1M-job epoch run finishes in seconds (about 5 s on
+a 2-core x86_64 box) where the per-arrival loop would take minutes.
 """
 
 from __future__ import annotations

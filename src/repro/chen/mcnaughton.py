@@ -102,6 +102,8 @@ def mcnaughton_layout(
         )
     segments: list[Segment] = []
     cursor = 0.0  # position on the virtual timeline [0, num_processors*length)
+    last = num_processors - 1
+    floor = 0  # lowest strip not yet found full
     for job, dur in zip(job_ids, durations):
         dur = float(dur)
         if dur <= _DURATION_EPS:
@@ -113,14 +115,21 @@ def mcnaughton_layout(
             )
         remaining = dur
         while remaining > _DURATION_EPS:
-            strip = int(cursor / length)
             # Floating-point guard: cursor can land a hair past a boundary.
-            strip = min(strip, num_processors - 1)
+            # The carried ``floor`` keeps a strip found full from coming
+            # back: ``(strip + 1) * length / length`` can round down to
+            # ``strip`` (3 * 0.7 / 0.7 == 2.9999999999999996).
+            strip = max(floor, min(int(cursor / length), last))
             offset = cursor - strip * length
             take = min(remaining, length - offset)
             if take <= _DURATION_EPS:
+                if strip == last:
+                    # Every strip is full: what is left is rounding dust
+                    # inside the capacity tolerance checked above.
+                    break
                 # At the exact end of a strip: advance to the next one.
-                cursor = (strip + 1) * length
+                floor = strip + 1
+                cursor = floor * length
                 continue
             segments.append(
                 Segment(

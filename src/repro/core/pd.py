@@ -198,11 +198,6 @@ class PDScheduler:
         self._finish_jobs: tuple[Job, ...] | None = None
         #: Intervals whose store has deferred (unflushed) suffix sums.
         self._dirty_suffix: set[int] = set()
-        #: Intervals whose cached opening level is stale.
-        self._stale_open: set[int] = set()
-        #: Per-interval opening-speed envelope for the epoch pre-screen
-        #: (length N+1, trailing +inf sentinel); None when grid changed.
-        self._opens = None
         #: Grid lengths as a plain float list (cache; None when stale).
         self._len_list: list[float] | None = None
 
@@ -465,7 +460,6 @@ class PDScheduler:
             self._states = [IntervalLoads() for _ in range(self._grid.size)]
             self._planned = [[] for _ in range(self._grid.size)]
             self._len_list = None
-            self._opens = None
             return True
         b = self._grid.boundaries
         fresh = self._grid.fresh_points([release, deadline])
@@ -506,9 +500,8 @@ class PDScheduler:
         if tail:
             self._states.extend(IntervalLoads() for _ in range(tail))
             self._planned.extend([] for _ in range(tail))
-        # Interval indices shifted: drop the caches keyed by them.
+        # Interval indices shifted: drop the cache keyed by them.
         self._len_list = None
-        self._opens = None
         return True
 
 

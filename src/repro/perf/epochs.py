@@ -25,18 +25,16 @@ bookkeeping hoisted into batched numpy passes:
 * **window lookup** — one vectorized ``np.searchsorted`` for every
   window endpoint in the block, replicating the exact
   ``_boundary_index`` tolerance semantics of ``Grid.covering``;
-* **cheap-reject pre-screen** — jobs whose price cap cannot open *any*
-  interval of their window are rejected en masse. Per interval the
-  exact opening speed is ``IntervalLoads.open_speed`` (the m-machine
-  water level); the windowed minimum over the whole block is one
-  ``np.minimum.reduceat``. Because accepted work only ever *raises*
-  water levels within a refinement-free epoch, the block-start envelope
-  stays a valid lower bound throughout the block. The screen is
-  advisory: every screened job is *confirmed* by an exact scalar pass
-  against the live stores (the same ``s_cap`` scalar and the same
-  per-interval ``target*(m-d) - suffix[d]`` query the reference kernel
-  evaluates), so a screen error can only reroute a job to the slower
-  path, never change its decision;
+* **exact zero-work screen** — most arrivals at scale are rejected at
+  their value because no interval of their window opens at their price
+  cap. Each aligned arrival with a non-empty window computes that cap
+  (the same ``derivative_inverse`` scalar the reference water-fill
+  starts from) and asks the *live* stores, accepts earlier in the block
+  included, the reference kernel's own per-interval question there:
+  ``target*(m-d) - suffix[d] > 0``. An all-zero answer fixes the
+  reference outcome completely (reject at value, speed = cap, nothing
+  placed, no state mutation), so such a job skips the ``WindowKernel``
+  build and the bisection without changing a bit;
 * **deferred suffix maintenance** — accepts insert with
   :meth:`~repro.perf.kernels.IntervalLoads.insert_deferred` and suffix
   sums are rebuilt lazily, right before the next query that reads them,
@@ -46,7 +44,7 @@ bookkeeping hoisted into batched numpy passes:
   per-block columns; ``JobDecision``/``Instance`` objects materialize
   once, in ``finish()``.
 
-A job that survives the screen runs the *reference* scalar water-fill
+A job that opens some interval runs the *reference* scalar water-fill
 (:func:`repro.core.waterfill.waterfill_job` over a ``WindowKernel`` of
 the live stores) — the same floats in the same order — so decisions,
 load stores, planned loads, certificates, record payloads, and cache
@@ -59,6 +57,7 @@ pins every public name here to its reference twin
 from __future__ import annotations
 
 import contextvars
+import math
 from bisect import bisect_left
 from contextlib import contextmanager
 from typing import Iterator
@@ -68,7 +67,6 @@ import numpy as np
 from ..core.waterfill import waterfill_job
 from ..errors import InvalidParameterError
 from ..model.intervals import _TIME_EPS
-from ..model.power import PolynomialPower
 from .kernels import WindowKernel
 
 __all__ = [
@@ -78,18 +76,10 @@ __all__ = [
     "current_batch_mode",
 ]
 
-#: Default arrival-epoch block length. Large enough to amortize the
-#: per-block numpy passes over thousands of arrivals, small enough that
-#: the block-start screen envelope stays tight (levels only rise within
-#: a block, so an over-long epoch degrades the screen hit rate, never
-#: correctness).
+#: Default arrival-epoch block length: large enough to amortize the
+#: per-block numpy passes over thousands of arrivals. Pure tuning — the
+#: block length never changes a decision.
 DEFAULT_EPOCH_SIZE = 2048
-
-#: Relative safety margin of the (approximate, vectorized) stage-1
-#: screen against the exact scalar confirmation. Purely advisory — both
-#: kinds of stage-1 error merely reroute a job between the fast and the
-#: full path.
-_SCREEN_MARGIN = 1e-9
 
 _BATCH_MODES = ("arrival", "epoch")
 
@@ -177,39 +167,6 @@ def _near_boundary(b: np.ndarray, points: np.ndarray) -> np.ndarray:
     return near
 
 
-def _refresh_opens(sched) -> np.ndarray:
-    """The per-interval opening-speed envelope, refreshed incrementally.
-
-    ``opens[k]`` is the exact speed below which interval ``k`` absorbs
-    zero load at the *block-start* state; ``opens[N]`` is a ``+inf``
-    sentinel so a window's ``reduceat`` endpoint may sit one past the
-    last interval. Only intervals dirtied since the last block are
-    recomputed (their deferred suffixes flushed first); a grid change
-    drops the cache entirely.
-    """
-    states = sched._states
-    size = len(states)
-    m = sched.m
-    lens = sched._length_list()
-    opens = sched._opens
-    dirty = sched._dirty_suffix
-    if opens is None or opens.size != size + 1:
-        opens = np.empty(size + 1, dtype=np.float64)
-        opens[size] = np.inf
-        stale = range(size)
-    else:
-        stale = sched._stale_open
-    for k in stale:
-        state = states[k]
-        if k in dirty:
-            state.flush_suffix()
-        opens[k] = state.open_speed(m, lens[k])
-    dirty.clear()
-    sched._stale_open.clear()
-    sched._opens = opens
-    return opens
-
-
 def _scalar_arrive(sched, arrays, i: int) -> None:
     """One arrival through the full scalar path (grid refinement included).
 
@@ -226,7 +183,6 @@ def _scalar_arrive(sched, arrays, i: int) -> None:
         sched._last_release = release
 
     sched._flush_suffixes()
-    sched._stale_open.clear()
     sched._refine_grid(release, deadline)
     grid = sched._grid
     ks = grid.covering(release, deadline)
@@ -252,8 +208,6 @@ def _scalar_arrive(sched, arrays, i: int) -> None:
             continue
         if accepted:
             sched._states[k].insert(job_id, z)
-            if sched._opens is not None:
-                sched._stale_open.add(k)
         sched._planned[k].append((job_id, z))
     sched._chunks.append(
         (
@@ -331,36 +285,15 @@ def _process_block(sched, arrays, lo: int, hi: int) -> int:
         & (np.abs(b[safe_j] - d) <= _TIME_EPS * np.maximum(1.0, np.abs(d)) + _TIME_EPS)
     )
 
-    # Stage-1 screen: exact per-interval opening envelope (frozen at
-    # block start), approximate vectorized price caps. Candidates get an
-    # exact scalar confirmation below; everyone else takes the full path.
-    opens = _refresh_opens(sched)
-    delta = sched.delta
-    power = sched.power
-    nonempty = j_idx > i_idx
-    if isinstance(power, PolynomialPower):
-        alpha = power.alpha
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            marg = v / (delta * w)
-            caps = np.exp(np.log(marg / alpha) / (alpha - 1.0))
-        caps = np.where(marg > 0.0, caps, 0.0)
-        pairs = np.empty(2 * cnt, dtype=np.intp)
-        pairs[0::2] = np.where(nonempty, i_idx, 0)
-        pairs[1::2] = np.where(nonempty, j_idx, 1)
-        wmin = np.minimum.reduceat(opens, pairs)[0::2]
-        candidate = aligned & nonempty & (caps * (1.0 + _SCREEN_MARGIN) < wmin)
-    else:
-        # No vectorized cap for custom power functions: attempt the
-        # exact confirmation on every aligned job instead.
-        candidate = aligned & nonempty
-
     states = sched._states
     planned = sched._planned
     len_list = sched._length_list()
     m = sched.m
     dirty = sched._dirty_suffix
-    stale = sched._stale_open
+    delta = sched.delta
+    power = sched.power
     derivative_inverse = power.derivative_inverse
+    inf = math.inf
     base_id = sched._count
 
     rl = r.tolist()
@@ -369,7 +302,6 @@ def _process_block(sched, arrays, lo: int, hi: int) -> int:
     vl = v.tolist()
     il = i_idx.tolist()
     jl = j_idx.tolist()
-    cand = candidate.tolist()
     algn = aligned.tolist()
     acc: list[bool] = []
     lam: list[float] = []
@@ -381,15 +313,16 @@ def _process_block(sched, arrays, lo: int, hi: int) -> int:
         workload = wl[t]
         i0 = il[t]
         j0 = jl[t]
-        if cand[t]:
-            # Exact zero-load confirmation against the *live* stores:
-            # the same scalar cap and the same per-interval water-level
-            # query the reference kernel would evaluate at the cap. All
-            # zero means the reference outcome is fully determined
-            # (reject at value, nothing placed, no state mutation).
+        if algn[t] and j0 > i0:
+            # Exact zero-work screen against the *live* stores: the
+            # reference kernel's own per-interval water-level query at
+            # the reference's price cap. All zero at a finite cap fixes
+            # the reference outcome (reject at value, nothing placed, no
+            # state mutation); a non-finite cap is bracketed by doubling
+            # inside ``waterfill_job`` instead.
             s_cap = derivative_inverse(value / (delta * workload))
-            zero = True
-            if s_cap > 0.0:
+            zero = s_cap < inf
+            if zero and s_cap > 0.0:
                 for k in range(i0, j0):
                     state = states[k]
                     if k in dirty:
@@ -437,7 +370,6 @@ def _process_block(sched, arrays, lo: int, hi: int) -> int:
             if accepted:
                 states[k].insert_deferred(job_id, z)
                 dirty.add(k)
-                stale.add(k)
             planned[k].append((job_id, z))
         acc.append(accepted)
         lam.append(outcome.lam)

@@ -121,29 +121,6 @@ class IntervalLoads:
         """Rebuild the suffix sums after deferred insertions."""
         self._rebuild_suffix()
 
-    def open_speed(self, m: int, length: float) -> float:
-        """Smallest speed above which this interval absorbs new load.
-
-        The water level at which ``max_load_at_speed`` turns positive is
-        ``t* = min_d suffix[d] / (m - d)`` over the feasible occupancy
-        counts ``d`` (a standard identity for the m-machine water-filling
-        level: at the consistent ``d*`` the expression equals the level,
-        and it is >= the level everywhere else). Any speed at or below
-        ``t*/length`` yields exactly zero absorbed load — an *exact*
-        threshold, used by the epoch pre-screen as a conservative gate
-        (screen errors only reroute jobs, never change a decision).
-        Requires a flushed suffix.
-        """
-        suffix = self.suffix
-        p = len(self.loads)
-        lim = m if m <= p else p + 1
-        best = suffix[0] / m
-        for d in range(1, lim):
-            c = suffix[d] / (m - d)
-            if c < best:
-                best = c
-        return best / length
-
     def split(self, fraction: float) -> "IntervalLoads":
         """Split-copy for grid refinement: every load scaled once.
 

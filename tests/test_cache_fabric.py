@@ -473,12 +473,15 @@ class TestWorkStealing:
     def test_two_workers_union_is_the_full_run(
         self, requests, plain_records, tmp_path
     ):
+        # One SqliteCache per worker on the same file: an instance shares
+        # one connection without a mutex (``thread_safe = False``), so
+        # concurrent workers each bring their own WAL connection.
         claims = InProcessClaimTable(len(requests))
-        cache = SqliteCache(tmp_path / "c.db")
+        caches = [SqliteCache(tmp_path / "c.db") for _ in range(2)]
         results: dict[int, list] = {}
 
         def worker(slot: int) -> None:
-            results[slot] = BatchRunner(cache=cache).run_stolen(
+            results[slot] = BatchRunner(cache=caches[slot]).run_stolen(
                 requests, claims
             )
 
@@ -488,7 +491,10 @@ class TestWorkStealing:
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join()
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+        for cache in caches:
+            cache.close()
         merged = sorted(results[0] + results[1])
         assert [p for p, _ in merged] == list(range(len(requests)))
         assert _strip([r for _, r in merged]) == _strip(plain_records)

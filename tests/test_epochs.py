@@ -15,9 +15,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import repro.perf.epochs as epochs
 from repro.classical.oa import oa_segments, run_oa
 from repro.core.pd import PDScheduler, run_pd
+from repro.core.waterfill import waterfill_job
 from repro.engine.experiment import ExperimentSpec
 from repro.engine.runner import (
     RECORD_VERSION,
@@ -26,6 +29,7 @@ from repro.engine.runner import (
     request_key,
 )
 from repro.errors import InvalidParameterError
+from repro.general.powers import SumPower
 from repro.io.serialize import schedule_to_dict, stable_hash
 from repro.model.job import Instance
 from repro.perf.epochs import (
@@ -152,6 +156,105 @@ class TestPDEpochParity:
         assert stable_hash(schedule_to_dict(new.schedule)) == stable_hash(
             schedule_to_dict(old.schedule)
         )
+
+
+def assert_scheduler_parity(instance: Instance, epoch_size: int, **kwargs) -> None:
+    """Feed ``instance`` to an epoch scheduler and to the per-arrival
+    twin, then compare the live stores and the finished results bit for
+    bit. ``kwargs`` go to both ``PDScheduler`` constructors."""
+    arrays = instance.sorted_by_release().arrays
+    fast = PDScheduler(m=instance.m, alpha=instance.alpha, batch="epoch", **kwargs)
+    arrive_epochs(fast, arrays, epoch_size=epoch_size)
+    slow = PDScheduler(m=instance.m, alpha=instance.alpha, **kwargs)
+    arrive_epochs_reference(slow, arrays)
+    fast._flush_suffixes()
+    assert np.array_equal(fast._grid.boundaries, slow._grid.boundaries)
+    for fs, ss in zip(fast._states, slow._states, strict=True):
+        assert fs.loads == ss.loads
+        assert fs.ids == ss.ids
+        assert fs.suffix == ss.suffix
+    assert fast._planned == slow._planned
+    new, old = fast.finish(), slow.finish()
+    assert new.decisions == old.decisions
+    assert np.array_equal(new.schedule.loads, old.schedule.loads)
+    assert np.array_equal(new.planned_loads, old.planned_loads)
+    assert new.cost == old.cost
+
+
+class TestZeroWorkScreen:
+    """The exact zero-work screen is the only cheap-reject path: every
+    arrival whose price cap opens no interval of its window is settled
+    without a ``WindowKernel`` or a water-fill, against the live stores
+    (accepts earlier in the same block included)."""
+
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_waterfill_only_sees_jobs_that_place_work(self, m, monkeypatch):
+        zero_work = []
+
+        def recording_waterfill(kernel, **kwargs):
+            outcome = waterfill_job(kernel, **kwargs)
+            if not outcome.accepted and outcome.planned_work == 0.0:
+                zero_work.append(outcome)
+            return outcome
+
+        monkeypatch.setattr(epochs, "waterfill_job", recording_waterfill)
+        inst = slotted_instance(2000, slots=50, m=m, alpha=3.0, seed=2)
+        assert_scheduler_parity(inst, DEFAULT_EPOCH_SIZE)
+        assert zero_work == []
+
+    @pytest.mark.parametrize("epoch_size", [1, 7, 300])
+    def test_custom_power_bitwise_identical(self, epoch_size):
+        """Custom power functions take the same screen: the cap comes
+        from their own ``derivative_inverse``, as in the water-fill."""
+        inst = slotted_instance(300, slots=40, m=4, alpha=3.0, seed=2)
+        assert_scheduler_parity(
+            inst,
+            epoch_size,
+            power=SumPower([1.0, 0.5], [3.0, 1.0]),
+            delta=3.0**-2,
+        )
+
+
+@st.composite
+def shared_window_streams(draw):
+    """Release-ordered streams packed into a few unit slots.
+
+    Many jobs share each window, so accepts raise water levels in the
+    middle of a block; jobs are drawn from a small template pool, so
+    exact duplicates (identical prices) are common.
+    """
+    slots = draw(st.integers(1, 4))
+    window = st.tuples(st.integers(0, slots - 1), st.integers(1, slots)).filter(
+        lambda ab: ab[0] < ab[1]
+    )
+    template = st.tuples(
+        window,
+        st.sampled_from([0.25, 0.5, 1.0, 1.5, 3.0]),
+        st.floats(0.05, 12.0, allow_nan=False, allow_infinity=False),
+    )
+    pool = draw(st.lists(template, min_size=1, max_size=6))
+    picks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=60))
+    jobs = sorted(
+        (float(a), float(b), w, w * ratio) for (a, b), w, ratio in picks
+    )
+    m = draw(st.integers(1, 5))
+    alpha = draw(st.sampled_from([2.0, 3.0]))
+    return Instance.from_tuples(jobs, m=m, alpha=alpha)
+
+
+class TestEpochDifferentialProperty:
+    @given(
+        instance=shared_window_streams(),
+        epoch_size=st.sampled_from([1, 2, 3, 7, None]),
+    )
+    @example(
+        instance=Instance.from_tuples([(0.0, 1.0, 1.0, 2.0)] * 2, m=5, alpha=3.0),
+        epoch_size=None,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_epochs_match_per_arrival_twin(self, instance, epoch_size):
+        """``None`` draws one block spanning the whole stream."""
+        assert_scheduler_parity(instance, epoch_size or instance.n)
 
 
 class TestEpochErrors:

@@ -71,6 +71,32 @@ class TestLayoutBasics:
         with pytest.raises(InfeasibleScheduleError):
             layout([1.5], procs=2)
 
+    def test_full_strips_advance_past_rounding(self):
+        # 3 * 0.7 / 0.7 == 2.9999999999999996: re-deriving the strip
+        # from the cursor once sent the fourth job back onto the full
+        # third strip, forever.
+        segs = mcnaughton_layout(
+            [0, 1, 2, 3],
+            [0.7, 0.7, 0.7, 0.5],
+            start=0.0,
+            length=0.7,
+            first_processor=0,
+            num_processors=4,
+            speed=1.0,
+        )
+        assert [(s.job, s.processor, s.start, s.end) for s in segs] == [
+            (0, 0, 0.0, 0.7),
+            (1, 1, 0.0, 0.7),
+            (2, 2, 0.0, 0.7),
+            (3, 3, 0.0, 0.5),
+        ]
+
+    def test_dust_past_the_last_strip_is_dropped(self):
+        # Within the capacity tolerance but past the end of the last
+        # strip: nowhere left to advance to, so the loop must stop.
+        segs = layout([1.0, 1.0, 1e-10], procs=2)
+        assert [(s.job, s.processor) for s in segs] == [(0, 0), (1, 1)]
+
     def test_misaligned_inputs_rejected(self):
         with pytest.raises(InfeasibleScheduleError):
             mcnaughton_layout(
