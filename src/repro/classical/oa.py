@@ -9,20 +9,25 @@ until the next arrival. Bansal, Kimbrel & Pruhs proved OA is exactly
 *including* job values and multiple processors.
 
 Besides the classic single-processor :func:`run_oa`, the module provides
-:func:`oa_plan`, the one-shot planning step (also the building block of
-the Chan–Lam–Li profitable scheduler), and a multiprocessor variant
+:func:`oa_plan`, the one-shot full planning step (qOA's replan and OA's
+``replan="reference"`` twin), and a multiprocessor variant
 :func:`run_oa_multiprocessor` that substitutes our convex solver for the
 Albers–Antoniadis–Greiner exact offline algorithm (see DESIGN.md,
-"Substitutions").
+"Substitutions"). The incremental planner — :class:`_LazyPlan`, which
+generates YDS rounds on demand, and its EDF consumer
+:func:`_execute_plan_prefix` — also runs the Chan–Lam–Li profitable
+scheduler (:mod:`repro.core.cll`): its admission test stops at the round
+that freezes the candidate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ..errors import InvalidParameterError
+from ..errors import InvalidParameterError, SolverError
 from ..model.job import Instance, Job
 from ..model.schedule import Schedule
 from .execution import schedule_from_segments
@@ -103,7 +108,14 @@ def oa_plan(
 
 
 class _PlanJob:
-    """A plan-instance job for the critical-window scan: 3 plain floats."""
+    """A plan-instance job for the critical-window scan: 3 plain floats.
+
+    :func:`repro.classical.yds._critical_window` only reads
+    ``instance[j].release/.deadline/.workload``, so a plain list of these
+    stands in for a sub-``Instance``: it serves the exact floats a
+    materialized sub-instance's ``Job`` objects would hold, without
+    constructing any of them.
+    """
 
     __slots__ = ("release", "deadline", "workload")
 
@@ -113,62 +125,75 @@ class _PlanJob:
         self.workload = workload
 
 
-class _PlanView:
-    """Indexable shim standing in for a sub-``Instance`` in YDS scans.
+#: One YDS round of a plan: ``(g, b, job_ids, region)`` — the group's
+#: speed, its window's right end, its sub-job ids, and its frozen region.
+_Round = tuple[float, float, tuple[int, ...], IntervalSet]
 
-    :func:`repro.classical.yds._critical_window` only reads
-    ``instance[j].release/.deadline/.workload`` — this view serves the
-    exact floats a materialized sub-instance's ``Job`` objects would
-    hold, without constructing any of them.
+
+class _LazyPlan:
+    """OA's plan at ``now`` for ``alive``: YDS rounds on demand, memoized.
+
+    Every plan job shares release ``now``, so the YDS rounds have a
+    special structure: each round's critical window is ``[now, b_i]``
+    with ``b_1 < b_2 < ...`` (only windows anchored at the common release
+    contain jobs), the frozen set stays one contiguous block
+    ``[now, b_i]``, and round ``i``'s EDF segments all live inside
+    ``[b_{i-1}, b_i]``. Each round depends only on the rounds before it,
+    so a consumer can stop after the rounds it needs: OA's execution at
+    the first round past the next arrival, CLL's admission test at the
+    round that freezes its candidate. The rounds that *are* generated
+    run through the same ``_critical_window`` / ``IntervalSet`` code on
+    the same floats as :func:`oa_plan`'s full YDS run, and iterating a
+    plan twice replays the memoized rounds before generating more.
+
+    Sub-job ids are positions in ``alive`` — the relabeling ``oa_plan``
+    applies to its (filtered) ``job_ids``, so every id-based tie-break
+    inside the scan and the EDF heap orders identically. ``workloads``
+    are the plan's inputs, snapshotted: executing the plan mutates the
+    caller's ``remaining`` dict, never the plan.
     """
 
-    __slots__ = ("_jobs",)
+    __slots__ = ("alive", "workloads", "view", "_rounds", "_source")
 
-    def __init__(self, jobs: list[_PlanJob]) -> None:
-        self._jobs = jobs
+    def __init__(
+        self,
+        now: float,
+        alive: list[int],
+        workloads: list[float],
+        deadlines: Mapping[int, float] | Sequence[float],
+    ) -> None:
+        self.alive = alive
+        self.workloads = workloads
+        self.view = [
+            _PlanJob(now, deadlines[j], w) for j, w in zip(alive, workloads)
+        ]
+        self._rounds: list[_Round] = []
+        self._source = _yds_rounds(self.view, len(alive))
 
-    def __getitem__(self, j: int) -> _PlanJob:
-        return self._jobs[j]
+    def __iter__(self) -> Iterator[_Round]:
+        """The plan's rounds in discovery order, memoized ones first."""
+        rounds = self._rounds
+        i = 0
+        while True:
+            if i == len(rounds):
+                nxt = next(self._source, None)
+                if nxt is None:
+                    return
+                rounds.append(nxt)
+            yield rounds[i]
+            i += 1
+
+    def speed_of(self, pos: int) -> float:
+        """Planned speed of sub-job ``pos``: its critical group's intensity."""
+        for g, _, job_ids, _ in self:
+            if pos in job_ids:
+                return g
+        raise SolverError(f"sub-job {pos} was never frozen")  # pragma: no cover
 
 
-def _execute_plan_prefix(
-    *,
-    now: float,
-    t_next: float,
-    alive: list[int],
-    remaining: dict[int, float],
-    deadlines: dict[int, float],
-    executed: list[tuple[int, float, float, float]],
-    unfinished,  # anything with .discard(job): a set or an epoch proxy
-    alive_pool,
-) -> None:
-    """Lazily plan-and-execute one OA epoch: only the prefix before ``t_next``.
-
-    The full replan (``oa_plan`` + segment walk) computes the *entire*
-    YDS plan for the remaining work and then discards everything after
-    the next arrival. But every plan job shares release ``now``, so the
-    YDS rounds have a special structure: each round's critical window is
-    ``[now, b_i]`` with ``b_1 < b_2 < ...`` (only windows anchored at the
-    common release contain jobs), the frozen set stays one contiguous
-    block ``[now, b_i]``, and round ``i``'s EDF segments all live inside
-    ``[b_{i-1}, b_i]``. Each round depends only on the rounds before it —
-    so the group sequence can be generated lazily and cut off at the
-    first round whose window ends at or past ``t_next``: every segment
-    the reference would still produce starts at or after that boundary
-    and is dropped by its own ``a >= t_next - _EPS`` break. The rounds
-    that *are* generated run through the same ``_critical_window`` /
-    ``IntervalSet`` / ``edf_execute`` code on the same floats, so the
-    executed prefix is bitwise the reference's (asserted by the parity
-    suite on every differential case).
-
-    Sub-job ids are positions in ``alive`` (ascending caller ids) — the
-    same monotone relabeling ``oa_plan`` applies, so every id-based
-    tie-break inside the scan and the EDF heap orders identically.
-    """
-    view = _PlanView(
-        [_PlanJob(now, deadlines[j], remaining[j]) for j in alive]
-    )
-    rem_sub = set(range(len(alive)))
+def _yds_rounds(view: list[_PlanJob], count: int) -> Iterator[_Round]:
+    """YDS's round loop over a plan view, one round per ``next``."""
+    rem_sub = set(range(count))
     frozen = IntervalSet.empty()
     while rem_sub:
         events = sorted(
@@ -180,6 +205,34 @@ def _execute_plan_prefix(
         job_ids = tuple(sorted(inside))
         frozen = frozen.union(region)
         rem_sub -= set(inside)
+        yield g, b, job_ids, region
+
+
+def _execute_plan_prefix(
+    plan: _LazyPlan,
+    *,
+    t_next: float,
+    remaining: dict[int, float],
+    executed: list[tuple[int, float, float, float]],
+    on_finish: Callable[[int], None],
+) -> None:
+    """Execute one OA epoch: the plan's EDF segments before ``t_next``.
+
+    The full replan (``oa_plan`` + segment walk) computes the *entire*
+    YDS plan for the remaining work and then discards everything after
+    the next arrival. This consumer realizes the plan's rounds one at a
+    time and stops at the first round whose window ends at or past
+    ``t_next``: every segment the reference would still produce starts
+    at or after that boundary and is dropped by its own
+    ``a >= t_next - _EPS`` break. Each realized round runs through the
+    same ``edf_execute`` on the same floats, so the executed prefix is
+    bitwise the reference's (asserted by the parity suite on every
+    differential case). ``on_finish(job)`` fires when a job's remaining
+    work drops to the work tolerance.
+    """
+    alive = plan.alive
+    view = plan.view
+    for g, b, job_ids, region in plan:
         segs = edf_execute(
             job_ids=list(job_ids),
             releases=[view[j].release for j in job_ids],
@@ -200,45 +253,11 @@ def _execute_plan_prefix(
             if remaining[job] < 0.0:
                 remaining[job] = 0.0
             if remaining[job] <= _WORK_TOL:
-                unfinished.discard(job)
-                alive_pool.discard(job)
+                on_finish(job)
         if b >= t_next - _EPS:
             # Every later round's segments start at or after this
             # window's end — the reference drops them all.
             return
-
-
-class _CountingDiscard:
-    """``unfinished``-set stand-in for the epoch loop: a guarded counter.
-
-    ``_execute_plan_prefix`` only ever calls ``discard`` — the epoch
-    loop replaces the set with a per-job flag plus a live count, so the
-    "any work left" test is one integer read. The flag guards against
-    the double-discard a multi-segment finish can produce.
-    """
-
-    __slots__ = ("flags", "holder")
-
-    def __init__(self, flags: bytearray, holder: list[int]) -> None:
-        self.flags = flags
-        self.holder = holder
-
-    def discard(self, j: int) -> None:
-        if not self.flags[j]:
-            self.flags[j] = 1
-            self.holder[0] -= 1
-
-
-class _LazyDiscard:
-    """``alive_pool`` stand-in: deletions buffered into a tombstone set."""
-
-    __slots__ = ("dead",)
-
-    def __init__(self, dead: set) -> None:
-        self.dead = dead
-
-    def discard(self, j: int) -> None:
-        self.dead.add(j)
 
 
 def _oa_segments_epoch(
@@ -285,10 +304,16 @@ def _oa_segments_epoch(
     alive_list: list[int] = []
     dead: set[int] = set()
     finished_flag = bytearray(n)
-    unfinished_count = [0]
-    unfinished_proxy = _CountingDiscard(finished_flag, unfinished_count)
-    pool_proxy = _LazyDiscard(dead)
+    unfinished_count = 0
     known = 0
+
+    def on_finish(j: int) -> None:
+        nonlocal unfinished_count
+        # A multi-segment finish can report a job twice: count it once.
+        if not finished_flag[j]:
+            finished_flag[j] = 1
+            unfinished_count -= 1
+        dead.add(j)
 
     for idx, t in enumerate(epochs):
         t_next = epochs[idx + 1] if idx + 1 < len(epochs) else horizon_end
@@ -296,9 +321,9 @@ def _oa_segments_epoch(
         while known < kc:
             if addable[known]:
                 alive_list.append(known)
-                unfinished_count[0] += 1
+                unfinished_count += 1
             known += 1
-        if not unfinished_count[0]:
+        if not unfinished_count:
             continue
         if len(dead) > len(alive_list) // 2:
             alive_list = [j for j in alive_list if j not in dead]
@@ -317,14 +342,11 @@ def _oa_segments_epoch(
             # which the reference path's oa_plan raises.
             raise InvalidParameterError("oa_plan called with no remaining work")
         _execute_plan_prefix(
-            now=t,
+            _LazyPlan(t, alive, [remaining[j] for j in alive], deadlines),
             t_next=t_next,
-            alive=alive,
             remaining=remaining,
-            deadlines=deadlines,
             executed=executed,
-            unfinished=unfinished_proxy,
-            alive_pool=pool_proxy,
+            on_finish=on_finish,
         )
 
     return ordered, executed
@@ -393,6 +415,10 @@ def oa_segments(
     unfinished: set[int] = set()
     alive_pool: set[int] = set()
 
+    def on_finish(j: int) -> None:
+        unfinished.discard(j)
+        alive_pool.discard(j)
+
     for idx, t in enumerate(epochs):
         t_next = epochs[idx + 1] if idx + 1 < len(epochs) else horizon_end
         while known_count < n and releases[known_count] <= t + _EPS:
@@ -436,14 +462,11 @@ def oa_segments(
             # which the reference path's oa_plan raises.
             raise InvalidParameterError("oa_plan called with no remaining work")
         _execute_plan_prefix(
-            now=t,
+            _LazyPlan(t, alive, [remaining[j] for j in alive], deadlines),
             t_next=t_next,
-            alive=alive,
             remaining=remaining,
-            deadlines=deadlines,
             executed=executed,
-            unfinished=unfinished,
-            alive_pool=alive_pool,
+            on_finish=on_finish,
         )
 
     return ordered, executed

@@ -39,6 +39,8 @@ def run_qoa(instance: Instance, *, q: float | None = None) -> Schedule:
         raise InvalidParameterError(
             f"qOA is a single-processor algorithm; instance has m={instance.m}"
         )
+    if instance.n == 0:
+        raise InvalidParameterError("qOA needs at least one job")
     ordered = instance.sorted_by_release()
     q = default_q(ordered.alpha) if q is None else float(q)
     if q < 1.0:

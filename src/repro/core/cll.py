@@ -9,22 +9,34 @@ its planned energy is worth it:
     ``w_j * s**(alpha-1) <= alpha**(alpha-2) * v_j``,
 
 then keep following OA plans for the admitted jobs. Chan, Lam & Li proved
-this is ``alpha**alpha + 2 e**alpha``-competitive; the paper's PD
+this is ``alpha**alpha + 2 e alpha``-competitive; the paper's PD
 algorithm improves the bound to ``alpha**alpha`` (and generalizes to
 multiple processors) while — as Section 3 of the paper observes — making
 *exactly the same* accept/reject decisions as CLL in the single-processor
 case when run with the optimal ``delta``. Experiment E6 verifies that
 equivalence empirically; experiment E3 compares the costs.
+
+Both halves of an epoch run on OA's lazy planner
+(:class:`repro.classical.oa._LazyPlan`) instead of full replans: the
+admission test generates YDS rounds only until the one that freezes the
+candidate, and the execution half realizes only the prefix before the
+next arrival — reusing the last admission's rounds when it planned the
+same jobs with the same remaining work. The historical full-replan loop
+is kept as :func:`repro.perf.reference.run_cll_reference`; the two agree
+bit for bit wherever the reference returns. (It raises on an arrival
+with no plannable work while nothing else is alive; here that arrival
+plans at speed 0.)
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..classical.execution import schedule_from_segments
-from ..classical.oa import oa_plan
+from ..classical.oa import _execute_plan_prefix, _LazyPlan
 from ..errors import InvalidParameterError
 from ..model.job import Instance
 from ..model.schedule import Schedule
@@ -67,40 +79,68 @@ def run_cll(instance: Instance) -> CLLResult:
         raise InvalidParameterError(
             f"CLL is a single-processor algorithm; instance has m={instance.m}"
         )
+    if instance.n == 0:
+        raise InvalidParameterError("CLL needs at least one job")
     ordered = instance.sorted_by_release()
     n = ordered.n
     alpha = ordered.alpha
+    jobs = ordered.jobs
+    deadlines = [job.deadline for job in jobs]
     releases = ordered.releases
-    deadlines = {j: ordered[j].deadline for j in range(n)}
+    release_list = releases.tolist()
 
     admitted: list[bool] = [False] * n
     remaining: dict[int, float] = {}
+    # Each admitted job's position in first-admission order (the order
+    # `remaining` iterates in): the execution half lists its jobs in this
+    # order, as the historical loop did, and it fixes the plan's sub-job
+    # labels.
+    rank: dict[int, int] = {}
+    # Admitted jobs with work above the tolerance whose deadline had not
+    # passed at the last epoch start: every job a plan can include.
+    pool: set[int] = set()
     planned_speed = np.zeros(n)
     thresholds = np.zeros(n)
     executed: list[tuple[int, float, float, float]] = []
 
-    # Group arrivals by epoch; within an epoch, admit one job at a time so
-    # each admission sees the previous one's load.
-    epochs = sorted(set(releases.tolist()))
-    horizon_end = max(deadlines.values())
+    epochs = sorted(set(release_list))
+    horizon_end = max(deadlines)
+    # Each epoch's arrivals are the jobs with |r - t| <= _EPS. A margin
+    # of 2 * _EPS around t brackets every release that passes the
+    # literal test; the test itself still runs on the slice, so a
+    # release within _EPS of two epochs arrives at both.
+    bounds = np.asarray(epochs)
+    lows = np.searchsorted(releases, bounds - 2.0 * _EPS, side="left").tolist()
+    highs = np.searchsorted(releases, bounds + 2.0 * _EPS, side="right").tolist()
 
+    # Within an epoch, admit one job at a time so each admission sees the
+    # previous one's load.
     for idx, t in enumerate(epochs):
         t_next = epochs[idx + 1] if idx + 1 < len(epochs) else horizon_end
-        for j in range(n):
-            if abs(releases[j] - t) > _EPS:
+        # A passed deadline never un-passes: prune for good.
+        pool = {j for j in pool if deadlines[j] > t + _EPS}
+        base = sorted(pool)
+        plan: _LazyPlan | None = None
+        for j in range(lows[idx], highs[idx]):
+            if abs(release_list[j] - t) > _EPS:
                 continue
-            job = ordered[j]
-            # Tentative plan including the candidate job.
-            tentative_remaining = dict(remaining)
-            tentative_remaining[j] = job.workload
-            plan = oa_plan(
-                now=t,
-                job_ids=sorted(tentative_remaining),
-                remaining=tentative_remaining,
-                deadlines=deadlines,
-                alpha=alpha,
-            )
-            s = float(plan.job_speeds[j])
+            job = jobs[j]
+            # The tentative plan: the live pool plus the candidate at its
+            # full workload, ids ascending. A candidate with no plannable
+            # work plans at speed 0.
+            plan = None
+            s = 0.0
+            if job.workload > _WORK_TOL and deadlines[j] > t + _EPS:
+                pos = bisect_left(base, j)
+                ids = base
+                work = [remaining[i] for i in base]
+                if pos < len(base) and base[pos] == j:
+                    work[pos] = job.workload
+                else:
+                    ids = base[:pos] + [j] + base[pos:]
+                    work.insert(pos, job.workload)
+                plan = _LazyPlan(t, ids, work, deadlines)
+                s = plan.speed_of(pos)
             planned_speed[j] = s
             thresholds[j] = alpha ** ((alpha - 2.0) / (alpha - 1.0)) * (
                 job.value / job.workload
@@ -110,32 +150,25 @@ def run_cll(instance: Instance) -> CLLResult:
             ):
                 admitted[j] = True
                 remaining[j] = job.workload
+                rank.setdefault(j, len(rank))
+                if plan is not None:
+                    pool.add(j)
+                    base = plan.alive
 
         # Execute the OA plan for admitted work until the next epoch.
-        alive = [
-            j
-            for j, wrem in remaining.items()
-            if wrem > _WORK_TOL and deadlines[j] > t + _EPS
-        ]
-        if not alive:
+        if not pool:
             continue
-        plan = oa_plan(
-            now=t,
-            job_ids=alive,
+        alive = sorted(pool, key=rank.__getitem__)
+        work = [remaining[j] for j in alive]
+        if plan is None or plan.alive != alive or plan.workloads != work:
+            plan = _LazyPlan(t, alive, work, deadlines)
+        _execute_plan_prefix(
+            plan,
+            t_next=t_next,
             remaining=remaining,
-            deadlines=deadlines,
-            alpha=alpha,
+            executed=executed,
+            on_finish=pool.discard,
         )
-        for job_id, a, b, speed in plan.segments:
-            if a >= t_next - _EPS:
-                break
-            hi = min(b, t_next)
-            if hi <= a + _EPS:
-                continue
-            executed.append((job_id, a, hi, speed))
-            remaining[job_id] -= (hi - a) * speed
-            if remaining[job_id] < 0.0:
-                remaining[job_id] = 0.0
 
     schedule = schedule_from_segments(
         ordered, executed, np.array(admitted, dtype=bool)

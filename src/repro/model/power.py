@@ -161,8 +161,8 @@ class PolynomialPower:
 
     @property
     def competitive_ratio_cll(self) -> float:
-        """``alpha**alpha + 2 e**alpha`` — the Chan–Lam–Li bound PD improves."""
-        return float(self.alpha**self.alpha + 2.0 * math.e**self.alpha)
+        """``alpha**alpha + 2 e alpha`` — the Chan–Lam–Li bound PD improves."""
+        return float(self.alpha**self.alpha + 2.0 * math.e * self.alpha)
 
     @property
     def optimal_delta(self) -> float:

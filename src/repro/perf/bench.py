@@ -132,6 +132,16 @@ def _oa_point(point: Mapping[str, Any]) -> dict:
     return {"n": n, "m": 1, "wall_time": wall, "cost": result.cost}
 
 
+def _cll_point(point: Mapping[str, Any]) -> dict:
+    from ..core.cll import run_cll
+    from ..workloads import poisson_instance
+
+    n = int(point["n"])
+    instance = poisson_instance(n, m=1, alpha=3.0, seed=0)
+    wall, result = _timed(lambda: run_cll(instance))
+    return {"n": n, "m": 1, "wall_time": wall, "cost": result.cost}
+
+
 def _yds_point(point: Mapping[str, Any]) -> dict:
     from ..classical.yds import yds
 
@@ -448,6 +458,14 @@ SCENARIOS: dict[str, BenchScenario] = {
             full=_points(n=[25, 50, 100, 200, 400, 800]),
             smoke=_points(n=[25, 50]),
             run_point=_oa_point,
+        ),
+        BenchScenario(
+            name="cll-scaling",
+            summary="Chan-Lam-Li on the lazy OA planner (profitable "
+            "instances, E3's baseline)",
+            full=_points(n=[200, 400, 800, 2000]),
+            smoke=_points(n=[200, 400]),
+            run_point=_cll_point,
         ),
         BenchScenario(
             name="yds-scaling",

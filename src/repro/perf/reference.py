@@ -17,6 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..chen.interval_power import SortedLoads
+from ..classical.execution import schedule_from_segments
+from ..classical.oa import oa_plan
+from ..core.cll import CLLResult, cll_admits
 from ..core.pd import JobDecision, PDResult
 from ..core.waterfill import waterfill_job
 from ..errors import InvalidParameterError
@@ -30,6 +33,7 @@ __all__ = [
     "PARITY_PAIRS",
     "PDSchedulerReference",
     "arrive_epochs_reference",
+    "run_cll_reference",
     "run_pd_reference",
     "schedule_energy_reference",
 ]
@@ -51,6 +55,9 @@ PARITY_PAIRS = {
     "arrive_epochs": "arrive_epochs_reference",
     "batch_mode": "arrive_epochs_reference",
     "current_batch_mode": "arrive_epochs_reference",
+    # CLL on the lazy OA planner (repro.core.cll): the twin replans in
+    # full with oa_plan, twice per release epoch.
+    "run_cll": "run_cll_reference",
 }
 
 
@@ -247,3 +254,102 @@ def arrive_epochs_reference(scheduler, arrays) -> None:
     """
     for i in range(arrays.n):
         scheduler.arrive(arrays.job(i))
+
+
+#: CLL's event and work tolerances, as ``repro.core.cll`` defines them.
+_EPS = 1e-12
+_WORK_TOL = 1e-9
+
+
+def run_cll_reference(instance: Instance) -> CLLResult:
+    """The historical ``run_cll``, verbatim: two full ``oa_plan`` calls
+    per release epoch and an all-jobs arrival scan.
+
+    Replaced by the lazy-planner :func:`repro.core.cll.run_cll`; kept for
+    differential testing. It diverges on purpose in one place: an
+    arrival with no plannable work (workload at most the work tolerance)
+    while nothing else is alive raises here, where ``run_cll`` plans it
+    at speed 0.
+    """
+    if instance.m != 1:
+        raise InvalidParameterError(
+            f"CLL is a single-processor algorithm; instance has m={instance.m}"
+        )
+    ordered = instance.sorted_by_release()
+    n = ordered.n
+    alpha = ordered.alpha
+    releases = ordered.releases
+    deadlines = {j: ordered[j].deadline for j in range(n)}
+
+    admitted: list[bool] = [False] * n
+    remaining: dict[int, float] = {}
+    planned_speed = np.zeros(n)
+    thresholds = np.zeros(n)
+    executed: list[tuple[int, float, float, float]] = []
+
+    # Group arrivals by epoch; within an epoch, admit one job at a time so
+    # each admission sees the previous one's load.
+    epochs = sorted(set(releases.tolist()))
+    horizon_end = max(deadlines.values())
+
+    for idx, t in enumerate(epochs):
+        t_next = epochs[idx + 1] if idx + 1 < len(epochs) else horizon_end
+        for j in range(n):
+            if abs(releases[j] - t) > _EPS:
+                continue
+            job = ordered[j]
+            # Tentative plan including the candidate job.
+            tentative_remaining = dict(remaining)
+            tentative_remaining[j] = job.workload
+            plan = oa_plan(
+                now=t,
+                job_ids=sorted(tentative_remaining),
+                remaining=tentative_remaining,
+                deadlines=deadlines,
+                alpha=alpha,
+            )
+            s = float(plan.job_speeds[j])
+            planned_speed[j] = s
+            thresholds[j] = alpha ** ((alpha - 2.0) / (alpha - 1.0)) * (
+                job.value / job.workload
+            ) ** (1.0 / (alpha - 1.0))
+            if cll_admits(
+                workload=job.workload, value=job.value, planned_speed=s, alpha=alpha
+            ):
+                admitted[j] = True
+                remaining[j] = job.workload
+
+        # Execute the OA plan for admitted work until the next epoch.
+        alive = [
+            j
+            for j, wrem in remaining.items()
+            if wrem > _WORK_TOL and deadlines[j] > t + _EPS
+        ]
+        if not alive:
+            continue
+        plan = oa_plan(
+            now=t,
+            job_ids=alive,
+            remaining=remaining,
+            deadlines=deadlines,
+            alpha=alpha,
+        )
+        for job_id, a, b, speed in plan.segments:
+            if a >= t_next - _EPS:
+                break
+            hi = min(b, t_next)
+            if hi <= a + _EPS:
+                continue
+            executed.append((job_id, a, hi, speed))
+            remaining[job_id] -= (hi - a) * speed
+            if remaining[job_id] < 0.0:
+                remaining[job_id] = 0.0
+
+    schedule = schedule_from_segments(
+        ordered, executed, np.array(admitted, dtype=bool)
+    )
+    return CLLResult(
+        schedule=schedule,
+        planned_speeds=planned_speed,
+        admission_thresholds=thresholds,
+    )

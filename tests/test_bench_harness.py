@@ -31,6 +31,7 @@ class TestScenarios:
         assert {
             "pd-scaling",
             "oa-scaling",
+            "cll-scaling",
             "yds-scaling",
             "grid-refine",
             "cache-micro",

@@ -8,6 +8,8 @@ import pytest
 from repro.analysis.certificates import dual_certificate
 from repro.classical.yds import yds
 from repro.core.pd import PDScheduler, run_pd
+from repro.engine.registry import REGISTRY
+from repro.errors import InvalidParameterError
 from repro.model.job import Instance, Job
 from repro.offline.convex import solve_min_energy
 
@@ -65,6 +67,13 @@ class TestDegenerateInstances:
         sched = run_pd(inst).schedule
         k_gap = sched.grid.locate(2.0)
         assert sched.processor_speed_matrix()[0, k_gap] == pytest.approx(0.0)
+
+    @pytest.mark.parametrize(
+        "name", [info.name for info in REGISTRY.select(multiprocessor=False)]
+    )
+    def test_empty_instance_single_processor(self, name):
+        with pytest.raises(InvalidParameterError):
+            REGISTRY.run(name, Instance((), m=1))
 
 
 class TestExtremeParameters:

@@ -78,7 +78,7 @@ class TestPolynomialPower:
     def test_paper_constants(self):
         p = PolynomialPower(3.0)
         assert p.competitive_ratio_pd == pytest.approx(27.0)
-        assert p.competitive_ratio_cll == pytest.approx(27.0 + 2 * math.e**3)
+        assert p.competitive_ratio_cll == pytest.approx(27.0 + 6 * math.e)
         assert p.optimal_delta == pytest.approx(3.0**-2)
         assert p.rejection_energy_factor == pytest.approx(3.0)
 
