@@ -61,6 +61,8 @@ HASH_PRIMITIVES = frozenset({"stable_hash", "canonical_json", "request_key"})
 #: here — the checker holds the door until both halves land.
 KNOWN_RECORD_SCHEMAS: dict[int, str] = {
     2: "180645d38efa6ab46a04279709811152c11355219657bc7213e608e1ed1b673f",
+    # Same vocabulary: 3 marks the exact water-fill's moved floats.
+    3: "180645d38efa6ab46a04279709811152c11355219657bc7213e608e1ed1b673f",
 }
 
 #: RNG constructors that take (and therefore can carry) an explicit

@@ -17,8 +17,11 @@ The load an interval accepts at price ``lambda`` is
 ``s(lambda) = P'^{-1}(lambda / (delta * w_j))``, a closed-form
 water-level query (see :mod:`repro.chen.interval_power`). The map
 ``s -> sum_k z_k(s)`` is piecewise linear, continuous, and non-decreasing,
-so we bracket by doubling, bisect, and finish with Newton steps on the
-piecewise-linear structure — giving machine-precision placements without
+with at most ``m + 2`` slope changes per interval, so the clearing speed
+is solved exactly on it
+(:meth:`~repro.perf.kernels.WindowKernel.clearing_speed`): sort the
+window's slope changes, sweep to the linear piece that reaches the
+workload, and solve that piece — machine-precision placements without
 simulating the continuous process.
 """
 
@@ -33,13 +36,13 @@ import numpy as np
 from ..chen.interval_power import SortedLoads
 from ..errors import InvalidParameterError
 from ..model.power import PolynomialPower
+from ..perf.kernels import IntervalLoads, WindowKernel
 from ..types import FloatArray
 
 __all__ = ["WaterfillOutcome", "waterfill_job"]
 
 #: Relative tolerance on the placed workload.
 _WORK_TOL = 1e-11
-_MAX_BISECT = 200
 
 
 @dataclass(frozen=True)
@@ -74,7 +77,7 @@ class WaterfillOutcome:
 
 
 def waterfill_job(
-    caches: "Sequence[SortedLoads] | object",
+    caches: "WindowKernel | Sequence[SortedLoads]",
     *,
     workload: float,
     value: float,
@@ -86,26 +89,28 @@ def waterfill_job(
     Parameters
     ----------
     caches:
-        The frozen pre-arrival assignment of the job's window: either
-        one :class:`SortedLoads` per atomic interval (the historical
-        shape, still used by the offline solver), or any object
-        exposing batched ``total_at_speed(s)`` / ``loads_at_speed(s)``
-        queries — in practice a
-        :class:`~repro.perf.kernels.WindowKernel`, which evaluates the
-        whole window per bisection step instead of looping interval by
-        interval. Both shapes produce bit-identical outcomes.
+        The frozen pre-arrival assignment of the job's window: a
+        :class:`~repro.perf.kernels.WindowKernel` (what PD builds), or
+        one :class:`SortedLoads` per atomic interval (the offline
+        solver's shape), which is converted to a kernel on entry, so
+        both shapes produce bit-identical outcomes.
     workload, value:
-        The job's ``w_j`` and ``v_j``.
+        The job's ``w_j`` (finite, > 0) and ``v_j`` (>= 0; ``inf`` means
+        the job must be placed).
     delta:
-        The PD aggressiveness parameter (Theorem 3 uses
+        The PD aggressiveness parameter (finite, > 0; Theorem 3 uses
         ``alpha**(1-alpha)``).
     power:
         The power function ``P_alpha``.
     """
-    if workload <= 0.0:
-        raise InvalidParameterError(f"workload must be > 0, got {workload}")
-    if delta <= 0.0:
-        raise InvalidParameterError(f"delta must be > 0, got {delta}")
+    if not (math.isfinite(workload) and workload > 0.0):
+        raise InvalidParameterError(
+            f"workload must be finite and > 0, got {workload}"
+        )
+    if not (value >= 0.0):
+        raise InvalidParameterError(f"value must be >= 0, got {value}")
+    if not (math.isfinite(delta) and delta > 0.0):
+        raise InvalidParameterError(f"delta must be finite and > 0, got {delta}")
     if len(caches) == 0:
         # No interval can host the job (can happen only with a stale
         # grid); the job is rejected at its value.
@@ -116,19 +121,9 @@ def waterfill_job(
             loads=np.zeros(0),
             planned_work=0.0,
         )
-
-    if hasattr(caches, "total_at_speed"):
-        total_at_speed = caches.total_at_speed
-        loads_at_speed = caches.loads_at_speed
-    else:
-
-        def total_at_speed(s: float) -> float:
-            return float(sum(c.max_load_at_speed(s) for c in caches))
-
-        def loads_at_speed(s: float) -> FloatArray:
-            return np.array(
-                [c.max_load_at_speed(s) for c in caches], dtype=np.float64
-            )
+    kernel = (
+        caches if isinstance(caches, WindowKernel) else _window_kernel(caches)
+    )
 
     # Price cap: lambda <= value <=> planned speed <= s_cap. An infinite
     # value (classical must-finish jobs, the offline solver's block
@@ -136,17 +131,17 @@ def waterfill_job(
     # effective cap: bracket by doubling instead.
     s_cap = (
         power.derivative_inverse(value / (delta * workload))
-        if np.isfinite(value)
+        if math.isfinite(value)
         else math.inf
     )
-    if not np.isfinite(s_cap):
+    if not math.isfinite(s_cap):
         s_cap = max(1.0, workload)
         for _ in range(200):
-            if total_at_speed(s_cap) >= workload:
+            if kernel.total_at_speed(s_cap) >= workload:
                 break
             s_cap *= 2.0
 
-    placed_at_cap = total_at_speed(s_cap)
+    placed_at_cap = kernel.total_at_speed(s_cap)
     if placed_at_cap < workload * (1.0 - _WORK_TOL):
         # Even at the job's full value the intervals cannot absorb the
         # workload cheaply enough: reject. Record the planned loads for
@@ -155,50 +150,24 @@ def waterfill_job(
             accepted=False,
             lam=value,
             speed=s_cap,
-            loads=loads_at_speed(s_cap),
+            loads=kernel.loads_at_speed(s_cap),
             planned_work=placed_at_cap,
         )
 
-    # Bracket the clearing speed: total(0) == 0 <= workload <= total(s_cap).
-    lo, hi = 0.0, s_cap
-    # Shrink the bracket by bisection on the monotone piecewise-linear map.
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        if total_at_speed(mid) >= workload:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-13 * max(1.0, hi):
-            break
-
-    # Newton polish on the piecewise-linear structure: the local slope is
-    # sum over intervals in the interior regime of (m - d) * l_k, which a
-    # symmetric finite difference recovers exactly within a linear piece.
-    s = hi
-    for _ in range(4):
-        t = total_at_speed(s)
-        gap = workload - t
-        if abs(gap) <= _WORK_TOL * workload:
-            break
-        h = max(1e-9 * max(s, 1.0), 1e-12)
-        slope = (total_at_speed(s + h) - total_at_speed(max(s - h, 0.0))) / (
-            s + h - max(s - h, 0.0)
-        )
-        if slope <= 0.0:
-            break
-        s = min(max(s + gap / slope, lo), s_cap)
-
-    loads = loads_at_speed(s)
-    placed = float(loads.sum())
+    # The cap test accepts within the tolerance even when the window
+    # holds slightly less than the workload at the cap; the job is then
+    # priced at the cap and its loads are scaled up to the workload.
+    # Otherwise the clearing speed lies at or below the cap.
+    short = placed_at_cap < workload
+    s = s_cap if short else kernel.clearing_speed(workload, s_cap)
+    loads = kernel.loads_at_speed(s)
+    placed = sum(loads.tolist())
     if placed <= 0.0:
         # Degenerate: numerical cap hit; treat as rejection.
         return WaterfillOutcome(
             accepted=False, lam=value, speed=s_cap, loads=loads, planned_work=placed
         )
-    if abs(placed - workload) > _WORK_TOL * workload:
-        # Final exactness fix: scale within the (tiny) residual. The
-        # relative correction is bounded by the bisection tolerance, so
-        # marginal prices move negligibly.
+    if short:
         loads *= workload / placed
         placed = workload
 
@@ -207,3 +176,26 @@ def waterfill_job(
     return WaterfillOutcome(
         accepted=True, lam=lam, speed=s, loads=loads, planned_work=placed
     )
+
+
+def _window_kernel(caches: Sequence[SortedLoads]) -> WindowKernel:
+    """One :class:`WindowKernel` over per-interval ``SortedLoads`` caches.
+
+    Exact zeros are dropped (they sort last and add exact ``+0.0`` to
+    every suffix sum), so the kernel answers every query bit-identically
+    to the caches.
+    """
+    ms = {cache.m for cache in caches}
+    if len(ms) != 1:
+        raise InvalidParameterError(
+            f"all intervals of one window must share m, got {sorted(ms)}"
+        )
+    stores = []
+    for cache in caches:
+        store = IntervalLoads()
+        for job_id, load in enumerate(cache.sorted_loads.tolist()):
+            if load != 0.0:
+                store.insert_deferred(job_id, load)
+        store.flush_suffix()
+        stores.append(store)
+    return WindowKernel(stores, [cache.length for cache in caches], ms.pop())

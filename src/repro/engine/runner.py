@@ -85,8 +85,12 @@ __all__ = [
 
 #: Bumped whenever the record payload changes shape, so stale cache
 #: entries from an older build miss instead of deserializing wrongly.
-#: (2: added the measured ``wall_time`` field.)
-RECORD_VERSION = 2
+#: Also bumped when a deliberate solver change moves stored results.
+#: (2: added the measured ``wall_time`` field. 3: PD's water-fill solves
+#: the clearing speed exactly instead of bisecting, which moves accepted
+#: speeds and loads within the old bisection tolerance; payload shape
+#: unchanged.)
+RECORD_VERSION = 3
 
 #: Shard-scheduling strategies. ``rr`` and ``lpt`` are *static* — pure
 #: functions :func:`shard_assignment` computes up front — while

@@ -262,7 +262,13 @@ class Grid:
         starts = merged[:-1]
         ends = merged[1:]
         old_lo, old_hi = self.span
-        outside = (starts < old_lo - _TIME_EPS) | (ends > old_hi + _TIME_EPS)
+        # Exact comparisons: the merged grid holds the old span's end
+        # points verbatim and every fresh point lies more than the
+        # tolerance away from them, so only extension intervals reach
+        # past the old span. (An ``old_hi + _TIME_EPS`` test rounds: a
+        # fresh point a few ulps past the tolerance used to be read as
+        # a split of the last interval, inventing load there.)
+        outside = (starts < old_lo) | (ends > old_hi)
         parent = np.clip(
             np.searchsorted(b, starts, side="right") - 1, 0, self.size - 1
         ).astype(np.int64)

@@ -4,9 +4,10 @@
 simulation paths scale without changing a single bit of their output:
 
 * :mod:`repro.perf.kernels` — incremental per-interval load stores
-  (:class:`~repro.perf.kernels.IntervalLoads`) and the batched window
+  (:class:`~repro.perf.kernels.IntervalLoads`) and the window
   evaluator (:class:`~repro.perf.kernels.WindowKernel`) the primal-dual
-  water-filling prices jobs against;
+  water-filling prices jobs against, including its closed-form
+  clearing-speed solve;
 * :mod:`repro.perf.epochs` — arrival-epoch batched execution of the
   PD main loop (:func:`~repro.perf.epochs.arrive_epochs` plus the
   ambient :func:`~repro.perf.epochs.batch_mode` switch): blocks of
@@ -18,15 +19,20 @@ simulation paths scale without changing a single bit of their output:
   :func:`~repro.perf.energy.stores_energy` over streaming
   ``IntervalLoads``), one vectorized pass instead of a per-column loop;
 * :mod:`repro.perf.reference` — the historical straight-line
-  implementations (dense-matrix PD, per-column energy), kept verbatim
-  for differential ("bit parity") testing against the kernels;
+  implementations (dense-matrix PD, per-column energy, the bisecting
+  water-fill), kept verbatim for differential ("bit parity") testing
+  against the kernels;
 * :mod:`repro.perf.bench` — named perf scenarios, the machine-readable
   ``BENCH_<scenario>.json`` emitter, and the baseline-comparison gate
   behind ``python -m repro bench``.
 
 Every kernel is bit-parity-tested against the reference path: same
 schedules, same costs, same certificates, same cache keys. Speed is an
-execution strategy here, never a result change.
+execution strategy here, never a result change — with one versioned
+exception: the water-fill's exact clearing speed replaced a bisection
+whose accepted speeds it moves within the old tolerance
+(``RECORD_VERSION`` 3; oracle
+:func:`~repro.perf.reference.waterfill_job_reference`).
 """
 
 from .energy import schedule_energy, stores_energy

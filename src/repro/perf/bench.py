@@ -691,15 +691,24 @@ def _identity(row: Mapping[str, Any]) -> tuple:
     )
 
 
+#: Relative drift a point's ``cost`` may show against its baseline:
+#: the algorithms are deterministic, so anything beyond float noise is
+#: a result change, not a timing one.
+_COST_RTOL = 1e-9
+
+
 def compare_to_baseline(
     current: dict, baseline: dict, *, factor: float = 2.0
 ) -> list[str]:
-    """Regression report: current points slower than ``factor`` x baseline.
+    """Regression report: current points slower than ``factor`` x
+    baseline, or whose ``cost`` moved by more than ``_COST_RTOL``
+    relative.
 
     Points are matched by identity keys; points present on one side
     only are ignored (grids may differ — CI smoke vs committed full).
     Wall times are rescaled by the environments' calibration ratio
-    before the factor test.
+    before the factor test. The cost test applies to matched points
+    that carry a ``cost`` on both sides.
     """
     if factor <= 1.0:
         raise InvalidParameterError(f"factor must be > 1, got {factor}")
@@ -722,18 +731,26 @@ def compare_to_baseline(
         base = by_identity.get(_identity(row))
         if base is None:
             continue
+        ident = " ".join(
+            f"{k}={row[k]}" for k in row if k not in _MEASURE_KEYS
+        )
         budget = float(base["wall_time"]) * factor * scale
         measured = float(row["wall_time"])
         if measured > budget:
-            ident = " ".join(
-                f"{k}={row[k]}" for k in row if k not in _MEASURE_KEYS
-            )
             regressions.append(
                 f"{current.get('scenario', '?')} {ident}: "
                 f"{measured:.4f}s > {factor:g}x baseline "
                 f"{float(base['wall_time']):.4f}s "
                 f"(machine-scaled budget {budget:.4f}s)"
             )
+        if "cost" in row and "cost" in base:
+            cost, base_cost = float(row["cost"]), float(base["cost"])
+            if not abs(cost - base_cost) <= _COST_RTOL * abs(base_cost):
+                regressions.append(
+                    f"{current.get('scenario', '?')} {ident}: "
+                    f"cost {cost!r} differs from baseline {base_cost!r} "
+                    f"by more than {_COST_RTOL:g} relative"
+                )
     return regressions
 
 

@@ -1,4 +1,4 @@
-"""Incremental interval-load stores and the batched window kernel.
+"""Incremental interval-load stores and the window kernel.
 
 The primal-dual water-filling step asks one question, thousands of
 times per run: *how much new load can each atomic interval of a job's
@@ -20,13 +20,12 @@ arrivals instead:
   sums are rebuilt with the exact accumulation order the reference
   path used, which keeps every query bit-identical.
 * :class:`WindowKernel` freezes the stores of one job's window and
-  answers ``total_at_speed`` / ``loads_at_speed`` for the bisection.
-  Wide windows are evaluated in one batched numpy call (padded load
-  matrix, vectorized water-level counts, sequential-``cumsum`` total so
-  the sum order matches the reference's left-to-right Python sum);
-  narrow windows — the common case, where numpy dispatch overhead
-  would dominate — use a tight ``bisect``-based scalar loop over the
-  same data. Both paths produce bit-identical floats.
+  answers ``total_at_speed`` / ``loads_at_speed`` for the water-fill,
+  plus ``clearing_speed``, the exact speed at which the window total
+  reaches a workload (a sweep over the total's at most ``m + 2`` slope
+  changes per interval). Each is a tight ``bisect``-based loop over
+  the stores' lists: a fill makes three such passes, too few to repay
+  copying the window into numpy arrays, even at hundreds of intervals.
 
 Bit-parity notes (load-bearing, tested in ``tests/test_perf_kernels``):
 
@@ -36,13 +35,11 @@ Bit-parity notes (load-bearing, tested in ``tests/test_perf_kernels``):
 * Scaling a descending array by one positive fraction preserves order
   (monotone rounding), so a split-copy equals re-sorting the scaled
   column.
-* ``numpy.cumsum`` accumulates strictly left to right — unlike
-  ``numpy.sum``'s pairwise reduction — so ``cumsum(z)[-1]`` equals the
-  reference's sequential Python ``sum`` bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 
 import numpy as np
@@ -51,11 +48,6 @@ from ..errors import InvalidParameterError
 from ..types import FloatArray
 
 __all__ = ["IntervalLoads", "WindowKernel"]
-
-#: Window width at which the batched numpy evaluation beats the scalar
-#: loop (below it, per-call dispatch overhead dominates the ~K floats
-#: of actual work). Both paths are bit-identical; this is pure tuning.
-_VECTOR_MIN_INTERVALS = 32
 
 
 class IntervalLoads:
@@ -161,25 +153,15 @@ class IntervalLoads:
 
 
 class WindowKernel:
-    """Frozen view of one job window for the water-filling bisection.
+    """Frozen view of one job window for the water-fill.
 
-    Exposes the two queries :func:`repro.core.waterfill.waterfill_job`
-    hammers on — the window total and the per-interval load vector at a
-    candidate speed — evaluated either by a batched numpy pass (wide
-    windows) or a tight scalar loop (narrow ones), bit-identically.
+    Exposes the queries :func:`repro.core.waterfill.waterfill_job`
+    asks — the window total and the per-interval load vector at a
+    candidate speed, and the clearing speed of a workload — as tight
+    scalar loops over each store's sorted lists.
     """
 
-    __slots__ = (
-        "m",
-        "lengths",
-        "_neg",
-        "_suffix",
-        "_scalar",
-        "_loads_mat",
-        "_suffix_mat",
-        "_lengths_arr",
-        "_rows",
-    )
+    __slots__ = ("m", "lengths", "_intervals")
 
     def __init__(
         self, stores: "list[IntervalLoads]", lengths: "list[float]", m: int
@@ -197,27 +179,10 @@ class WindowKernel:
                 )
         self.m = m
         self.lengths = [float(length) for length in lengths]
-        self._neg = [store.neg for store in stores]
-        self._suffix = [store.suffix for store in stores]
-        # The scalar loop's working set, zipped once: the bisection
-        # calls total_at_speed dozens of times per arrival.
-        self._scalar = list(zip(self._neg, self._suffix, self.lengths))
-        self._loads_mat = None
-        self._suffix_mat = None
-        self._lengths_arr = None
-        self._rows = None
-        if len(stores) >= _VECTOR_MIN_INTERVALS:
-            width = max((len(store) for store in stores), default=0)
-            loads_mat = np.zeros((len(stores), width), dtype=np.float64)
-            suffix_mat = np.zeros((len(stores), width + 1), dtype=np.float64)
-            for i, store in enumerate(stores):
-                p = len(store)
-                loads_mat[i, :p] = store.loads
-                suffix_mat[i, : p + 1] = store.suffix
-            self._loads_mat = loads_mat
-            self._suffix_mat = suffix_mat
-            self._lengths_arr = np.asarray(self.lengths, dtype=np.float64)
-            self._rows = np.arange(len(stores))
+        self._intervals = [
+            (store.neg, store.suffix, length)
+            for store, length in zip(stores, self.lengths)
+        ]
 
     def __len__(self) -> int:
         return len(self.lengths)
@@ -225,31 +190,14 @@ class WindowKernel:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def _vector_loads(self, speed: float) -> FloatArray:
-        """Per-interval loads via one batched numpy pass (wide windows)."""
-        target = speed * self._lengths_arr
-        d = (self._loads_mat > target[:, None]).sum(axis=1)
-        z = target * (self.m - d) - self._suffix_mat[self._rows, d]
-        z = np.minimum(np.maximum(z, 0.0), target)
-        z[d >= self.m] = 0.0
-        return z
-
     def total_at_speed(self, speed: float) -> float:
-        """Sum of ``max_load_at_speed`` over the window's intervals.
-
-        The batched path totals with ``cumsum`` (strictly sequential)
-        rather than ``np.sum`` (pairwise), so the accumulation order —
-        and therefore every bit — matches the reference's left-to-right
-        Python ``sum`` over per-interval queries.
-        """
+        """Sum of ``max_load_at_speed`` over the window's intervals,
+        accumulated left to right like the reference's Python ``sum``."""
         if speed <= 0.0:
             return 0.0
-        if self._loads_mat is not None:
-            z = self._vector_loads(speed)
-            return float(z.cumsum()[-1]) if z.size else 0.0
         total = 0.0
         m = self.m
-        for neg, suffix, length in self._scalar:
+        for neg, suffix, length in self._intervals:
             target = speed * length
             d = bisect_left(neg, -target)
             if d >= m:
@@ -261,17 +209,11 @@ class WindowKernel:
 
     def loads_at_speed(self, speed: float) -> FloatArray:
         """Per-interval load vector at ``speed`` (the final placement)."""
-        if self._loads_mat is not None:
-            if speed <= 0.0:
-                return np.zeros(len(self.lengths), dtype=np.float64)
-            return np.asarray(self._vector_loads(speed), dtype=np.float64)
         out = np.zeros(len(self.lengths), dtype=np.float64)
         if speed <= 0.0:
             return out
         m = self.m
-        for i, (neg, suffix, length) in enumerate(
-            zip(self._neg, self._suffix, self.lengths)
-        ):
+        for i, (neg, suffix, length) in enumerate(self._intervals):
             target = speed * length
             d = bisect_left(neg, -target)
             if d >= m:
@@ -280,3 +222,61 @@ class WindowKernel:
             if z > 0.0:
                 out[i] = z if z <= target else target
         return out
+
+    def clearing_speed(self, workload: float, s_cap: float) -> float:
+        """Smallest speed whose window total reaches ``workload``, at most
+        ``s_cap``: the water-fill's clearing speed, solved in closed form.
+
+        Per interval, with target ``t = speed * length``, the query is
+        ``z(t) = clip(f(t), 0, t)`` where
+        ``f(t) = m*t - sum_i min(l_i, t) = max_d((m - d)*t - suffix[d])``.
+        So ``z`` is piecewise linear: 0 up to ``t_open``, then ``f``
+        (slope ``m - #{l_i > t}``, up by one at each top-m load it
+        passes), then ``t`` itself from ``t_clip`` on. An interval with
+        fewer than m loads has a free processor (``z = t`` from 0); with
+        m = 1 the clip never comes. The window total is the sum of these
+        pieces: sort the window's slope changes by speed, sweep the
+        running total until it reaches ``workload``, and solve that
+        linear segment.
+
+        Each interval reads only its top m loads and ``suffix[0..m-1]``.
+        """
+        m = self.m
+        events: list[tuple[float, float]] = []
+        for neg, suffix, length in self._intervals:
+            if len(neg) < m:
+                events.append((0.0, length))
+                continue
+            t_open = suffix[0] / m
+            t_clip = math.inf
+            for d in range(1, m):
+                level = suffix[d] / (m - d)
+                if level < t_open:
+                    t_open = level
+            for d in range(m - 1):
+                level = suffix[d] / (m - 1 - d)
+                if level < t_clip:
+                    t_clip = level
+            if t_clip < t_open:
+                t_clip = t_open
+            # Loads are descending: the top-m loads above t_open, and
+            # those at or above t_clip, are prefixes of the row.
+            above = bisect_left(neg, -t_open, 0, m)
+            clipped = bisect_right(neg, -t_clip, 0, m)
+            events.append((t_open / length, (m - above) * length))
+            for i in range(clipped, above):
+                events.append((-neg[i] / length, length))
+            if m > 1:
+                events.append((t_clip / length, (1 - m + clipped) * length))
+        events.sort()
+        total = slope = prev = 0.0
+        for sigma, change in events:
+            reached = total + slope * (sigma - prev)
+            if reached >= workload:
+                break
+            total = reached
+            slope += change
+            prev = sigma
+        if not (slope > 0.0):
+            return s_cap
+        return min(prev + (workload - total) / slope, s_cap)

@@ -9,10 +9,19 @@ rebuilds, full-matrix refinement remaps), exercised exclusively by the
 differential tests in ``tests/test_perf_kernels.py`` and available for
 ad-hoc A/B measurements via the bench harness.
 
+One twin is a tolerance oracle rather than a bit-parity one:
+:func:`waterfill_job_reference`, the bisecting water-fill that the
+exact clearing-speed solve replaced (a versioned change). Its
+rejections match the live solver bit for bit; its accepted speeds only
+within the bisection tolerance.
+
 Deliberately slow. Never import this module from a hot path.
 """
 
 from __future__ import annotations
+
+import math
+from typing import Any
 
 import numpy as np
 
@@ -21,11 +30,11 @@ from ..classical.execution import schedule_from_segments
 from ..classical.oa import oa_plan
 from ..core.cll import CLLResult, cll_admits
 from ..core.pd import JobDecision, PDResult
-from ..core.waterfill import waterfill_job
+from ..core.waterfill import WaterfillOutcome, waterfill_job
 from ..errors import InvalidParameterError
 from ..model.intervals import Grid, Refinement
 from ..model.job import Instance, Job
-from ..model.power import PowerFunction
+from ..model.power import PolynomialPower, PowerFunction
 from ..model.schedule import Schedule
 from ..types import FloatArray
 
@@ -36,6 +45,7 @@ __all__ = [
     "run_cll_reference",
     "run_pd_reference",
     "schedule_energy_reference",
+    "waterfill_job_reference",
 ]
 
 #: Kernel -> reference counterpart, for pairs the ``<name>_reference``
@@ -113,8 +123,6 @@ class PDSchedulerReference:
     ) -> None:
         if m < 1:
             raise InvalidParameterError(f"m must be >= 1, got {m}")
-        from ..model.power import PolynomialPower
-
         self.m = m
         if power is None:
             self.power = PolynomialPower(alpha)
@@ -352,4 +360,153 @@ def run_cll_reference(instance: Instance) -> CLLResult:
         schedule=schedule,
         planned_speeds=planned_speed,
         admission_thresholds=thresholds,
+    )
+
+
+#: The historical water-fill's relative work tolerance and bisection cap.
+_WATERFILL_WORK_TOL = 1e-11
+_MAX_BISECT = 200
+
+
+def waterfill_job_reference(
+    caches: Any,
+    *,
+    workload: float,
+    value: float,
+    delta: float,
+    power: PolynomialPower,
+) -> WaterfillOutcome:
+    """The historical water-fill, verbatim: bracket, bisect, Newton-polish
+    and rescale.
+
+    Replaced by the closed-form breakpoint solve in
+    :func:`repro.core.waterfill.waterfill_job`
+    (:meth:`~repro.perf.kernels.WindowKernel.clearing_speed`); kept as
+    that solver's tolerance oracle. Its rejections are the new solver's
+    bit for bit; its accepted speeds lie within the bisection tolerance
+    of the exact root.
+
+    Parameters
+    ----------
+    caches:
+        The frozen pre-arrival assignment of the job's window: either
+        one :class:`SortedLoads` per atomic interval (the historical
+        shape, still used by the offline solver), or any object
+        exposing batched ``total_at_speed(s)`` / ``loads_at_speed(s)``
+        queries — in practice a
+        :class:`~repro.perf.kernels.WindowKernel`, which evaluates the
+        whole window per bisection step instead of looping interval by
+        interval. Both shapes produce bit-identical outcomes.
+    workload, value:
+        The job's ``w_j`` and ``v_j``.
+    delta:
+        The PD aggressiveness parameter (Theorem 3 uses
+        ``alpha**(1-alpha)``).
+    power:
+        The power function ``P_alpha``.
+    """
+    if workload <= 0.0:
+        raise InvalidParameterError(f"workload must be > 0, got {workload}")
+    if delta <= 0.0:
+        raise InvalidParameterError(f"delta must be > 0, got {delta}")
+    if len(caches) == 0:
+        # No interval can host the job (can happen only with a stale
+        # grid); the job is rejected at its value.
+        return WaterfillOutcome(
+            accepted=False,
+            lam=value,
+            speed=0.0,
+            loads=np.zeros(0),
+            planned_work=0.0,
+        )
+
+    if hasattr(caches, "total_at_speed"):
+        total_at_speed = caches.total_at_speed
+        loads_at_speed = caches.loads_at_speed
+    else:
+
+        def total_at_speed(s: float) -> float:  # type: ignore[no-redef]
+            return float(sum(c.max_load_at_speed(s) for c in caches))
+
+        def loads_at_speed(s: float) -> FloatArray:  # type: ignore[no-redef]
+            return np.array(
+                [c.max_load_at_speed(s) for c in caches], dtype=np.float64
+            )
+
+    # Price cap: lambda <= value <=> planned speed <= s_cap. An infinite
+    # value (classical must-finish jobs, the offline solver's block
+    # steps, or a near-1 exponent mapping a huge value to inf) means no
+    # effective cap: bracket by doubling instead.
+    s_cap = (
+        power.derivative_inverse(value / (delta * workload))
+        if np.isfinite(value)
+        else math.inf
+    )
+    if not np.isfinite(s_cap):
+        s_cap = max(1.0, workload)
+        for _ in range(200):
+            if total_at_speed(s_cap) >= workload:
+                break
+            s_cap *= 2.0
+
+    placed_at_cap = total_at_speed(s_cap)
+    if placed_at_cap < workload * (1.0 - _WATERFILL_WORK_TOL):
+        # Even at the job's full value the intervals cannot absorb the
+        # workload cheaply enough: reject. Record the planned loads for
+        # the analysis of unfinished jobs.
+        return WaterfillOutcome(
+            accepted=False,
+            lam=value,
+            speed=s_cap,
+            loads=loads_at_speed(s_cap),
+            planned_work=placed_at_cap,
+        )
+
+    # Bracket the clearing speed: total(0) == 0 <= workload <= total(s_cap).
+    lo, hi = 0.0, s_cap
+    # Shrink the bracket by bisection on the monotone piecewise-linear map.
+    for _ in range(_MAX_BISECT):
+        mid = 0.5 * (lo + hi)
+        if total_at_speed(mid) >= workload:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= 1e-13 * max(1.0, hi):
+            break
+
+    # Newton polish on the piecewise-linear structure: the local slope is
+    # sum over intervals in the interior regime of (m - d) * l_k, which a
+    # symmetric finite difference recovers exactly within a linear piece.
+    s = hi
+    for _ in range(4):
+        t = total_at_speed(s)
+        gap = workload - t
+        if abs(gap) <= _WATERFILL_WORK_TOL * workload:
+            break
+        h = max(1e-9 * max(s, 1.0), 1e-12)
+        slope = (total_at_speed(s + h) - total_at_speed(max(s - h, 0.0))) / (
+            s + h - max(s - h, 0.0)
+        )
+        if slope <= 0.0:
+            break
+        s = min(max(s + gap / slope, lo), s_cap)
+
+    loads = loads_at_speed(s)
+    placed = float(loads.sum())
+    if placed <= 0.0:
+        # Degenerate: numerical cap hit; treat as rejection.
+        return WaterfillOutcome(
+            accepted=False, lam=value, speed=s_cap, loads=loads, planned_work=placed
+        )
+    if abs(placed - workload) > _WATERFILL_WORK_TOL * workload:
+        # Final exactness fix: scale within the (tiny) residual. The
+        # relative correction is bounded by the bisection tolerance, so
+        # marginal prices move negligibly.
+        loads *= workload / placed
+        placed = workload
+
+    lam = delta * workload * power.derivative(s)
+    lam = min(lam, value)
+    return WaterfillOutcome(
+        accepted=True, lam=lam, speed=s, loads=loads, planned_work=placed
     )

@@ -93,7 +93,31 @@ class TestBaselineGate:
         current = _series(
             [{"n": 50, "m": 1, "wall_time": 0.15, "cost": 2.0}]
         )
-        assert not compare_to_baseline(current, base, factor=2.0)
+        # The points match despite different measurements: the time is
+        # within budget and the only report is the moved cost.
+        (report,) = compare_to_baseline(current, base, factor=2.0)
+        assert "cost" in report
+
+    def test_cost_mismatch_reported(self):
+        base = _series([{"n": 50, "m": 4, "wall_time": 0.10, "cost": 4387.0}])
+        moved = _series(
+            [{"n": 50, "m": 4, "wall_time": 0.10, "cost": 4387.0 * (1 + 1e-8)}]
+        )
+        (report,) = compare_to_baseline(moved, base, factor=2.0)
+        assert "n=50 m=4" in report and "cost" in report
+
+    def test_cost_drift_within_float_noise_passes(self):
+        base = _series([{"n": 50, "m": 4, "wall_time": 0.10, "cost": 4387.0}])
+        drift = _series(
+            [{"n": 50, "m": 4, "wall_time": 0.10, "cost": 4387.0 * (1 + 1e-12)}]
+        )
+        assert not compare_to_baseline(drift, base, factor=2.0)
+
+    def test_rows_without_cost_are_ignored(self):
+        costed = _series([{"n": 50, "m": 1, "wall_time": 0.10, "cost": 1.0}])
+        bare = _series([{"n": 50, "m": 1, "wall_time": 0.10}])
+        assert not compare_to_baseline(bare, costed, factor=2.0)
+        assert not compare_to_baseline(costed, bare, factor=2.0)
 
     def test_calibration_rescales_budget(self):
         base = _series([{"n": 1, "m": 1, "wall_time": 0.10}], calibration=0.05)

@@ -96,6 +96,20 @@ class TestRefinement:
         row = ref.split_row(np.array([5.0]), fill=0.0)
         np.testing.assert_allclose(row, [0.0, 5.0, 0.0])
 
+    def test_extension_just_past_the_snap_tolerance(self):
+        # 2 - 1e-12 and 1.5 + 1e-12 round to floats a few ulps more than
+        # 1e-12 away from 2 and 1.5: fresh points, so their intervals
+        # extend the span and must not take a share of the load.
+        for g, lo, hi in [
+            (make_grid(2.0, 2.5), 2.0 - 1e-12, 2.5),
+            (make_grid(1.0, 1.5), 1.0, 1.5 + 1e-12),
+        ]:
+            ref = g.refine([lo, hi])
+            assert ref.grid.size == 2
+            row = ref.split_row(np.array([0.5]), fill=0.0)
+            assert row.sum() == 0.5
+            assert list(ref.parent).count(-1) == 1
+
     def test_carry_row_copies_values(self):
         g = make_grid(0.0, 2.0)
         ref = g.refine([1.0])

@@ -187,3 +187,47 @@ class TestDeltaParameter:
         acc_small = run_pd(inst, delta=0.01).accepted_mask.sum()
         acc_large = run_pd(inst, delta=5.0).accepted_mask.sum()
         assert acc_small >= acc_large
+
+
+def _scaled(instance: Instance, c: float) -> Instance:
+    """Workloads times ``c``, values times ``c**alpha``: the same instance
+    in other units, whose PD run is the original's scaled by ``c``."""
+    alpha = instance.alpha
+    return Instance.from_tuples(
+        [
+            (j.release, j.deadline, j.workload * c, j.value * c**alpha)
+            for j in instance.jobs
+        ],
+        m=instance.m,
+        alpha=alpha,
+    )
+
+
+def _assert_close(actual, expected):
+    expected = np.asarray(expected, dtype=np.float64)
+    scale = float(np.abs(expected).max()) if expected.size else 0.0
+    np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=1e-12 * scale)
+
+
+class TestScaleInvariance:
+    """PD's water-fill has no absolute floor: a change of work units moves
+    loads and planned speeds by ``c`` and duals by ``c**alpha``, to float
+    rounding. (Cost is not compared: the schedule's energy skips intervals
+    whose load is below an absolute emptiness gate.)"""
+
+    @pytest.mark.parametrize("family", ["poisson", "tight", "heavy-tail"])
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_units_scale_out(self, family, m):
+        from repro.workloads import WORKLOADS
+
+        instance = WORKLOADS.build(family, 200, seed=0, m=m, alpha=3.0)
+        base = run_pd(instance)
+        speeds = np.array([d.planned_speed for d in base.decisions])
+        for c in (1e-9, 1e-3, 1e3):
+            run = run_pd(_scaled(instance, c))
+            assert np.array_equal(run.accepted_mask, base.accepted_mask)
+            _assert_close(run.schedule.loads / c, base.schedule.loads)
+            _assert_close(
+                np.array([d.planned_speed for d in run.decisions]) / c, speeds
+            )
+            _assert_close(run.lambdas / c**3, base.lambdas)

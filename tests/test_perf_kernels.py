@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.certificates import dual_certificate
 from repro.chen.interval_power import SortedLoads
@@ -97,7 +98,10 @@ class TestPDParity:
         version is unbumped, request keys depend only on inputs, and
         the serialized schedule payload — the record body that gets
         content-hashed — is byte-identical old vs new."""
-        assert RECORD_VERSION == 2  # a bump would cold-start every cache
+        # 3 since the exact water-fill moved accepted speeds within the
+        # old bisection tolerance; kernels alone must never bump it (a
+        # bump cold-starts every cache).
+        assert RECORD_VERSION == 3
         inst = poisson_instance(30, m=2, alpha=3.0, seed=1)
         assert request_key("pd", inst) == request_key("pd", inst)
         new = run_pd(inst)
@@ -105,6 +109,55 @@ class TestPDParity:
         assert stable_hash(schedule_to_dict(new.schedule)) == stable_hash(
             schedule_to_dict(old.schedule)
         )
+
+
+#: Offsets around a grid boundary: on it, inside the grid's 1e-12 snap
+#: tolerance, on its edge, and just beyond it.
+_BOUNDARY_OFFSETS = [0.0, 3e-13, -3e-13, 1e-12, -1e-12, 2.5e-12, -2.5e-12]
+
+
+@st.composite
+def boundary_instances(draw):
+    """Small instances aimed at the kernels' fragile replications: window
+    endpoints within +-tolerance of grid boundaries (the snap test that
+    decides whether an arrival refines the grid), m > n, and grids of a
+    single atomic interval."""
+    m = draw(st.integers(min_value=1, max_value=6))
+    n = draw(st.integers(min_value=1, max_value=9))
+    points = [1.0 + 0.5 * i for i in range(draw(st.integers(2, 6)))]
+    single = draw(st.booleans())
+    offset = st.sampled_from(_BOUNDARY_OFFSETS)
+    jobs = []
+    for _ in range(n):
+        if single:
+            lo, hi = 0, len(points) - 1
+        else:
+            lo = draw(st.integers(0, len(points) - 2))
+            hi = draw(st.integers(lo + 1, len(points) - 1))
+        jobs.append(
+            (
+                points[lo] + draw(offset),
+                points[hi] + draw(offset),
+                draw(st.floats(min_value=0.05, max_value=5.0)),
+                draw(st.floats(min_value=1e-3, max_value=50.0)),
+            )
+        )
+    return Instance.from_tuples(jobs, m=m, alpha=draw(st.sampled_from([2.0, 3.0])))
+
+
+class TestPDParityProperty:
+    """``IntervalLoads``/``WindowKernel`` PD, per arrival and in epochs,
+    against ``run_pd_reference`` on generated instances, bit for bit."""
+
+    @given(instance=boundary_instances())
+    @settings(max_examples=40, deadline=None)
+    def test_generated_instances_bitwise_identical(self, instance):
+        assert_pd_parity(instance)
+        epoch = run_pd(instance, batch="epoch", epoch_size=3)
+        old = run_pd_reference(instance)
+        assert epoch.decisions == old.decisions
+        assert np.array_equal(epoch.schedule.loads, old.schedule.loads)
+        assert np.array_equal(epoch.planned_loads, old.planned_loads)
 
 
 class TestKernelPrimitives:

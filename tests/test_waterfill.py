@@ -6,10 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.certificates import dual_certificate
 from repro.chen.interval_power import SortedLoads, job_speeds
 from repro.core.waterfill import waterfill_job
 from repro.errors import InvalidParameterError
 from repro.model.power import PolynomialPower
+from repro.perf.kernels import IntervalLoads, WindowKernel
+from repro.perf.reference import waterfill_job_reference
+from repro.workloads import WORKLOADS
 
 POWER = PolynomialPower(3.0)
 DELTA = POWER.optimal_delta
@@ -182,6 +186,39 @@ class TestValidationAndProperties:
                 caches_for([[]]), workload=1.0, value=1.0, delta=0.0, power=POWER
             )
 
+    @pytest.mark.parametrize("workload", [np.nan, np.inf, -np.inf, -1.0])
+    def test_hostile_workload_raises(self, workload):
+        with pytest.raises(InvalidParameterError, match="workload"):
+            waterfill_job(
+                caches_for([[0.5]]),
+                workload=workload,
+                value=1.0,
+                delta=DELTA,
+                power=POWER,
+            )
+
+    @pytest.mark.parametrize("value", [np.nan, -1.0, -np.inf])
+    def test_hostile_value_raises(self, value):
+        with pytest.raises(InvalidParameterError, match="value"):
+            waterfill_job(
+                caches_for([[0.5]]),
+                workload=1.0,
+                value=value,
+                delta=DELTA,
+                power=POWER,
+            )
+
+    @pytest.mark.parametrize("delta", [np.nan, np.inf, -1.0])
+    def test_hostile_delta_raises(self, delta):
+        with pytest.raises(InvalidParameterError, match="delta"):
+            waterfill_job(
+                caches_for([[0.5]]),
+                workload=1.0,
+                value=1.0,
+                delta=delta,
+                power=POWER,
+            )
+
     @given(
         existing=st.lists(
             st.lists(st.floats(min_value=0.0, max_value=5.0), max_size=4),
@@ -228,3 +265,96 @@ class TestValidationAndProperties:
         b = waterfill_job(caches_for([[1.0], []]), value=2 * v1, **kwargs)
         if a.accepted:
             assert b.accepted
+
+
+@st.composite
+def windows(draw):
+    """A job window with the shapes the clearing-speed solve branches on:
+    empty intervals, exactly m - 1 loads (a free processor), at least m
+    loads, and tied loads."""
+    m = draw(st.integers(min_value=1, max_value=5))
+    k = draw(st.integers(min_value=1, max_value=40))
+    size = st.floats(min_value=1e-2, max_value=1e2)
+    rows, lengths = [], []
+    for _ in range(k):
+        p = draw(
+            st.sampled_from([0, m - 1, m, m + 1])
+            | st.integers(min_value=0, max_value=2 * m + 2)
+        )
+        loads = draw(st.lists(size, min_size=p, max_size=p))
+        if p >= 2 and draw(st.booleans()):
+            loads[1] = loads[0]
+        rows.append(loads)
+        lengths.append(draw(size))
+    return m, rows, lengths
+
+
+def kernel_for(m, rows, lengths):
+    stores = []
+    for loads in rows:
+        store = IntervalLoads()
+        for job_id, load in enumerate(loads):
+            store.insert(job_id, load)
+        stores.append(store)
+    return WindowKernel(stores, lengths, m)
+
+
+class TestClearingSpeedProperty:
+    """The closed-form solve against the bisecting oracle it replaced:
+    accepted fills land on the exact root (within float rounding) and
+    near the oracle's speed; rejections are the oracle's bit for bit."""
+
+    @given(
+        window=windows(),
+        workload=st.floats(min_value=1e-2, max_value=1e2),
+        value=st.floats(min_value=1e-3, max_value=1e4) | st.just(np.inf),
+        alpha=st.sampled_from([2.0, 3.0]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_matches_reference_within_tolerance(
+        self, window, workload, value, alpha
+    ):
+        m, rows, lengths = window
+        power = PolynomialPower(alpha)
+        kwargs = dict(
+            workload=workload, value=value, delta=power.optimal_delta, power=power
+        )
+        kernel = kernel_for(m, rows, lengths)
+        new = waterfill_job(kernel, **kwargs)
+        old = waterfill_job_reference(kernel_for(m, rows, lengths), **kwargs)
+        assert new.accepted == old.accepted
+        if new.accepted:
+            # The solve is exact; evaluating the window total at its
+            # speed rounds each ``target*(m - d) - suffix[d]``, whose
+            # terms reach ``m * speed * length``. That rounding is the
+            # only slack beyond the work tolerance.
+            placed = kernel.total_at_speed(new.speed)
+            rounding = 4 * np.finfo(float).eps * m * new.speed * sum(lengths)
+            assert abs(placed - workload) <= 1e-11 * workload + rounding
+            assert new.speed == pytest.approx(old.speed, rel=1e-10)
+        else:
+            assert new.speed == old.speed
+            assert new.lam == old.lam
+            assert np.array_equal(new.loads, old.loads)
+
+
+class TestOracleRunParity:
+    """``run_pd`` on the exact water-fill against ``run_pd`` with the
+    bisecting oracle patched in, on every registered family: the same
+    decisions, costs within 1e-9 relative, and the Theorem 3
+    certificate within ``alpha**alpha``."""
+
+    @pytest.mark.parametrize("family", WORKLOADS.names())
+    def test_every_family(self, family, monkeypatch):
+        from repro.core import pd
+
+        for m in (1, 4):
+            instance = WORKLOADS.build(family, 120, seed=0, m=m, alpha=3.0)
+            new = pd.run_pd(instance)
+            with monkeypatch.context() as patch:
+                patch.setattr(pd, "waterfill_job", waterfill_job_reference)
+                old = pd.run_pd(instance)
+            assert np.array_equal(new.accepted_mask, old.accepted_mask)
+            assert new.cost == pytest.approx(old.cost, rel=1e-9)
+            certificate = dual_certificate(new)
+            assert certificate.ratio <= certificate.bound
