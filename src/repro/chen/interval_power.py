@@ -249,11 +249,6 @@ class SortedLoads:
         self._sorted = arr
         self._suffix = np.concatenate((np.cumsum(arr[::-1])[::-1], [0.0]))
 
-    @property
-    def sorted_loads(self) -> FloatArray:
-        """The existing loads, descending."""
-        return self._sorted
-
     def max_load_at_speed(self, target_speed: float) -> float:
         """See :func:`max_load_at_speed`; O(log p) per call."""
         if target_speed <= 0.0:

@@ -29,14 +29,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from ..chen.interval_power import SortedLoads
 from ..errors import InvalidParameterError
 from ..model.power import PolynomialPower
-from ..perf.kernels import IntervalLoads, WindowKernel
+from ..perf.kernels import WindowKernel
 from ..types import FloatArray
 
 __all__ = ["WaterfillOutcome", "waterfill_job"]
@@ -77,23 +75,21 @@ class WaterfillOutcome:
 
 
 def waterfill_job(
-    caches: "WindowKernel | Sequence[SortedLoads]",
+    kernel: WindowKernel,
     *,
     workload: float,
     value: float,
     delta: float,
     power: PolynomialPower,
 ) -> WaterfillOutcome:
-    """Price job ``j`` against the intervals in ``caches``.
+    """Price job ``j`` against the intervals of ``kernel``.
 
     Parameters
     ----------
-    caches:
-        The frozen pre-arrival assignment of the job's window: a
-        :class:`~repro.perf.kernels.WindowKernel` (what PD builds), or
-        one :class:`SortedLoads` per atomic interval (the offline
-        solver's shape), which is converted to a kernel on entry, so
-        both shapes produce bit-identical outcomes.
+    kernel:
+        The frozen pre-arrival assignment of the job's window, as a
+        :class:`~repro.perf.kernels.WindowKernel` over its atomic
+        intervals.
     workload, value:
         The job's ``w_j`` (finite, > 0) and ``v_j`` (>= 0; ``inf`` means
         the job must be placed).
@@ -111,7 +107,7 @@ def waterfill_job(
         raise InvalidParameterError(f"value must be >= 0, got {value}")
     if not (math.isfinite(delta) and delta > 0.0):
         raise InvalidParameterError(f"delta must be finite and > 0, got {delta}")
-    if len(caches) == 0:
+    if len(kernel) == 0:
         # No interval can host the job (can happen only with a stale
         # grid); the job is rejected at its value.
         return WaterfillOutcome(
@@ -121,9 +117,6 @@ def waterfill_job(
             loads=np.zeros(0),
             planned_work=0.0,
         )
-    kernel = (
-        caches if isinstance(caches, WindowKernel) else _window_kernel(caches)
-    )
 
     # Price cap: lambda <= value <=> planned speed <= s_cap. An infinite
     # value (classical must-finish jobs, the offline solver's block
@@ -156,10 +149,12 @@ def waterfill_job(
 
     # The cap test accepts within the tolerance even when the window
     # holds slightly less than the workload at the cap; the job is then
-    # priced at the cap and its loads are scaled up to the workload.
-    # Otherwise the clearing speed lies at or below the cap.
-    short = placed_at_cap < workload
-    s = s_cap if short else kernel.clearing_speed(workload, s_cap)
+    # priced at the cap. Otherwise the clearing speed lies at or below
+    # the cap.
+    if placed_at_cap < workload:
+        s = s_cap
+    else:
+        s = kernel.clearing_speed(workload, s_cap)
     loads = kernel.loads_at_speed(s)
     placed = sum(loads.tolist())
     if placed <= 0.0:
@@ -167,7 +162,11 @@ def waterfill_job(
         return WaterfillOutcome(
             accepted=False, lam=value, speed=s_cap, loads=loads, planned_work=placed
         )
-    if short:
+    if abs(placed - workload) > _WORK_TOL * workload:
+        # The speed is exact, but each interval's load is evaluated as
+        # ``target * (m - d) - suffix[d]``, which cancels when existing
+        # loads dwarf the job, so the placed work can miss the workload
+        # by about ``eps * m * s * sum(lengths)``: scale it back.
         loads *= workload / placed
         placed = workload
 
@@ -176,26 +175,3 @@ def waterfill_job(
     return WaterfillOutcome(
         accepted=True, lam=lam, speed=s, loads=loads, planned_work=placed
     )
-
-
-def _window_kernel(caches: Sequence[SortedLoads]) -> WindowKernel:
-    """One :class:`WindowKernel` over per-interval ``SortedLoads`` caches.
-
-    Exact zeros are dropped (they sort last and add exact ``+0.0`` to
-    every suffix sum), so the kernel answers every query bit-identically
-    to the caches.
-    """
-    ms = {cache.m for cache in caches}
-    if len(ms) != 1:
-        raise InvalidParameterError(
-            f"all intervals of one window must share m, got {sorted(ms)}"
-        )
-    stores = []
-    for cache in caches:
-        store = IntervalLoads()
-        for job_id, load in enumerate(cache.sorted_loads.tolist()):
-            if load != 0.0:
-                store.insert_deferred(job_id, load)
-        store.flush_suffix()
-        stores.append(store)
-    return WindowKernel(stores, [cache.length for cache in caches], ms.pop())

@@ -26,16 +26,13 @@ from typing import Sequence
 
 import numpy as np
 
-from ..chen.interval_power import (
-    SortedLoads,
-    interval_energy,
-    interval_energy_gradient,
-)
+from ..chen.interval_power import interval_energy, interval_energy_gradient
 from ..core.waterfill import waterfill_job
 from ..errors import ConvergenceError, InvalidParameterError
 from ..model.intervals import Grid, grid_for_instance
 from ..model.job import Instance
 from ..model.schedule import Schedule
+from ..perf.kernels import IntervalLoads, WindowKernel
 from ..types import FloatArray
 
 __all__ = ["OfflineSolution", "solve_min_energy", "kkt_residual"]
@@ -129,11 +126,13 @@ def solve_min_energy(
             ks = windows[j]
             saved = loads[j, ks].copy()
             loads[j, ks] = 0.0
-            caches = [
-                SortedLoads(loads[:, k], instance.m, float(lengths[k])) for k in ks
-            ]
+            kernel = WindowKernel(
+                [IntervalLoads.from_column(loads[:, k]) for k in ks],
+                [float(lengths[k]) for k in ks],
+                instance.m,
+            )
             outcome = waterfill_job(
-                caches,
+                kernel,
                 workload=instance[j].workload,
                 value=np.inf,
                 delta=1.0,

@@ -72,6 +72,25 @@ class IntervalLoads:
     def __len__(self) -> int:
         return len(self.loads)
 
+    @classmethod
+    def from_column(cls, column: FloatArray) -> "IntervalLoads":
+        """Store over one interval's load column, indexed by job id.
+
+        Zeros are skipped. Equal loads keep ascending id order, and the
+        suffix is numpy's tail-first ``cumsum`` — the accumulation order
+        of :meth:`_rebuild_suffix` — so the store is bit-identical to
+        inserting the positive loads one by one in id order.
+        """
+        ids = np.flatnonzero(column > 0.0)
+        order = ids[np.argsort(-column[ids], kind="stable")]
+        loads = column[order]
+        store = cls.__new__(cls)
+        store.loads = loads.tolist()
+        store.neg = (-loads).tolist()
+        store.ids = order.tolist()
+        store.suffix = np.append(np.cumsum(loads[::-1])[::-1], 0.0).tolist()
+        return store
+
     def insert(self, job_id: int, load: float) -> None:
         """Sorted insertion of one accepted load (O(p) memmove)."""
         if not (load > 0.0):

@@ -4,10 +4,10 @@ The incremental kernels (:mod:`repro.perf.kernels`) promise *bit
 parity*: same schedules, same costs, same certificates, same cache
 keys as the code they replaced. That promise is only checkable if the
 replaced code still exists — so the pre-kernel implementations live
-here, verbatim (dense load matrices, per-arrival ``SortedLoads``
-rebuilds, full-matrix refinement remaps), exercised exclusively by the
-differential tests in ``tests/test_perf_kernels.py`` and available for
-ad-hoc A/B measurements via the bench harness.
+here (dense load matrices, per-arrival rebuilds of every window
+store from its full column, full-matrix refinement remaps), exercised
+exclusively by the differential tests in ``tests/test_perf_kernels.py``
+and available for ad-hoc A/B measurements via the bench harness.
 
 One twin is a tolerance oracle rather than a bit-parity one:
 :func:`waterfill_job_reference`, the bisecting water-fill that the
@@ -37,6 +37,7 @@ from ..model.job import Instance, Job
 from ..model.power import PolynomialPower, PowerFunction
 from ..model.schedule import Schedule
 from ..types import FloatArray
+from .kernels import IntervalLoads, WindowKernel
 
 __all__ = [
     "PARITY_PAIRS",
@@ -106,9 +107,9 @@ def schedule_energy_reference(schedule: Schedule) -> float:
 class PDSchedulerReference:
     """The pre-kernel ``PDScheduler``: dense matrices, per-arrival sorts.
 
-    A verbatim copy of the historical online scheduler. Every arrival
-    rebuilds one :class:`SortedLoads` cache per window interval from the
-    full ``(n, N)`` load matrix, grows both matrices by one row, and
+    A copy of the historical online scheduler. Every arrival rebuilds
+    one sorted store per window interval from its full column of the
+    ``(n, N)`` load matrix, grows both matrices by one row, and
     remaps every row through each grid refinement — O(n·N) per arrival,
     which is exactly the cost profile the incremental kernels remove.
     """
@@ -163,11 +164,13 @@ class PDSchedulerReference:
         ks = list(self._grid.covering(job.release, job.deadline))
         lengths = self._grid.lengths
 
-        caches = [
-            SortedLoads(self._loads[:, k], self.m, float(lengths[k])) for k in ks
-        ]
+        kernel = WindowKernel(
+            [IntervalLoads.from_column(self._loads[:, k]) for k in ks],
+            [float(lengths[k]) for k in ks],
+            self.m,
+        )
         outcome = waterfill_job(
-            caches,
+            kernel,
             workload=job.workload,
             value=job.value,
             delta=self.delta,

@@ -2,8 +2,8 @@
 
 ``repro.perf.epochs`` replays the per-arrival PD loop in vectorized
 blocks — and promises the replay is invisible: same decisions, same
-stores, same planned loads, same payload hashes, same cache keys, with
-:data:`repro.engine.runner.RECORD_VERSION` unbumped. Every test here
+stores, same planned loads, same payload hashes, same cache keys, and
+no bump of :data:`repro.engine.runner.RECORD_VERSION`. Every test here
 runs the epoch path (:func:`repro.perf.epochs.arrive_epochs` and its
 wrappers) against the per-arrival twin
 (:func:`repro.perf.reference.arrive_epochs_reference` — one scalar
@@ -374,7 +374,7 @@ class TestOAEpochParity:
 
 
 class TestEngineCacheIdentity:
-    def test_record_version_unbumped(self):
+    def test_record_version_pinned(self):
         # Epoch batching changes HOW results are computed, never WHAT —
         # a version bump here would cold-start every cache for nothing.
         # (3 is the exact water-fill's bump, not epoch batching's.)

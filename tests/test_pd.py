@@ -58,6 +58,18 @@ class TestBasicBehaviour:
         result = run_pd(inst)
         result.schedule.validate()
 
+    def test_small_job_beside_a_huge_load_gets_its_workload(self):
+        # The second job clears at s = fl(1e6 + 0.0105), where its load
+        # ``s - 1e6`` cancels to 2.4e-9 short of the workload; the
+        # water-fill scales it back, so the schedule validates.
+        inst = Instance.from_tuples(
+            [(0.0, 1.0, 1e6, 1e18), (0.0, 1.0, 0.0105, 1e10)], m=1, alpha=3.0
+        )
+        result = run_pd(inst)
+        assert result.accepted_mask.all()
+        result.schedule.validate()
+        assert result.schedule.loads[1].sum() == pytest.approx(0.0105, rel=1e-12)
+
     def test_summary_text(self):
         inst = Instance.classical([(0.0, 1.0, 1.0)], m=1, alpha=3.0)
         text = run_pd(inst).summary()

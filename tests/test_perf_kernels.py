@@ -95,7 +95,7 @@ class TestPDParity:
 
     def test_sweep_cells_share_cache_identity(self):
         """The engine contract behind 'same cache keys': the record
-        version is unbumped, request keys depend only on inputs, and
+        version is pinned, request keys depend only on inputs, and
         the serialized schedule payload — the record body that gets
         content-hashed — is byte-identical old vs new."""
         # 3 since the exact water-fill moved accepted speeds within the
@@ -193,10 +193,9 @@ class TestKernelPrimitives:
 
     @pytest.mark.parametrize("k", [1, 3, 31, 32, 40])
     def test_window_kernel_matches_python_sum(self, k):
-        """Both kernel paths — the scalar loop (narrow windows) and the
-        batched numpy pass (wide ones, k >= 32) — must equal the
-        reference's left-to-right Python sum over SortedLoads bit for
-        bit."""
+        """The kernel's scalar loop must equal the reference's
+        left-to-right Python sum over SortedLoads bit for bit, at every
+        window width."""
         rng = np.random.default_rng(k)
         m = 3
         stores, caches, lengths = [], [], []
@@ -222,41 +221,49 @@ class TestKernelPrimitives:
             assert kernel.total_at_speed(speed) == expected_total
             assert np.array_equal(kernel.loads_at_speed(speed), expected_loads)
 
-    def test_waterfill_accepts_kernel_and_caches_identically(self):
+    def test_store_from_column_matches_insertion(self):
+        """A store built from a dense load column (zeros and ties
+        included, as the offline solver holds them) equals inserting its
+        positive loads in id order, list for list, and prices a job
+        identically."""
         rng = np.random.default_rng(7)
         m = 2
-        stores, caches, lengths = [], [], []
-        for _ in range(5):
-            loads = rng.exponential(1.0, 4) + 1e-6
-            length = float(rng.uniform(0.2, 1.5))
+        columns = rng.exponential(1.0, (12, 5)) * (rng.random((12, 5)) < 0.6)
+        columns[3] = columns[8]
+        lengths = [float(v) for v in rng.uniform(0.2, 1.5, 5)]
+        built, inserted = [], []
+        for k, length in enumerate(lengths):
+            column = columns[:, k]
             store = IntervalLoads()
-            for job_id, load in enumerate(loads):
-                store.insert(job_id, float(load))
-            stores.append(store)
-            caches.append(SortedLoads(loads, m, length))
-            lengths.append(length)
+            for job_id, load in enumerate(column.tolist()):
+                if load > 0.0:
+                    store.insert(job_id, load)
+            from_column = IntervalLoads.from_column(column)
+            assert from_column.loads == store.loads
+            assert from_column.neg == store.neg
+            assert from_column.ids == store.ids
+            assert from_column.suffix == store.suffix
+            reference = SortedLoads(column, m, length)
+            for speed in (0.0, 0.2, 0.9, 3.1):
+                assert from_column.max_load_at_speed(
+                    speed, m, length
+                ) == reference.max_load_at_speed(speed)
+            built.append(from_column)
+            inserted.append(store)
         from repro.model.power import PolynomialPower
 
         power = PolynomialPower(3.0)
         for workload, value in [(0.7, 2.0), (3.0, 0.4), (1.2, np.inf)]:
-            via_kernel = waterfill_job(
-                WindowKernel(stores, lengths, m),
+            kwargs = dict(
                 workload=workload,
                 value=value,
                 delta=power.optimal_delta,
                 power=power,
             )
-            via_caches = waterfill_job(
-                caches,
-                workload=workload,
-                value=value,
-                delta=power.optimal_delta,
-                power=power,
-            )
-            assert via_kernel.accepted == via_caches.accepted
-            assert via_kernel.lam == via_caches.lam
-            assert via_kernel.speed == via_caches.speed
-            assert np.array_equal(via_kernel.loads, via_caches.loads)
+            a = waterfill_job(WindowKernel(built, lengths, m), **kwargs)
+            b = waterfill_job(WindowKernel(inserted, lengths, m), **kwargs)
+            assert (a.accepted, a.lam, a.speed) == (b.accepted, b.lam, b.speed)
+            assert np.array_equal(a.loads, b.loads)
 
     def test_interval_loads_rejects_nonpositive(self):
         store = IntervalLoads()

@@ -77,12 +77,12 @@ class TestResultDataclasses:
         assert isinstance(result, CLLResult)
 
     def test_waterfill_outcome(self):
-        from repro.chen.interval_power import SortedLoads
         from repro.core import WaterfillOutcome, waterfill_job
         from repro.model.power import PolynomialPower
+        from repro.perf import IntervalLoads, WindowKernel
 
         out = waterfill_job(
-            [SortedLoads(np.array([0.5]), 1, 1.0)],
+            WindowKernel([IntervalLoads.from_column(np.array([0.5]))], [1.0], 1),
             workload=1.0,
             value=100.0,
             delta=1.0 / 9.0,

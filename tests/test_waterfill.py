@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.certificates import dual_certificate
-from repro.chen.interval_power import SortedLoads, job_speeds
+from repro.chen.interval_power import job_speeds
 from repro.core.waterfill import waterfill_job
 from repro.errors import InvalidParameterError
 from repro.model.power import PolynomialPower
@@ -19,18 +19,24 @@ POWER = PolynomialPower(3.0)
 DELTA = POWER.optimal_delta
 
 
-def caches_for(loads_per_interval, m=1, lengths=None):
+def kernel_for(loads_per_interval, m=1, lengths=None):
+    """A ``WindowKernel`` with one interval per load list (zeros skipped),
+    filled by insertion in id order as PD fills its live stores."""
     lengths = lengths or [1.0] * len(loads_per_interval)
-    return [
-        SortedLoads(np.array(loads), m, l)
-        for loads, l in zip(loads_per_interval, lengths)
-    ]
+    stores = []
+    for loads in loads_per_interval:
+        store = IntervalLoads()
+        for job_id, load in enumerate(loads):
+            if load > 0.0:
+                store.insert(job_id, load)
+        stores.append(store)
+    return WindowKernel(stores, lengths, m)
 
 
 class TestAcceptance:
     def test_empty_machine_single_interval(self):
         out = waterfill_job(
-            caches_for([[]]), workload=2.0, value=np.inf, delta=DELTA, power=POWER
+            kernel_for([[]]), workload=2.0, value=np.inf, delta=DELTA, power=POWER
         )
         assert out.accepted
         np.testing.assert_allclose(out.loads, [2.0])
@@ -39,7 +45,7 @@ class TestAcceptance:
 
     def test_spreads_evenly_over_identical_intervals(self):
         out = waterfill_job(
-            caches_for([[], [], []]),
+            kernel_for([[], [], []]),
             workload=3.0,
             value=np.inf,
             delta=DELTA,
@@ -52,7 +58,7 @@ class TestAcceptance:
         # Interval 0 already carries load 2, interval 1 is empty: new work
         # should flow to interval 1 until marginals equalize.
         out = waterfill_job(
-            caches_for([[2.0], []]),
+            kernel_for([[2.0], []]),
             workload=1.0,
             value=np.inf,
             delta=DELTA,
@@ -63,17 +69,20 @@ class TestAcceptance:
         assert out.loads.sum() == pytest.approx(1.0)
 
     def test_marginals_equalized_on_support(self):
-        caches = caches_for([[1.5], [0.3], [4.0]])
+        existing = [1.5, 0.3, 4.0]
         out = waterfill_job(
-            caches, workload=2.0, value=np.inf, delta=DELTA, power=POWER
+            kernel_for([[load] for load in existing]),
+            workload=2.0,
+            value=np.inf,
+            delta=DELTA,
+            power=POWER,
         )
         assert out.accepted
         # Recompute realized speeds per interval; the marginal price
         # delta*w*P'(s) must be equal on every interval receiving load
         # and no lower on the others.
         speeds = []
-        for cache, z in zip(caches, out.loads):
-            base = [1.5, 0.3, 4.0][caches.index(cache)]
+        for base, z in zip(existing, out.loads):
             s = job_speeds(np.array([base, z]), 1, 1.0)[1] if z > 1e-12 else None
             speeds.append(s)
         priced = [s for s in speeds if s is not None]
@@ -83,7 +92,7 @@ class TestAcceptance:
         # A longer interval absorbs proportionally more load at the same
         # speed.
         out = waterfill_job(
-            caches_for([[], []], lengths=[1.0, 3.0]),
+            kernel_for([[], []], lengths=[1.0, 3.0]),
             workload=4.0,
             value=np.inf,
             delta=DELTA,
@@ -96,7 +105,7 @@ class TestAcceptance:
         # m=2 with one heavy job: the new job gets the second processor
         # almost for free until it reaches the pool level.
         out = waterfill_job(
-            caches_for([[10.0]], m=2),
+            kernel_for([[10.0]], m=2),
             workload=1.0,
             value=np.inf,
             delta=DELTA,
@@ -107,7 +116,7 @@ class TestAcceptance:
 
     def test_workload_exactly_placed(self):
         out = waterfill_job(
-            caches_for([[0.5], [1.0], [2.0], [0.1]]),
+            kernel_for([[0.5], [1.0], [2.0], [0.1]]),
             workload=3.3,
             value=np.inf,
             delta=DELTA,
@@ -122,7 +131,7 @@ class TestRejection:
         # Placing workload 1 on an empty unit interval costs ~1 energy;
         # value far below that must be rejected.
         out = waterfill_job(
-            caches_for([[]]), workload=1.0, value=1e-6, delta=DELTA, power=POWER
+            kernel_for([[]]), workload=1.0, value=1e-6, delta=DELTA, power=POWER
         )
         assert not out.accepted
         assert out.lam == pytest.approx(1e-6)
@@ -130,7 +139,7 @@ class TestRejection:
 
     def test_rejection_keeps_planned_loads(self):
         out = waterfill_job(
-            caches_for([[], []]), workload=5.0, value=0.01, delta=DELTA, power=POWER
+            kernel_for([[], []]), workload=5.0, value=0.01, delta=DELTA, power=POWER
         )
         assert not out.accepted
         assert out.loads.shape == (2,)
@@ -138,14 +147,14 @@ class TestRejection:
 
     def test_zero_value_rejects_instantly(self):
         out = waterfill_job(
-            caches_for([[]]), workload=1.0, value=0.0, delta=DELTA, power=POWER
+            kernel_for([[]]), workload=1.0, value=0.0, delta=DELTA, power=POWER
         )
         assert not out.accepted
         assert out.planned_work == 0.0
 
     def test_no_intervals_rejects(self):
         out = waterfill_job(
-            [], workload=1.0, value=10.0, delta=DELTA, power=POWER
+            kernel_for([]), workload=1.0, value=10.0, delta=DELTA, power=POWER
         )
         assert not out.accepted
         assert out.lam == 10.0
@@ -156,14 +165,14 @@ class TestRejection:
         # i.e. v >= 1/3 for alpha = 3.
         threshold = 1.0 / POWER.rejection_energy_factor
         accept = waterfill_job(
-            caches_for([[]]),
+            kernel_for([[]]),
             workload=1.0,
             value=threshold * 1.01,
             delta=DELTA,
             power=POWER,
         )
         reject = waterfill_job(
-            caches_for([[]]),
+            kernel_for([[]]),
             workload=1.0,
             value=threshold * 0.99,
             delta=DELTA,
@@ -177,20 +186,20 @@ class TestValidationAndProperties:
     def test_bad_workload(self):
         with pytest.raises(InvalidParameterError):
             waterfill_job(
-                caches_for([[]]), workload=0.0, value=1.0, delta=DELTA, power=POWER
+                kernel_for([[]]), workload=0.0, value=1.0, delta=DELTA, power=POWER
             )
 
     def test_bad_delta(self):
         with pytest.raises(InvalidParameterError):
             waterfill_job(
-                caches_for([[]]), workload=1.0, value=1.0, delta=0.0, power=POWER
+                kernel_for([[]]), workload=1.0, value=1.0, delta=0.0, power=POWER
             )
 
     @pytest.mark.parametrize("workload", [np.nan, np.inf, -np.inf, -1.0])
     def test_hostile_workload_raises(self, workload):
         with pytest.raises(InvalidParameterError, match="workload"):
             waterfill_job(
-                caches_for([[0.5]]),
+                kernel_for([[0.5]]),
                 workload=workload,
                 value=1.0,
                 delta=DELTA,
@@ -201,7 +210,7 @@ class TestValidationAndProperties:
     def test_hostile_value_raises(self, value):
         with pytest.raises(InvalidParameterError, match="value"):
             waterfill_job(
-                caches_for([[0.5]]),
+                kernel_for([[0.5]]),
                 workload=1.0,
                 value=value,
                 delta=DELTA,
@@ -212,7 +221,7 @@ class TestValidationAndProperties:
     def test_hostile_delta_raises(self, delta):
         with pytest.raises(InvalidParameterError, match="delta"):
             waterfill_job(
-                caches_for([[0.5]]),
+                kernel_for([[0.5]]),
                 workload=1.0,
                 value=1.0,
                 delta=delta,
@@ -231,7 +240,7 @@ class TestValidationAndProperties:
     @settings(max_examples=150, deadline=None)
     def test_accepted_loads_sum_to_workload(self, existing, workload, m):
         out = waterfill_job(
-            caches_for(existing, m=m),
+            kernel_for(existing, m=m),
             workload=workload,
             value=np.inf,
             delta=DELTA,
@@ -248,7 +257,7 @@ class TestValidationAndProperties:
     @settings(max_examples=150, deadline=None)
     def test_lambda_never_exceeds_value(self, workload, value):
         out = waterfill_job(
-            caches_for([[0.7], [0.1]]),
+            kernel_for([[0.7], [0.1]]),
             workload=workload,
             value=value,
             delta=DELTA,
@@ -261,8 +270,8 @@ class TestValidationAndProperties:
     def test_acceptance_monotone_in_value(self, v1):
         """If a job is accepted at value v it stays accepted at 2v."""
         kwargs = dict(workload=1.3, delta=DELTA, power=POWER)
-        a = waterfill_job(caches_for([[1.0], []]), value=v1, **kwargs)
-        b = waterfill_job(caches_for([[1.0], []]), value=2 * v1, **kwargs)
+        a = waterfill_job(kernel_for([[1.0], []]), value=v1, **kwargs)
+        b = waterfill_job(kernel_for([[1.0], []]), value=2 * v1, **kwargs)
         if a.accepted:
             assert b.accepted
 
@@ -289,20 +298,10 @@ def windows(draw):
     return m, rows, lengths
 
 
-def kernel_for(m, rows, lengths):
-    stores = []
-    for loads in rows:
-        store = IntervalLoads()
-        for job_id, load in enumerate(loads):
-            store.insert(job_id, load)
-        stores.append(store)
-    return WindowKernel(stores, lengths, m)
-
-
 class TestClearingSpeedProperty:
     """The closed-form solve against the bisecting oracle it replaced:
-    accepted fills land on the exact root (within float rounding) and
-    near the oracle's speed; rejections are the oracle's bit for bit."""
+    accepted fills place their workload to within 1e-11 and price near
+    the oracle's speed; rejections are the oracle's bit for bit."""
 
     @given(
         window=windows(),
@@ -319,18 +318,12 @@ class TestClearingSpeedProperty:
         kwargs = dict(
             workload=workload, value=value, delta=power.optimal_delta, power=power
         )
-        kernel = kernel_for(m, rows, lengths)
-        new = waterfill_job(kernel, **kwargs)
-        old = waterfill_job_reference(kernel_for(m, rows, lengths), **kwargs)
+        new = waterfill_job(kernel_for(rows, m, lengths), **kwargs)
+        old = waterfill_job_reference(kernel_for(rows, m, lengths), **kwargs)
         assert new.accepted == old.accepted
         if new.accepted:
-            # The solve is exact; evaluating the window total at its
-            # speed rounds each ``target*(m - d) - suffix[d]``, whose
-            # terms reach ``m * speed * length``. That rounding is the
-            # only slack beyond the work tolerance.
-            placed = kernel.total_at_speed(new.speed)
-            rounding = 4 * np.finfo(float).eps * m * new.speed * sum(lengths)
-            assert abs(placed - workload) <= 1e-11 * workload + rounding
+            placed = sum(new.loads.tolist())
+            assert abs(placed - workload) <= 1e-11 * workload
             assert new.speed == pytest.approx(old.speed, rel=1e-10)
         else:
             assert new.speed == old.speed
