@@ -191,64 +191,3 @@ def test_cache_backend_latency(tmp_path):
         assert {row["backend"] for row in data} == set(backends)
     finally:
         server.stop()
-
-
-# ---------------------------------------------------------------------------
-# Record transport: pipe bytes and round-trip latency per wire
-# ---------------------------------------------------------------------------
-def test_transport_roundtrip_10k():
-    """Record transport micro: wire bytes + round-trip latency at n=10k.
-
-    Builds one real PD run-record payload (10k slotted jobs — the
-    sparse schedule serialization is a few MB) and measures, per
-    transport, the encode+decode round trip and the bytes that would
-    cross a worker pool's result pipe. The shared-memory wire moves the
-    payload out of the pipe entirely, so its pipe footprint is a
-    constant-size ticket — the ≥5x reduction the transport exists for —
-    while the latency stays comparable (both wires pay the same pickle;
-    shm swaps pipe framing for two memcpys).
-    """
-    import pickle as _pickle
-    import time as _time
-
-    from helpers import emit_table
-
-    from repro.engine import transport as tr
-    from repro.engine.runner import RunRequest, evaluate_request
-    from repro.workloads import slotted_instance
-
-    instance = slotted_instance(10_000, slots=400, m=4, alpha=3.0, seed=0)
-    payload = evaluate_request(RunRequest("pd", instance))
-
-    rounds = 5
-    rows, data = [], []
-    for mode in ("pickle", "shm"):
-        start = _time.perf_counter()
-        for _ in range(rounds):
-            # The result queue pickles whatever wire it carries — simulate
-            # that hop, or the in-process pickle wire measures as a no-op.
-            wire = tr.encode_payload(payload, mode)
-            piped = _pickle.loads(
-                _pickle.dumps(wire, protocol=_pickle.HIGHEST_PROTOCOL)
-            )
-            out = tr.decode_wire(piped)
-        trip_ms = 1e3 * (_time.perf_counter() - start) / rounds
-        assert out["cost"] == payload["cost"]
-        wire = tr.encode_payload(payload, mode)
-        nbytes = tr.wire_bytes(wire)
-        if wire[0] == "shm":
-            tr.decode_wire(wire)  # attach-and-unlink releases the segment
-        rows.append(f"{mode:<8} {nbytes:>14} {trip_ms:>12.2f}")
-        data.append(
-            {"transport": mode, "pipe_bytes": nbytes, "roundtrip_ms": trip_ms}
-        )
-    emit_table(
-        "micro_transport_roundtrip",
-        f"{'wire':<8} {'pipe bytes':>14} {'trip (ms)':>12}",
-        rows,
-        data=data,
-    )
-    by_mode = {row["transport"]: row for row in data}
-    if tr.shm_available():
-        # The acceptance bar: pipe bytes/record drop >= 5x vs pickle.
-        assert by_mode["pickle"]["pipe_bytes"] >= 5 * by_mode["shm"]["pipe_bytes"]

@@ -2,12 +2,13 @@
 
 Two resource disciplines hold the fabric together:
 
-* **Shared-memory segments** (``repro.engine.transport``): a function
-  that *creates* a ``SharedMemory`` segment must close it and either
-  unlink it or explicitly hand ownership over (the resource-tracker
-  unregister dance); a function that *attaches* to one must close and
-  unlink it. An unbalanced path leaks ``/dev/shm`` until the tracker's
-  exit sweep — at million-job scale that is an outage, not a warning.
+* **Shared-memory segments** (no module under ``src/`` uses one today;
+  the rules guard any that would): a function that *creates* a
+  ``SharedMemory`` segment must close it and either unlink it or
+  explicitly hand ownership over (the resource-tracker unregister
+  dance); a function that *attaches* to one must close and unlink it.
+  An unbalanced path leaks ``/dev/shm`` until the tracker's exit sweep
+  — at million-job scale that is an outage, not a warning.
 * **Cache backends**: anything that structurally implements the
   :class:`repro.engine.cache.CacheBackend` protocol (``get`` + ``put``
   + ``keys``) must also ship the lifecycle half — ``close`` plus the

@@ -13,23 +13,16 @@ CacheBackend`); this module is the client side, all stdlib
   fault surfaces.
 * :class:`HttpCache` — a :class:`~repro.engine.cache.CacheBackend` over
   a small JSON/HTTP wire protocol, with batched ``get_many`` /
-  ``put_many`` round trips to amortize latency, a bulk ``get_timings``
-  probe so LPT cost estimation costs one request per chunk, and
-  negotiated zlib compression of large batch bodies.
+  ``put_many`` round trips to amortize latency and a bulk
+  ``get_timings`` probe so LPT cost estimation costs one request per
+  chunk.
 * :class:`HttpClaimTable` — the client of the server's shared claim
   table, which is what turns static shards into work stealing: each
   worker claims the next unclaimed grid positions (batched — ``k`` per
   round trip) instead of owning a precomputed slice, so a slow
   worker's queue drains into fast ones.
 
-Compression is negotiated RFC-7694 style so either end may be old:
-every request advertises ``Accept-Encoding: deflate``; a new server
-echoes the same header on its responses (meaning "you may deflate
-*request* bodies at me") and deflates large response bodies for
-clients that advertised. The client compresses request bodies only
-after it has seen that server marker — the very first request on a
-fresh pool is always identity-encoded, so an old server never receives
-bytes it cannot parse.
+Bodies travel as plain identity-encoded JSON in both directions.
 
 Fault model, deliberately asymmetric:
 
@@ -57,12 +50,12 @@ from __future__ import annotations
 import contextlib
 import http.client
 import json
+import math
 import random
 import socket
 import threading
 import time
 import urllib.parse
-import zlib
 from email.message import Message
 from typing import Any, Iterator, Mapping, Sequence
 
@@ -80,17 +73,10 @@ __all__ = [
 #: to keep a single response bounded (payloads carry full schedules).
 DEFAULT_BATCH_SIZE = 64
 
-#: Default cap on idle keep-alive connections parked per pool. A sweep
+#: Cap on idle keep-alive connections parked per cache pool. A sweep
 #: worker talks to one server from a handful of threads at most; excess
 #: sockets beyond the cap are closed on check-in rather than hoarded.
 DEFAULT_POOL_SIZE = 4
-
-#: Bodies below this many serialized bytes are never compressed — the
-#: zlib header plus CPU time costs more than the bytes saved, and small
-#: bodies (single records, claim requests) dominate request counts.
-COMPRESS_MIN_BYTES = 1024
-
-_DEFLATE = "deflate"
 
 
 def _check_url(url: str) -> str:
@@ -166,8 +152,8 @@ class HttpConnectionPool:
     ``request`` checks a warm connection out (or dials a fresh one),
     runs one HTTP round trip, and parks the connection for reuse. The
     server speaks HTTP/1.1 with ``Content-Length`` on every reply, so
-    sockets stay open across requests — the pool turns the old
-    connection-per-request client into amortized-zero connection setup.
+    sockets stay open across requests and connection setup amortizes
+    to zero.
 
     Staleness: a *reused* socket can die at any time (server restart,
     idle timeout, mid-sweep network blip). A transport fault on a
@@ -176,10 +162,10 @@ class HttpConnectionPool:
     and raises :class:`~repro.errors.CacheError`. HTTP error *statuses*
     are returned like any other response — 404 is part of the protocol.
 
-    The pool also carries the compression negotiation state: once any
-    response advertises ``Accept-Encoding: deflate``, the pool marks
-    the peer deflate-capable and callers may start compressing request
-    bodies (see the module docstring).
+    Every fabric client builds one of these, so its constructor is the
+    one place that validates ``timeout``: anything but a positive,
+    finite number of seconds is an input error, raised before any
+    socket is dialed.
     """
 
     def __init__(
@@ -188,9 +174,18 @@ class HttpConnectionPool:
         *,
         timeout: float = 10.0,
         max_idle: int = DEFAULT_POOL_SIZE,
-        keep_alive: bool = True,
     ) -> None:
         self.url = _check_url(url)
+        if (
+            not isinstance(timeout, (int, float))
+            or isinstance(timeout, bool)
+            or not math.isfinite(timeout)
+            or timeout <= 0
+        ):
+            raise InvalidParameterError(
+                "timeout must be a finite number of seconds > 0, "
+                f"got {timeout!r}"
+            )
         if not isinstance(max_idle, int) or isinstance(max_idle, bool) or max_idle < 1:
             raise InvalidParameterError(
                 f"max_idle must be an int >= 1, got {max_idle!r}"
@@ -205,36 +200,21 @@ class HttpConnectionPool:
         self._port = parts.port
         self._prefix = parts.path
         self.timeout = float(timeout)
-        self.keep_alive = bool(keep_alive)
         self.max_idle = max_idle
         self._lock = threading.Lock()
         self._idle: list[http.client.HTTPConnection] = []
-        self._peer_accepts_deflate = False
 
     # -- connection lifecycle -------------------------------------------
-    @property
-    def peer_accepts_deflate(self) -> bool:
-        """Whether any response so far advertised deflate support."""
-        with self._lock:
-            return self._peer_accepts_deflate
-
     def _checkout(self) -> http.client.HTTPConnection | None:
         with self._lock:
             return self._idle.pop() if self._idle else None
 
     def _checkin(self, conn: http.client.HTTPConnection) -> None:
-        if self.keep_alive:
-            with self._lock:
-                if len(self._idle) < self.max_idle:
-                    self._idle.append(conn)
-                    return
+        with self._lock:
+            if len(self._idle) < self.max_idle:
+                self._idle.append(conn)
+                return
         conn.close()
-
-    def _note_peer(self, headers: Message) -> None:
-        accepted = headers.get("Accept-Encoding", "")
-        if _DEFLATE in accepted.lower():
-            with self._lock:
-                self._peer_accepts_deflate = True
 
     def idle_count(self) -> int:
         """Parked keep-alive connections right now (introspection)."""
@@ -306,7 +286,6 @@ class HttpConnectionPool:
                     f"cache server {self.url} unreachable "
                     f"({method} {path}): {exc}"
                 ) from exc
-            self._note_peer(response.headers)
             if response.will_close:
                 conn.close()
             else:
@@ -314,43 +293,7 @@ class HttpConnectionPool:
             return response.status, response.headers, raw
 
 
-def _encode_body(
-    body: Any | None, *, compress: bool
-) -> tuple[bytes | None, dict[str, str]]:
-    """Serialize a JSON body, deflating it when negotiated and large.
-
-    Every request advertises ``Accept-Encoding: deflate`` — that is
-    the client's half of the negotiation, and it also asks the server
-    to deflate large *response* bodies.
-    """
-    headers = {
-        "Content-Type": "application/json",
-        "Accept-Encoding": _DEFLATE,
-    }
-    if body is None:
-        return None, headers
-    data = json.dumps(body).encode("utf-8")
-    if compress and len(data) >= COMPRESS_MIN_BYTES:
-        data = zlib.compress(data)
-        headers["Content-Encoding"] = _DEFLATE
-    return data, headers
-
-
-def _decode_body(headers: Message, raw: bytes) -> Any | None:
-    """Parse a (possibly deflated) JSON response body; ``None`` if the
-    body is empty or unusable — the caller decides whether that is a
-    protocol error or a benign miss."""
-    if not raw:
-        return None
-    if headers.get("Content-Encoding", "").strip().lower() == _DEFLATE:
-        try:
-            raw = zlib.decompress(raw)
-        except zlib.error:
-            return None
-    try:
-        return json.loads(raw)
-    except json.JSONDecodeError:
-        return None
+_JSON_HEADERS = {"Content-Type": "application/json"}
 
 
 def _pool_json(
@@ -358,21 +301,22 @@ def _pool_json(
     method: str,
     path: str,
     body: Any | None = None,
-    *,
-    compress: bool = False,
 ) -> tuple[int, Any | None]:
     """One JSON round trip over the pool.
 
-    Returns ``(status, parsed_body)``; transport failures raise
-    :class:`CacheError` (via the pool). Request bodies are deflated
-    only when the caller opted in *and* the peer already advertised
-    support — never on the first exchange of a fresh pool.
+    Returns ``(status, parsed_body)``, where the body is ``None`` if it
+    is empty or not JSON — the caller decides whether that is a
+    protocol error or a benign miss. Transport failures raise
+    :class:`CacheError` (via the pool).
     """
-    data, headers = _encode_body(
-        body, compress=compress and pool.peer_accepts_deflate
-    )
-    status, reply_headers, raw = pool.request(method, path, data, headers)
-    return status, _decode_body(reply_headers, raw)
+    data = None if body is None else json.dumps(body).encode("utf-8")
+    status, _, raw = pool.request(method, path, data, _JSON_HEADERS)
+    if not raw:
+        return status, None
+    try:
+        return status, json.loads(raw)
+    except json.JSONDecodeError:
+        return status, None
 
 
 class HttpCache:
@@ -385,13 +329,8 @@ class HttpCache:
     for why. Introspection (``keys``, ``len``, ``stats``, ``gc``) is
     *strict* and raises :class:`~repro.errors.CacheError`: those answers
     are the point of the call, and a silently-empty one would lie.
-
-    ``keep_alive=False`` restores one-connection-per-request transport
-    (the pre-pool behavior — kept as the benchmarking baseline and as
-    an escape hatch for proxies that mishandle keep-alive).
-    ``compress=False`` disables request-body deflate; response-side
-    negotiation is harmless either way. ``close()`` now actually
-    releases the parked sockets — sweeps and the CLI route through it.
+    ``close()`` releases the pool's parked sockets — sweeps and the CLI
+    route through it.
     """
 
     #: Safe to share across threads: the pool hands each round trip its
@@ -404,26 +343,21 @@ class HttpCache:
         *,
         timeout: float = 10.0,
         batch_size: int = DEFAULT_BATCH_SIZE,
-        keep_alive: bool = True,
-        compress: bool = True,
-        pool_size: int = DEFAULT_POOL_SIZE,
         retry: RetryPolicy | None = None,
     ) -> None:
-        self.url = _check_url(url)
-        if not isinstance(batch_size, int) or batch_size < 1:
+        self._pool = HttpConnectionPool(url, timeout=timeout)
+        self.url = self._pool.url
+        self.timeout = self._pool.timeout
+        if (
+            not isinstance(batch_size, int)
+            or isinstance(batch_size, bool)
+            or batch_size < 1
+        ):
             raise InvalidParameterError(
                 f"batch_size must be an int >= 1, got {batch_size!r}"
             )
-        self.timeout = float(timeout)
         self.batch_size = batch_size
-        self.compress = bool(compress)
         self.retry = RetryPolicy() if retry is None else retry
-        self._pool = HttpConnectionPool(
-            self.url,
-            timeout=self.timeout,
-            max_idle=pool_size,
-            keep_alive=keep_alive,
-        )
 
     # -- wire helpers ---------------------------------------------------
     @property
@@ -448,9 +382,7 @@ class HttpCache:
         delays = self.retry.delays()
         while True:
             try:
-                return _pool_json(
-                    self._pool, method, path, body, compress=self.compress
-                )
+                return _pool_json(self._pool, method, path, body)
             except CacheError:
                 delay = next(delays, None)
                 if delay is None:
@@ -525,9 +457,7 @@ class HttpCache:
 
     # -- strict introspection -------------------------------------------
     def _strict(self, method: str, path: str, body: Any | None = None) -> Any:
-        status, reply = _pool_json(
-            self._pool, method, path, body, compress=self.compress
-        )
+        status, reply = _pool_json(self._pool, method, path, body)
         if status != 200 or not isinstance(reply, dict):
             detail = (
                 reply.get("error")
@@ -616,10 +546,8 @@ class HttpClaimTable:
     cell — a too-short lease makes healthy-but-slow workers race their
     own reissues.
 
-    Claim traffic rides its own small keep-alive pool. Batched
-    handouts go over the wire as ``POST /claims/<id>/next?k=N`` *and*
-    carry ``{"count": N}`` in the body — an old server ignores the
-    query and honors the body, so mixed-version fleets keep working.
+    Claim traffic rides its own small keep-alive pool. A batched
+    handout is one bodiless ``POST /claims/<id>/next?k=N``.
     """
 
     def __init__(
@@ -630,26 +558,16 @@ class HttpClaimTable:
         *,
         lease_ttl: float | None = None,
         timeout: float = 10.0,
-        keep_alive: bool = True,
     ) -> None:
-        from .runner import _check_lease_ttl  # shared claim validation
+        from .runner import _check_claim_total, _check_lease_ttl
 
-        if not isinstance(total, int) or total < 0:
-            raise InvalidParameterError(
-                f"claim-table total must be an int >= 0, got {total!r}"
-            )
-        self.url = _check_url(url)
+        self._pool = HttpConnectionPool(url, timeout=timeout, max_idle=2)
+        self.url = self._pool.url
+        self.timeout = self._pool.timeout
         self.claim_id = str(claim_id)
-        self.total = total
+        self.total = _check_claim_total(total)
         self.lease_ttl = _check_lease_ttl(lease_ttl)
-        self.timeout = float(timeout)
         self._last_outstanding = 0
-        self._pool = HttpConnectionPool(
-            self.url,
-            timeout=self.timeout,
-            max_idle=2,
-            keep_alive=keep_alive,
-        )
         body: dict = {"total": total}
         if self.lease_ttl is not None:
             body["lease"] = self.lease_ttl
@@ -679,15 +597,11 @@ class HttpClaimTable:
         Strict by design: a transport failure raises rather than letting
         the worker invent positions.
         """
-        if not isinstance(count, int) or count < 1:
-            raise InvalidParameterError(
-                f"claim count must be an int >= 1, got {count!r}"
-            )
+        from .runner import _check_claim_count  # shared claim validation
+
+        _check_claim_count(count)
         status, reply = _pool_json(
-            self._pool,
-            "POST",
-            self._path(f"/next?k={count}"),
-            {"count": count},
+            self._pool, "POST", self._path(f"/next?k={count}")
         )
         positions = (
             reply.get("positions") if isinstance(reply, dict) else None

@@ -416,9 +416,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help=(
             "baseline directory to compare against (exit 1 on any point "
-            "slower than --factor x its baseline, machine-calibrated, or "
+            "slower than --factor x its baseline, machine-calibrated, "
             "whose cost differs from its baseline by more than 1e-9 "
-            "relative)"
+            "relative, or that matches no baseline row)"
         ),
     )
     bch.add_argument(

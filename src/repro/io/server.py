@@ -21,27 +21,26 @@ Wire protocol (Python-dialect JSON — ``NaN`` literals allowed):
 | ``GET /stats?deep=1``    | —                               | 200 full backend stats + ``claim_tables`` |
 | ``POST /gc``             | ``{"older_than": seconds}``     | 200 ``{"removed": n}``, or 501 |
 | ``POST /claims/<id>``    | ``{"total": n, "lease": ttl?}`` | 200 ``{"token", "total", "claimed", "lease_ttl"}``, 409 on total/lease mismatch |
-| ``POST /claims/<id>/next?k=N`` | ``{"count": c}``          | 200 ``{"positions": [...], "token", "remaining", "outstanding"}`` |
+| ``POST /claims/<id>/next?k=N`` | —                         | 200 ``{"positions": [...], "token", "remaining", "outstanding"}`` |
 | ``POST /claims/<id>/done`` | ``{"positions": [...]}``      | 200 ``{"token", "done"}`` |
 
-Compression (RFC-7694-style negotiation, either end may be old): every
-response carries ``Accept-Encoding: deflate`` — the server's standing
-offer to accept zlib-deflated *request* bodies. Requests whose
-``Accept-Encoding`` includes ``deflate`` get large response bodies
-deflated back (``Content-Encoding: deflate``); everyone else gets
-identity. A deflated request body that does not inflate is a 400.
+Bodies are identity-encoded JSON both ways: a request declaring any
+other ``Content-Encoding`` is answered 415, and a malformed
+``Content-Length`` is a 400 that also closes the connection (the
+request's framing is lost).
 
 Claim tables implement work stealing: a table is created idempotently
 under a content-derived id (the experiment fingerprint), hands out
 positions ``0..total-1`` in order, at most once each, and remembers a
 server-minted session ``token`` that every cooperating worker stamps
 into its shard file — the merge step's proof that the shards partition
-one claim session. ``?k=N`` (equivalently ``{"count": N}``) leases up
-to N positions in one round trip. With a ``lease`` TTL (seconds) the
-table reissues a claimed position whose ``done`` report never arrives
-within the TTL, so one crashed worker cannot strand tail cells;
-workers of one session must agree on the lease policy (mismatch is a
-409, like a total mismatch).
+one claim session. ``?k=N`` leases up to N positions in one round trip
+(one without it); a request body on that route is a 400, so a client
+sending its count anywhere else fails loudly. With a ``lease`` TTL
+(seconds) the table reissues a claimed position whose ``done`` report
+never arrives within the TTL, so one crashed worker cannot strand tail
+cells; workers of one session must agree on the lease policy (mismatch
+is a 409, like a total mismatch).
 
 Locking, three independent planes:
 
@@ -77,8 +76,11 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Iterator, Sequence
 
 from ..engine.cache import CacheBackend, backend_stats
-from ..engine.remote import COMPRESS_MIN_BYTES
-from ..engine.runner import InProcessClaimTable
+from ..engine.runner import (
+    InProcessClaimTable,
+    _check_claim_total,
+    _check_lease_ttl,
+)
 from ..errors import InvalidParameterError, ReproError
 
 __all__ = ["CacheServer", "FabricStats"]
@@ -87,8 +89,6 @@ __all__ = ["CacheServer", "FabricStats"]
 #: handler threads hashing uniformly across 16 mutexes collide rarely;
 #: more stripes buy nothing at sweep-worker fan-in levels.
 DEFAULT_STRIPES = 16
-
-_DEFLATE = "deflate"
 
 
 class FabricStats:
@@ -113,8 +113,6 @@ class FabricStats:
         "new_records",
         "batch_requests",
         "claim_requests",
-        "deflate_bodies_in",
-        "deflate_bodies_out",
         "entries",
     )
 
@@ -126,8 +124,6 @@ class FabricStats:
         self.new_records = 0
         self.batch_requests = 0
         self.claim_requests = 0
-        self.deflate_bodies_in = 0
-        self.deflate_bodies_out = 0
         self.entries = 0
 
     # -- bumps (called from handler threads, no locks) ------------------
@@ -151,12 +147,6 @@ class FabricStats:
     def note_claim(self) -> None:
         self.claim_requests += 1
 
-    def note_deflate_in(self) -> None:
-        self.deflate_bodies_in += 1
-
-    def note_deflate_out(self) -> None:
-        self.deflate_bodies_out += 1
-
     def note_removed(self, count: int) -> None:
         self.entries = max(0, self.entries - count)
 
@@ -173,8 +163,6 @@ class FabricStats:
             "new_records": self.new_records,
             "batch_requests": self.batch_requests,
             "claim_requests": self.claim_requests,
-            "deflate_bodies_in": self.deflate_bodies_in,
-            "deflate_bodies_out": self.deflate_bodies_out,
         }
 
 
@@ -612,49 +600,53 @@ class _Handler(BaseHTTPRequestHandler):
             raise _HttpStatus(400, f"illegal {what} {name!r}")
         return name
 
-    def _body(self) -> Any:
-        length = int(self.headers.get("Content-Length") or 0)
+    def _raw_body(self) -> bytes:
+        """The request body's bytes, read in full so the keep-alive
+        connection stays framed for the next request."""
+        declared = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(declared)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # No way to tell where this body ends: drop the connection
+            # after the 400 instead of parsing body bytes as a request.
+            self.close_connection = True
+            raise _HttpStatus(
+                400, f"Content-Length must be an int >= 0, got {declared!r}"
+            )
         raw = self.rfile.read(length) if length > 0 else b""
-        if not raw:
-            return None
         encoding = (self.headers.get("Content-Encoding") or "").strip().lower()
-        if encoding == _DEFLATE:
-            self.fabric.stats_counters.note_deflate_in()
-            try:
-                raw = zlib.decompress(raw)
-            except zlib.error:
-                raise _HttpStatus(
-                    400, "deflate request body does not inflate"
-                ) from None
-        elif encoding and encoding != "identity":
+        if raw and encoding not in ("", "identity"):
             raise _HttpStatus(
                 415, f"unsupported Content-Encoding {encoding!r}"
             )
+        return raw
+
+    def _body(self) -> Any:
+        raw = self._raw_body()
+        if not raw:
+            return None
         try:
             return json.loads(raw)
         except json.JSONDecodeError:
             raise _HttpStatus(400, "request body is not JSON") from None
 
+    def _fields(self) -> dict[str, Any]:
+        """The body as a JSON object (``{}`` when there is none)."""
+        body = self._body()
+        if body is None:
+            return {}
+        if not isinstance(body, dict):
+            raise _HttpStatus(400, "request body must be a JSON object")
+        return body
+
     def _reply(self, status: int, payload: Any | None = None) -> None:
         body = b"" if payload is None else json.dumps(payload).encode("utf-8")
-        headers = [("Content-Type", "application/json")]
-        accepted = (self.headers.get("Accept-Encoding") or "").lower()
-        if (
-            body
-            and 200 <= status < 300
-            and _DEFLATE in accepted
-            and len(body) >= COMPRESS_MIN_BYTES
-        ):
-            body = zlib.compress(body)
-            headers.append(("Content-Encoding", _DEFLATE))
-            self.fabric.stats_counters.note_deflate_out()
         self.send_response(status)
-        for name, value in headers:
-            self.send_header(name, value)
-        # RFC 7694: the standing offer to accept deflated request
-        # bodies — the client-side pool flips on compression only
-        # after seeing this marker, so old servers never receive it.
-        self.send_header("Accept-Encoding", _DEFLATE)
+        self.send_header("Content-Type", "application/json")
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         if body:
@@ -749,8 +741,7 @@ class _Handler(BaseHTTPRequestHandler):
                 ),
             )
         elif parts == ["timings"]:
-            body = self._body()
-            keys = None if body is None else body.get("keys")
+            keys = self._fields().get("keys")
             if keys is not None and not isinstance(keys, list):
                 raise _HttpStatus(400, "timings body wants {'keys': [keys]}")
             if keys is not None:
@@ -759,49 +750,39 @@ class _Handler(BaseHTTPRequestHandler):
                 ]
             self._reply(200, {"timings": self.fabric.timings(keys)})
         elif parts == ["gc"]:
-            body = self._body()
-            older_than = (body or {}).get("older_than")
+            older_than = self._fields().get("older_than")
             if not isinstance(older_than, (int, float)):
                 raise _HttpStatus(400, "gc body wants {'older_than': seconds}")
             self._reply(200, {"removed": self.fabric.gc(float(older_than))})
         elif len(parts) == 2 and parts[0] == "claims":
-            body = self._body()
-            total = (body or {}).get("total")
-            if not isinstance(total, int) or total < 0:
-                raise _HttpStatus(400, "claim body wants {'total': n >= 0}")
-            lease = (body or {}).get("lease")
-            if lease is not None and (
-                not isinstance(lease, (int, float))
-                or isinstance(lease, bool)
-                or not 0.0 < lease < float("inf")
-            ):
-                raise _HttpStatus(
-                    400, "claim lease must be a positive number of seconds"
-                )
+            fields = self._fields()
+            # Invalid values raise InvalidParameterError: a 400.
+            total = _check_claim_total(fields.get("total"))
+            lease = _check_lease_ttl(fields.get("lease"))
             self._reply(
                 200,
                 self.fabric.claim_create(
-                    self._safe_name(parts[1], "claim id"),
-                    total,
-                    None if lease is None else float(lease),
+                    self._safe_name(parts[1], "claim id"), total, lease
                 ),
             )
         elif len(parts) == 3 and parts[0] == "claims" and parts[2] == "next":
-            body = self._body()
-            count = (body or {}).get("count", 1)
-            # ?k=N is the batched-handout wire form; new clients send
-            # both (an old server ignores the query and honors the
-            # body), and the query wins when they disagree.
-            k = self._query().get("k")
-            if k is not None:
-                try:
-                    count = int(k)
-                except ValueError:
-                    raise _HttpStatus(
-                        400, f"claim query wants ?k=<int >= 1>, got k={k!r}"
-                    ) from None
-            if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-                raise _HttpStatus(400, "claim body wants {'count': n >= 1}")
+            # The batch size travels only as ?k=N. A body is still read
+            # (keeping the connection framed) but refused, so a client
+            # sending its count anywhere else fails instead of silently
+            # leasing one position.
+            if self._raw_body():
+                raise _HttpStatus(
+                    400, "claim handouts take no body; send ?k=<int >= 1>"
+                )
+            k = self._query().get("k", "1")
+            try:
+                count = int(k)
+            except ValueError:
+                count = 0
+            if count < 1:
+                raise _HttpStatus(
+                    400, f"claim query wants ?k=<int >= 1>, got k={k!r}"
+                )
             self._reply(
                 200,
                 self.fabric.claim_next(
@@ -809,8 +790,7 @@ class _Handler(BaseHTTPRequestHandler):
                 ),
             )
         elif len(parts) == 3 and parts[0] == "claims" and parts[2] == "done":
-            body = self._body()
-            positions = (body or {}).get("positions")
+            positions = self._fields().get("positions")
             if not isinstance(positions, list):
                 raise _HttpStatus(
                     400, "claim body wants {'positions': [ints]}"

@@ -55,7 +55,6 @@ _MEASURE_KEYS = frozenset(
         "run_time",
         "certify_time",
         "cost",
-        "bytes_per_record",
         "records_per_s",
     }
 )
@@ -249,79 +248,13 @@ def _oa_stream_point(point: Mapping[str, Any]) -> dict:
     return {"n": n, "m": 1, "wall_time": wall, "cost": float(energy)}
 
 
-#: One evaluated record payload per size, shared across the repeat
-#: measurements of a transport point (the payload is identical every
-#: evaluation; rebuilding it would time PD, not the transport).
-_TRANSPORT_PAYLOADS: dict[int, dict] = {}
-
-
-def _transport_point(point: Mapping[str, Any]) -> dict:
-    """Record transport round trip: wire encode + decode, bytes and time.
-
-    ``bytes_per_record`` is what actually crosses the pool's result
-    pipe: the full pickled payload for the ``pickle`` transport, a
-    constant-size ticket for ``shm`` (the payload bytes travel through
-    a shared-memory segment instead).
-    """
-    import pickle
-
-    from ..engine import transport as tr
-    from ..engine.runner import RunRequest, evaluate_request
-    from ..workloads import slotted_instance
-
-    n = int(point["n"])
-    mode = str(point["transport"])
-    # Enough rounds that the point takes ~1s: a 0.1s point is pure
-    # scheduler noise when the smoke grid runs it right after a 13s
-    # PD scenario, and the 2x gate then flakes.
-    rounds = 25
-    payload = _TRANSPORT_PAYLOADS.get(n)
-    if payload is None:
-        instance = slotted_instance(n, slots=400, m=4, alpha=3.0, seed=0)
-        payload = evaluate_request(RunRequest("pd", instance))
-        _TRANSPORT_PAYLOADS[n] = payload
-
-    def exercise() -> dict:
-        out = payload
-        for _ in range(rounds):
-            # The pool's result queue pickles whatever wire it carries —
-            # simulate that hop so the pickle wire doesn't measure as an
-            # in-process no-op.
-            wire = tr.encode_payload(payload, mode)
-            piped = pickle.loads(
-                pickle.dumps(wire, protocol=pickle.HIGHEST_PROTOCOL)
-            )
-            out = tr.decode_wire(piped)
-        return out
-
-    wall, out = _timed(exercise)
-    if out["cost"] != payload["cost"]:  # pragma: no cover - parity guard
-        raise AssertionError("transport round trip altered the record")
-    wire = tr.encode_payload(payload, mode)
-    nbytes = tr.wire_bytes(wire)
-    if wire[0] == "shm":
-        tr.decode_wire(wire)  # attach-and-unlink releases the segment
-    return {
-        "n": n,
-        "m": 4,
-        "transport": mode,
-        "rounds": rounds,
-        "wall_time": wall,
-        "bytes_per_record": nbytes,
-    }
-
-
 def _fabric_point(point: Mapping[str, Any]) -> dict:
     """HTTP cache fabric throughput against a live in-process server.
 
     Every point boots a fresh :class:`CacheServer` over an unbounded
     ``MemoryCache`` and drives it through ``HttpCache`` /
-    ``HttpClaimTable`` exactly as a distributed sweep would. The
-    ``client`` axis is the experiment: ``pooled`` is the production
-    configuration (keep-alive connection pool, deflate negotiation,
-    batched claim leases), ``per-request`` re-dials a fresh TCP
-    connection for every request and claims one lease at a time — the
-    pre-pool fabric, kept measurable as the speedup denominator.
+    ``HttpClaimTable`` exactly as a distributed sweep would: keep-alive
+    connection pools and claim leases batched 16 per round trip.
 
     Ops: ``steal-hits`` drains a fully pre-seeded claim sweep (pure
     fabric round trips, zero compute), ``steal-mixed`` pre-seeds half
@@ -342,15 +275,7 @@ def _fabric_point(point: Mapping[str, Any]) -> dict:
     from ..workloads import poisson_instance
 
     op = str(point["op"])
-    client = str(point["client"])
     n = int(point["n"])
-    pooled = client == "pooled"
-
-    def open_client(url: str) -> "HttpCache":
-        if pooled:
-            return HttpCache(url)
-        return HttpCache(url, keep_alive=False, compress=False, pool_size=1)
-
     server = CacheServer(MemoryCache(max_entries=None)).start()
     try:
         if op == "bulk":
@@ -359,7 +284,7 @@ def _fabric_point(point: Mapping[str, Any]) -> dict:
                 f"cell-{i:06d}": {"kind": "bench", "body": "x" * size}
                 for i in range(n)
             }
-            cache = open_client(server.url)
+            cache = HttpCache(server.url)
             try:
 
                 def exercise() -> None:
@@ -376,7 +301,6 @@ def _fabric_point(point: Mapping[str, Any]) -> dict:
                 "n": n,
                 "m": 1,
                 "op": op,
-                "client": client,
                 "size": size,
                 "wall_time": wall,
                 "records_per_s": ops_done / wall,
@@ -397,19 +321,9 @@ def _fabric_point(point: Mapping[str, Any]) -> dict:
             server.cache.put(
                 request_key(request.algorithm, request.instance), payload
             )
-        cache = open_client(server.url)
-        claims = HttpClaimTable(
-            server.url,
-            "bench-fabric",
-            n,
-            lease_ttl=300.0,
-            keep_alive=pooled,
-        )
-        runner = BatchRunner(
-            workers=workers,
-            cache=cache,
-            claim_batch=16 if pooled else 1,
-        )
+        cache = HttpCache(server.url)
+        claims = HttpClaimTable(server.url, "bench-fabric", n, lease_ttl=300.0)
+        runner = BatchRunner(workers=workers, cache=cache, claim_batch=16)
         try:
             wall, pairs = _timed(
                 lambda: runner.run_stolen(requests, claims)
@@ -425,7 +339,6 @@ def _fabric_point(point: Mapping[str, Any]) -> dict:
             "n": n,
             "m": 1,
             "op": op,
-            "client": client,
             "workers": workers,
             "wall_time": wall,
             "records_per_s": n / wall,
@@ -508,44 +421,18 @@ SCENARIOS: dict[str, BenchScenario] = {
         ),
         BenchScenario(
             name="fabric-throughput",
-            summary="HTTP fabric records/s: pooled keep-alive vs per-request",
+            summary="HTTP fabric records/s: claim-stealing sweeps and "
+            "bulk batches",
             full=_points(
-                op=["steal-hits", "steal-mixed"],
-                client=["pooled", "per-request"],
-                n=[240],
-                workers=[1],
+                op=["steal-hits", "steal-mixed"], n=[240], workers=[1]
             )
-            + _points(
-                op=["steal-hits"], client=["pooled"], n=[240], workers=[4]
-            )
-            + _points(
-                op=["bulk"],
-                client=["pooled", "per-request"],
-                n=[300],
-                size=[64, 4096],
-            ),
+            + _points(op=["steal-hits"], n=[240], workers=[4])
+            + _points(op=["bulk"], n=[300], size=[64, 4096]),
             # Smoke is an identity subset of full, so the calibrated
             # baseline gate actually matches (and checks) every point.
-            smoke=_points(
-                op=["steal-hits"],
-                client=["pooled", "per-request"],
-                n=[240],
-                workers=[1],
-            )
-            + _points(
-                op=["bulk"],
-                client=["pooled", "per-request"],
-                n=[300],
-                size=[4096],
-            ),
+            smoke=_points(op=["steal-hits"], n=[240], workers=[1])
+            + _points(op=["bulk"], n=[300], size=[4096]),
             run_point=_fabric_point,
-        ),
-        BenchScenario(
-            name="transport-micro",
-            summary="micro: record wire round trip, pickle vs shared memory",
-            full=_points(n=[10_000], transport=["pickle", "shm"]),
-            smoke=_points(n=[10_000], transport=["pickle", "shm"]),
-            run_point=_transport_point,
         ),
     )
 }
@@ -701,14 +588,16 @@ def compare_to_baseline(
     current: dict, baseline: dict, *, factor: float = 2.0
 ) -> list[str]:
     """Regression report: current points slower than ``factor`` x
-    baseline, or whose ``cost`` moved by more than ``_COST_RTOL``
-    relative.
+    baseline, whose ``cost`` moved by more than ``_COST_RTOL``
+    relative, or that match no baseline row at all.
 
-    Points are matched by identity keys; points present on one side
-    only are ignored (grids may differ — CI smoke vs committed full).
-    Wall times are rescaled by the environments' calibration ratio
-    before the factor test. The cost test applies to matched points
-    that carry a ``cost`` on both sides.
+    Points are matched by identity keys. A current point without a
+    baseline row is reported: a dropped or renamed identity axis would
+    otherwise take its whole scenario out of the gate. Baseline-only
+    rows are ignored, since every smoke grid is a subset of its full
+    grid. Wall times are rescaled by the environments' calibration
+    ratio before the factor test. The cost test applies to matched
+    points that carry a ``cost`` on both sides.
     """
     if factor <= 1.0:
         raise InvalidParameterError(f"factor must be > 1, got {factor}")
@@ -728,12 +617,16 @@ def compare_to_baseline(
     }
     regressions: list[str] = []
     for row in current.get("series", []):
-        base = by_identity.get(_identity(row))
-        if base is None:
-            continue
         ident = " ".join(
             f"{k}={row[k]}" for k in row if k not in _MEASURE_KEYS
         )
+        base = by_identity.get(_identity(row))
+        if base is None:
+            regressions.append(
+                f"{current.get('scenario', '?')} {ident}: no baseline row "
+                "with these identity keys"
+            )
+            continue
         budget = float(base["wall_time"]) * factor * scale
         measured = float(row["wall_time"])
         if measured > budget:

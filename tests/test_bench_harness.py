@@ -82,9 +82,28 @@ class TestBaselineGate:
 
     def test_identity_keys_must_match(self):
         base = _series([{"n": 100, "m": 1, "wall_time": 0.01}])
-        other_point = _series([{"n": 200, "m": 1, "wall_time": 9.9}])
-        # unmatched points are ignored (smoke grid vs full baseline)
-        assert not compare_to_baseline(other_point, base)
+        other_point = _series([{"n": 200, "m": 1, "wall_time": 0.001}])
+        # A current point the baseline cannot match is reported, however
+        # fast: a dropped or renamed identity axis must not take a whole
+        # scenario out of the gate.
+        (report,) = compare_to_baseline(other_point, base)
+        assert "n=200 m=1" in report and "no baseline row" in report
+        renamed = _series(
+            [{"n": 100, "m": 1, "client": "pooled", "wall_time": 0.001}]
+        )
+        (report,) = compare_to_baseline(renamed, base)
+        assert "client=pooled" in report
+
+    def test_baseline_only_rows_are_ignored(self):
+        base = _series(
+            [
+                {"n": 100, "m": 1, "wall_time": 0.10},
+                {"n": 200, "m": 1, "wall_time": 0.20},
+            ]
+        )
+        # A smoke grid is a subset of the full grid its baseline holds.
+        smoke = _series([{"n": 100, "m": 1, "wall_time": 0.10}])
+        assert not compare_to_baseline(smoke, base)
 
     def test_measured_fields_do_not_affect_identity(self):
         base = _series(

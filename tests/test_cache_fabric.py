@@ -265,6 +265,50 @@ class TestServerHardening:
         finally:
             srv.stop()
 
+    @pytest.mark.parametrize("declared", ["abc", "1.5", "-5"])
+    def test_malformed_content_length_is_a_400(self, server, declared):
+        """A Content-Length that is not an int >= 0 is a malformed
+        request (400, not a 500), stores nothing, and closes the
+        connection, since the body's end is unknowable."""
+        from repro.engine.remote import HttpConnectionPool
+
+        with HttpConnectionPool(server.url) as pool:
+            status, headers, raw = pool.request(
+                "PUT", "/records/k", b"{}", {"Content-Length": declared}
+            )
+            assert status == 400
+            assert "Content-Length" in json.loads(raw)["error"]
+            assert headers.get("Connection") == "close"
+            assert pool.idle_count() == 0
+            assert "k" not in server.cache
+            status, _, _ = pool.request("GET", "/stats")
+            assert status == 200
+
+    def test_bool_claim_total_is_a_400(self, server):
+        from repro.engine.remote import HttpConnectionPool
+
+        with HttpConnectionPool(server.url) as pool:
+            for total in (True, -1, 2.0, "3", None):
+                status, _, raw = pool.request(
+                    "POST",
+                    "/claims/flag",
+                    json.dumps({"total": total}).encode("utf-8"),
+                )
+                assert status == 400, total
+                assert "total" in json.loads(raw)["error"]
+        assert server.stats_fast()["claim_tables"] == 0
+
+    @pytest.mark.parametrize(
+        "route", ["/timings", "/gc", "/claims/t", "/claims/t/done"]
+    )
+    def test_non_object_bodies_are_a_400(self, server, route):
+        from repro.engine.remote import HttpConnectionPool
+
+        with HttpConnectionPool(server.url) as pool:
+            status, _, raw = pool.request("POST", route, b"[1]")
+        assert status == 400
+        assert "JSON object" in json.loads(raw)["error"]
+
     def test_double_start_rejected(self):
         """``start()`` publishes the thread handle under the lock: a
         second ``start()`` while serving must refuse instead of silently
@@ -463,6 +507,21 @@ class TestWorkStealing:
             table.claim(0)
         with pytest.raises(InvalidParameterError, match="total"):
             InProcessClaimTable(-1)
+
+    def test_a_bool_is_not_a_count(self, server):
+        with pytest.raises(InvalidParameterError, match="total"):
+            InProcessClaimTable(True)
+        with pytest.raises(InvalidParameterError, match="count"):
+            InProcessClaimTable(3).claim(True)
+        with pytest.raises(InvalidParameterError, match="total"):
+            HttpClaimTable(server.url, "flags", True)
+        with pytest.raises(InvalidParameterError, match="batch_size"):
+            HttpCache(server.url, batch_size=True)
+        table = HttpClaimTable(server.url, "flags", 3)
+        with pytest.raises(InvalidParameterError, match="count"):
+            table.claim(True)
+        table.close()
+        assert server.stats_counters.claim_requests == 0
 
     def test_single_worker_drain_equals_run(self, requests, plain_records):
         runner = BatchRunner()

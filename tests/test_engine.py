@@ -23,7 +23,7 @@ from repro.engine import (
     RunRequest,
     run_experiment,
 )
-from repro.engine.runner import request_key
+from repro.engine.runner import record_to_payload, request_key
 from repro.errors import InvalidParameterError
 from repro.io.serialize import schedule_to_dict, stable_hash
 from repro.workloads import poisson_instance
@@ -52,6 +52,19 @@ def _assert_parity(records, direct, instance):
         assert record.schedule == schedule_to_dict(outcome.schedule), (
             record.algorithm
         )
+
+
+def _canonical(record) -> dict:
+    """A record's full payload minus what is not record content:
+    ``wall_time`` is a measurement, ``cached`` is delivery provenance,
+    and NaN (the ratio of a certificate-less cell) never equals itself.
+    """
+    out = record_to_payload(record)
+    del out["wall_time"], out["cached"]
+    for key in ("certified_ratio", "dual_g"):
+        if math.isnan(out[key]):
+            out[key] = "NaN"
+    return out
 
 
 class TestBatchParity:
@@ -86,9 +99,11 @@ class TestBatchParity:
         ]
         serial = BatchRunner(workers=1).run(requests)
         parallel = BatchRunner(workers=3).run(requests)
-        assert [r.algorithm for r in serial] == [r.algorithm for r in parallel]
-        assert [r.cost for r in serial] == [r.cost for r in parallel]
-        assert [r.schedule for r in serial] == [r.schedule for r in parallel]
+        # Pool workers return the payload through the pool's own result
+        # channel: every field, the cache key included, must survive it.
+        assert [_canonical(r) for r in serial] == [
+            _canonical(r) for r in parallel
+        ]
 
 
 class TestCache:

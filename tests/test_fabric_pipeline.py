@@ -1,14 +1,14 @@
-"""Tests for the high-throughput fabric: connection pooling, deflate
-negotiation, retry backoff, batched claims, lock-free stats, and the
-pipelined steal loop.
+"""Tests for the high-throughput fabric: connection pooling, the
+identity-only wire, retry backoff, batched claims, lock-free stats, and
+the pipelined steal loop.
 
 The companion of ``test_cache_fabric.py`` (protocol parity and fault
 tolerance): everything here is about the *throughput* machinery added
 on top — keep-alive sockets that survive and transparently redial,
-compression that only engages after negotiation, ``/stats`` that never
-waits on a slow backend, ``?k=N`` claim batches, and a steal loop that
-overlaps claim/probe round trips with compute while a write-behind
-batcher flushes puts.
+plain JSON bodies in both directions, ``/stats`` that never waits on a
+slow backend, ``?k=N`` claim batches, and a steal loop that overlaps
+claim/probe round trips with compute while a write-behind batcher
+flushes puts.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import math
 import threading
 import time
 import urllib.request
-import zlib
 
 import pytest
 
@@ -29,11 +28,7 @@ from repro.engine import (
     MemoryCache,
     RunRequest,
 )
-from repro.engine.remote import (
-    COMPRESS_MIN_BYTES,
-    HttpConnectionPool,
-    RetryPolicy,
-)
+from repro.engine.remote import HttpConnectionPool, RetryPolicy
 from repro.engine.runner import _PutBatcher, request_key
 from repro.errors import CacheError, InvalidParameterError
 from repro.io.server import CacheServer, FabricStats
@@ -73,9 +68,9 @@ def _strip(records):  # NaN-safe comparison form (NaN != NaN)
 
 
 class TestConnectionPool:
-    """Keep-alive reuse, stale-socket redial, per-request escape hatch."""
+    """Keep-alive reuse, stale-socket redial, constructor validation."""
 
-    def test_keep_alive_reuses_one_socket(self, server):
+    def test_pool_reuses_one_socket(self, server):
         with HttpConnectionPool(server.url) as pool:
             assert pool.idle_count() == 0
             for _ in range(5):
@@ -83,13 +78,6 @@ class TestConnectionPool:
                 assert status == 200
             # Sequential traffic parks and reuses exactly one socket.
             assert pool.idle_count() == 1
-
-    def test_keep_alive_false_parks_nothing(self, server):
-        with HttpConnectionPool(server.url, keep_alive=False) as pool:
-            for _ in range(3):
-                status, _, _ = pool.request("GET", "/stats")
-                assert status == 200
-            assert pool.idle_count() == 0
 
     def test_stale_socket_redials_transparently(self, server):
         cache = HttpCache(server.url)
@@ -119,50 +107,29 @@ class TestConnectionPool:
         with pytest.raises(InvalidParameterError, match="max_idle"):
             HttpConnectionPool(server.url, max_idle=0)
 
+    @pytest.mark.parametrize(
+        "timeout", [-1, 0, 0.0, math.nan, math.inf, -math.inf, True, "10"]
+    )
+    def test_timeout_validated_by_every_client(self, server, timeout):
+        """A bad timeout is an input error at construction, never a raw
+        ``ValueError``/``OverflowError`` out of a socket call later —
+        not even on the lenient ``get``, which reads faults as misses."""
+        with pytest.raises(InvalidParameterError, match="timeout"):
+            HttpConnectionPool(server.url, timeout=timeout)
+        with pytest.raises(InvalidParameterError, match="timeout"):
+            HttpCache(server.url, timeout=timeout).get("k")
+        with pytest.raises(InvalidParameterError, match="timeout"):
+            HttpClaimTable(server.url, "timeouts", 3, timeout=timeout)
+        assert server.stats_counters.requests == 0
+
 
 class TestCompressionNegotiation:
-    """Deflate engages only after the peer advertises it (RFC-7694)."""
-
-    def test_first_request_is_identity_then_negotiated(self, server):
-        cache = HttpCache(server.url)
-        assert not cache.pool.peer_accepts_deflate
-        cache.put("probe", {"v": 0})  # first exchange: identity
-        assert cache.pool.peer_accepts_deflate
-        cache.close()
-
-    def test_large_bodies_deflate_both_directions(self, server):
-        cache = HttpCache(server.url)
-        big = {"body": "x" * (4 * COMPRESS_MIN_BYTES)}
-        cache.put("warm", {"v": 0})  # negotiate
-        entries = {f"big-{i}": big for i in range(4)}
-        cache.put_many(entries)  # request body deflated
-        assert cache.get_many(list(entries)) == entries  # response deflated
-        fabric = server.stats_counters.snapshot()
-        assert fabric["deflate_bodies_in"] >= 1
-        assert fabric["deflate_bodies_out"] >= 1
-        cache.close()
-
-    def test_small_bodies_stay_identity(self, server):
-        cache = HttpCache(server.url)
-        cache.put("warm", {"v": 0})
-        cache.put("small", {"v": 1})  # far below COMPRESS_MIN_BYTES
-        assert server.stats_counters.deflate_bodies_in == 0
-        cache.close()
-
-    def test_compress_false_never_deflates_requests(self, server):
-        cache = HttpCache(server.url, compress=False)
-        big = {"body": "x" * (4 * COMPRESS_MIN_BYTES)}
-        cache.put("warm", {"v": 0})
-        cache.put("big", big)
-        assert server.stats_counters.deflate_bodies_in == 0
-        assert cache.get("big") == big
-        cache.close()
+    """There is none: bodies are identity-encoded JSON both ways."""
 
     def test_plain_client_gets_identity_responses(self, server):
-        """An old client that never advertises deflate must receive
-        plain JSON even for large bodies."""
+        """Large bodies come back as plain JSON, never compressed."""
         cache = HttpCache(server.url)
-        big = {"body": "y" * (4 * COMPRESS_MIN_BYTES)}
+        big = {"body": "y" * 4096}
         cache.put("big", big)
         cache.close()
         with urllib.request.urlopen(f"{server.url}/records/big") as reply:
@@ -170,30 +137,24 @@ class TestCompressionNegotiation:
             assert reply.headers.get("Content-Encoding") is None
         assert json.loads(raw) == big
 
-    def test_deflated_garbage_is_a_400(self, server):
+    @pytest.mark.parametrize("encoding", ["deflate", "gzip"])
+    def test_encoded_body_is_a_415(self, server, encoding):
+        """An encoded request body is refused and stores nothing — even
+        when its bytes happen to be valid JSON — and the keep-alive
+        connection stays framed for the next request."""
         with HttpConnectionPool(server.url) as pool:
-            status, _, _ = pool.request(
+            status, _, raw = pool.request(
                 "PUT",
-                "/records/bad",
-                b"not deflate at all",
-                {"Content-Encoding": "deflate"},
+                "/records/encoded",
+                json.dumps({"v": 1}).encode("utf-8"),
+                {"Content-Encoding": encoding},
             )
-            assert status == 400
-
-    def test_handrolled_deflate_request_accepted(self, server):
-        """A client may deflate unprompted — the server's standing
-        offer — and the payload must land bit-identical."""
-        payload = {"body": "z" * (4 * COMPRESS_MIN_BYTES)}
-        raw = zlib.compress(json.dumps(payload).encode("utf-8"))
-        with HttpConnectionPool(server.url) as pool:
-            status, _, _ = pool.request(
-                "PUT",
-                "/records/handrolled",
-                raw,
-                {"Content-Encoding": "deflate"},
-            )
-        assert status in (200, 204)
-        assert server.cache.get("handrolled") == payload
+            assert status == 415
+            assert encoding in json.loads(raw)["error"]
+            assert "encoded" not in server.cache
+            status, _, _ = pool.request("GET", "/stats")
+            assert status == 200
+            assert pool.idle_count() == 1
 
 
 class TestRetryPolicy:
@@ -276,29 +237,40 @@ class TestBatchedClaims:
         table.close()
 
     def test_query_k_overrides_body_count(self, server):
+        """``?k=`` is the only count the route reads; without it one
+        position is leased."""
         HttpClaimTable(server.url, "wire", 9).close()
+        with HttpConnectionPool(server.url) as pool:
+            status, _, raw = pool.request("POST", "/claims/wire/next?k=3")
+            assert status == 200
+            assert json.loads(raw)["positions"] == [0, 1, 2]
+            status, _, raw = pool.request("POST", "/claims/wire/next")
+            assert status == 200
+            assert json.loads(raw)["positions"] == [3]
+            for bad in ("nope", "0", "-2"):
+                status, _, _ = pool.request(
+                    "POST", f"/claims/wire/next?k={bad}"
+                )
+                assert status == 400
+
+    @pytest.mark.parametrize("path", ["next", "next?k=2"])
+    def test_body_count_fails_loudly(self, server, path):
+        """A client sending its count in the body gets a 400 naming
+        ``?k=`` instead of silently leasing one position; the body is
+        still read, so the connection stays usable."""
+        HttpClaimTable(server.url, "stale", 9).close()
         with HttpConnectionPool(server.url) as pool:
             status, _, raw = pool.request(
                 "POST",
-                "/claims/wire/next?k=3",
-                json.dumps({"count": 1}).encode("utf-8"),
-            )
-            assert status == 200
-            assert json.loads(raw)["positions"] == [0, 1, 2]
-            # Old-style body-only claims keep working on the new server.
-            status, _, raw = pool.request(
-                "POST",
-                "/claims/wire/next",
+                f"/claims/stale/{path}",
                 json.dumps({"count": 2}).encode("utf-8"),
             )
-            assert status == 200
-            assert json.loads(raw)["positions"] == [3, 4]
-            status, _, _ = pool.request(
-                "POST",
-                "/claims/wire/next?k=nope",
-                json.dumps({"count": 1}).encode("utf-8"),
-            )
             assert status == 400
+            assert "?k=" in json.loads(raw)["error"]
+            status, _, raw = pool.request("POST", "/claims/stale/next?k=2")
+            assert status == 200
+            assert json.loads(raw)["positions"] == [0, 1]  # nothing leased
+            assert pool.idle_count() == 1
 
 
 class TestLockFreeStats:
@@ -511,15 +483,15 @@ class TestConcurrentStress:
         claimed: dict[int, list[int]] = {}
         barrier = threading.Barrier(writers + 3)
 
-        def write_and_verify(slot: int, compress: bool) -> None:
-            cache = HttpCache(server.url, compress=compress, batch_size=16)
+        def write_and_verify(slot: int, large: bool) -> None:
+            cache = HttpCache(server.url, batch_size=16)
             try:
                 barrier.wait(timeout=10.0)
                 entries = {
                     f"w{slot}-{i}": {
                         "slot": slot,
                         "i": i,
-                        "body": "x" * (COMPRESS_MIN_BYTES if compress else 8),
+                        "body": "x" * (4096 if large else 8),
                     }
                     for i in range(per_writer)
                 }
@@ -602,7 +574,7 @@ class TestConcurrentStress:
         errors: list[BaseException] = []
 
         def worker(slot: int) -> None:
-            cache = HttpCache(server.url, compress=slot % 2 == 0)
+            cache = HttpCache(server.url)
             table = HttpClaimTable(server.url, "stress-steal", len(requests))
             try:
                 results[slot] = BatchRunner(

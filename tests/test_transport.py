@@ -1,30 +1,19 @@
-"""Zero-copy record transport: wire round trips and runner parity.
+"""Pool record transport: records come back from workers unchanged.
 
-The transport moves result payloads through shared memory instead of
-the pool's result pipe. It must be invisible: identical records (and
-identical cache contents) whatever wire carried them, with a graceful
-per-call fallback to the pickle wire when shared memory is missing.
+Pool workers hand each result back to the parent through the
+executor's own result channel, which pickles the payload. That wire
+must be invisible: a pooled run yields the same records, cache keys
+included, as a serial run of the same requests.
 """
 
 from __future__ import annotations
 
 import math
-import pickle
 
 import pytest
 
-from repro.engine import transport as tr
 from repro.engine.runner import BatchRunner, RunRequest, record_to_payload
-from repro.errors import InvalidParameterError
 from repro.workloads import poisson_instance
-
-PAYLOAD = {
-    "kind": "run-record",
-    "algorithm": "pd",
-    "cost": 12.5,
-    "schedule": {"loads": [[0, 1, 0.25]] * 200, "boundaries": [0.0, 1.0]},
-    "wall_time": 0.01,
-}
 
 
 def canonical(payload: dict) -> dict:
@@ -43,110 +32,8 @@ def canonical(payload: dict) -> dict:
     return out
 
 
-class TestWire:
-    def test_pickle_wire_round_trip(self):
-        wire = tr.encode_payload(PAYLOAD, "pickle")
-        assert wire[0] == "pickle"
-        assert tr.decode_wire(wire) == PAYLOAD
-
-    @pytest.mark.skipif(
-        not tr.shm_available(), reason="no shared memory on this host"
-    )
-    def test_shm_wire_round_trip(self):
-        wire = tr.encode_payload(PAYLOAD, "shm")
-        assert wire[0] == "shm"
-        assert tr.decode_wire(wire) == PAYLOAD
-
-    @pytest.mark.skipif(
-        not tr.shm_available(), reason="no shared memory on this host"
-    )
-    def test_shm_ticket_is_constant_size(self):
-        """The pipe footprint of an shm ticket must not scale with the
-        payload — that's the entire point of the transport."""
-        small = tr.encode_payload({"cost": 1.0}, "shm")
-        big = tr.encode_payload(PAYLOAD, "shm")
-        try:
-            assert tr.wire_bytes(big) < 100
-            assert abs(tr.wire_bytes(big) - tr.wire_bytes(small)) < 16
-            assert tr.wire_bytes(
-                tr.encode_payload(PAYLOAD, "pickle")
-            ) > 5 * tr.wire_bytes(big)
-        finally:
-            tr.decode_wire(small)
-            tr.decode_wire(big)
-
-    def test_shm_wire_survives_pipe_pickling(self):
-        """The result queue pickles the wire itself; an shm ticket must
-        decode identically after that hop."""
-        if not tr.shm_available():
-            pytest.skip("no shared memory on this host")
-        wire = tr.encode_payload(PAYLOAD, "shm")
-        piped = pickle.loads(pickle.dumps(wire))
-        assert tr.decode_wire(piped) == PAYLOAD
-
-    def test_encode_falls_back_when_shm_fails(self, monkeypatch):
-        import multiprocessing.shared_memory as shm_mod
-
-        def broken(*args, **kwargs):
-            raise OSError("no shm for you")
-
-        monkeypatch.setattr(shm_mod, "SharedMemory", broken)
-        wire = tr.encode_payload(PAYLOAD, "shm")
-        assert wire[0] == "pickle"
-        assert tr.decode_wire(wire) == PAYLOAD
-
-    def test_shm_failure_after_create_releases_segment(self, monkeypatch):
-        """If the segment is created but the write into it fails, encode
-        must close *and* unlink it before degrading to the pickle wire —
-        otherwise every degraded call leaks a ``/dev/shm`` file for the
-        lifetime of the worker (the RPR4xx resource-balance contract)."""
-        if not tr.shm_available():
-            pytest.skip("no shared memory on this host")
-        import multiprocessing.shared_memory as shm_mod
-
-        real = shm_mod.SharedMemory
-        events: list[str] = []
-
-        class FailsOnWrite:
-            def __init__(self, *args, **kwargs):
-                self._shm = real(*args, **kwargs)
-
-            @property
-            def buf(self):
-                raise BufferError("simulated write failure")
-
-            @property
-            def name(self):
-                return self._shm.name
-
-            def close(self):
-                events.append("close")
-                self._shm.close()
-
-            def unlink(self):
-                events.append("unlink")
-                self._shm.unlink()
-
-        monkeypatch.setattr(shm_mod, "SharedMemory", FailsOnWrite)
-        wire = tr.encode_payload(PAYLOAD, "shm")
-        assert wire == ("pickle", PAYLOAD)
-        assert events == ["close", "unlink"]
-        assert tr.decode_wire(wire) == PAYLOAD
-
-    def test_decode_rejects_unknown_kind(self):
-        with pytest.raises(InvalidParameterError, match="wire kind"):
-            tr.decode_wire(("carrier-pigeon", "x"))
-
-    def test_resolve_transport(self):
-        assert tr.resolve_transport("pickle") == "pickle"
-        assert tr.resolve_transport("shm") == "shm"
-        assert tr.resolve_transport("auto") in ("shm", "pickle")
-        with pytest.raises(InvalidParameterError, match="transport"):
-            tr.resolve_transport("osmosis")
-
-
 class TestRunnerParity:
-    """Records are byte-identical whatever transport carried them."""
+    """Records are identical whichever path carried them."""
 
     def requests(self):
         instances = [
@@ -159,58 +46,15 @@ class TestRunnerParity:
             for algorithm in ("pd", "yds")
         ]
 
-    def test_rejects_unknown_transport(self):
-        with pytest.raises(InvalidParameterError, match="transport"):
-            BatchRunner(workers=2, transport="osmosis")
-
-    @pytest.mark.parametrize("transport", ["shm", "pickle"])
-    def test_pool_records_match_serial(self, transport):
+    # The pool has one wire, the executor's pickle channel; the id names it.
+    @pytest.mark.parametrize("wire", ["pickle"])
+    def test_pool_records_match_serial(self, wire):
         requests = self.requests()
         serial = BatchRunner(workers=1).run(requests)
-        pooled = BatchRunner(workers=2, transport=transport).run(requests)
+        pooled = BatchRunner(workers=2).run(requests)
         assert len(serial) == len(pooled)
         for a, b in zip(serial, pooled):
             assert a.key == b.key
-            assert canonical(record_to_payload(a)) == canonical(
-                record_to_payload(b)
-            )
-
-    def test_cache_contents_transport_independent(self, tmp_path):
-        """A cache warmed through the shm transport serves the pickle
-        path (and vice versa) — same keys, same payloads."""
-        requests = self.requests()
-        shm_runner = BatchRunner(
-            workers=2, cache=tmp_path / "c", transport="shm"
-        )
-        first = shm_runner.run(requests)
-        assert shm_runner.stats.computed > 0
-        pickle_runner = BatchRunner(
-            workers=2, cache=tmp_path / "c", transport="pickle"
-        )
-        second = pickle_runner.run(requests)
-        assert pickle_runner.stats.computed == 0  # all hits
-        for a, b in zip(first, second):
-            assert a.key == b.key
-            assert canonical(record_to_payload(a)) == canonical(
-                record_to_payload(b)
-            )
-
-    def test_stolen_path_uses_transport(self):
-        from repro.engine.runner import InProcessClaimTable
-
-        requests = self.requests()
-        serial = BatchRunner(workers=1).run(requests)
-        claims = InProcessClaimTable(len(requests))
-        stolen = sorted(
-            BatchRunner(workers=2, transport="shm").iter_stolen(
-                requests, claims
-            ),
-            key=lambda pair: pair[0],
-        )
-        assert [position for position, _ in stolen] == list(
-            range(len(requests))
-        )
-        for a, (_, b) in zip(serial, stolen):
             assert canonical(record_to_payload(a)) == canonical(
                 record_to_payload(b)
             )
