@@ -22,6 +22,8 @@ that freezes the candidate.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -32,7 +34,7 @@ from ..model.job import Instance, Job
 from ..model.schedule import Schedule
 from .execution import schedule_from_segments
 from .timeline import IntervalSet, edf_execute
-from .yds import YdsResult, _critical_window, yds
+from .yds import YdsResult, yds
 
 __all__ = ["OAResult", "oa_plan", "oa_segments", "run_oa", "run_oa_multiprocessor"]
 
@@ -110,7 +112,8 @@ def oa_plan(
 class _PlanJob:
     """A plan-instance job for the critical-window scan: 3 plain floats.
 
-    :func:`repro.classical.yds._critical_window` only reads
+    The scan (:func:`_plan_window`, and YDS's own ``_critical_window``
+    the differential suite runs it against) only reads
     ``instance[j].release/.deadline/.workload``, so a plain list of these
     stands in for a sub-``Instance``: it serves the exact floats a
     materialized sub-instance's ``Job`` objects would hold, without
@@ -142,9 +145,11 @@ class _LazyPlan:
     so a consumer can stop after the rounds it needs: OA's execution at
     the first round past the next arrival, CLL's admission test at the
     round that freezes its candidate. The rounds that *are* generated
-    run through the same ``_critical_window`` / ``IntervalSet`` code on
-    the same floats as :func:`oa_plan`'s full YDS run, and iterating a
-    plan twice replays the memoized rounds before generating more.
+    find their window with :func:`_plan_window`, which replays the one
+    row of YDS's critical-window scan that this structure leaves live,
+    float for float, and freeze it with the same ``IntervalSet`` code as
+    :func:`oa_plan`'s full YDS run. Iterating a plan twice replays the
+    memoized rounds before generating more.
 
     Sub-job ids are positions in ``alive`` — the relabeling ``oa_plan``
     applies to its (filtered) ``job_ids``, so every id-based tie-break
@@ -191,6 +196,100 @@ class _LazyPlan:
         raise SolverError(f"sub-job {pos} was never frozen")  # pragma: no cover
 
 
+def _plan_window(
+    view: Sequence[_PlanJob],
+    remaining: set[int],
+    events: list[float],
+    frozen: IntervalSet,
+) -> tuple[float, float, float, list[int]]:
+    """YDS's critical window for a common-release plan, in one pass.
+
+    ``yds._critical_window`` streams one row per candidate start
+    ``events[ai]``, but in a plan every job has release ``now ==
+    events[0]`` and a deadline past ``now + _EPS``: each job's last
+    eligible start row is 0, so only windows ``[now, events[bi]]`` hold
+    jobs and that scan never gets past its first row. This replays that
+    row's floats in plain Python:
+
+    * per-event workload buckets (a job's bucket is the first event at
+      or after ``deadline - _EPS``), summed in ascending sub-job id order
+      like ``np.add.at``;
+    * the running prefix over the buckets, as ``np.cumsum`` accumulates;
+    * the frozen measure below each event, one ``min(t, hi) - lo`` term
+      per part of ``frozen.parts`` (a non-positive term adds an exact
+      zero there, so it is skipped here);
+    * the same ``SolverError`` at the first occupied window with no
+      available time, and the sequential ``g > best + _EPS`` rule in
+      ascending deadline order.
+
+    The winner's members and intensity are then re-derived with the
+    literal reference operations, as ``_critical_window`` does, so the
+    result is bitwise its ``(g, a, b, inside)``. A view that breaks the
+    common-release structure raises ``SolverError``.
+    """
+    now = events[0]
+    parts = frozen.parts
+    big_e = len(events)
+    bucket = [0.0] * big_e
+    members = [0] * big_e
+    for j in sorted(remaining):
+        job = view[j]
+        if job.release != now or not job.deadline > now + _EPS:
+            raise SolverError(
+                f"plan job {j} breaks the common-release structure: "
+                f"window [{job.release}, {job.deadline}] at now={now}"
+            )
+        k = bisect_left(events, job.deadline - _EPS)
+        bucket[k] += job.workload
+        members[k] += 1
+
+    def frozen_below(t: float) -> float:
+        total = 0.0
+        for part_lo, part_hi in parts:
+            term = min(t, part_hi) - part_lo
+            if term > 0.0:
+                total += term
+        return total
+
+    base = frozen_below(now)
+    inside_work = bucket[0]
+    count = members[0]
+    best = 0
+    best_val = -math.inf
+    for bi in range(1, big_e):
+        inside_work += bucket[bi]
+        count += members[bi]
+        if not count:
+            continue
+        t = events[bi]
+        avail = (t - now) - (frozen_below(t) - base)
+        if avail <= _EPS:
+            raise SolverError(
+                f"no available time left in candidate window [{now}, {t}] "
+                "yet jobs remain — inconsistent frozen state"
+            )
+        g = inside_work / avail
+        if g > best_val + _EPS:
+            best_val = g
+            best = bi
+    if not best:  # pragma: no cover - remaining non-empty implies a window
+        raise SolverError("no critical window found")
+    a, b = now, events[best]
+    inside = [
+        j
+        for j in remaining
+        if view[j].release >= a - _EPS and view[j].deadline <= b + _EPS
+    ]
+    avail = (b - a) - frozen.measure_within(a, b)
+    if avail <= _EPS:  # pragma: no cover - caught by the scan
+        raise SolverError(
+            f"no available time left in candidate window [{a}, {b}] "
+            "yet jobs remain — inconsistent frozen state"
+        )
+    g = sum(view[j].workload for j in inside) / avail
+    return g, a, b, inside
+
+
 def _yds_rounds(view: list[_PlanJob], count: int) -> Iterator[_Round]:
     """YDS's round loop over a plan view, one round per ``next``."""
     rem_sub = set(range(count))
@@ -200,7 +299,7 @@ def _yds_rounds(view: list[_PlanJob], count: int) -> Iterator[_Round]:
             {view[j].release for j in rem_sub}
             | {view[j].deadline for j in rem_sub}
         )
-        g, a, b, inside = _critical_window(view, rem_sub, events, frozen)
+        g, a, b, inside = _plan_window(view, rem_sub, events, frozen)
         region = IntervalSet.span(a, b).subtract(frozen)
         job_ids = tuple(sorted(inside))
         frozen = frozen.union(region)

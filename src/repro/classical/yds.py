@@ -24,12 +24,13 @@ O(n^2) candidate windows through precomputed prefix-workload vectors —
 streaming one release-event row at a time over a deadline-bucket cumsum
 — instead of the historical O(n) membership rescan per window, so a
 round costs O(E^2) vectorized work (E = remaining events) rather than
-O(E^2 · n) interpreted work. The historical literal scan is kept as
-``scan="reference"`` for differential testing; the fast scan re-derives
-the selected window's intensity with the reference's exact float
-operations, so the realized schedules are bit-identical (asserted by
-the parity suite, and independently cross-validated against the
-convex-programming optimum in the tests).
+O(E^2 · n) interpreted work. The historical literal scan is kept as the
+frozen oracle :func:`repro.perf.reference.yds_reference` for
+differential testing; the fast scan re-derives the selected window's
+intensity with the reference's exact float operations, so the realized
+schedules are bit-identical (asserted by the parity suite, and
+independently cross-validated against the convex-programming optimum in
+the tests).
 """
 
 from __future__ import annotations
@@ -79,39 +80,6 @@ class YdsResult:
     @property
     def energy(self) -> float:
         return self.schedule.energy
-
-
-def _critical_window_reference(
-    instance: Instance, remaining: set, events: list, frozen: IntervalSet
-) -> tuple[float, float, float, list[int]]:
-    """The historical literal critical-window scan (O(E^2 · n)).
-
-    Kept verbatim for differential testing against the fast scan.
-    """
-    best: tuple[float, float, float, list[int]] | None = None
-    for ai in range(len(events)):
-        for bi in range(ai + 1, len(events)):
-            a, b = events[ai], events[bi]
-            inside = [
-                j
-                for j in remaining
-                if instance[j].release >= a - _EPS
-                and instance[j].deadline <= b + _EPS
-            ]
-            if not inside:
-                continue
-            avail = (b - a) - frozen.measure_within(a, b)
-            if avail <= _EPS:
-                raise SolverError(
-                    f"no available time left in candidate window [{a}, {b}] "
-                    "yet jobs remain — inconsistent frozen state"
-                )
-            g = sum(instance[j].workload for j in inside) / avail
-            if best is None or g > best[0] + _EPS:
-                best = (g, a, b, inside)
-    if best is None:  # pragma: no cover - remaining non-empty implies a window
-        raise SolverError("no critical window found")
-    return best
 
 
 def _critical_window(
@@ -223,9 +191,7 @@ def _critical_window(
     return g, a, b, inside
 
 
-def yds(
-    instance: Instance, *, grid: Grid | None = None, scan: str = "fast"
-) -> YdsResult:
+def yds(instance: Instance, *, grid: Grid | None = None) -> YdsResult:
     """Run YDS on a single-processor instance (values are ignored).
 
     Parameters
@@ -236,25 +202,19 @@ def yds(
         Optional grid on which to express the resulting schedule; must
         refine the instance's own event grid. Defaults to the instance
         grid.
-    scan:
-        ``"fast"`` (default) finds each round's critical window through
-        the vectorized prefix-workload scan; ``"reference"`` uses the
-        historical literal rescan. Identical results (the parity suite
-        asserts it); the reference exists for differential testing.
     """
+    return _yds(instance, grid, _critical_window)
+
+
+def _yds(instance: Instance, grid: Grid | None, find_window) -> YdsResult:
+    """YDS's round loop and EDF realization, with ``find_window`` as each
+    round's critical-window search (the oracle passes the literal scan)."""
     if instance.m != 1:
         raise InvalidParameterError(
             f"YDS is a single-processor algorithm; instance has m={instance.m}"
         )
     if instance.n == 0:
         raise InvalidParameterError("YDS needs at least one job")
-    if scan not in ("fast", "reference"):
-        raise InvalidParameterError(
-            f"scan must be 'fast' or 'reference', got {scan!r}"
-        )
-    find_window = (
-        _critical_window if scan == "fast" else _critical_window_reference
-    )
 
     remaining = set(range(instance.n))
     frozen = IntervalSet.empty()

@@ -33,13 +33,15 @@ O(window + split intervals).
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import InvalidParameterError
-from ..model.intervals import Grid
-from ..model.job import Instance, Job
+from ..model.intervals import _TIME_EPS, Grid, _fresh_points, _window
+from ..model.job import Instance, Job, check_processor_count
 from ..model.schedule import Schedule
 from ..perf.kernels import IntervalLoads, WindowKernel
 from ..types import FloatArray
@@ -147,8 +149,7 @@ class PDScheduler:
         power=None,
         batch: str = "arrival",
     ) -> None:
-        if m < 1:
-            raise InvalidParameterError(f"m must be >= 1, got {m}")
+        check_processor_count(m)
         if batch not in ("arrival", "epoch"):
             raise InvalidParameterError(
                 f"batch must be 'arrival' or 'epoch', got {batch!r}"
@@ -170,12 +171,21 @@ class PDScheduler:
                 )
             self.delta = float(delta)
         self._alpha = float(alpha)
-        if self.delta <= 0.0:
-            raise InvalidParameterError(f"delta must be > 0, got {self.delta}")
+        if not (math.isfinite(self.delta) and self.delta > 0.0):
+            raise InvalidParameterError(
+                f"delta must be finite and > 0, got {self.delta}"
+            )
 
         self.batch = batch
         self._jobs: list[Job] = []
-        self._grid: Grid | None = None
+        #: The grid's boundaries and interval lengths as plain floats,
+        #: updated in place of a numpy ``Grid`` on every refinement (the
+        #: lengths are the same subtractions ``np.diff`` makes).
+        self._bounds: list[float] = []
+        self._lengths: list[float] = []
+        #: The numpy ``Grid`` of ``_bounds``, built on demand (see
+        #: :attr:`_grid`); None when stale.
+        self._grid_cache: Grid | None = None
         #: One live sorted-load store per atomic interval (accepted work).
         self._states: list[IntervalLoads] = []
         #: Per interval, the planned ``(job_id, load)`` entries — final
@@ -198,8 +208,6 @@ class PDScheduler:
         self._finish_jobs: tuple[Job, ...] | None = None
         #: Intervals whose store has deferred (unflushed) suffix sums.
         self._dirty_suffix: set[int] = set()
-        #: Grid lengths as a plain float list (cache; None when stale).
-        self._len_list: list[float] | None = None
 
     # ------------------------------------------------------------------
     # Online interface
@@ -222,13 +230,11 @@ class PDScheduler:
         self._count = job_id + 1
 
         self._refine_grid(job.release, job.deadline)
-        assert self._grid is not None
-        ks = self._grid.covering(job.release, job.deadline)
-        lengths = self._grid.lengths
+        ks = _window(self._bounds, job.release, job.deadline)
 
         kernel = WindowKernel(
-            [self._states[k] for k in ks],
-            [float(lengths[k]) for k in ks],
+            self._states[ks.start : ks.stop],
+            self._lengths[ks.start : ks.stop],
             self.m,
         )
         outcome = waterfill_job(
@@ -332,12 +338,11 @@ class PDScheduler:
         """Assemble the final :class:`PDResult` after all arrivals."""
         if self._count == 0:
             raise InvalidParameterError("no jobs were processed")
-        assert self._grid is not None
         self._flush_suffixes()
         instance, decisions = self._materialize()
         finished = np.array([d.accepted for d in decisions], dtype=bool)
         n = self._count
-        big_n = self._grid.size
+        big_n = len(self._lengths)
         loads = self.snapshot_loads()
         planned = np.zeros((n, big_n))
         for k, entries in enumerate(self._planned):
@@ -364,9 +369,9 @@ class PDScheduler:
         grid — the matrix the historical implementation carried around
         explicitly. Diagnostics/tests only; O(n·N) per call.
         """
-        if self._grid is None:
+        if not self._bounds:
             return np.zeros((0, 0))
-        loads = np.zeros((self._count, self._grid.size))
+        loads = np.zeros((self._count, len(self._lengths)))
         for k, state in enumerate(self._states):
             if state.ids:
                 loads[state.ids, k] = state.loads
@@ -386,14 +391,12 @@ class PDScheduler:
         on every instance where the dense matrix *is* affordable
         (asserted by the parity suite).
         """
-        if self._grid is None:
+        if not self._bounds:
             return 0.0
         from ..perf.energy import stores_energy  # lazy: layering
 
         self._flush_suffixes()
-        return stores_energy(
-            self._states, self._grid.lengths, self.m, self.power
-        )
+        return stores_energy(self._states, self._lengths, self.m, self.power)
 
     def streaming_lost_value(self) -> float:
         """Sum of values of rejected jobs so far (no dense schedule)."""
@@ -425,66 +428,74 @@ class PDScheduler:
                 self._states[k].flush_suffix()
             self._dirty_suffix.clear()
 
-    def _length_list(self) -> list[float]:
-        """Grid lengths as plain floats (cached per grid version).
-
-        Exactly the floats ``float(lengths[k])`` yields — ``tolist`` and
-        scalar conversion both round-trip the same float64 — cached so
-        the epoch hot loop can slice windows without per-interval numpy
-        scalar boxing.
-        """
-        if self._len_list is None:
-            assert self._grid is not None
-            self._len_list = self._grid.lengths.tolist()
-        return self._len_list
+    @property
+    def _grid(self) -> Grid | None:
+        """The current grid as a numpy :class:`Grid` (None before the
+        first arrival), built from ``_bounds`` on demand and kept until
+        the next refinement."""
+        if self._grid_cache is None and self._bounds:
+            self._grid_cache = Grid(self._bounds)
+        return self._grid_cache
 
     def _refine_grid(self, release: float, deadline: float) -> bool:
         """Insert the new job's window endpoints, splitting frozen loads.
 
-        A specialized two-point refinement: the generic
-        :meth:`~repro.model.intervals.Grid.refine` computes parent and
-        fraction arrays for *every* new interval, but an arrival only
-        ever splits the (at most two) intervals its endpoints land in
-        and possibly extends the span — so the surgery here touches
-        exactly those stores and leaves every other store object in
-        place. Unsplit intervals keep their exact loads: the reference
-        path multiplied them by a fraction that is exactly ``1.0``
-        (child and parent read their endpoints from the same boundary
-        floats), a bitwise no-op. Split children scale by
-        ``(child_end - child_start) / parent_length`` — the same single
-        multiply, in the same float order, as
-        :meth:`~repro.model.intervals.Refinement.split_row`.
+        An arrival only ever splits the (at most two) intervals its
+        endpoints land in and possibly extends the span, so the surgery
+        here is two ``bisect`` insertions into the boundary and length
+        lists plus a split of exactly those stores; every other store
+        object stays in place. Each new interval's length is the
+        subtraction of its two boundaries (what ``np.diff`` computes),
+        and it must exceed ``_TIME_EPS`` as ``Grid`` requires. Unsplit
+        intervals keep their exact loads: the reference path multiplied
+        them by a fraction that is exactly ``1.0`` (child and parent read
+        their endpoints from the same boundary floats), a bitwise no-op.
+        Split children scale by ``(child_end - child_start) /
+        parent_length`` — the same single multiply, in the same float
+        order, as :meth:`~repro.model.intervals.Refinement.split_row`.
         """
-        if self._grid is None:
-            self._grid = Grid.from_points([release, deadline])
-            self._states = [IntervalLoads() for _ in range(self._grid.size)]
-            self._planned = [[] for _ in range(self._grid.size)]
-            self._len_list = None
+        old = self._bounds
+        if not old:
+            grid = Grid.from_points([release, deadline])
+            self._bounds = grid.boundaries.tolist()
+            self._lengths = grid.lengths.tolist()
+            self._grid_cache = grid
+            self._states = [IntervalLoads() for _ in range(grid.size)]
+            self._planned = [[] for _ in range(grid.size)]
             return True
-        b = self._grid.boundaries
-        fresh = self._grid.fresh_points([release, deadline])
+        fresh = _fresh_points(old, (release, deadline))
         if not fresh:
             return False
 
-        lo = float(b[0])
-        hi = float(b[-1])
-        front = sum(1 for p in fresh if p < lo)
-        tail = sum(1 for p in fresh if p > hi)
+        lo = old[0]
+        hi = old[-1]
+        bounds = old[:]
+        lengths = self._lengths[:]
+        front = tail = 0
         # Interior points grouped by the old interval they split.
         splits: dict[int, list[float]] = {}
         for p in fresh:
-            if lo < p < hi:
-                k = int(np.searchsorted(b, p, side="right")) - 1
-                splits.setdefault(k, []).append(p)
-
-        merged = np.sort(
-            np.concatenate((b, np.asarray(fresh, dtype=np.float64)))
-        )
-        self._grid = Grid(merged)
+            if p < lo:
+                front += 1
+            elif p > hi:
+                tail += 1
+            else:
+                splits.setdefault(bisect_right(old, p) - 1, []).append(p)
+            i = bisect_left(bounds, p)
+            bounds.insert(i, p)
+            # The one or two intervals next to p replace the old length
+            # that spanned p, if any.
+            first, stop = max(i - 1, 0), min(i + 1, len(bounds) - 1)
+            created = [bounds[k + 1] - bounds[k] for k in range(first, stop)]
+            lengths[first : stop - 1] = created
+            if not all(length > _TIME_EPS for length in created):
+                raise InvalidParameterError(
+                    "grid boundaries must be strictly increasing"
+                )
 
         for k in sorted(splits, reverse=True):
-            cuts = [float(b[k]), *splits[k], float(b[k + 1])]
-            length = float(b[k + 1]) - float(b[k])
+            cuts = [old[k], *splits[k], old[k + 1]]
+            length = old[k + 1] - old[k]
             fractions = [
                 (cuts[i + 1] - cuts[i]) / length for i in range(len(cuts) - 1)
             ]
@@ -500,8 +511,9 @@ class PDScheduler:
         if tail:
             self._states.extend(IntervalLoads() for _ in range(tail))
             self._planned.extend([] for _ in range(tail))
-        # Interval indices shifted: drop the cache keyed by them.
-        self._len_list = None
+        self._bounds = bounds
+        self._lengths = lengths
+        self._grid_cache = None
         return True
 
 

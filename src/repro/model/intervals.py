@@ -16,7 +16,9 @@ returns the bookkeeping needed to remap per-interval arrays.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -119,6 +121,12 @@ class Grid:
     # ------------------------------------------------------------------
     # Basic queries
     # ------------------------------------------------------------------
+    @cached_property
+    def _points(self) -> list[float]:
+        """The boundaries as plain floats, for the bisect helpers below
+        (built on first use: a grid that is never probed never pays)."""
+        return self.boundaries.tolist()
+
     @property
     def size(self) -> int:
         """Number of atomic intervals ``N``."""
@@ -161,14 +169,7 @@ class Grid:
         window once its release/deadline have been inserted); otherwise a
         :class:`GridMismatchError` is raised to surface stale grids early.
         """
-        i = _boundary_index(self.boundaries, start)
-        j = _boundary_index(self.boundaries, end)
-        if i is None or j is None:
-            raise GridMismatchError(
-                f"window [{start}, {end}) is not aligned with the grid; "
-                "refine the grid with these endpoints first"
-            )
-        return range(i, j)
+        return _window(self._points, start, end)
 
     def availability(self, job: Job) -> np.ndarray:
         """Boolean mask ``c_{jk}``: interval ``k`` lies inside the job window."""
@@ -209,30 +210,8 @@ class Grid:
     def fresh_points(self, new_points: Iterable[Time]) -> list[float]:
         """Sorted new breakpoints that do not snap to an existing
         boundary (nor to an earlier kept point), deduplicated with the
-        grid tolerance.
-
-        The shared point-classification of every refinement path —
-        :meth:`refine` and the specialized two-point fast path inside
-        ``PDScheduler`` both call this, so snapping semantics cannot
-        drift between them. A point within ``_TIME_EPS`` of its nearest
-        boundary snaps (the sorted array's neighbours minimize the
-        distance, so checking both neighbours equals checking all);
-        fresh points are >eps from every boundary, hence no boundary
-        can sit between two near-identical fresh points and fresh-only
-        deduplication equals deduplicating the combined list.
-        """
-        b = self.boundaries
-        points = sorted(float(p) for p in new_points)
-        slots = np.searchsorted(b, points, side="left")
-        fresh: list[float] = []
-        for p, i in zip(points, slots.tolist()):
-            near = (i < b.size and float(b[i]) - p <= _TIME_EPS) or (
-                i > 0 and p - float(b[i - 1]) <= _TIME_EPS
-            )
-            if near or (fresh and p - fresh[-1] <= _TIME_EPS):
-                continue
-            fresh.append(p)
-        return fresh
+        grid tolerance — :func:`_fresh_points` on this grid."""
+        return _fresh_points(self._points, new_points)
 
     def refine(self, new_points: Iterable[Time]) -> Refinement:
         """Insert breakpoints and report how old intervals split.
@@ -311,9 +290,51 @@ def _dedupe(sorted_points: Sequence[float]) -> list[float]:
     return out
 
 
-def _boundary_index(boundaries: FloatArray, t: Time) -> int | None:
-    """Index of ``t`` within ``boundaries`` (up to tolerance), else None."""
-    i = int(np.searchsorted(boundaries, t - _TIME_EPS, side="left"))
-    if i < boundaries.size and abs(float(boundaries[i]) - t) <= _TIME_EPS * max(1.0, abs(t)) + _TIME_EPS:
+def _fresh_points(bounds: Sequence[float], new_points: Iterable[Time]) -> list[float]:
+    """Sorted ``new_points`` that do not snap to ``bounds``, deduplicated.
+
+    The one point classifier of every grid refinement: :meth:`Grid.refine`,
+    PD's online grid and the epoch path's block check all call it, so
+    the snapping rule cannot drift between them. A point within
+    ``_TIME_EPS`` of its nearest boundary snaps (the sorted list's
+    neighbours minimize the distance, so checking both neighbours
+    equals checking all); fresh points are >eps from every boundary,
+    hence no boundary can sit between two near-identical fresh points
+    and fresh-only deduplication equals deduplicating the combined list.
+    """
+    size = len(bounds)
+    fresh: list[float] = []
+    for p in sorted(float(p) for p in new_points):
+        i = bisect_left(bounds, p)
+        near = (i < size and bounds[i] - p <= _TIME_EPS) or (
+            i > 0 and p - bounds[i - 1] <= _TIME_EPS
+        )
+        if near or (fresh and p - fresh[-1] <= _TIME_EPS):
+            continue
+        fresh.append(p)
+    return fresh
+
+
+def _boundary_index(bounds: Sequence[float], t: Time) -> int | None:
+    """Index of ``t`` within ``bounds`` (up to tolerance), else None."""
+    i = bisect_left(bounds, t - _TIME_EPS)
+    if i < len(bounds) and abs(bounds[i] - t) <= _TIME_EPS * max(1.0, abs(t)) + _TIME_EPS:
         return i
     return None
+
+
+def _window(bounds: Sequence[float], start: Time, end: Time) -> range:
+    """Indices of the intervals of ``bounds`` inside ``[start, end)``.
+
+    Both endpoints must be boundaries up to the :func:`_boundary_index`
+    tolerance; otherwise a :class:`GridMismatchError` surfaces the stale
+    grid. :meth:`Grid.covering` and PD's online grid both call it.
+    """
+    i = _boundary_index(bounds, start)
+    j = _boundary_index(bounds, end)
+    if i is None or j is None:
+        raise GridMismatchError(
+            f"window [{start}, {end}) is not aligned with the grid; "
+            "refine the grid with these endpoints first"
+        )
+    return range(i, j)

@@ -36,6 +36,19 @@ from .power import PolynomialPower
 
 __all__ = ["Job", "Instance"]
 
+
+def check_processor_count(m: object) -> None:
+    """Raise the canonical error unless ``m`` is an int >= 1.
+
+    A bool is rejected although it is an ``int``: ``m=True`` would key
+    differently from ``m=1`` (its canonical JSON says ``true``).
+    """
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
+        raise InvalidParameterError(
+            f"processor count m must be an int >= 1, got {m!r}"
+        )
+
+
 #: Values at least this large are treated as "must finish" in helpers that
 #: construct classical (no-rejection) instances.
 _HUGE_VALUE = 1e30
@@ -135,8 +148,7 @@ class Instance:
     _power: PolynomialPower = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.m, int) or self.m < 1:
-            raise InvalidParameterError(f"processor count m must be an int >= 1, got {self.m!r}")
+        check_processor_count(self.m)
         jobs = tuple(self.jobs)
         if not all(isinstance(j, Job) for j in jobs):
             raise InvalidInstanceError("all elements of `jobs` must be Job objects")
@@ -183,10 +195,7 @@ class Instance:
             raise InvalidInstanceError(
                 f"from_arrays expects a JobArrays, got {type(arrays).__name__}"
             )
-        if not isinstance(m, int) or m < 1:
-            raise InvalidParameterError(
-                f"processor count m must be an int >= 1, got {m!r}"
-            )
+        check_processor_count(m)
         inst = object.__new__(cls)
         object.__setattr__(inst, "m", m)
         object.__setattr__(inst, "alpha", alpha)

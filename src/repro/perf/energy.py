@@ -171,7 +171,7 @@ def schedule_energy(
 
 def stores_energy(
     states: Sequence[IntervalLoads],
-    lengths: FloatArray,
+    lengths: Sequence[float],
     m: int,
     power: PowerFunction,
 ) -> float:

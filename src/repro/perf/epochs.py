@@ -19,9 +19,11 @@ bookkeeping hoisted into batched numpy passes:
   nearness test, vectorized over every window endpoint in the block.
   Blocks are *split at the first refining arrival*: that job runs the
   full scalar path (grid refinement included), everything before it is
-  batched against a grid that provably does not change under it. In
-  steady state (the grid has converged to the workload's breakpoints)
-  blocks run at full width;
+  batched against a grid that provably does not change under it. A
+  block whose first arrival refines is told so by the scalar classifier
+  on the scheduler's boundary list, so the numpy ``Grid`` this scan
+  reads is built at most once per refinement. In steady state (the grid
+  has converged to the workload's breakpoints) blocks run at full width;
 * **window lookup** — one vectorized ``np.searchsorted`` for every
   window endpoint in the block, replicating the exact
   ``_boundary_index`` tolerance semantics of ``Grid.covering``;
@@ -34,7 +36,7 @@ bookkeeping hoisted into batched numpy passes:
   ``target*(m-d) - suffix[d] > 0``. An all-zero answer fixes the
   reference outcome completely (reject at value, speed = cap, nothing
   placed, no state mutation), so such a job skips the ``WindowKernel``
-  build and the bisection without changing a bit;
+  build and the water-fill without changing a bit;
 * **deferred suffix maintenance** — accepts insert with
   :meth:`~repro.perf.kernels.IntervalLoads.insert_deferred` and suffix
   sums are rebuilt lazily, right before the next query that reads them,
@@ -66,7 +68,7 @@ import numpy as np
 
 from ..core.waterfill import waterfill_job
 from ..errors import InvalidParameterError
-from ..model.intervals import _TIME_EPS
+from ..model.intervals import _TIME_EPS, _fresh_points, _window
 from .kernels import WindowKernel
 
 __all__ = [
@@ -128,9 +130,9 @@ def arrive_epochs(scheduler, arrays, *, epoch_size: int = DEFAULT_EPOCH_SIZE) ->
     scheduler must not have been fed through ``arrive()`` before (the
     two storage layouts do not mix).
     """
-    if epoch_size < 1:
+    if isinstance(epoch_size, bool) or not isinstance(epoch_size, int) or epoch_size < 1:
         raise InvalidParameterError(
-            f"epoch_size must be >= 1, got {epoch_size}"
+            f"epoch_size must be an int >= 1, got {epoch_size!r}"
         )
     if scheduler._jobs:
         raise InvalidParameterError(
@@ -184,12 +186,10 @@ def _scalar_arrive(sched, arrays, i: int) -> None:
 
     sched._flush_suffixes()
     sched._refine_grid(release, deadline)
-    grid = sched._grid
-    ks = grid.covering(release, deadline)
-    lengths = grid.lengths
+    ks = _window(sched._bounds, release, deadline)
     kernel = WindowKernel(
-        [sched._states[k] for k in ks],
-        [float(lengths[k]) for k in ks],
+        sched._states[ks.start : ks.stop],
+        sched._lengths[ks.start : ks.stop],
         sched.m,
     )
     outcome = waterfill_job(
@@ -247,7 +247,12 @@ def _process_block(sched, arrays, lo: int, hi: int) -> int:
             f"{float(r[stop])} after {float(runmax[stop])}"
         )
 
-    if sched._grid is None:
+    # A first arrival that refines (or bootstraps) the grid runs scalar
+    # before any numpy ``Grid`` is built for the block: the same
+    # classification as the vectorized nearness test below.
+    if not sched._bounds or _fresh_points(
+        sched._bounds, (float(r[0]), float(arrays.deadlines[lo]))
+    ):
         _scalar_arrive(sched, arrays, lo)
         return lo + 1
 
@@ -256,11 +261,7 @@ def _process_block(sched, arrays, lo: int, hi: int) -> int:
     d = arrays.deadlines[lo:hi]
     ok = _near_boundary(b, r) & _near_boundary(b, d)
     if not bool(ok.all()):
-        cut = lo + int(np.argmin(ok))
-        if cut == lo:
-            _scalar_arrive(sched, arrays, lo)
-            return lo + 1
-        hi = cut
+        hi = lo + int(np.argmin(ok))
         r = r[: hi - lo]
         d = d[: hi - lo]
     cnt = hi - lo
@@ -287,7 +288,7 @@ def _process_block(sched, arrays, lo: int, hi: int) -> int:
 
     states = sched._states
     planned = sched._planned
-    len_list = sched._length_list()
+    len_list = sched._lengths
     m = sched.m
     dirty = sched._dirty_suffix
     delta = sched.delta

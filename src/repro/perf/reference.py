@@ -28,10 +28,12 @@ import numpy as np
 from ..chen.interval_power import SortedLoads
 from ..classical.execution import schedule_from_segments
 from ..classical.oa import oa_plan
+from ..classical.timeline import IntervalSet
+from ..classical.yds import YdsResult, _yds
 from ..core.cll import CLLResult, cll_admits
 from ..core.pd import JobDecision, PDResult
 from ..core.waterfill import WaterfillOutcome, waterfill_job
-from ..errors import InvalidParameterError
+from ..errors import InvalidParameterError, SolverError
 from ..model.intervals import Grid, Refinement
 from ..model.job import Instance, Job
 from ..model.power import PolynomialPower, PowerFunction
@@ -47,6 +49,7 @@ __all__ = [
     "run_pd_reference",
     "schedule_energy_reference",
     "waterfill_job_reference",
+    "yds_reference",
 ]
 
 #: Kernel -> reference counterpart, for pairs the ``<name>_reference``
@@ -267,7 +270,8 @@ def arrive_epochs_reference(scheduler, arrays) -> None:
         scheduler.arrive(arrays.job(i))
 
 
-#: CLL's event and work tolerances, as ``repro.core.cll`` defines them.
+#: The event and work tolerances of ``repro.core.cll`` (the event one is
+#: also ``repro.classical.yds``'s).
 _EPS = 1e-12
 _WORK_TOL = 1e-9
 
@@ -513,3 +517,44 @@ def waterfill_job_reference(
     return WaterfillOutcome(
         accepted=True, lam=lam, speed=s, loads=loads, planned_work=placed
     )
+
+
+def yds_reference(instance: Instance, *, grid: Grid | None = None) -> YdsResult:
+    """YDS with the historical literal critical-window scan each round.
+
+    The frozen oracle of :func:`repro.classical.yds.yds`, whose
+    vectorized prefix-workload scan replaced the literal O(E^2 · n)
+    rescan below; the parity suite asserts identical groups, speeds,
+    segments and schedules.
+    """
+    return _yds(instance, grid, _critical_window_reference)
+
+
+def _critical_window_reference(
+    instance: Instance, remaining: set, events: list, frozen: IntervalSet
+) -> tuple[float, float, float, list[int]]:
+    """The historical literal critical-window scan (O(E^2 · n)), verbatim."""
+    best: tuple[float, float, float, list[int]] | None = None
+    for ai in range(len(events)):
+        for bi in range(ai + 1, len(events)):
+            a, b = events[ai], events[bi]
+            inside = [
+                j
+                for j in remaining
+                if instance[j].release >= a - _EPS
+                and instance[j].deadline <= b + _EPS
+            ]
+            if not inside:
+                continue
+            avail = (b - a) - frozen.measure_within(a, b)
+            if avail <= _EPS:
+                raise SolverError(
+                    f"no available time left in candidate window [{a}, {b}] "
+                    "yet jobs remain — inconsistent frozen state"
+                )
+            g = sum(instance[j].workload for j in inside) / avail
+            if best is None or g > best[0] + _EPS:
+                best = (g, a, b, inside)
+    if best is None:  # pragma: no cover - remaining non-empty implies a window
+        raise SolverError("no critical window found")
+    return best

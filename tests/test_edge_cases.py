@@ -255,3 +255,46 @@ class TestExtensionEdgeCases:
         out = search_adversarial([inst], rounds=0, rng=0)
         assert out.instance.jobs == inst.jobs
         assert out.evaluations == 1
+
+
+class TestHostileParameters:
+    """Parameters a caller can pass by mistake fail at construction with
+    the canonical error, not later with a raw one (or not at all)."""
+
+    @pytest.mark.parametrize("m", [True, False, 2.5, float("nan"), "2", 0])
+    def test_instance_rejects_non_int_m(self, m):
+        with pytest.raises(InvalidParameterError, match="processor count"):
+            Instance((Job(0.0, 1.0, 1.0, 1.0),), m=m)
+
+    def test_columnar_instance_rejects_bool_m(self):
+        arrays = Instance.from_tuples([(0.0, 1.0, 1.0, 1.0)]).arrays
+        with pytest.raises(InvalidParameterError, match="processor count"):
+            Instance.from_arrays(arrays, m=True)
+
+    @pytest.mark.parametrize("m", [True, 2.5, float("nan"), 0])
+    def test_scheduler_rejects_non_int_m(self, m):
+        with pytest.raises(InvalidParameterError, match="processor count"):
+            PDScheduler(m=m, alpha=3.0)
+
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_scheduler_rejects_bad_delta(self, delta):
+        with pytest.raises(InvalidParameterError, match="delta"):
+            PDScheduler(m=1, alpha=3.0, delta=delta)
+
+    def test_scheduler_rejects_nan_delta_with_custom_power(self):
+        from repro.model.power import PolynomialPower
+
+        with pytest.raises(InvalidParameterError, match="delta"):
+            PDScheduler(
+                m=1, alpha=3.0, delta=float("nan"), power=PolynomialPower(2.5)
+            )
+
+    @pytest.mark.parametrize("epoch_size", [2.5, True, 0, "8"])
+    def test_epochs_reject_non_int_epoch_size(self, epoch_size):
+        arrays = Instance.from_tuples(
+            [(0.0, 1.0, 1.0, 1.0), (0.5, 2.0, 1.0, 1.0)]
+        ).arrays
+        sched = PDScheduler(m=1, alpha=3.0, batch="epoch")
+        with pytest.raises(InvalidParameterError, match="epoch_size"):
+            sched.arrive_many(arrays, epoch_size=epoch_size)
+        assert sched._count == 0

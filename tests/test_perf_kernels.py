@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.certificates import dual_certificate
 from repro.chen.interval_power import SortedLoads
-from repro.classical.oa import run_oa
+from repro.classical.oa import _PlanJob, run_oa
 from repro.classical.yds import yds
 from repro.core.pd import run_pd
 from repro.core.waterfill import waterfill_job
@@ -28,7 +28,7 @@ from repro.io.serialize import schedule_to_dict, stable_hash
 from repro.model.intervals import Grid
 from repro.model.job import Instance
 from repro.perf.kernels import IntervalLoads, WindowKernel
-from repro.perf.reference import run_pd_reference
+from repro.perf.reference import run_pd_reference, yds_reference
 from repro.workloads import (
     heavy_tail_instance,
     poisson_instance,
@@ -145,6 +145,41 @@ def boundary_instances(draw):
     return Instance.from_tuples(jobs, m=m, alpha=draw(st.sampled_from([2.0, 3.0])))
 
 
+#: Grid starts ``lo`` where ``lo - (lo - 1e-12)`` rounds above 1e-12: a
+#: release 1e-12 before ``lo`` passes the release-order tolerance yet is
+#: past the snap tolerance of the grid's left end, so it extends the span.
+_LEFT_EXTENDABLE = [0.1, 1.5, 2.0, 3.0, 7.0]
+
+
+@st.composite
+def span_extending_arrivals(draw):
+    """Arrival sequences, fed in the drawn order, in which one later job
+    extends the grid on both sides at once: its release sits 1e-12 before
+    the grid's left end (allowed by the release-order tolerance) and its
+    deadline past the right end. Other arrivals split the span or
+    extend it on the right only."""
+    lo = draw(st.sampled_from(_LEFT_EXTENDABLE))
+    work = st.floats(min_value=0.05, max_value=5.0)
+    value = st.floats(min_value=1e-3, max_value=50.0)
+    hi = lo + draw(st.floats(min_value=0.5, max_value=3.0))
+    jobs = [(lo, hi, draw(work), draw(value))]
+    before = draw(st.integers(0, 3))
+    for i in range(before + 1 + draw(st.integers(0, 3))):
+        if i == before:
+            release = lo - 1e-12
+            hi += draw(st.floats(min_value=0.01, max_value=2.0))
+            deadline = hi
+        else:
+            release = lo
+            deadline = draw(
+                st.sampled_from([hi, hi + 1e-12, hi + 0.75, lo + 0.25])
+            )
+            hi = max(hi, deadline)
+        jobs.append((release, deadline, draw(work), draw(value)))
+    m = draw(st.integers(min_value=1, max_value=5))
+    return m, draw(st.sampled_from([2.0, 3.0])), jobs
+
+
 class TestPDParityProperty:
     """``IntervalLoads``/``WindowKernel`` PD, per arrival and in epochs,
     against ``run_pd_reference`` on generated instances, bit for bit."""
@@ -158,6 +193,41 @@ class TestPDParityProperty:
         assert epoch.decisions == old.decisions
         assert np.array_equal(epoch.schedule.loads, old.schedule.loads)
         assert np.array_equal(epoch.planned_loads, old.planned_loads)
+
+    @given(case=span_extending_arrivals())
+    @settings(max_examples=30, deadline=None)
+    def test_span_extended_on_both_sides_at_once(self, case):
+        from repro.core.pd import PDScheduler
+        from repro.model.job import Job
+        from repro.model.job_arrays import JobArrays
+        from repro.perf.reference import PDSchedulerReference
+
+        m, alpha, rows = case
+        new = PDScheduler(m=m, alpha=alpha)
+        old = PDSchedulerReference(m=m, alpha=alpha)
+        spans = []
+        for row in rows:
+            job = Job(*row)
+            assert new.arrive(job) == old.arrive(job)
+            spans.append(new._grid.span)
+            assert np.array_equal(new._grid.boundaries, old._grid.boundaries)
+            assert np.array_equal(new._grid.lengths, old._grid.lengths)
+        # The strategy's promise: some arrival moved both span ends.
+        assert any(
+            a[0] > b[0] and a[1] < b[1] for a, b in zip(spans, spans[1:])
+        )
+        fresh, ref = new.finish(), old.finish()
+        assert fresh.decisions == ref.decisions
+        assert np.array_equal(fresh.schedule.loads, ref.schedule.loads)
+        assert np.array_equal(fresh.planned_loads, ref.planned_loads)
+        assert fresh.schedule.energy == ref.schedule.energy
+
+        epoch = PDScheduler(m=m, alpha=alpha, batch="epoch")
+        epoch.arrive_many(JobArrays(*map(list, zip(*rows))), epoch_size=2)
+        result = epoch.finish()
+        assert result.decisions == ref.decisions
+        assert np.array_equal(result.schedule.loads, ref.schedule.loads)
+        assert np.array_equal(result.planned_loads, ref.planned_loads)
 
 
 class TestKernelPrimitives:
@@ -333,7 +403,7 @@ class TestYdsOaParity:
     def test_yds_fast_scan_equals_reference(self, seed, family):
         inst = self.classical(18, seed, family)
         fast = yds(inst)
-        slow = yds(inst, scan="reference")
+        slow = yds_reference(inst)
         assert np.array_equal(fast.schedule.loads, slow.schedule.loads)
         assert np.array_equal(fast.job_speeds, slow.job_speeds)
         assert fast.groups == slow.groups
@@ -354,7 +424,7 @@ class TestYdsOaParity:
             m=1,
             alpha=3.0,
         )
-        fast, slow = yds(inst), yds(inst, scan="reference")
+        fast, slow = yds(inst), yds_reference(inst)
         assert fast.groups == slow.groups
         assert np.array_equal(fast.schedule.loads, slow.schedule.loads)
 
@@ -375,14 +445,15 @@ class TestYdsOaParity:
             m=1,
             alpha=3.0,
         )
-        fast, slow = yds(inst), yds(inst, scan="reference")
+        fast, slow = yds(inst), yds_reference(inst)
         assert fast.groups == slow.groups
         assert np.array_equal(fast.schedule.loads, slow.schedule.loads)
 
     def test_yds_rejects_unknown_scan(self):
+        """``yds`` has one scan; the literal one is ``yds_reference``."""
         inst = self.classical(4, 0)
-        with pytest.raises(Exception, match="scan"):
-            yds(inst, scan="turbo")
+        with pytest.raises(TypeError, match="scan"):
+            yds(inst, scan="reference")
 
     @pytest.mark.parametrize("seed", range(3))
     def test_oa_on_reference_plans_is_unchanged(self, seed, monkeypatch):
@@ -394,10 +465,7 @@ class TestYdsOaParity:
 
         inst = self.classical(24, seed)
         fast = run_oa(inst)
-        original = oa_module.yds
-        monkeypatch.setattr(
-            oa_module, "yds", lambda sub: original(sub, scan="reference")
-        )
+        monkeypatch.setattr(oa_module, "yds", yds_reference)
         slow = run_oa(inst, replan="reference")
         assert fast.segments == slow.segments
         assert np.array_equal(fast.schedule.loads, slow.schedule.loads)
@@ -442,6 +510,101 @@ class TestYdsOaParity:
         inst = self.classical(4, 0)
         with pytest.raises(Exception, match="replan"):
             run_oa(inst, replan="turbo")
+
+
+@st.composite
+def plan_views(draw):
+    """Common-release plan views as OA and CLL build them: every job
+    released at ``now`` with a deadline past ``now + 1e-12``. Deadlines
+    come from a small pool (duplicates) plus offsets within +-1e-12
+    (near-duplicates straddling the scan's deadline tolerance). In tie
+    mode the jobs due at each distinct deadline split the work
+    ``rate * (gap to the previous deadline)`` unevenly (so summation
+    order shows in the last ulp), and every window has the
+    intensity ``rate`` up to rounding; at large rates that rounding is
+    of the order of ``_EPS`` itself (ties within ``_EPS``)."""
+    now = draw(st.sampled_from([0.0, 1.0, 3.7, 4096.0]))
+    pool = draw(
+        st.lists(
+            st.floats(min_value=0.01, max_value=6.0), min_size=1, max_size=8
+        )
+    )
+    jitter = st.sampled_from([0.0, 0.0, 1e-12, -1e-12, 4e-13, -4e-13, 2e-12])
+    deadlines = [
+        now + draw(st.sampled_from(pool)) + draw(jitter)
+        for _ in range(draw(st.integers(min_value=1, max_value=40)))
+    ]
+    if draw(st.booleans()):
+        rate = draw(
+            st.sampled_from([1.0, 1e3, 2.5e4, 3e5, 7e6])
+            | st.floats(min_value=0.1, max_value=1e6)
+        )
+        weights = [draw(st.floats(min_value=0.1, max_value=1.0)) for _ in deadlines]
+        distinct = sorted(set(deadlines))
+        gaps = dict(zip(distinct, np.diff([now, *distinct]).tolist()))
+        share = dict.fromkeys(distinct, 0.0)
+        for d, weight in zip(deadlines, weights):
+            share[d] += weight
+        workloads = [
+            rate * gaps[d] * weight / share[d]
+            for d, weight in zip(deadlines, weights)
+        ]
+    else:
+        workloads = [
+            draw(st.floats(min_value=1e-6, max_value=10.0)) for _ in deadlines
+        ]
+    return [_PlanJob(now, d, w) for d, w in zip(deadlines, workloads)]
+
+
+def _window_or_error(scan, view, remaining, events, frozen):
+    from repro.errors import SolverError
+
+    try:
+        g, a, b, inside = scan(view, remaining, events, frozen)
+    except SolverError as exc:
+        return ("error", str(exc))
+    return (g.hex(), a.hex(), b.hex(), inside)
+
+
+class TestPlanWindowProperty:
+    """OA/CLL's one-pass plan scan against YDS's vectorized
+    ``_critical_window`` on generated common-release views, round after
+    round (so later rounds see the frozen prefix of earlier ones):
+    ``(g, a, b, inside)`` bitwise equal, float for float."""
+
+    @given(view=plan_views())
+    @settings(max_examples=150, deadline=None)
+    def test_rounds_bitwise_identical(self, view):
+        from repro.classical.oa import _plan_window
+        from repro.classical.timeline import IntervalSet
+        from repro.classical.yds import _critical_window
+
+        remaining = set(range(len(view)))
+        frozen = IntervalSet.empty()
+        while remaining:
+            events = sorted(
+                {view[j].release for j in remaining}
+                | {view[j].deadline for j in remaining}
+            )
+            fast = _window_or_error(_plan_window, view, remaining, events, frozen)
+            slow = _window_or_error(
+                _critical_window, view, remaining, events, frozen
+            )
+            assert fast == slow
+            if fast[0] == "error":
+                break
+            _, a, b, inside = _plan_window(view, remaining, events, frozen)
+            frozen = frozen.union(IntervalSet.span(a, b).subtract(frozen))
+            remaining -= set(inside)
+
+    def test_broken_structure_raises(self):
+        from repro.classical.oa import _plan_window
+        from repro.classical.timeline import IntervalSet
+        from repro.errors import SolverError
+
+        view = [_PlanJob(0.0, 2.0, 1.0), _PlanJob(0.5, 3.0, 1.0)]
+        with pytest.raises(SolverError, match="common-release"):
+            _plan_window(view, {0, 1}, [0.0, 0.5, 2.0, 3.0], IntervalSet.empty())
 
 
 class TestBatchedEnergyParity:
@@ -522,6 +685,76 @@ class TestBatchedEnergyParity:
             assert energy == result.schedule.energy
             assert lost == result.schedule.lost_value
             assert cost == result.schedule.cost
+
+
+@st.composite
+def load_matrices(draw):
+    """Dense ``(n, N)`` load matrices built column by column from the
+    shapes the energy kernels special-case: all-zero columns, columns
+    whose total stays under the 1e-12 emptiness gate (single tiny loads
+    included), single-load columns, and multi-load columns with exact
+    ties and entries under the 1e-15 partition tolerance mixed in; ``m``
+    is drawn independently of ``n``, so often ``m > n``.
+
+    Column totals are kept clear of the gate itself: ``stores_energy``
+    sums a column's nonzeros sequentially where the dense loop sums the
+    zero-padded column pairwise, and the two gate tests can part within
+    one rounding step of 1e-12 (``repro.perf.energy``'s documented
+    caveat)."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    big_n = draw(st.integers(min_value=1, max_value=6))
+    m = draw(st.integers(min_value=1, max_value=9))
+    big = st.sampled_from([0.5, 1.25, 2.0]) | st.floats(
+        min_value=1e-6, max_value=10.0
+    )
+    tiny = st.floats(min_value=1e-18, max_value=0.9e-12 / n)
+    loads = np.zeros((n, big_n))
+    for k in range(big_n):
+        kind = draw(st.sampled_from(["zero", "tiny", "single", "multi"]))
+        if kind == "zero":
+            continue
+        if kind == "single":
+            loads[draw(st.integers(0, n - 1)), k] = draw(big)
+            continue
+        for j in range(n):
+            if draw(st.booleans()):
+                loads[j, k] = draw(tiny if kind == "tiny" else big | tiny)
+        if kind == "multi" and loads[:, k].sum() <= 1e-9:
+            loads[draw(st.integers(0, n - 1)), k] = draw(big)
+    lengths = [draw(st.floats(min_value=0.05, max_value=3.0)) for _ in range(big_n)]
+    return loads, np.cumsum([0.0, *lengths]), m, draw(st.sampled_from([2.0, 3.0]))
+
+
+class TestEnergyParityProperty:
+    """``schedule_energy`` and ``stores_energy`` against the per-column
+    reference loop on generated load matrices, bit for bit."""
+
+    @given(case=load_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_kernels_match_reference_loop(self, case):
+        from repro.perf.energy import schedule_energy, stores_energy
+        from repro.perf.reference import schedule_energy_reference
+        from repro.model.schedule import Schedule
+
+        loads, boundaries, m, alpha = case
+        grid = Grid(boundaries)
+        end = float(boundaries[-1])
+        instance = Instance.from_tuples(
+            [(0.0, end, 1.0, 1.0)] * loads.shape[0], m=m, alpha=alpha
+        )
+        schedule = Schedule(
+            instance=instance,
+            grid=grid,
+            loads=loads,
+            finished=np.ones(loads.shape[0], dtype=bool),
+        )
+        expected = schedule_energy_reference(schedule)
+        power = instance.power
+        assert schedule_energy(loads, grid.lengths, m, power) == expected
+        assert schedule.energy == expected
+        states = [IntervalLoads.from_column(loads[:, k]) for k in range(grid.size)]
+        assert stores_energy(states, grid.lengths, m, power) == expected
+        assert stores_energy(states, grid.lengths.tolist(), m, power) == expected
 
 
 class TestCertificateHelpersParity:
