@@ -7,10 +7,11 @@ each call (window lookup, kernel build, decision object) costs more
 than the water-filling arithmetic itself. The arrival-epoch layer
 (:mod:`repro.perf.epochs`) consumes the columnar job stream in blocks:
 one vectorized release-order check and one batched window lookup per
-block, then an exact scalar screen per job that rejects, without a
-kernel, every job whose price cap opens no interval of its window (95%
-of this stream). Only the jobs that actually move water fall through
-to the scalar water-fill. Decisions are bit-identical — batching
+block, then one comparison per job against the least opening speed of
+its window (the speed below which an interval absorbs nothing), which
+rejects, without a kernel, every job whose price cap opens no interval
+of its window (95% of this stream). Only the jobs that actually move
+water fall through to the scalar water-fill. Decisions are bit-identical — batching
 changes how, never what.
 
 The script first races both modes on a 100k-job prefix of the same
@@ -22,8 +23,8 @@ Run it:
     PYTHONPATH=src python examples/pd_1m_jobs.py
 
 Expected: the 100k calibration shows the epoch speedup with identical
-costs, and the full 1M-job epoch run finishes in seconds (about 5 s on
-a 2-core x86_64 box) where the per-arrival loop would take minutes.
+costs, and the full 1M-job epoch run finishes in seconds (about 3 s on
+a 2-core x86_64 box) where the per-arrival loop takes about 26 s.
 """
 
 from __future__ import annotations

@@ -43,7 +43,7 @@ from ..errors import InvalidParameterError
 from ..model.intervals import _TIME_EPS, Grid, _fresh_points, _window
 from ..model.job import Instance, Job, check_processor_count
 from ..model.schedule import Schedule
-from ..perf.kernels import IntervalLoads, WindowKernel
+from ..perf.kernels import IntervalLoads, WindowKernel, _opening_speed
 from ..types import FloatArray
 from .waterfill import waterfill_job
 
@@ -206,8 +206,12 @@ class PDScheduler:
         #: by ``run_pd(batch="epoch")`` when the instance already holds
         #: Job objects, preserving optional names bit for bit).
         self._finish_jobs: tuple[Job, ...] | None = None
-        #: Intervals whose store has deferred (unflushed) suffix sums.
-        self._dirty_suffix: set[int] = set()
+        #: Per interval, the opening speed of its store
+        #: (:func:`~repro.perf.kernels._opening_speed`), the epoch path's
+        #: zero-work settle key. None until the epoch path first asks
+        #: (:meth:`_opening_speeds`), so ``arrive()`` never pays for it;
+        #: kept current from then on wherever a store changes.
+        self._open: list[float] | None = None
 
     # ------------------------------------------------------------------
     # Online interface
@@ -338,7 +342,6 @@ class PDScheduler:
         """Assemble the final :class:`PDResult` after all arrivals."""
         if self._count == 0:
             raise InvalidParameterError("no jobs were processed")
-        self._flush_suffixes()
         instance, decisions = self._materialize()
         finished = np.array([d.accepted for d in decisions], dtype=bool)
         n = self._count
@@ -395,7 +398,6 @@ class PDScheduler:
             return 0.0
         from ..perf.energy import stores_energy  # lazy: layering
 
-        self._flush_suffixes()
         return stores_energy(self._states, self._lengths, self.m, self.power)
 
     def streaming_lost_value(self) -> float:
@@ -421,12 +423,16 @@ class PDScheduler:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _flush_suffixes(self) -> None:
-        """Rebuild every deferred suffix sum (epoch-mode bookkeeping)."""
-        if self._dirty_suffix:
-            for k in self._dirty_suffix:
-                self._states[k].flush_suffix()
-            self._dirty_suffix.clear()
+    def _opening_speeds(self) -> list[float]:
+        """The per-interval opening speeds, built from the live stores
+        on first use and kept current by every store change after it."""
+        if self._open is None:
+            m = self.m
+            self._open = [
+                _opening_speed(state.suffix, length, m)
+                for state, length in zip(self._states, self._lengths)
+            ]
+        return self._open
 
     @property
     def _grid(self) -> Grid | None:
@@ -493,14 +499,21 @@ class PDScheduler:
                     "grid boundaries must be strictly increasing"
                 )
 
+        opens = self._open
         for k in sorted(splits, reverse=True):
             cuts = [old[k], *splits[k], old[k + 1]]
             length = old[k + 1] - old[k]
-            fractions = [
-                (cuts[i + 1] - cuts[i]) / length for i in range(len(cuts) - 1)
-            ]
+            widths = [cuts[i + 1] - cuts[i] for i in range(len(cuts) - 1)]
+            fractions = [width / length for width in widths]
             state = self._states[k]
-            self._states[k : k + 1] = [state.split(f) for f in fractions]
+            children = [state.split(f) for f in fractions]
+            self._states[k : k + 1] = children
+            if opens is not None:
+                # The children's lengths are these same subtractions.
+                opens[k : k + 1] = [
+                    _opening_speed(child.suffix, width, self.m)
+                    for child, width in zip(children, widths)
+                ]
             entries = self._planned[k]
             self._planned[k : k + 1] = [
                 [(job_id, z * f) for job_id, z in entries] for f in fractions
@@ -508,9 +521,13 @@ class PDScheduler:
         if front:
             self._states[0:0] = [IntervalLoads() for _ in range(front)]
             self._planned[0:0] = [[] for _ in range(front)]
+            if opens is not None:
+                opens[0:0] = [0.0] * front
         if tail:
             self._states.extend(IntervalLoads() for _ in range(tail))
             self._planned.extend([] for _ in range(tail))
+            if opens is not None:
+                opens.extend([0.0] * tail)
         self._bounds = bounds
         self._lengths = lengths
         self._grid_cache = None

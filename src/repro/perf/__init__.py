@@ -12,8 +12,8 @@ simulation paths scale without changing a single bit of their output:
   PD main loop (:func:`~repro.perf.epochs.arrive_epochs` plus the
   ambient :func:`~repro.perf.epochs.batch_mode` switch): blocks of
   consecutive arrivals consumed off the columnar job storage with
-  vectorized order/window passes and an exact scalar zero-work screen,
-  bit-identical decisions;
+  vectorized order/window/price-cap passes and zero-work rejects
+  settled against per-interval opening speeds, bit-identical decisions;
 * :mod:`repro.perf.energy` — batched multi-interval energy evaluation
   (:func:`~repro.perf.energy.schedule_energy` over dense load matrices,
   :func:`~repro.perf.energy.stores_energy` over streaming

@@ -27,21 +27,26 @@ bookkeeping hoisted into batched numpy passes:
 * **window lookup** — one vectorized ``np.searchsorted`` for every
   window endpoint in the block, replicating the exact
   ``_boundary_index`` tolerance semantics of ``Grid.covering``;
-* **exact zero-work screen** — most arrivals at scale are rejected at
-  their value because no interval of their window opens at their price
-  cap. Each aligned arrival with a non-empty window computes that cap
-  (the same ``derivative_inverse`` scalar the reference water-fill
-  starts from) and asks the *live* stores, accepts earlier in the block
-  included, the reference kernel's own per-interval question there:
-  ``target*(m-d) - suffix[d] > 0``. An all-zero answer fixes the
-  reference outcome completely (reject at value, speed = cap, nothing
-  placed, no state mutation), so such a job skips the ``WindowKernel``
-  build and the water-fill without changing a bit;
-* **deferred suffix maintenance** — accepts insert with
-  :meth:`~repro.perf.kernels.IntervalLoads.insert_deferred` and suffix
-  sums are rebuilt lazily, right before the next query that reads them,
-  coalescing rebuilds across the epoch (the flushed suffix is a pure
-  function of the final loads, so coalescing is bit-invisible);
+* **batched price caps** — every arrival's cap
+  ``derivative_inverse(v / (delta * w))`` in one pass per block,
+  float for float what the scalar returns (:func:`_price_caps`);
+* **zero-work settle** — most arrivals at scale are rejected at their
+  value because no interval of their window opens at their price cap.
+  The scheduler keeps each interval's opening speed
+  (:func:`~repro.perf.kernels._opening_speed`), and an arrival with
+  ``cap * _SETTLE_MARGIN < min(opens[i0:j0])`` is settled: reject at
+  value, speed = cap, nothing placed, no state mutation — the reference
+  outcome, without a ``WindowKernel`` or a water-fill. One
+  ``minimum.reduceat`` over the block-start speeds settles most
+  arrivals at once (an insert never lowers an opening speed); the rest
+  take one list ``min`` against the live speeds, which accepts earlier
+  in the block have raised. What neither settles asks the reference
+  kernel's own per-interval question at the cap,
+  ``target*(m-d) - suffix[d] > 0``, and an all-zero answer is the same
+  reject;
+* **store upkeep** — an accept inserts into the live stores (each
+  insert rebuilds that store's suffix) and refreshes their opening
+  speeds; grid refinement keeps the speeds current too;
 * **columnar decisions** — accepted/lam/speed/planned-work land in
   per-block columns; ``JobDecision``/``Instance`` objects materialize
   once, in ``finish()``.
@@ -62,14 +67,21 @@ import contextvars
 import math
 from bisect import bisect_left
 from contextlib import contextmanager
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
 from ..core.waterfill import waterfill_job
 from ..errors import InvalidParameterError
 from ..model.intervals import _TIME_EPS, _fresh_points, _window
-from .kernels import WindowKernel
+from ..model.power import PolynomialPower
+from .kernels import _SETTLE_MARGIN, WindowKernel, _opening_speed
+
+if TYPE_CHECKING:
+    from ..core.pd import PDScheduler
+    from ..core.waterfill import WaterfillOutcome
+    from ..model.job_arrays import JobArrays
+    from ..model.power import PowerFunction
 
 __all__ = [
     "DEFAULT_EPOCH_SIZE",
@@ -120,7 +132,12 @@ def batch_mode(mode: str | None) -> Iterator[None]:
         _MODE.reset(token)
 
 
-def arrive_epochs(scheduler, arrays, *, epoch_size: int = DEFAULT_EPOCH_SIZE) -> None:
+def arrive_epochs(
+    scheduler: PDScheduler,
+    arrays: JobArrays,
+    *,
+    epoch_size: int = DEFAULT_EPOCH_SIZE,
+) -> None:
     """Feed every job of ``arrays`` to ``scheduler`` in vectorized epochs.
 
     Mutates ``scheduler`` (a :class:`~repro.core.pd.PDScheduler`) into
@@ -169,7 +186,86 @@ def _near_boundary(b: np.ndarray, points: np.ndarray) -> np.ndarray:
     return near
 
 
-def _scalar_arrive(sched, arrays, i: int) -> None:
+def _price_caps(
+    power: PowerFunction, values: np.ndarray, workloads: np.ndarray, delta: float
+) -> np.ndarray:
+    """Each arrival's price cap ``power.derivative_inverse(value /
+    (delta * workload))``, float for float, in one pass over a block.
+
+    The divisions run in numpy, IEEE-identical to the scalar ones; the
+    logarithm and the exponential go through ``math`` as in
+    :meth:`~repro.model.power.PolynomialPower.derivative_inverse`
+    (numpy's may differ in the last ulp, and caps are recorded as
+    speeds). NaN marks a cap left to the scalar call: every cap of
+    another power function, and a positive marginal whose quotient by
+    alpha underflows to 0, where the scalar raises.
+    """
+    if type(power) is not PolynomialPower:
+        return np.full(values.shape, math.nan)
+    alpha = power.alpha
+    with np.errstate(all="ignore"):  # inf and NaN marginals: see below
+        marginal = values / (delta * workloads)
+    scaled = marginal / alpha
+    ok = scaled > 0.0
+    logs = np.array(list(map(math.log, np.where(ok, scaled, 1.0).tolist())))
+    logs /= alpha - 1.0
+    over = logs > 690.0  # the scalar's overflow edge: no cap
+    caps = np.array(list(map(math.exp, np.where(over, 0.0, logs).tolist())))
+    caps[over] = math.inf
+    caps[~ok] = np.where(marginal[~ok] <= 0.0, 0.0, math.nan)
+    return caps
+
+
+def _settled_at_block_start(
+    opens: list[float],
+    i_idx: np.ndarray,
+    j_idx: np.ndarray,
+    usable: np.ndarray,
+    caps: np.ndarray,
+) -> np.ndarray:
+    """Mask of the ``usable`` arrivals whose cap the block-start opening
+    speeds already settle: ``cap * _SETTLE_MARGIN < min(opens[i0:j0])``.
+
+    Opening speeds only rise under inserts and nothing refines the grid
+    inside a block, so an arrival settled here is still settled when
+    the loop reaches it. One ``minimum.reduceat`` over the interleaved
+    window bounds (a padded ``inf`` closes the last window) gives every
+    window's minimum.
+    """
+    if not usable.any():
+        return usable
+    base = int(i_idx[usable].min())
+    top = int(j_idx[usable].max())
+    speeds = np.array(opens[base:top] + [math.inf])
+    bounds = np.where(usable, np.stack((i_idx, j_idx)) - base, top - base)
+    window_min = np.minimum.reduceat(speeds, bounds.T.ravel())[::2]
+    return usable & (caps * _SETTLE_MARGIN < window_min)
+
+
+def _commit(
+    sched: PDScheduler, i0: int, outcome: WaterfillOutcome, job_id: int
+) -> None:
+    """Record one filled arrival's loads in the window starting at
+    interval ``i0``: planned loads always, live stores (and their
+    opening speeds, once tracked) on an accept. Exact zeros carry no
+    information and are skipped, as in ``PDScheduler.arrive``."""
+    states = sched._states
+    planned = sched._planned
+    opens = sched._open
+    accepted = outcome.accepted
+    for offset, z in enumerate(outcome.loads.tolist()):
+        if z == 0.0:
+            continue
+        k = i0 + offset
+        if accepted:
+            state = states[k]
+            state.insert(job_id, z)
+            if opens is not None:
+                opens[k] = _opening_speed(state.suffix, sched._lengths[k], sched.m)
+        planned[k].append((job_id, z))
+
+
+def _scalar_arrive(sched: PDScheduler, arrays: JobArrays, i: int) -> None:
     """One arrival through the full scalar path (grid refinement included).
 
     Used for the grid-bootstrapping first job and for every arrival
@@ -179,12 +275,9 @@ def _scalar_arrive(sched, arrays, i: int) -> None:
     """
     release = float(arrays.releases[i])
     deadline = float(arrays.deadlines[i])
-    workload = float(arrays.workloads[i])
-    value = float(arrays.values[i])
     if release > sched._last_release:
         sched._last_release = release
 
-    sched._flush_suffixes()
     sched._refine_grid(release, deadline)
     ks = _window(sched._bounds, release, deadline)
     kernel = WindowKernel(
@@ -194,28 +287,20 @@ def _scalar_arrive(sched, arrays, i: int) -> None:
     )
     outcome = waterfill_job(
         kernel,
-        workload=workload,
-        value=value,
+        workload=float(arrays.workloads[i]),
+        value=float(arrays.values[i]),
         delta=sched.delta,
         power=sched.power,
     )
     job_id = sched._count
-    loads = outcome.loads
-    accepted = outcome.accepted
-    for offset, k in enumerate(ks):
-        z = float(loads[offset])
-        if z == 0.0:
-            continue
-        if accepted:
-            sched._states[k].insert(job_id, z)
-        sched._planned[k].append((job_id, z))
+    _commit(sched, ks.start, outcome, job_id)
     sched._chunks.append(
         (
             arrays.releases[i : i + 1],
             arrays.deadlines[i : i + 1],
             arrays.workloads[i : i + 1],
             arrays.values[i : i + 1],
-            [accepted],
+            [outcome.accepted],
             [outcome.lam],
             [outcome.speed],
             [outcome.planned_work],
@@ -224,7 +309,7 @@ def _scalar_arrive(sched, arrays, i: int) -> None:
     sched._count = job_id + 1
 
 
-def _process_block(sched, arrays, lo: int, hi: int) -> int:
+def _process_block(sched: PDScheduler, arrays: JobArrays, lo: int, hi: int) -> int:
     """Process arrivals ``[lo, hi)``; return the next unprocessed index.
 
     May stop early: at a release-order violation (after processing the
@@ -257,6 +342,7 @@ def _process_block(sched, arrays, lo: int, hi: int) -> int:
         return lo + 1
 
     grid = sched._grid
+    assert grid is not None  # built from the non-empty boundary list
     b = grid.boundaries
     d = arrays.deadlines[lo:hi]
     ok = _near_boundary(b, r) & _near_boundary(b, d)
@@ -287,95 +373,78 @@ def _process_block(sched, arrays, lo: int, hi: int) -> int:
     )
 
     states = sched._states
-    planned = sched._planned
     len_list = sched._lengths
+    opens = sched._opening_speeds()
     m = sched.m
-    dirty = sched._dirty_suffix
     delta = sched.delta
     power = sched.power
     derivative_inverse = power.derivative_inverse
     inf = math.inf
     base_id = sched._count
 
-    rl = r.tolist()
-    dl = d.tolist()
-    wl = w.tolist()
-    vl = v.tolist()
     il = i_idx.tolist()
     jl = j_idx.tolist()
     algn = aligned.tolist()
-    acc: list[bool] = []
-    lam: list[float] = []
-    spd: list[float] = []
-    pw: list[float] = []
+    wl = w.tolist()
+    vl = v.tolist()
+    # Every arrival starts out as a zero-work reject (lambda = value,
+    # speed = cap, nothing planned); the water-fill overwrites its row.
+    acc = [False] * cnt
+    lam = list(vl)
+    caps = _price_caps(power, v, w, delta)
+    spd = caps.tolist()
+    pw = [0.0] * cnt
+    settled = _settled_at_block_start(
+        opens, i_idx, j_idx, aligned & (j_idx > i_idx), caps
+    )
 
-    for t in range(cnt):
-        value = vl[t]
-        workload = wl[t]
+    for t in np.flatnonzero(~settled).tolist():
         i0 = il[t]
         j0 = jl[t]
         if algn[t] and j0 > i0:
-            # Exact zero-work screen against the *live* stores: the
-            # reference kernel's own per-interval water-level query at
-            # the reference's price cap. All zero at a finite cap fixes
-            # the reference outcome (reject at value, nothing placed, no
-            # state mutation); a non-finite cap is bracketed by doubling
-            # inside ``waterfill_job`` instead.
-            s_cap = derivative_inverse(value / (delta * workload))
+            s_cap = spd[t]
+            if s_cap != s_cap:  # NaN: left to the scalar by _price_caps
+                s_cap = spd[t] = derivative_inverse(vl[t] / (delta * wl[t]))
+            # Settle against the live opening speeds (accepts earlier in
+            # the block included); failing that, the exact screen asks
+            # the reference kernel's own per-interval question at the
+            # cap. Either way an all-zero answer at a finite cap is the
+            # reference outcome the row already holds (reject at value,
+            # nothing placed, no state mutation); a non-finite cap is
+            # bracketed by doubling inside ``waterfill_job`` instead.
             zero = s_cap < inf
-            if zero and s_cap > 0.0:
+            if (
+                zero
+                and s_cap > 0.0
+                and not s_cap * _SETTLE_MARGIN < min(opens[i0:j0])
+            ):
                 for k in range(i0, j0):
                     state = states[k]
-                    if k in dirty:
-                        state.flush_suffix()
-                        dirty.discard(k)
                     target = s_cap * len_list[k]
                     dd = bisect_left(state.neg, -target)
                     if dd < m and target * (m - dd) - state.suffix[dd] > 0.0:
                         zero = False
                         break
             if zero:
-                acc.append(False)
-                lam.append(value)
-                spd.append(s_cap)
-                pw.append(0.0)
                 continue
         # Full scalar water-fill against the live stores (reference
         # floats in reference order).
-        if algn[t]:
-            ks = range(i0, j0)
-        else:  # pragma: no cover - near implies aligned; insurance only
-            ks = grid.covering(rl[t], dl[t])
+        if not algn[t]:  # pragma: no cover - near implies aligned; insurance only
+            ks = grid.covering(float(r[t]), float(d[t]))
             i0, j0 = ks.start, ks.stop
-        if dirty:
-            for k in ks:
-                if k in dirty:
-                    states[k].flush_suffix()
-                    dirty.discard(k)
         kernel = WindowKernel(states[i0:j0], len_list[i0:j0], m)
         outcome = waterfill_job(
             kernel,
-            workload=workload,
-            value=value,
+            workload=wl[t],
+            value=vl[t],
             delta=delta,
             power=power,
         )
-        loads = outcome.loads
-        accepted = outcome.accepted
-        job_id = base_id + t
-        for offset in range(j0 - i0):
-            z = float(loads[offset])
-            if z == 0.0:
-                continue
-            k = i0 + offset
-            if accepted:
-                states[k].insert_deferred(job_id, z)
-                dirty.add(k)
-            planned[k].append((job_id, z))
-        acc.append(accepted)
-        lam.append(outcome.lam)
-        spd.append(outcome.speed)
-        pw.append(outcome.planned_work)
+        _commit(sched, i0, outcome, base_id + t)
+        acc[t] = outcome.accepted
+        lam[t] = outcome.lam
+        spd[t] = outcome.speed
+        pw[t] = outcome.planned_work
 
     sched._chunks.append((r, d, w, v, acc, lam, spd, pw))
     sched._count = base_id + cnt

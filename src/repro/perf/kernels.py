@@ -49,6 +49,18 @@ from ..types import FloatArray
 
 __all__ = ["IntervalLoads", "WindowKernel"]
 
+#: Relative margin of the zero-work settle rule: a price cap ``s``
+#: places no work in a window when ``s * _SETTLE_MARGIN`` is below the
+#: least :func:`_opening_speed` of its intervals. The margin covers the
+#: few roundings between an opening speed and the kernel's own
+#: per-interval test ``target * (m - d) - suffix[d] > 0``.
+_SETTLE_MARGIN = 1.0 + 1e-9
+
+#: Opening levels and speeds under this read as 0 (open at any speed):
+#: near the subnormal range rounding errors stop being relative, and
+#: :data:`_SETTLE_MARGIN` would no longer cover them.
+_OPEN_FLOOR = 2.0**-1000
+
 
 class IntervalLoads:
     """One atomic interval's positive loads, sorted descending, live.
@@ -106,32 +118,6 @@ class IntervalLoads:
         self.ids.insert(pos, job_id)
         self._rebuild_suffix()
 
-    def insert_deferred(self, job_id: int, load: float) -> None:
-        """Sorted insertion with the suffix rebuild deferred.
-
-        The epoch-batched execution layer accepts many jobs between two
-        suffix reads, so rebuilding after every insert repeats O(p) work
-        that the next insert throws away. This variant updates only the
-        sorted ``loads``/``neg``/``ids`` triplet — identical to
-        :meth:`insert`, insertion order and all — and leaves ``suffix``
-        stale; the caller must invoke :meth:`flush_suffix` before the
-        next suffix read. The flushed suffix is a pure function of the
-        final ``loads`` list, so coalescing rebuilds cannot change a
-        bit of any subsequent query.
-        """
-        if not (load > 0.0):
-            raise InvalidParameterError(
-                f"interval loads must be > 0, got {load}"
-            )
-        pos = bisect_right(self.neg, -load)
-        self.loads.insert(pos, load)
-        self.neg.insert(pos, -load)
-        self.ids.insert(pos, job_id)
-
-    def flush_suffix(self) -> None:
-        """Rebuild the suffix sums after deferred insertions."""
-        self._rebuild_suffix()
-
     def split(self, fraction: float) -> "IntervalLoads":
         """Split-copy for grid refinement: every load scaled once.
 
@@ -169,6 +155,38 @@ class IntervalLoads:
         if z <= 0.0:
             return 0.0
         return z if z <= target_load else target_load
+
+
+def _opening_level(suffix: list[float], m: int) -> float:
+    """The load level ``t_open = min_{d<m} suffix[d] / (m - d)`` at
+    which an interval starts to absorb new load.
+
+    ``suffix`` is an :class:`IntervalLoads` suffix list. An interval
+    with fewer than m loads has a free processor and opens at 0.
+    """
+    if len(suffix) <= m:
+        return 0.0
+    t_open = suffix[0] / m
+    for d in range(1, m):
+        level = suffix[d] / (m - d)
+        if level < t_open:
+            t_open = level
+    return t_open
+
+
+def _opening_speed(suffix: list[float], length: float, m: int) -> float:
+    """The speed ``t_open / length`` below which an interval of
+    ``length`` absorbs nothing: its :func:`_opening_level` as a speed.
+
+    Reads 0 where the level or the speed is under ``_OPEN_FLOOR``. The
+    speed never falls when a load is inserted: each suffix sum can only
+    grow (rounding is monotone), and so can their minimum.
+    """
+    t_open = _opening_level(suffix, m)
+    speed = t_open / length
+    if t_open < _OPEN_FLOOR or speed < _OPEN_FLOOR:
+        return 0.0
+    return speed
 
 
 class WindowKernel:
@@ -266,12 +284,8 @@ class WindowKernel:
             if len(neg) < m:
                 events.append((0.0, length))
                 continue
-            t_open = suffix[0] / m
+            t_open = _opening_level(suffix, m)
             t_clip = math.inf
-            for d in range(1, m):
-                level = suffix[d] / (m - d)
-                if level < t_open:
-                    t_open = level
             for d in range(m - 1):
                 level = suffix[d] / (m - 1 - d)
                 if level < t_clip:

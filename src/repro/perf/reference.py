@@ -31,11 +31,12 @@ from ..classical.oa import oa_plan
 from ..classical.timeline import IntervalSet
 from ..classical.yds import YdsResult, _yds
 from ..core.cll import CLLResult, cll_admits
-from ..core.pd import JobDecision, PDResult
+from ..core.pd import JobDecision, PDResult, PDScheduler
 from ..core.waterfill import WaterfillOutcome, waterfill_job
 from ..errors import InvalidParameterError, SolverError
 from ..model.intervals import Grid, Refinement
 from ..model.job import Instance, Job
+from ..model.job_arrays import JobArrays
 from ..model.power import PolynomialPower, PowerFunction
 from ..model.schedule import Schedule
 from ..types import FloatArray
@@ -258,7 +259,7 @@ def run_pd_reference(
     return scheduler.finish()
 
 
-def arrive_epochs_reference(scheduler, arrays) -> None:
+def arrive_epochs_reference(scheduler: PDScheduler, arrays: JobArrays) -> None:
     """The per-arrival twin of :func:`repro.perf.epochs.arrive_epochs`.
 
     Feeds the columnar block one scalar ``arrive()`` at a time — the

@@ -9,6 +9,7 @@ import pytest
 from repro.errors import InvalidParameterError
 from repro.perf.bench import (
     SCENARIOS,
+    _calibration_seconds,
     compare_to_baseline,
     load_result,
     run_scenario,
@@ -137,6 +138,13 @@ class TestBaselineGate:
         bare = _series([{"n": 50, "m": 1, "wall_time": 0.10}])
         assert not compare_to_baseline(bare, costed, factor=2.0)
         assert not compare_to_baseline(costed, bare, factor=2.0)
+
+    def test_calibration_is_the_median_of_five_timings(self):
+        # Start/stop readings of a scripted clock: the yardstick times
+        # 1.0, 0.5, 3.0, 0.25 and 4.0 s, one outlier each way.
+        readings = iter([0.0, 1.0, 10.0, 10.5, 20.0, 23.0, 30.0, 30.25, 40.0, 44.0])
+        assert _calibration_seconds(clock=lambda: next(readings)) == 1.0
+        assert next(readings, None) is None
 
     def test_calibration_rescales_budget(self):
         base = _series([{"n": 1, "m": 1, "wall_time": 0.10}], calibration=0.05)

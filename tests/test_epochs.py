@@ -32,12 +32,14 @@ from repro.errors import InvalidParameterError
 from repro.general.powers import SumPower
 from repro.io.serialize import schedule_to_dict, stable_hash
 from repro.model.job import Instance
+from repro.model.power import PolynomialPower
 from repro.perf.epochs import (
     DEFAULT_EPOCH_SIZE,
     arrive_epochs,
     batch_mode,
     current_batch_mode,
 )
+from repro.perf.kernels import _opening_speed
 from repro.perf.reference import arrive_epochs_reference
 from repro.workloads import (
     diurnal_instance,
@@ -129,13 +131,13 @@ class TestPDEpochParity:
         arrive_epochs(fast, arrays, epoch_size=64)
         slow = PDScheduler(m=4, alpha=3.0)
         arrive_epochs_reference(slow, arrays)
-        fast._flush_suffixes()
         assert np.array_equal(fast._grid.boundaries, slow._grid.boundaries)
         for fs, ss in zip(fast._states, slow._states):
             assert fs.loads == ss.loads
             assert fs.ids == ss.ids
             assert fs.suffix == ss.suffix
         assert fast._planned == slow._planned
+        assert_opening_speeds_current(fast)
         assert fast.streaming_cost() == slow.streaming_cost()
         assert fast.streaming_energy() == slow.streaming_energy()
         assert fast.streaming_lost_value() == slow.streaming_lost_value()
@@ -158,6 +160,17 @@ class TestPDEpochParity:
         )
 
 
+def assert_opening_speeds_current(sched: PDScheduler) -> None:
+    """The epoch path's per-interval opening speeds equal a fresh
+    recomputation from the final stores."""
+    if sched._open is None:
+        return
+    assert sched._open == [
+        _opening_speed(state.suffix, length, sched.m)
+        for state, length in zip(sched._states, sched._lengths, strict=True)
+    ]
+
+
 def assert_scheduler_parity(instance: Instance, epoch_size: int, **kwargs) -> None:
     """Feed ``instance`` to an epoch scheduler and to the per-arrival
     twin, then compare the live stores and the finished results bit for
@@ -167,13 +180,13 @@ def assert_scheduler_parity(instance: Instance, epoch_size: int, **kwargs) -> No
     arrive_epochs(fast, arrays, epoch_size=epoch_size)
     slow = PDScheduler(m=instance.m, alpha=instance.alpha, **kwargs)
     arrive_epochs_reference(slow, arrays)
-    fast._flush_suffixes()
     assert np.array_equal(fast._grid.boundaries, slow._grid.boundaries)
     for fs, ss in zip(fast._states, slow._states, strict=True):
         assert fs.loads == ss.loads
         assert fs.ids == ss.ids
         assert fs.suffix == ss.suffix
     assert fast._planned == slow._planned
+    assert_opening_speeds_current(fast)
     new, old = fast.finish(), slow.finish()
     assert new.decisions == old.decisions
     assert np.array_equal(new.schedule.loads, old.schedule.loads)
@@ -213,6 +226,104 @@ class TestZeroWorkScreen:
             power=SumPower([1.0, 0.5], [3.0, 1.0]),
             delta=3.0**-2,
         )
+
+    def test_settled_arrivals_place_no_work(self, monkeypatch):
+        """On a 20k-job slotted stream, every fill outside
+        ``_scalar_arrive`` places work, and every arrival that plans
+        work on the per-arrival path went through a fill."""
+        inst = slotted_instance(20_000, slots=200, m=4, alpha=3.0, seed=3)
+        arrays = inst.sorted_by_release().arrays
+        in_scalar = []
+        filled = set()
+        block_fills = []
+
+        def recording_waterfill(kernel, **kwargs):
+            outcome = waterfill_job(kernel, **kwargs)
+            filled.add((kwargs["workload"], kwargs["value"]))
+            if not in_scalar:
+                block_fills.append(outcome.planned_work)
+            return outcome
+
+        scalar_arrive = epochs._scalar_arrive
+
+        def marked_scalar_arrive(*args):
+            in_scalar.append(True)
+            try:
+                scalar_arrive(*args)
+            finally:
+                in_scalar.pop()
+
+        monkeypatch.setattr(epochs, "waterfill_job", recording_waterfill)
+        monkeypatch.setattr(epochs, "_scalar_arrive", marked_scalar_arrive)
+        fast = PDScheduler(m=4, alpha=3.0, batch="epoch")
+        arrive_epochs(fast, arrays)
+        slow = PDScheduler(m=4, alpha=3.0)
+        arrive_epochs_reference(slow, arrays)
+        decisions = fast.finish().decisions
+        assert decisions == slow.finish().decisions
+        assert block_fills and all(work > 0.0 for work in block_fills)
+        workloads = arrays.workloads.tolist()
+        values = arrays.values.tolist()
+        for i, decision in enumerate(decisions):
+            if decision.planned_work > 0.0:
+                assert (workloads[i], values[i]) in filled
+
+    def test_price_caps_equal_the_scalar_inverse(self):
+        """The batched caps are ``derivative_inverse`` float for float,
+        at the overflow edge and at 0 too; NaN leaves a cap to the
+        scalar call."""
+        power = PolynomialPower(1.01)
+        delta = power.optimal_delta
+        values = np.array([0.0, 1e-300, 0.3, 2.5, 5e3, 1e308, 7.0, 1e-320])
+        workloads = np.array([1.0, 1e10, 0.7, 1.3, 1.0, 1e-10, 1e-3, 1e3])
+        caps = epochs._price_caps(power, values, workloads, delta).tolist()
+        expected = [
+            power.derivative_inverse(v / (delta * w))
+            for v, w in zip(values.tolist(), workloads.tolist())
+        ]
+        assert caps == expected
+        assert 0.0 in caps and np.inf in caps
+        cubic = PolynomialPower(3.0)
+        rng = np.random.default_rng(0)
+        values = rng.uniform(0.05, 8.0, 500) * 10.0 ** rng.uniform(-12, 12, 500)
+        workloads = rng.exponential(1.0, 500) + 1e-3
+        caps = epochs._price_caps(cubic, values, workloads, 1 / 9).tolist()
+        assert caps == [
+            cubic.derivative_inverse(v / ((1 / 9) * w))
+            for v, w in zip(values.tolist(), workloads.tolist())
+        ]
+        # A positive marginal whose quotient by alpha underflows makes
+        # the scalar raise; the batch leaves it to the scalar.
+        tiny = epochs._price_caps(cubic, np.array([5e-324]), np.array([9.0]), 1 / 9)
+        assert np.isnan(tiny).all()
+        assert np.isnan(
+            epochs._price_caps(SumPower([1.0], [3.0]), values, workloads, 0.5)
+        ).all()
+
+
+def hostile_caps(alpha: float) -> Instance:
+    """A slotted stream salted with arrivals whose price caps are 0
+    (value 0), infinite (alpha near 1 maps a large marginal past the
+    ``exp`` edge), or overflowing (``value / (delta * workload)`` is
+    itself ``inf``). Each shares the window of an ordinary job that
+    arrives before it, so it runs in a block rather than refining."""
+    base = slotted_instance(60, slots=6, span_max=3, m=2, alpha=alpha, seed=8)
+    jobs = [(j.release, j.deadline, j.workload, j.value) for j in base.jobs]
+    for release, deadline, _, _ in jobs[::6]:
+        jobs += [
+            (release, deadline, 0.8, 0.0),
+            (release, deadline, 1.0, 5e3),
+            (release, deadline, 1e-10, 1e308),
+        ]
+    return Instance.from_tuples(jobs, m=2, alpha=alpha)
+
+
+class TestExtremeCaps:
+    @pytest.mark.parametrize("alpha", [1.01, 3.0])
+    @pytest.mark.parametrize("epoch_size", [1, 7, None])
+    def test_zero_infinite_and_overflowing_caps(self, alpha, epoch_size):
+        instance = hostile_caps(alpha)
+        assert_scheduler_parity(instance, epoch_size or instance.n)
 
 
 @st.composite
@@ -293,7 +404,6 @@ class TestEpochErrors:
         with pytest.raises(InvalidParameterError, match="release order"):
             arrive_epochs_reference(slow, arrays)
         assert fast._count == 3
-        fast._flush_suffixes()
         for fs, ss in zip(fast._states, slow._states):
             assert fs.loads == ss.loads
 

@@ -13,6 +13,9 @@ exact equality, never tolerances.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,7 +30,13 @@ from repro.engine.runner import RECORD_VERSION, request_key
 from repro.io.serialize import schedule_to_dict, stable_hash
 from repro.model.intervals import Grid
 from repro.model.job import Instance
-from repro.perf.kernels import IntervalLoads, WindowKernel
+from repro.perf.kernels import (
+    _SETTLE_MARGIN,
+    IntervalLoads,
+    WindowKernel,
+    _opening_level,
+    _opening_speed,
+)
 from repro.perf.reference import run_pd_reference, yds_reference
 from repro.workloads import (
     heavy_tail_instance,
@@ -339,6 +348,75 @@ class TestKernelPrimitives:
         store = IntervalLoads()
         with pytest.raises(Exception, match="> 0"):
             store.insert(0, 0.0)
+
+
+@st.composite
+def opening_cases(draw):
+    """One interval's store near its opening speed: 0..3m loads drawn
+    from a small pool of magnitudes in 1e-300..1e300 (so ties are
+    common), a length, and one more load to insert."""
+    m = draw(st.integers(1, 9))
+    exponents = st.floats(-300.0, 300.0, allow_nan=False)
+    pool = draw(st.lists(exponents, min_size=1, max_size=4))
+    loads = draw(st.lists(st.sampled_from(pool), max_size=3 * m))
+    length = 10.0 ** draw(st.floats(-12.0, 12.0))
+    extra = draw(st.sampled_from(pool) | exponents)
+    return m, [10.0**e for e in loads], length, 10.0**extra
+
+
+def _kernel_opens(store: IntervalLoads, speed: float, m: int, length: float) -> bool:
+    """The per-interval test of ``WindowKernel`` and the epoch screen."""
+    target = speed * length
+    d = bisect_left(store.neg, -target)
+    return d < m and target * (m - d) - store.suffix[d] > 0.0
+
+
+class TestOpeningSpeedProperty:
+    """The zero-work settle rule ``s * _SETTLE_MARGIN < _opening_speed``
+    must never call an interval closed that the kernel's own test
+    opens, and the opening speed must never fall under an insert
+    (the epoch path settles against block-start speeds)."""
+
+    @given(case=opening_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_settle_rule_is_sound_and_monotone(self, case):
+        m, loads, length, extra = case
+        store = IntervalLoads()
+        for job_id, load in enumerate(loads):
+            store.insert(job_id, load)
+        open_speed = _opening_speed(store.suffix, length, m)
+        assert open_speed >= 0.0
+        if len(loads) < m:
+            assert open_speed == 0.0
+        speeds = [0.0, open_speed, open_speed / _SETTLE_MARGIN]
+        for base in (open_speed, open_speed / _SETTLE_MARGIN):
+            up = down = base
+            for _ in range(3):
+                up = math.nextafter(up, math.inf)
+                down = math.nextafter(down, 0.0)
+                speeds += [up, down]
+        speeds += [open_speed * (1 - 1e-9), open_speed * (1 + 1e-9)]
+        for speed in speeds:
+            if speed * _SETTLE_MARGIN < open_speed:
+                assert not _kernel_opens(store, speed, m, length)
+                assert store.max_load_at_speed(speed, m, length) == 0.0
+        if 0.0 < open_speed < math.inf:
+            # Not vacuous: a little above the opening speed, it opens.
+            assert store.max_load_at_speed(open_speed * (1 + 1e-6), m, length) > 0.0
+
+        level = _opening_level(store.suffix, m)
+        store.insert(len(loads), extra)
+        assert _opening_level(store.suffix, m) >= level
+        assert _opening_speed(store.suffix, length, m) >= open_speed
+
+    def test_opening_speed_under_the_floor_reads_zero(self):
+        """Near the subnormal range roundings stop being relative, so
+        a tiny opening speed reads 0: the interval never settles."""
+        store = IntervalLoads()
+        store.insert(0, 1e-300)
+        assert _opening_level(store.suffix, 1) == 1e-300
+        assert _opening_speed(store.suffix, 1.0, 1) == 1e-300
+        assert _opening_speed(store.suffix, 1e12, 1) == 0.0
 
 
 class TestGridRefineParity:
