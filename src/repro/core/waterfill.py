@@ -33,14 +33,48 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InvalidParameterError
-from ..model.power import PolynomialPower
+from ..model.power import PolynomialPower, PowerFunction
 from ..perf.kernels import WindowKernel
 from ..types import FloatArray
 
-__all__ = ["WaterfillOutcome", "waterfill_job"]
+__all__ = ["WaterfillOutcome", "price_cap", "waterfill_job"]
 
 #: Relative tolerance on the placed workload.
 _WORK_TOL = 1e-11
+
+
+def price_cap(
+    power: PowerFunction, value: float, workload: float, delta: float
+) -> float:
+    """The job's price cap: the speed ``s`` at which its marginal price
+    ``delta * workload * P'(s)`` reaches ``value``.
+
+    That is ``power.derivative_inverse(value / (delta * workload))``,
+    float for float, wherever that expression returns a finite cap. For
+    :class:`~repro.model.power.PolynomialPower` the rows it cannot take
+    are solved in log space,
+    ``exp((log v - log delta - log w - log alpha) / (alpha - 1))``:
+    ``delta * workload`` underflowing to 0 (a ``ZeroDivisionError``), a
+    positive quotient whose share of ``alpha`` underflows to 0 (a math
+    domain error), and the quotient overflowing (which read as no cap
+    at all). The log form keeps the scalar's overflow edge. An infinite
+    value has no cap.
+    """
+    if not math.isfinite(value):
+        return math.inf
+    if type(power) is not PolynomialPower:
+        return power.derivative_inverse(value / (delta * workload))
+    if value <= 0.0:
+        return 0.0
+    alpha = power.alpha
+    scale = delta * workload
+    marginal = value / scale if scale > 0.0 else math.inf
+    if marginal < math.inf and (marginal == 0.0 or marginal / alpha > 0.0):
+        return power.derivative_inverse(marginal)
+    log_speed = (
+        math.log(value) - math.log(delta) - math.log(workload) - math.log(alpha)
+    ) / (alpha - 1.0)
+    return math.inf if log_speed > 690.0 else math.exp(log_speed)
 
 
 @dataclass(frozen=True)
@@ -122,11 +156,7 @@ def waterfill_job(
     # value (classical must-finish jobs, the offline solver's block
     # steps, or a near-1 exponent mapping a huge value to inf) means no
     # effective cap: bracket by doubling instead.
-    s_cap = (
-        power.derivative_inverse(value / (delta * workload))
-        if math.isfinite(value)
-        else math.inf
-    )
+    s_cap = price_cap(power, value, workload, delta)
     if not math.isfinite(s_cap):
         s_cap = max(1.0, workload)
         for _ in range(200):

@@ -28,6 +28,11 @@ Four backends ship with the library, behind the common
   behind a remote :class:`~repro.engine.remote.HttpCache` tier is
   fetched over the network at most once.
 
+The three local backends also answer ``get_text(key)``: the entry's
+stored JSON text, unparsed. Their ``get`` is a parse of that text, and
+:class:`~repro.io.server.CacheServer` splices it into its replies as
+is, so a served record is never decoded and re-encoded on the server.
+
 Backends are interchangeable by construction: the parity tests assert
 bit-identical records whichever one a :class:`~repro.engine.runner.
 BatchRunner` is given.
@@ -76,6 +81,18 @@ _TMP_STALE_SECONDS = 3600.0
 _TIMING_SUFFIX = ".timing"
 
 
+def _parse_entry(text: str | None) -> dict[str, Any] | None:
+    """A local backend's ``get``, given its ``get_text``: a missing,
+    unparsable or non-object entry reads as a miss."""
+    if text is None:
+        return None
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError:
+        return None
+    return payload if isinstance(payload, dict) else None
+
+
 def _finite_timing(payload: Mapping[str, Any] | None) -> float | None:
     """The payload's measured ``wall_time``, or ``None`` if unusable."""
     if payload is None:
@@ -94,6 +111,9 @@ class CacheBackend(Protocol):
     or an idempotent overwrite with equal content (keys are content
     addresses, so both are indistinguishable). ``get`` of a missing or
     unreadable entry returns ``None`` — a miss, never an error.
+
+    ``get_text`` (see the module docstring) is not part of the
+    protocol: remote and tiered backends store no text of their own.
 
     ``close`` releases whatever the backend holds open (connections,
     sidecar files); it must be idempotent, and a closed backend may
@@ -178,6 +198,14 @@ class DirectoryCache:
                     pass
                 raise
 
+    def get_text(self, key: str) -> str | None:
+        """The stored JSON text for ``key``, unparsed, or ``None`` when
+        the file is missing or unreadable."""
+        try:
+            return self._path(key).read_text()
+        except (OSError, UnicodeDecodeError):
+            return None
+
     def get(self, key: str) -> dict[str, Any] | None:
         """The cached payload for ``key``, or ``None`` on a miss.
 
@@ -185,13 +213,7 @@ class DirectoryCache:
         disk trouble) is treated as a miss, not an error — the entry will
         be recomputed and rewritten.
         """
-        path = self._path(key)
-        try:
-            return json.loads(path.read_text())
-        except FileNotFoundError:
-            return None
-        except (json.JSONDecodeError, OSError):
-            return None
+        return _parse_entry(self.get_text(key))
 
     def put(self, key: str, payload: dict[str, Any]) -> None:
         """Store ``payload`` under ``key`` (atomic write-then-rename).
@@ -404,16 +426,27 @@ class SqliteCache:
                     raise
                 time.sleep(self._BUSY_BASE_DELAY * (2 ** attempt))
 
-    def get(self, key: str) -> dict[str, Any] | None:
+    def get_text(self, key: str) -> str | None:
+        """The stored JSON text for ``key``, unparsed, or ``None`` on a
+        miss.
+
+        The payload is read as bytes and decoded here: sqlite3 would
+        raise on a row whose bytes are not UTF-8, and such a row is a
+        corrupt entry, which reads as a miss.
+        """
         row = self._connect().execute(
-            "SELECT payload FROM entries WHERE key = ?", (key,)
+            "SELECT CAST(payload AS BLOB) FROM entries WHERE key = ?", (key,)
         ).fetchone()
         if row is None:
             return None
         try:
-            return json.loads(row[0])
-        except json.JSONDecodeError:
-            return None  # corrupt entry reads as a miss, like the dir backend
+            return row[0].decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+
+    def get(self, key: str) -> dict[str, Any] | None:
+        # A corrupt entry reads as a miss, like the dir backend.
+        return _parse_entry(self.get_text(key))
 
     def put(self, key: str, payload: dict[str, Any]) -> None:
         # The measured wall time is denormalized into its own column so
@@ -572,13 +605,17 @@ class MemoryCache:
             OrderedDict()
         )
 
-    def get(self, key: str) -> dict[str, Any] | None:
+    def get_text(self, key: str) -> str | None:
+        """The entry's stored JSON text (a use: recency is bumped)."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
                 return None
             self._entries.move_to_end(key)
-        return json.loads(entry[2])
+        return entry[2]
+
+    def get(self, key: str) -> dict[str, Any] | None:
+        return _parse_entry(self.get_text(key))
 
     def put(self, key: str, payload: dict[str, Any]) -> None:
         created = time.time()

@@ -15,7 +15,9 @@ CacheBackend`); this module is the client side, all stdlib
   a small JSON/HTTP wire protocol, with batched ``get_many`` /
   ``put_many`` round trips to amortize latency and a bulk
   ``get_timings`` probe so LPT cost estimation costs one request per
-  chunk.
+  chunk. The server sends records as their stored text, unparsed, so
+  this client is where a corrupt entry becomes a miss for its key
+  alone (see :meth:`HttpCache.get_many`).
 * :class:`HttpClaimTable` — the client of the server's shared claim
   table, which is what turns static shards into work stealing: each
   worker claims the next unclaimed grid positions (batched — ``k`` per
@@ -315,7 +317,7 @@ def _pool_json(
         return status, None
     try:
         return status, json.loads(raw)
-    except json.JSONDecodeError:
+    except ValueError:  # not JSON, or bytes that decode as no text at all
         return status, None
 
 
@@ -407,7 +409,12 @@ class HttpCache:
         """Fetch many entries in ``batch_size``-bounded round trips.
 
         Missing keys are simply absent from the result; a failed chunk
-        contributes nothing (its keys read as misses).
+        contributes nothing (its keys read as misses). The server
+        splices stored records into its reply unparsed, so one corrupt
+        entry spoils the whole reply: a chunk whose reply does not parse
+        is fetched again one key at a time, and only the corrupt key
+        misses. A record that parses but is not an object misses too,
+        and records for keys this call did not ask for are dropped.
         """
         found: dict[str, dict[str, Any]] = {}
         for chunk in self._chunks(list(keys)):
@@ -417,12 +424,19 @@ class HttpCache:
             if result is None:
                 continue
             status, reply = result
-            if status != 200 or not isinstance(reply, dict):
+            if status != 200:
+                continue
+            if not isinstance(reply, dict):
+                for key in chunk:
+                    payload = self.get(key)
+                    if payload is not None:
+                        found[key] = payload
                 continue
             records = reply.get("records")
             if isinstance(records, dict):
+                wanted = set(chunk)
                 for key, payload in records.items():
-                    if isinstance(payload, dict):
+                    if key in wanted and isinstance(payload, dict):
                         found[key] = payload
         return found
 

@@ -53,6 +53,7 @@ from typing import Any, Callable, Iterator, Mapping, Protocol, Sequence
 from ..errors import CacheError, InvalidParameterError
 from ..io.serialize import (
     SCHEMA_VERSION,
+    canonical_json,
     instance_to_dict,
     schedule_to_dict,
     stable_hash,
@@ -195,6 +196,7 @@ class InProcessClaimTable:
         #: position -> lease deadline (leased, not yet reported done)
         self._outstanding: dict[int, float] = {}
         self._done: set[int] = set()
+        self._reissued = 0
         self._lock = threading.Lock()
 
     def claim(self, count: int = 1) -> list[int]:
@@ -213,6 +215,7 @@ class InProcessClaimTable:
                         break
                     self._outstanding[position] = now + self.lease_ttl
                     positions.append(position)
+                self._reissued += len(positions)
             take = min(count - len(positions), self.total - self._cursor)
             if take > 0:
                 fresh = list(range(self._cursor, self._cursor + take))
@@ -249,6 +252,12 @@ class InProcessClaimTable:
         """Positions reported done so far."""
         with self._lock:
             return len(self._done)
+
+    @property
+    def reissued(self) -> int:
+        """Positions handed out again after their lease expired."""
+        with self._lock:
+            return self._reissued
 
     @property
     def remaining(self) -> int:
@@ -316,6 +325,12 @@ class RunRecord:
         return tuple(bool(f) for f in self.schedule["finished"])
 
 
+#: Instance attribute holding :func:`request_key`'s memo. An
+#: :class:`Instance` is immutable, so a key computed once holds for the
+#: object's life (a pickled copy carries the memo along).
+_KEY_MEMO = "_request_keys"
+
+
 def request_key(algorithm: str, instance: Instance) -> str:
     """Content address of a cell: algorithm (+ parsed variant
     parameters) + full instance content.
@@ -328,18 +343,34 @@ def request_key(algorithm: str, instance: Instance) -> str:
     also folds in :data:`RECORD_VERSION` — so a payload-shape bump
     (such as the one that added ``wall_time``) deliberately cold-starts
     existing caches rather than serving records an older build wrote.
+
+    The key is memoized on the instance, keyed by everything else the
+    hashed payload holds (base algorithm, canonical params text and the
+    two versions), so a sweep that fingerprints its requests and then
+    runs them encodes each (algorithm, instance) pair once. The
+    instance's encoded form itself is not kept: its size grows with the
+    job count.
     """
     info = REGISTRY.info(algorithm)
-    payload = {
-        "kind": "run-request",
-        "schema": SCHEMA_VERSION,
-        "record": RECORD_VERSION,
-        "algorithm": info.base,
-        "instance": instance_to_dict(instance),
-    }
-    if info.params:
-        payload["params"] = dict(info.params)
-    return stable_hash(payload)
+    params = canonical_json(dict(info.params)) if info.params else None
+    slot = (info.base, params, RECORD_VERSION, SCHEMA_VERSION)
+    memo = instance.__dict__.get(_KEY_MEMO)
+    if memo is None:
+        memo = {}
+        object.__setattr__(instance, _KEY_MEMO, memo)
+    key = memo.get(slot)
+    if key is None:
+        payload = {
+            "kind": "run-request",
+            "schema": SCHEMA_VERSION,
+            "record": RECORD_VERSION,
+            "algorithm": info.base,
+            "instance": instance_to_dict(instance),
+        }
+        if info.params:
+            payload["params"] = dict(info.params)
+        key = memo[slot] = stable_hash(payload)
+    return key
 
 
 def evaluate_request(request: RunRequest) -> dict[str, Any]:

@@ -11,7 +11,7 @@ Wire protocol (Python-dialect JSON — ``NaN`` literals allowed):
 
 | method + path            | request body                    | response |
 |--------------------------|---------------------------------|----------|
-| ``GET /records/<key>``   | —                               | 200 payload, or 404 |
+| ``GET /records/<key>``   | —                               | 200 stored payload text, or 404 |
 | ``PUT /records/<key>``   | payload object                  | 204 |
 | ``POST /records:batch``  | ``{"get": [keys], "put": {key: payload}}`` | 200 ``{"records": {...}, "stored": n}`` |
 | ``GET /timings``         | —                               | 200 ``{"timings": {key: seconds}}`` (all timed entries) |
@@ -28,6 +28,15 @@ Bodies are identity-encoded JSON both ways: a request declaring any
 other ``Content-Encoding`` is answered 415, and a malformed
 ``Content-Length`` is a 400 that also closes the connection (the
 request's framing is lost).
+
+Record replies carry each entry's stored JSON text as the backend's
+``get_text`` returns it, spliced unparsed into the reply: the server
+never decodes a record to re-encode it. For entries this build wrote
+the bytes equal ``json.dumps`` of the decoded reply, so the wire format
+is what it always was. A corrupt stored entry is served as it is, and
+the client (:class:`~repro.engine.remote.HttpCache`) reads it as a miss
+for that key alone. The server therefore fronts only backends with
+``get_text`` (the dir, sqlite and memory backends).
 
 Claim tables implement work stealing: a table is created idempotently
 under a content-derived id (the experiment fingerprint), hands out
@@ -103,6 +112,11 @@ class FabricStats:
     first-time puts, decremented by gc); a bounded LRU evicting behind
     the server's back drifts it — ``/stats?deep=1`` resyncs from the
     authoritative backend walk.
+
+    ``record_hits`` counts entries found, whether or not their stored
+    text parses (the server never parses it). ``claim_reissues``
+    counts positions a claim table handed out again after their lease
+    expired: each one is a cell some worker may compute twice.
     """
 
     __slots__ = (
@@ -113,6 +127,7 @@ class FabricStats:
         "new_records",
         "batch_requests",
         "claim_requests",
+        "claim_reissues",
         "entries",
     )
 
@@ -124,6 +139,7 @@ class FabricStats:
         self.new_records = 0
         self.batch_requests = 0
         self.claim_requests = 0
+        self.claim_reissues = 0
         self.entries = 0
 
     # -- bumps (called from handler threads, no locks) ------------------
@@ -147,6 +163,9 @@ class FabricStats:
     def note_claim(self) -> None:
         self.claim_requests += 1
 
+    def note_reissues(self, count: int) -> None:
+        self.claim_reissues += count
+
     def note_removed(self, count: int) -> None:
         self.entries = max(0, self.entries - count)
 
@@ -163,6 +182,7 @@ class FabricStats:
             "new_records": self.new_records,
             "batch_requests": self.batch_requests,
             "claim_requests": self.claim_requests,
+            "claim_reissues": self.claim_reissues,
         }
 
 
@@ -236,7 +256,8 @@ class CacheServer:
     True`` and 1 (the old fully-serialized behavior) otherwise.
     Asking for more than one stripe over a backend that is not
     thread-safe is refused — striping would hand its unsynchronized
-    internals to concurrent handler threads.
+    internals to concurrent handler threads. So is a backend without
+    ``get_text``: record replies splice its stored text.
     """
 
     def __init__(
@@ -248,6 +269,11 @@ class CacheServer:
         verbose: bool = False,
         stripes: int | None = None,
     ) -> None:
+        if not callable(getattr(cache, "get_text", None)):
+            raise InvalidParameterError(
+                f"backend {type(cache).__name__} has no get_text; the cache "
+                "server serves records as stored text (dir, sqlite, memory)"
+            )
         self.cache = cache
         self.verbose = verbose
         concurrent = bool(getattr(cache, "thread_safe", False))
@@ -354,11 +380,12 @@ class CacheServer:
             self._connections.discard(conn)
 
     # -- backend operations (striped per-key locks) ---------------------
-    def get_record(self, key: str) -> dict[str, Any] | None:
+    def record_text(self, key: str) -> str | None:
+        """One entry's stored JSON text, unparsed, or ``None``."""
         with self._records.for_key(key):
-            payload = self.cache.get(key)
-        self.stats_counters.note_get(hit=payload is not None)
-        return payload
+            text = self.cache.get_text(key)
+        self.stats_counters.note_get(hit=text is not None)
+        return text
 
     def put_record(self, key: str, payload: dict[str, Any]) -> None:
         with self._records.for_key(key):
@@ -368,7 +395,10 @@ class CacheServer:
 
     def batch(
         self, gets: Sequence[str], puts: dict[str, dict[str, Any]]
-    ) -> dict[str, Any]:
+    ) -> str:
+        """Store ``puts``, then the reply body: ``{"records": {key:
+        payload}, "stored": n}`` with each found entry's stored text
+        spliced in, the bytes ``json.dumps`` of that object gives."""
         # Per-key locking, not one barrier: records are immutable and
         # content-addressed, so a batch needs no cross-key atomicity —
         # two batches interleaving key-by-key still each read either
@@ -376,12 +406,15 @@ class CacheServer:
         self.stats_counters.note_batch()
         for key, payload in puts.items():
             self.put_record(key, payload)
-        records = {}
+        records: dict[str, str] = {}
         for key in gets:
-            payload = self.get_record(key)
-            if payload is not None:
-                records[key] = payload
-        return {"records": records, "stored": len(puts)}
+            text = self.record_text(key)
+            if text is not None:
+                records[key] = text
+        body = ", ".join(
+            f"{json.dumps(key)}: {text}" for key, text in records.items()
+        )
+        return f'{{"records": {{{body}}}, "stored": {len(puts)}}}'
 
     def timings(self, keys: Sequence[str] | None) -> dict[str, float]:
         if keys is None:
@@ -501,7 +534,9 @@ class CacheServer:
         self.stats_counters.note_claim()
         with self._claims_lock:
             state = self._claim_state(claim_id)
+            before = state.table.reissued
             positions = state.table.claim(count)
+            self.stats_counters.note_reissues(state.table.reissued - before)
             return {
                 "positions": positions,
                 "token": state.token,
@@ -642,7 +677,11 @@ class _Handler(BaseHTTPRequestHandler):
         return body
 
     def _reply(self, status: int, payload: Any | None = None) -> None:
-        body = b"" if payload is None else json.dumps(payload).encode("utf-8")
+        self._send(
+            status, b"" if payload is None else json.dumps(payload).encode("utf-8")
+        )
+
+    def _send(self, status: int, body: bytes) -> None:
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         if self.close_connection:
@@ -687,13 +726,13 @@ class _Handler(BaseHTTPRequestHandler):
         elif parts == ["timings"]:
             self._reply(200, {"timings": self.fabric.timings(None)})
         elif len(parts) == 2 and parts[0] == "records":
-            payload = self.fabric.get_record(
+            text = self.fabric.record_text(
                 self._safe_name(parts[1], "record key")
             )
-            if payload is None:
+            if text is None:
                 self._reply(404, {"error": f"no record {parts[1]}"})
             else:
-                self._reply(200, payload)
+                self._send(200, text.encode("utf-8"))
         else:
             raise _HttpStatus(404, f"unknown route GET {self.path}")
 
@@ -733,13 +772,10 @@ class _Handler(BaseHTTPRequestHandler):
             # reads (and /timings can even trigger the DirectoryCache
             # sidecar backfill write), so their keys go through the
             # same traversal gate.
-            self._reply(
-                200,
-                self.fabric.batch(
-                    [self._safe_name(str(k), "record key") for k in gets],
-                    puts,
-                ),
+            body = self.fabric.batch(
+                [self._safe_name(str(k), "record key") for k in gets], puts
             )
+            self._send(200, body.encode("utf-8"))
         elif parts == ["timings"]:
             keys = self._fields().get("keys")
             if keys is not None and not isinstance(keys, list):

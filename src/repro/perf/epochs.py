@@ -29,7 +29,9 @@ bookkeeping hoisted into batched numpy passes:
   ``_boundary_index`` tolerance semantics of ``Grid.covering``;
 * **batched price caps** — every arrival's cap
   ``derivative_inverse(v / (delta * w))`` in one pass per block,
-  float for float what the scalar returns (:func:`_price_caps`);
+  float for float what the scalar
+  :func:`~repro.core.waterfill.price_cap` returns; the rows it solves
+  in log space are left to it (:func:`_price_caps`);
 * **zero-work settle** — most arrivals at scale are rejected at their
   value because no interval of their window opens at their price cap.
   The scheduler keeps each interval's opening speed
@@ -71,7 +73,7 @@ from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from ..core.waterfill import waterfill_job
+from ..core.waterfill import price_cap, waterfill_job
 from ..errors import InvalidParameterError
 from ..model.intervals import _TIME_EPS, _fresh_points, _window
 from ..model.power import PolynomialPower
@@ -189,16 +191,18 @@ def _near_boundary(b: np.ndarray, points: np.ndarray) -> np.ndarray:
 def _price_caps(
     power: PowerFunction, values: np.ndarray, workloads: np.ndarray, delta: float
 ) -> np.ndarray:
-    """Each arrival's price cap ``power.derivative_inverse(value /
-    (delta * workload))``, float for float, in one pass over a block.
+    """Each arrival's price cap :func:`~repro.core.waterfill.price_cap`,
+    float for float, in one pass over a block.
 
     The divisions run in numpy, IEEE-identical to the scalar ones; the
     logarithm and the exponential go through ``math`` as in
     :meth:`~repro.model.power.PolynomialPower.derivative_inverse`
     (numpy's may differ in the last ulp, and caps are recorded as
     speeds). NaN marks a cap left to the scalar call: every cap of
-    another power function, and a positive marginal whose quotient by
-    alpha underflows to 0, where the scalar raises.
+    another power function, and the rows ``price_cap`` solves in log
+    space (a positive finite value whose ``delta * workload`` or
+    positive quotient by alpha underflows to 0, or whose quotient
+    overflows).
     """
     if type(power) is not PolynomialPower:
         return np.full(values.shape, math.nan)
@@ -211,8 +215,13 @@ def _price_caps(
     logs /= alpha - 1.0
     over = logs > 690.0  # the scalar's overflow edge: no cap
     caps = np.array(list(map(math.exp, np.where(over, 0.0, logs).tolist())))
-    caps[over] = math.inf
-    caps[~ok] = np.where(marginal[~ok] <= 0.0, 0.0, math.nan)
+    # The rare rows are patched only in blocks that hold one: most
+    # blocks are short, and every numpy call costs per block.
+    if over.any():
+        caps[over] = math.inf
+        caps[over & (marginal == math.inf) & (values < math.inf)] = math.nan
+    if not ok.all():
+        caps[~ok] = np.where(marginal[~ok] <= 0.0, 0.0, math.nan)
     return caps
 
 
@@ -378,7 +387,6 @@ def _process_block(sched: PDScheduler, arrays: JobArrays, lo: int, hi: int) -> i
     m = sched.m
     delta = sched.delta
     power = sched.power
-    derivative_inverse = power.derivative_inverse
     inf = math.inf
     base_id = sched._count
 
@@ -404,7 +412,7 @@ def _process_block(sched: PDScheduler, arrays: JobArrays, lo: int, hi: int) -> i
         if algn[t] and j0 > i0:
             s_cap = spd[t]
             if s_cap != s_cap:  # NaN: left to the scalar by _price_caps
-                s_cap = spd[t] = derivative_inverse(vl[t] / (delta * wl[t]))
+                s_cap = spd[t] = price_cap(power, vl[t], wl[t], delta)
             # Settle against the live opening speeds (accepts earlier in
             # the block included); failing that, the exact screen asks
             # the reference kernel's own per-interval question at the

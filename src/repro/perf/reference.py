@@ -20,7 +20,6 @@ Deliberately slow. Never import this module from a hot path.
 
 from __future__ import annotations
 
-import math
 from typing import Any
 
 import numpy as np
@@ -32,7 +31,7 @@ from ..classical.timeline import IntervalSet
 from ..classical.yds import YdsResult, _yds
 from ..core.cll import CLLResult, cll_admits
 from ..core.pd import JobDecision, PDResult, PDScheduler
-from ..core.waterfill import WaterfillOutcome, waterfill_job
+from ..core.waterfill import WaterfillOutcome, price_cap, waterfill_job
 from ..errors import InvalidParameterError, SolverError
 from ..model.intervals import Grid, Refinement
 from ..model.job import Instance, Job
@@ -445,11 +444,7 @@ def waterfill_job_reference(
     # value (classical must-finish jobs, the offline solver's block
     # steps, or a near-1 exponent mapping a huge value to inf) means no
     # effective cap: bracket by doubling instead.
-    s_cap = (
-        power.derivative_inverse(value / (delta * workload))
-        if np.isfinite(value)
-        else math.inf
-    )
+    s_cap = price_cap(power, value, workload, delta)
     if not np.isfinite(s_cap):
         s_cap = max(1.0, workload)
         for _ in range(200):

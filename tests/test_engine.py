@@ -320,3 +320,97 @@ class TestSweepsOnEngine:
         (cell,) = processor_scaling_curve(inst, ms=[1], algorithm="cll")
         assert math.isfinite(cell.worst_certified_ratio)
         assert cell.worst_certified_ratio >= 1.0 - 1e-9
+
+
+def _unmemoized_key(algorithm: str, instance) -> str:
+    """The cache-key formula, written out: no memo involved."""
+    from repro.io.serialize import SCHEMA_VERSION, instance_to_dict
+    from repro.engine.runner import RECORD_VERSION
+
+    info = REGISTRY.info(algorithm)
+    payload = {
+        "kind": "run-request",
+        "schema": SCHEMA_VERSION,
+        "record": RECORD_VERSION,
+        "algorithm": info.base,
+        "instance": instance_to_dict(instance),
+    }
+    if info.params:
+        payload["params"] = dict(info.params)
+    return stable_hash(payload)
+
+
+class TestRequestKeyMemo:
+    """``request_key`` memoizes on the instance without moving a key."""
+
+    SPECS = (
+        "pd",
+        "cll",
+        "oa",
+        "pd?delta=0.05",
+        "pd?delta=0.01",
+        "pd-aug?epsilon=0.3&delta=0.05",
+    )
+
+    def test_keys_equal_the_unmemoized_formula(self):
+        inst = poisson_instance(6, m=2, alpha=3.0, seed=11)
+        first = [request_key(spec, inst) for spec in self.SPECS]
+        again = [request_key(spec, inst) for spec in self.SPECS]  # memo hits
+        fresh = poisson_instance(6, m=2, alpha=3.0, seed=11)
+        assert first == again == [
+            _unmemoized_key(spec, fresh) for spec in self.SPECS
+        ]
+        assert len(set(first)) == len(self.SPECS)
+
+    def test_variant_spellings_share_a_key(self):
+        inst = poisson_instance(5, m=1, alpha=3.0, seed=2)
+        key = request_key("pd?delta=0.05", inst)
+        assert request_key("pd?delta=5e-2", inst) == key
+        assert request_key("pd?delta=0.050", inst) == key
+        others = {request_key(f"pd?delta={d}", inst) for d in (0.04, 0.06, 1e-2)}
+        assert key not in others and len(others) == 3
+        assert request_key("pd", inst) not in others | {key}
+
+    def test_fingerprint_then_run_stolen_encodes_each_pair_once(
+        self, monkeypatch
+    ):
+        import repro.engine.runner as runner_mod
+        from repro.engine import InProcessClaimTable
+
+        spec = ExperimentSpec(
+            name="memo",
+            family=poisson_instance,
+            grid={"m": [1, 2]},
+            algorithms=("pd", "oa"),
+            n=4,
+            seeds=(0, 1),
+        )
+        requests = spec.requests()
+        encoded = []
+        real = runner_mod.instance_to_dict
+
+        def counting(instance):
+            encoded.append(id(instance))
+            return real(instance)
+
+        monkeypatch.setattr(runner_mod, "instance_to_dict", counting)
+        spec.fingerprint(requests)
+        pairs = BatchRunner().run_stolen(
+            requests, InProcessClaimTable(len(requests))
+        )
+        assert len(pairs) == len(requests)
+        unique = {(r.algorithm, id(r.instance)) for r in requests}
+        assert len(encoded) == len(unique) == len(requests)
+
+    def test_pickled_request_keeps_its_key(self):
+        import pickle
+
+        inst = poisson_instance(5, m=1, alpha=3.0, seed=4)
+        cold = RunRequest("pd?delta=0.05", inst)
+        cold_copy = pickle.loads(pickle.dumps(cold))  # no memo yet
+        key = request_key(cold.algorithm, cold.instance)
+        warm_copy = pickle.loads(pickle.dumps(cold))  # memo travels
+        assert request_key(cold_copy.algorithm, cold_copy.instance) == key
+        assert request_key(warm_copy.algorithm, warm_copy.instance) == key
+        assert key == _unmemoized_key("pd?delta=0.05", inst)
+        assert warm_copy.instance == inst

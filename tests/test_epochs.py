@@ -13,6 +13,8 @@ tolerances. The OA epoch bookkeeping loop gets the same treatment.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -20,7 +22,7 @@ from hypothesis import example, given, settings, strategies as st
 import repro.perf.epochs as epochs
 from repro.classical.oa import oa_segments, run_oa
 from repro.core.pd import PDScheduler, run_pd
-from repro.core.waterfill import waterfill_job
+from repro.core.waterfill import price_cap, waterfill_job
 from repro.engine.experiment import ExperimentSpec
 from repro.engine.runner import (
     RECORD_VERSION,
@@ -40,7 +42,7 @@ from repro.perf.epochs import (
     current_batch_mode,
 )
 from repro.perf.kernels import _opening_speed
-from repro.perf.reference import arrive_epochs_reference
+from repro.perf.reference import arrive_epochs_reference, run_pd_reference
 from repro.workloads import (
     diurnal_instance,
     heavy_tail_instance,
@@ -281,7 +283,11 @@ class TestZeroWorkScreen:
             power.derivative_inverse(v / (delta * w))
             for v, w in zip(values.tolist(), workloads.tolist())
         ]
-        assert caps == expected
+        # Row 5's quotient overflows: the batch leaves it to the scalar
+        # price_cap, whose log form lands past the overflow edge too.
+        assert np.isnan(caps[5])
+        assert price_cap(power, 1e308, 1e-10, delta) == expected[5] == np.inf
+        assert caps[:5] + caps[6:] == expected[:5] + expected[6:]
         assert 0.0 in caps and np.inf in caps
         cubic = PolynomialPower(3.0)
         rng = np.random.default_rng(0)
@@ -324,6 +330,68 @@ class TestExtremeCaps:
     def test_zero_infinite_and_overflowing_caps(self, alpha, epoch_size):
         instance = hostile_caps(alpha)
         assert_scheduler_parity(instance, epoch_size or instance.n)
+
+
+#: The whole positive float range, subnormals included.
+_POSITIVE = st.floats(
+    min_value=5e-324, max_value=1.8e308, allow_nan=False, allow_infinity=False
+)
+
+
+class TestSubnormalCaps:
+    """Valid jobs whose cap arithmetic under- or overflows get a cap
+    instead of a raw Python error."""
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # delta * workload underflows to 0: ZeroDivisionError before.
+            [(0, 1, 1, 2), (0, 1, 1, 2), (0, 1, 5e-324, 1)],
+            # value / (delta * workload) / alpha underflows: math domain
+            # error before.
+            [(0, 1, 9, 5e-324)],
+        ],
+    )
+    @pytest.mark.parametrize("batch", ["arrival", "epoch"])
+    def test_run_pd_prices_subnormal_jobs(self, rows, batch):
+        instance = Instance.from_tuples(rows, m=1, alpha=3.0)
+        result = run_pd(instance, batch=batch)
+        last = result.decisions[-1]
+        assert not last.accepted and last.planned_speed > 0.0
+        assert math.isfinite(last.planned_speed)
+        assert result.decisions == run_pd_reference(instance).decisions
+        assert_scheduler_parity(instance, instance.n)
+
+    @given(
+        values=st.lists(_POSITIVE, min_size=1, max_size=8),
+        workloads=st.lists(_POSITIVE, min_size=8, max_size=8),
+        delta=_POSITIVE,
+        alpha=st.sampled_from([1.01, 1.5, 2.0, 3.0, 7.5]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_caps_over_the_whole_float_range(
+        self, values, workloads, delta, alpha
+    ):
+        power = PolynomialPower(alpha)
+        workloads = workloads[: len(values)]
+        batched = epochs._price_caps(
+            power, np.array(values), np.array(workloads), delta
+        ).tolist()
+        for value, workload, cap in zip(values, workloads, batched):
+            scalar = price_cap(power, value, workload, delta)
+            assert scalar >= 0.0
+            try:
+                before = power.derivative_inverse(value / (delta * workload))
+            except (ZeroDivisionError, ValueError):
+                before = None
+            if before is not None and math.isfinite(before):
+                assert scalar == before
+            if math.isnan(cap):
+                # Left to the scalar: exactly the rows that raised or
+                # whose quotient overflowed.
+                assert before is None or before == math.inf
+            else:
+                assert cap == scalar
 
 
 @st.composite

@@ -283,10 +283,11 @@ class TestLockFreeStats:
         class SlowCache(MemoryCache):
             thread_safe = True
 
-            def get(self, key):
+            # The server reads records through get_text.
+            def get_text(self, key):
                 entered.set()
                 release.wait(timeout=10.0)
-                return super().get(key)
+                return super().get_text(key)
 
         srv = CacheServer(SlowCache()).start()
         try:
