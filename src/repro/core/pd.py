@@ -579,7 +579,7 @@ def run_pd(
         m=ordered.m, alpha=ordered.alpha, delta=delta, batch=mode
     )
     if mode == "epoch":
-        if "jobs" in ordered.__dict__:
+        if not ordered.columnar:
             # Job objects already exist (possibly named): reuse them at
             # finish() so the epoch result is byte-identical even for
             # named jobs, which the columns cannot carry.

@@ -416,7 +416,7 @@ class ExperimentSpec:
             kwargs.update(family_params)
             inst = family(self.n, seed=seed, **kwargs)
         if value_x is not None:
-            inst = inst.with_values([j.value * value_x for j in inst.jobs])
+            inst = inst.with_values_scaled(value_x)
         if self.transform is not None:
             inst = self.transform(inst, dict(params))
         return inst

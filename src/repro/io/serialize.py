@@ -59,13 +59,25 @@ def _require_kind(payload: dict, kind: str) -> None:
 # Instances
 # ----------------------------------------------------------------------
 def instance_to_dict(instance: Instance) -> dict[str, Any]:
-    """Serialize an instance (jobs keep their optional names)."""
-    return {
-        "schema": SCHEMA_VERSION,
-        "kind": "instance",
-        "m": instance.m,
-        "alpha": instance.alpha,
-        "jobs": [
+    """Serialize an instance (jobs keep their optional names).
+
+    A columnar instance (:attr:`Instance.columnar`) is read from its
+    float64 columns, so no ``Job`` is built; its jobs are nameless and
+    all-float, so the rows equal the ones its ``Job`` tuple would give.
+    """
+    if instance.columnar:
+        a = instance.arrays
+        jobs = [
+            {"release": r, "deadline": d, "workload": w, "value": v}
+            for r, d, w, v in zip(
+                a.releases.tolist(),
+                a.deadlines.tolist(),
+                a.workloads.tolist(),
+                a.values.tolist(),
+            )
+        ]
+    else:
+        jobs = [
             {
                 "release": job.release,
                 "deadline": job.deadline,
@@ -74,7 +86,13 @@ def instance_to_dict(instance: Instance) -> dict[str, Any]:
                 **({"name": job.name} if job.name is not None else {}),
             }
             for job in instance.jobs
-        ],
+        ]
+    return {
+        "schema": SCHEMA_VERSION,
+        "kind": "instance",
+        "m": instance.m,
+        "alpha": instance.alpha,
+        "jobs": jobs,
     }
 
 
@@ -99,20 +117,29 @@ def instance_from_dict(payload: dict[str, Any]) -> Instance:
 # ----------------------------------------------------------------------
 def schedule_to_dict(schedule: Schedule) -> dict[str, Any]:
     """Serialize a schedule; loads are stored sparsely (job, interval, load)."""
-    loads = schedule.loads
-    nz = np.argwhere(loads > 0.0)
     return {
         "schema": SCHEMA_VERSION,
         "kind": "schedule",
         "instance": instance_to_dict(schedule.instance),
-        "boundaries": [float(b) for b in schedule.grid.boundaries],
-        "finished": [bool(f) for f in schedule.finished],
-        "loads": [
-            [int(j), int(k), float(loads[j, k])] for j, k in nz
-        ],
+        "boundaries": schedule.grid.boundaries.tolist(),
+        "finished": schedule.finished.tolist(),
+        "loads": _sparse_loads(schedule.loads),
         "cost": schedule.cost,
         "energy": schedule.energy,
     }
+
+
+def _sparse_loads(loads: np.ndarray) -> list[list[Any]]:
+    """``[j, k, load]`` for every positive load, in row-major order.
+
+    One ``np.nonzero`` (C order, as ``np.argwhere``) and three ``tolist``
+    columns: the same Python ints and floats as indexing each element.
+    """
+    rows, cols = np.nonzero(loads > 0.0)
+    return [
+        [j, k, u]
+        for j, k, u in zip(rows.tolist(), cols.tolist(), loads[rows, cols].tolist())
+    ]
 
 
 def schedule_from_dict(payload: dict[str, Any]) -> Schedule:

@@ -10,13 +10,20 @@ Instances are immutable; algorithms never mutate them. Jobs are identified
 by their 0-based position in the instance, which by convention is also
 their arrival order after :meth:`Instance.sorted_by_release`.
 
-Storage note: the derived per-job arrays (``releases``, ``deadlines``,
-``workloads``, ``values``) are backed by a :class:`~repro.model.job_arrays.JobArrays`
-columnar view built once per instance and cached — read-only numpy
-columns, not per-access Python loops. Instances built through
-:meth:`Instance.from_arrays` go further: they carry *only* the columns
-and materialize their ``Job`` tuple lazily on first access, which keeps
-million-job instance construction out of the Python object allocator.
+Storage note: an instance stores its jobs in one of two forms.
+
+* **Columnar** (:attr:`Instance.columnar`): built by
+  :meth:`Instance.from_arrays`, as the random and slotted workload
+  families do. The instance holds a :class:`~repro.model.job_arrays.JobArrays`
+  block of four read-only float64 columns and nothing per job; its
+  ``Job`` tuple is derived from the columns on first access. The
+  serializers, the cache key, :meth:`Instance.sorted_by_release`,
+  :meth:`Instance.with_values_scaled` and :meth:`Instance.with_values`
+  given a float64 array read the columns and build no ``Job``.
+* **Job tuple**: built from ``Job`` objects, which may carry ints and
+  names the float columns cannot hold. The derived arrays
+  (``releases``, ``deadlines``, ...) are a ``JobArrays`` view built once
+  and cached.
 """
 
 from __future__ import annotations
@@ -202,7 +209,9 @@ class Instance:
         # Validates alpha as a side effect (same as __post_init__).
         object.__setattr__(inst, "_power", PolynomialPower(alpha))
         object.__setattr__(inst, "_arrays", arrays)
+        object.__setattr__(inst, "_columnar", True)
         return inst
+
     @classmethod
     def from_tuples(
         cls,
@@ -251,6 +260,17 @@ class Instance:
         if arrays is not None:
             return arrays.n
         return len(self.jobs)
+
+    @property
+    def columnar(self) -> bool:
+        """Whether the columns are this instance's storage.
+
+        True for instances built by :meth:`from_arrays`: their ``Job``
+        tuple, when something asks for it, is derived from the columns,
+        so every job is nameless and all-float. Readers of the whole job
+        set can then read :attr:`arrays` alone and build no ``Job``.
+        """
+        return self.__dict__.get("_columnar", False)
 
     @property
     def power(self) -> PolynomialPower:
@@ -327,12 +347,12 @@ class Instance:
         """A copy whose jobs are ordered by (release, deadline, id).
 
         Online algorithms consume jobs in this order; ties in release time
-        are broken deterministically so runs are reproducible. Pure
-        array-backed instances stay array-backed: the columns are
-        permuted without materializing any ``Job``.
+        are broken deterministically so runs are reproducible. Columnar
+        instances stay columnar: the columns are permuted without
+        materializing any ``Job``.
         """
         order = self.arrival_order()
-        if "jobs" not in self.__dict__ and "_arrays" in self.__dict__:
+        if self.columnar:
             return Instance.from_arrays(
                 self.arrays.permuted(order), m=self.m, alpha=self.alpha
             )
@@ -368,16 +388,47 @@ class Instance:
         )
 
     def with_values(self, values: Sequence[float]) -> "Instance":
-        """Copy with per-job values replaced by ``values``."""
+        """Copy with per-job values replaced by ``values``.
+
+        On a columnar instance, a float64 array of values becomes the
+        new values column, and the copy stays columnar. Any other
+        ``values`` go through ``Job``, which keeps ints and bools as
+        given (and so their canonical text) and rejects non-numbers.
+        """
         if len(values) != self.n:
             raise InvalidInstanceError(
                 f"expected {self.n} values, got {len(values)}"
+            )
+        if (
+            self.columnar
+            and isinstance(values, np.ndarray)
+            and values.dtype == np.float64
+        ):
+            from .job_arrays import JobArrays
+
+            a = self.arrays
+            return Instance.from_arrays(
+                JobArrays(a.releases, a.deadlines, a.workloads, values),
+                m=self.m,
+                alpha=self.alpha,
             )
         return Instance(
             tuple(j.with_value(v) for j, v in zip(self.jobs, values)),
             m=self.m,
             alpha=self.alpha,
         )
+
+    def with_values_scaled(self, factor: float) -> "Instance":
+        """Copy with every job's value multiplied by ``factor``.
+
+        Each new value is ``job.value * factor``: a ``Job`` tuple's int
+        value times an int factor stays an int. A columnar instance
+        scales its values column instead, which gives the same floats
+        and builds no ``Job``.
+        """
+        if self.columnar:
+            return self.with_values(self.values * factor)
+        return self.with_values([j.value * factor for j in self.jobs])
 
     def scaled(self, *, time: float = 1.0, work: float = 1.0) -> "Instance":
         """Copy with all times multiplied by ``time`` and workloads by ``work``.

@@ -6,16 +6,25 @@ are fully deterministic given it. Values are parameterized by a
 solo energy (constant speed over its own window), which is the natural
 scale at which accept/reject decisions flip — drawing values on any other
 scale makes instances trivially all-accept or all-reject.
+
+Every family here draws whole columns and returns a columnar instance
+(:meth:`~repro.model.job.Instance.from_arrays`): no ``Job`` is built per
+job, and the cache key and serializers read the columns.
+:func:`valued_instance` is the shared last step, which
+:func:`~repro.workloads.structured.tight_instance` uses too.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import InvalidParameterError
-from ..model.job import Instance, Job
-from ..model.power import optimal_constant_speed_energy
-from ..types import Seed
+from ..model.job import Instance
+from ..model.job_arrays import JobArrays
+from ..model.power import PolynomialPower
+from ..types import FloatArray, Seed
 from .registry import register_workload
 
 __all__ = ["poisson_instance", "heavy_tail_instance", "uniform_instance"]
@@ -27,24 +36,74 @@ def _rng(seed: Seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _with_values(
-    rows: list[tuple[float, float, float]],
+def check_value_ratio(value_ratio: object) -> None:
+    """Raise the canonical error unless ``value_ratio`` is a finite
+    ``(lo, hi)`` pair with ``0 < lo <= hi``.
+
+    Every family that draws values calls this before its first draw.
+    """
+    try:
+        lo, hi = value_ratio  # type: ignore[misc]
+        ok = math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo <= hi
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise InvalidParameterError(
+            f"value_ratio must be a finite (lo, hi) with 0 < lo <= hi, "
+            f"got {value_ratio!r}"
+        )
+
+
+def valued_instance(
+    releases: FloatArray,
+    deadlines: FloatArray,
+    workloads: FloatArray,
+    durations: FloatArray,
+    ratios: FloatArray,
+    *,
+    alpha: float,
+    m: int,
+) -> Instance:
+    """A columnar instance whose values are ``ratio * solo energy``.
+
+    A job's solo energy is ``duration * (workload / duration)**alpha``,
+    the float :func:`~repro.model.power.optimal_constant_speed_energy`
+    returns. The power is taken per job with scalar ``**``: numpy's
+    vectorized power differs from it in the last bit on some elements.
+    """
+    PolynomialPower(alpha)  # the canonical error for a bad alpha
+    if not (durations > 0.0).all():
+        raise InvalidParameterError(
+            "cannot finish a job's workload in a non-positive duration"
+        )
+    speeds = (workloads / durations).tolist()
+    solo = np.array([s**alpha for s in speeds]) * durations
+    arrays = JobArrays(
+        releases=releases,
+        deadlines=deadlines,
+        workloads=workloads,
+        values=ratios * solo,
+    )
+    return Instance.from_arrays(arrays, m=m, alpha=alpha)
+
+
+def _spans_valued(
+    releases: FloatArray,
+    spans: FloatArray,
+    workloads: FloatArray,
     *,
     alpha: float,
     m: int,
     rng: np.random.Generator,
     value_ratio: tuple[float, float],
 ) -> Instance:
-    """Attach values drawn as ``ratio * solo_energy`` per job."""
-    lo, hi = value_ratio
-    if not (0.0 < lo <= hi):
-        raise InvalidParameterError(f"bad value_ratio range {value_ratio}")
-    jobs = []
-    for r, d, w in rows:
-        solo = optimal_constant_speed_energy(alpha, w, d - r)
-        ratio = float(rng.uniform(lo, hi))
-        jobs.append(Job(r, d, w, ratio * solo))
-    return Instance(tuple(jobs), m=m, alpha=alpha)
+    """Windows ``[release, release + span)``, values drawn last."""
+    deadlines = releases + spans
+    ratios = rng.uniform(*value_ratio, size=releases.size)
+    return valued_instance(
+        releases, deadlines, workloads, deadlines - releases, ratios,
+        alpha=alpha, m=m,
+    )
 
 
 @register_workload(
@@ -71,16 +130,16 @@ def poisson_instance(
     """
     if n < 1:
         raise InvalidParameterError(f"need n >= 1, got {n}")
+    check_value_ratio(value_ratio)
     rng = _rng(seed)
     gaps = rng.exponential(1.0 / arrival_rate, size=n)
     releases = np.cumsum(gaps) - gaps[0]
     spans = rng.exponential(mean_span, size=n) + 1e-2
     workloads = rng.exponential(mean_workload, size=n) + 1e-3
-    rows = [
-        (float(releases[i]), float(releases[i] + spans[i]), float(workloads[i]))
-        for i in range(n)
-    ]
-    return _with_values(rows, alpha=alpha, m=m, rng=rng, value_ratio=value_ratio)
+    return _spans_valued(
+        releases, spans, workloads,
+        alpha=alpha, m=m, rng=rng, value_ratio=value_ratio,
+    )
 
 
 @register_workload(
@@ -106,15 +165,15 @@ def heavy_tail_instance(
     """
     if n < 1:
         raise InvalidParameterError(f"need n >= 1, got {n}")
+    check_value_ratio(value_ratio)
     rng = _rng(seed)
     releases = np.sort(rng.uniform(0.0, horizon, size=n))
     spans = rng.uniform(0.5, 0.2 * horizon, size=n)
     workloads = rng.pareto(pareto_shape, size=n) + 0.05
-    rows = [
-        (float(releases[i]), float(releases[i] + spans[i]), float(workloads[i]))
-        for i in range(n)
-    ]
-    return _with_values(rows, alpha=alpha, m=m, rng=rng, value_ratio=value_ratio)
+    return _spans_valued(
+        releases, spans, workloads,
+        alpha=alpha, m=m, rng=rng, value_ratio=value_ratio,
+    )
 
 
 @register_workload(
@@ -134,12 +193,12 @@ def uniform_instance(
     """Everything uniform: the bland control family."""
     if n < 1:
         raise InvalidParameterError(f"need n >= 1, got {n}")
+    check_value_ratio(value_ratio)
     rng = _rng(seed)
     releases = rng.uniform(0.0, horizon * 0.8, size=n)
     spans = rng.uniform(0.2, horizon * 0.3, size=n)
     workloads = rng.uniform(0.1, 2.0, size=n)
-    rows = [
-        (float(releases[i]), float(releases[i] + spans[i]), float(workloads[i]))
-        for i in range(n)
-    ]
-    return _with_values(rows, alpha=alpha, m=m, rng=rng, value_ratio=value_ratio)
+    return _spans_valued(
+        releases, spans, workloads,
+        alpha=alpha, m=m, rng=rng, value_ratio=value_ratio,
+    )

@@ -13,6 +13,13 @@ them, so the test- and benchmark-suites sweep all of these:
   work (this is the shape of the paper's Figure 2 example).
 * **tight** — windows barely longer than the work at unit speed; the
   high-pressure case where rejections dominate.
+
+``tight`` and ``slotted`` return columnar instances
+(:meth:`~repro.model.job.Instance.from_arrays`), as the random families
+do. ``agreeable``, ``laminar`` and ``batch`` build ``Job`` tuples:
+``batch`` passes its caller's ``deadline`` through unconverted, and a
+float column would change an int's canonical text (``1`` to ``1.0``) and
+with it the cache key.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from ..model.job import Instance, Job
 from ..model.job_arrays import JobArrays
 from ..model.power import optimal_constant_speed_energy
 from ..types import Seed
+from .random_instances import _rng, check_value_ratio, valued_instance
 from .registry import register_workload
 
 __all__ = [
@@ -34,12 +42,6 @@ __all__ = [
     "bursty_instance",
     "slotted_instance",
 ]
-
-
-def _rng(seed: Seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 def _value(rng: np.random.Generator, alpha: float, w: float, span: float,
@@ -63,6 +65,7 @@ def agreeable_instance(
     """Releases and deadlines increase together (FIFO-like windows)."""
     if n < 1:
         raise InvalidParameterError(f"need n >= 1, got {n}")
+    check_value_ratio(value_ratio)
     rng = _rng(seed)
     releases = np.sort(rng.uniform(0.0, 10.0, size=n))
     spans = rng.uniform(1.0, 3.0, size=n)
@@ -98,6 +101,7 @@ def laminar_instance(
         raise InvalidParameterError(f"need depth >= 1, got {depth}")
     if branching < 2:
         raise InvalidParameterError(f"need branching >= 2, got {branching}")
+    check_value_ratio(value_ratio)
     rng = _rng(seed)
     jobs: list[Job] = []
 
@@ -132,6 +136,7 @@ def batch_instance(
     """All jobs released at 0 with a common deadline (Figure 2's shape)."""
     if n < 1:
         raise InvalidParameterError(f"need n >= 1, got {n}")
+    check_value_ratio(value_ratio)
     rng = _rng(seed)
     jobs = []
     for _ in range(n):
@@ -156,20 +161,29 @@ def tight_instance(
     value_ratio: tuple[float, float] = (0.2, 5.0),
     seed: Seed = None,
 ) -> Instance:
-    """Windows only ``slack`` times longer than the work at unit speed."""
+    """Windows only ``slack`` times longer than the work at unit speed.
+
+    Each job draws its gap, its workload and its value ratio in turn, so
+    the draws stay one job at a time; the columns are built after.
+    """
     if n < 1:
         raise InvalidParameterError(f"need n >= 1, got {n}")
     if slack <= 1.0:
         raise InvalidParameterError(f"slack must be > 1, got {slack}")
+    check_value_ratio(value_ratio)
     rng = _rng(seed)
-    jobs = []
+    rows = []
     t = 0.0
     for _ in range(n):
         t += float(rng.exponential(0.5))
         w = float(rng.uniform(0.2, 1.5))
+        ratio = float(rng.uniform(*value_ratio))
         span = w * slack
-        jobs.append(Job(t, t + span, w, _value(rng, alpha, w, span, value_ratio)))
-    return Instance(tuple(jobs), m=m, alpha=alpha)
+        rows.append((t, t + span, w, span, ratio))
+    releases, deadlines, workloads, spans, ratios = np.array(rows).T
+    return valued_instance(
+        releases, deadlines, workloads, spans, ratios, alpha=alpha, m=m
+    )
 
 
 @register_workload(
@@ -265,11 +279,11 @@ def slotted_instance(
     request stream batched per scheduling quantum, and the instance
     family the large-scale benches (100k–1M jobs) sweep.
 
-    Unlike the other families, generation is fully vectorized into a
-    :class:`~repro.model.job_arrays.JobArrays` column block and the
-    instance is built with :meth:`Instance.from_arrays` — no per-job
-    ``Job`` objects exist until something asks for them, which is what
-    keeps million-job construction at milliseconds.
+    Generation is vectorized into a
+    :class:`~repro.model.job_arrays.JobArrays` column block, with no
+    per-job loop at all, which is what keeps million-job construction at
+    milliseconds. A value here is ``ratio * workload``, not a multiple
+    of the solo energy.
     """
     if n < 1:
         raise InvalidParameterError(f"need n >= 1, got {n}")
@@ -277,6 +291,7 @@ def slotted_instance(
         raise InvalidParameterError(f"need slots >= 1, got {slots}")
     if span_max < 1:
         raise InvalidParameterError(f"need span_max >= 1, got {span_max}")
+    check_value_ratio(value_ratio)
     rng = _rng(seed)
     releases = np.sort(rng.integers(0, slots, size=n)).astype(np.float64)
     spans = rng.integers(1, span_max + 1, size=n).astype(np.float64)

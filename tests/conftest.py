@@ -53,3 +53,22 @@ def numeric_gradient(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
         xm[i] = max(xm[i] - h, 0.0)
         g[i] = (f(xp) - f(xm)) / (xp[i] - xm[i])
     return g
+
+
+def unmemoized_key(algorithm: str, instance: Instance) -> str:
+    """The cache-key formula, written out: no memo involved."""
+    from repro.engine.registry import REGISTRY
+    from repro.engine.runner import RECORD_VERSION
+    from repro.io.serialize import SCHEMA_VERSION, instance_to_dict, stable_hash
+
+    info = REGISTRY.info(algorithm)
+    payload = {
+        "kind": "run-request",
+        "schema": SCHEMA_VERSION,
+        "record": RECORD_VERSION,
+        "algorithm": info.base,
+        "instance": instance_to_dict(instance),
+    }
+    if info.params:
+        payload["params"] = dict(info.params)
+    return stable_hash(payload)

@@ -28,6 +28,8 @@ from repro.errors import InvalidParameterError
 from repro.io.serialize import schedule_to_dict, stable_hash
 from repro.workloads import poisson_instance
 
+from conftest import unmemoized_key
+
 
 @pytest.fixture(scope="module")
 def instance():
@@ -322,24 +324,6 @@ class TestSweepsOnEngine:
         assert cell.worst_certified_ratio >= 1.0 - 1e-9
 
 
-def _unmemoized_key(algorithm: str, instance) -> str:
-    """The cache-key formula, written out: no memo involved."""
-    from repro.io.serialize import SCHEMA_VERSION, instance_to_dict
-    from repro.engine.runner import RECORD_VERSION
-
-    info = REGISTRY.info(algorithm)
-    payload = {
-        "kind": "run-request",
-        "schema": SCHEMA_VERSION,
-        "record": RECORD_VERSION,
-        "algorithm": info.base,
-        "instance": instance_to_dict(instance),
-    }
-    if info.params:
-        payload["params"] = dict(info.params)
-    return stable_hash(payload)
-
-
 class TestRequestKeyMemo:
     """``request_key`` memoizes on the instance without moving a key."""
 
@@ -358,7 +342,7 @@ class TestRequestKeyMemo:
         again = [request_key(spec, inst) for spec in self.SPECS]  # memo hits
         fresh = poisson_instance(6, m=2, alpha=3.0, seed=11)
         assert first == again == [
-            _unmemoized_key(spec, fresh) for spec in self.SPECS
+            unmemoized_key(spec, fresh) for spec in self.SPECS
         ]
         assert len(set(first)) == len(self.SPECS)
 
@@ -412,5 +396,5 @@ class TestRequestKeyMemo:
         warm_copy = pickle.loads(pickle.dumps(cold))  # memo travels
         assert request_key(cold_copy.algorithm, cold_copy.instance) == key
         assert request_key(warm_copy.algorithm, warm_copy.instance) == key
-        assert key == _unmemoized_key("pd?delta=0.05", inst)
+        assert key == unmemoized_key("pd?delta=0.05", inst)
         assert warm_copy.instance == inst
