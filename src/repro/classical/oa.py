@@ -9,8 +9,9 @@ until the next arrival. Bansal, Kimbrel & Pruhs proved OA is exactly
 *including* job values and multiple processors.
 
 Besides the classic single-processor :func:`run_oa`, the module provides
-:func:`oa_plan`, the one-shot full planning step (qOA's replan and OA's
-``replan="reference"`` twin), and a multiprocessor variant
+:func:`oa_plan`, the one-shot full planning step (qOA's replan and the
+from-scratch oracle :func:`repro.perf.reference.oa_segments_reference`),
+and a multiprocessor variant
 :func:`run_oa_multiprocessor` that substitutes our convex solver for the
 Albers–Antoniadis–Greiner exact offline algorithm (see DESIGN.md,
 "Substitutions"). The incremental planner — :class:`_LazyPlan`, which
@@ -317,12 +318,14 @@ def _execute_plan_prefix(
 ) -> None:
     """Execute one OA epoch: the plan's EDF segments before ``t_next``.
 
-    The full replan (``oa_plan`` + segment walk) computes the *entire*
-    YDS plan for the remaining work and then discards everything after
-    the next arrival. This consumer realizes the plan's rounds one at a
-    time and stops at the first round whose window ends at or past
-    ``t_next``: every segment the reference would still produce starts
-    at or after that boundary and is dropped by its own
+    The from-scratch replan (``oa_plan`` + segment walk, kept as
+    :func:`repro.perf.reference.oa_segments_reference`) computes the
+    *entire* YDS plan for the remaining work and then discards
+    everything after the next arrival. This consumer realizes the
+    plan's rounds one at a time and stops at the first round whose
+    window ends at or past ``t_next``: every segment the reference
+    would still produce starts at or after that boundary and is
+    dropped by its own
     ``a >= t_next - _EPS`` break. Each realized round runs through the
     same ``edf_execute`` on the same floats, so the executed prefix is
     bitwise the reference's (asserted by the parity suite on every
@@ -359,39 +362,51 @@ def _execute_plan_prefix(
             return
 
 
-def _oa_segments_epoch(
-    ordered: Instance,
+def oa_segments(
+    instance: Instance,
 ) -> tuple[Instance, list[tuple[int, float, float, float]]]:
-    """Epoch-batched bookkeeping around the lazy-prefix OA planner.
+    """Simulate OA and return ``(ordered_instance, executed_segments)``.
 
-    The same treatment the PD main loop gets in ``repro.perf.epochs``,
-    applied to OA's replanning loop: the per-epoch Python bookkeeping is
-    precomputed in batched numpy passes, while every plan round still
-    runs through the untouched :func:`_execute_plan_prefix` on identical
-    ``alive`` lists — so the executed segments are bitwise the
-    per-arrival path's.
+    The segment-level core of :func:`run_oa`, exposed separately so
+    large-scale callers (the bench harness) can consume the executed
+    trajectory without materializing the dense schedule matrix.
+
+    Each epoch's YDS plan is generated lazily (:class:`_LazyPlan`) and
+    executed only up to the first critical interval past the next
+    arrival (:func:`_execute_plan_prefix`). The per-epoch bookkeeping
+    runs in batched passes, so every plan round sees the same ``alive``
+    lists as the from-scratch replan, whose executed segments
+    (:func:`repro.perf.reference.oa_segments_reference`) these equal
+    bit for bit:
 
     * the epoch list comes from one ``np.unique`` (the same floats as
       ``sorted(set(...))`` over the release column);
-    * the known-prefix advance — a per-epoch ``while`` in the arrival
-      path — collapses to one vectorized ``searchsorted`` of every
-      ``t + _EPS`` against the release column;
-    * the per-epoch ``sorted(alive_pool)`` rebuild is replaced by an
-      append-only ascending id list with tombstone deletions (ids enter
-      in release order, so the list never needs sorting), compacted when
-      more than half its entries are dead;
-    * the ``unfinished`` set becomes a flag-guarded counter, making the
-      "any work left" test O(1) without set churn.
+    * the known-prefix advance collapses to one vectorized
+      ``searchsorted`` of every ``t + _EPS`` against the release column;
+    * the alive jobs are an append-only ascending id list with
+      tombstone deletions (ids enter in release order, so the list
+      never needs sorting), compacted when more than half its entries
+      are dead;
+    * the unfinished jobs are a flag-guarded counter, making the "any
+      work left" test O(1) without set churn.
     """
+    if instance.m != 1:
+        raise InvalidParameterError(
+            f"run_oa is single-processor; instance has m={instance.m}. "
+            "Use run_oa_multiprocessor for m > 1."
+        )
+    if instance.n == 0:
+        raise InvalidParameterError("OA needs at least one job")
+    ordered = instance.sorted_by_release()
     n = ordered.n
     releases = ordered.releases
     deadlines_arr = ordered.deadlines
     workloads = ordered.workloads
     epochs_arr = np.unique(releases)
-    horizon_end = float(deadlines_arr.max()) if n else 0.0
-    # Batched known-prefix counts: the arrival loop advances through
-    # `releases[known] <= t + _EPS`; side="right" at t + _EPS is that
-    # exact boundary, for every epoch in one pass.
+    horizon_end = float(deadlines_arr.max())
+    # Batched known-prefix counts: the known jobs are those with
+    # `releases[j] <= t + _EPS`; side="right" at t + _EPS is that exact
+    # boundary, for every epoch in one pass.
     counts = np.searchsorted(releases, epochs_arr + _EPS, side="right").tolist()
     epochs = epochs_arr.tolist()
 
@@ -438,7 +453,7 @@ def _oa_segments_epoch(
                 dead.add(j)
         if not alive:
             # Work remains but nothing is plannable — the exact state in
-            # which the reference path's oa_plan raises.
+            # which the from-scratch replan's oa_plan raises.
             raise InvalidParameterError("oa_plan called with no remaining work")
         _execute_plan_prefix(
             _LazyPlan(t, alive, [remaining[j] for j in alive], deadlines),
@@ -451,144 +466,14 @@ def _oa_segments_epoch(
     return ordered, executed
 
 
-def oa_segments(
-    instance: Instance, *, replan: str = "incremental", batch: str | None = None
-) -> tuple[Instance, list[tuple[int, float, float, float]]]:
-    """Simulate OA and return ``(ordered_instance, executed_segments)``.
-
-    The segment-level core of :func:`run_oa`, exposed separately so
-    large-scale callers (the bench harness) can consume the executed
-    trajectory without materializing the dense schedule matrix.
-
-    ``replan="incremental"`` (default) generates each epoch's YDS plan
-    lazily and stops at the first critical interval past the next
-    arrival; ``replan="reference"`` is the historical from-scratch
-    replan (full YDS plan per epoch, via :func:`oa_plan`), retained for
-    differential testing. ``batch="epoch"`` additionally batches the
-    per-epoch bookkeeping (see :func:`_oa_segments_epoch`); ``None``
-    defers to the ambient :func:`repro.perf.epochs.batch_mode`.
-    Identical output — bit for bit — across every combination.
-    """
-    if instance.m != 1:
-        raise InvalidParameterError(
-            f"run_oa is single-processor; instance has m={instance.m}. "
-            "Use run_oa_multiprocessor for m > 1."
-        )
-    if replan not in ("incremental", "reference"):
-        raise InvalidParameterError(
-            f"replan must be 'incremental' or 'reference', got {replan!r}"
-        )
-    if batch is None:
-        from ..perf.epochs import current_batch_mode  # lazy: higher layer
-
-        batch = current_batch_mode()
-    if batch not in ("arrival", "epoch"):
-        raise InvalidParameterError(
-            f"batch must be 'arrival' or 'epoch', got {batch!r}"
-        )
-    if batch == "epoch":
-        if replan == "reference":
-            raise InvalidParameterError(
-                "batch='epoch' applies to the incremental replanner; the "
-                "reference replan is its per-arrival parity twin "
-                "(use batch='arrival')"
-            )
-        return _oa_segments_epoch(instance.sorted_by_release())
-    ordered = instance.sorted_by_release()
-    n = ordered.n
-    releases = ordered.releases
-    epochs = sorted(set(releases.tolist()))
-    horizon_end = float(ordered.deadlines.max()) if n else 0.0
-
-    remaining = dict(enumerate(ordered.workloads.tolist()))
-    deadlines = dict(enumerate(ordered.deadlines.tolist()))
-    executed: list[tuple[int, float, float, float]] = []
-
-    # Releases are sorted, so the known set is a growing prefix, and
-    # the "any work left" test is a maintained set of unfinished known
-    # jobs — O(1) per epoch instead of an O(n) rescan. `alive_pool`
-    # additionally drops jobs whose deadline has passed (dust below the
-    # work tolerance), so building an epoch's alive list costs the size
-    # of the *actually alive* set, not of all unfinished bookkeeping.
-    known_count = 0
-    unfinished: set[int] = set()
-    alive_pool: set[int] = set()
-
-    def on_finish(j: int) -> None:
-        unfinished.discard(j)
-        alive_pool.discard(j)
-
-    for idx, t in enumerate(epochs):
-        t_next = epochs[idx + 1] if idx + 1 < len(epochs) else horizon_end
-        while known_count < n and releases[known_count] <= t + _EPS:
-            if remaining[known_count] > _WORK_TOL:
-                unfinished.add(known_count)
-                alive_pool.add(known_count)
-            known_count += 1
-        if not unfinished:
-            continue
-        if replan == "reference":
-            plan = oa_plan(
-                now=t,
-                job_ids=list(range(known_count)),
-                remaining=remaining,
-                deadlines=deadlines,
-                alpha=ordered.alpha,
-            )
-            for job, a, b, speed in plan.segments:
-                if a >= t_next - _EPS:
-                    break
-                hi = min(b, t_next)
-                if hi <= a + _EPS:
-                    continue
-                executed.append((job, a, hi, speed))
-                remaining[job] -= (hi - a) * speed
-                if remaining[job] < 0.0:
-                    remaining[job] = 0.0
-                if remaining[job] <= _WORK_TOL:
-                    unfinished.discard(job)
-                    alive_pool.discard(job)
-            continue
-        alive = []
-        for j in sorted(alive_pool):
-            if deadlines[j] > t + _EPS:
-                alive.append(j)
-            else:
-                # A passed deadline never un-passes: prune for good.
-                alive_pool.discard(j)
-        if not alive:
-            # Work remains but nothing is plannable — the exact state in
-            # which the reference path's oa_plan raises.
-            raise InvalidParameterError("oa_plan called with no remaining work")
-        _execute_plan_prefix(
-            _LazyPlan(t, alive, [remaining[j] for j in alive], deadlines),
-            t_next=t_next,
-            remaining=remaining,
-            executed=executed,
-            on_finish=on_finish,
-        )
-
-    return ordered, executed
-
-
-def run_oa(
-    instance: Instance,
-    *,
-    replan: str = "incremental",
-    batch: str | None = None,
-) -> OAResult:
+def run_oa(instance: Instance) -> OAResult:
     """Simulate OA on a single-processor instance (all jobs are finished).
 
     Job values are ignored — OA predates the profitable model. The
     simulation advances from arrival epoch to arrival epoch, executing the
-    current plan's EDF segments in between. ``replan`` selects between
-    the incremental lazy-prefix planner (default) and the retained
-    historical from-scratch replan (``"reference"``); ``batch`` selects
-    the epoch-batched bookkeeping loop (``None`` defers to the ambient
-    :func:`repro.perf.epochs.batch_mode`); see :func:`oa_segments`. The
-    results are bit-identical across every combination.
+    current plan's EDF segments in between; see :func:`oa_segments`.
     """
-    ordered, executed = oa_segments(instance, replan=replan, batch=batch)
+    ordered, executed = oa_segments(instance)
     schedule = schedule_from_segments(
         ordered, executed, np.ones(ordered.n, dtype=bool)
     )
@@ -608,6 +493,8 @@ def run_oa_multiprocessor(instance: Instance) -> OAResult:
     """
     from ..offline.convex import solve_min_energy  # lazy: higher layer
 
+    if instance.n == 0:
+        raise InvalidParameterError("OA needs at least one job")
     ordered = instance.sorted_by_release()
     n = ordered.n
     releases = ordered.releases

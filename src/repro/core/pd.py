@@ -18,14 +18,20 @@ and every run carries a machine-checkable certificate: the dual value
 ``g(lambda~)`` computed by :mod:`repro.analysis.certificates` satisfies
 ``cost(PD) <= alpha**alpha * g(lambda~) <= alpha**alpha * cost(OPT)``.
 
-Implementation note (PR 5): the scheduler runs on the incremental
-kernels of :mod:`repro.perf.kernels`. Each atomic interval owns a live
+Implementation note: the scheduler runs on the incremental kernels of
+:mod:`repro.perf.kernels`. Each atomic interval owns a live
 :class:`~repro.perf.kernels.IntervalLoads` store (descending-sorted
 loads + suffix sums, maintained by sorted insertion on accept and
 split-copy on refinement) instead of columns of a dense ``(n, N)``
 matrix rebuilt per arrival; the dense matrices are materialized once,
-in :meth:`PDScheduler.finish`. The outputs are bit-identical to the
-historical implementation (kept as
+in :meth:`PDScheduler.finish`. Every arrival runs through one scalar
+core (:meth:`PDScheduler._arrive_row`): :meth:`PDScheduler.arrive` and
+:func:`run_pd` feed it one row at a time, and
+:meth:`PDScheduler.arrive_many` runs the epoch layer of
+:mod:`repro.perf.epochs` on top of it. Jobs and decisions live in one
+columnar store; ``Job`` and ``JobDecision`` objects materialize in
+``finish()``. The outputs are bit-identical to the historical
+implementation (kept as
 :class:`repro.perf.reference.PDSchedulerReference` and differentially
 tested), while the per-arrival cost drops from O(n·N) to
 O(window + split intervals).
@@ -34,8 +40,10 @@ O(window + split intervals).
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -46,6 +54,10 @@ from ..model.schedule import Schedule
 from ..perf.kernels import IntervalLoads, WindowKernel, _opening_speed
 from ..types import FloatArray
 from .waterfill import waterfill_job
+
+if TYPE_CHECKING:
+    from ..model.job_arrays import JobArrays
+    from .waterfill import WaterfillOutcome
 
 __all__ = ["PDResult", "JobDecision", "PDScheduler", "run_pd"]
 
@@ -147,13 +159,8 @@ class PDScheduler:
         alpha: float,
         delta: float | None = None,
         power=None,
-        batch: str = "arrival",
     ) -> None:
         check_processor_count(m)
-        if batch not in ("arrival", "epoch"):
-            raise InvalidParameterError(
-                f"batch must be 'arrival' or 'epoch', got {batch!r}"
-            )
         from ..model.power import PolynomialPower
 
         self.m = m
@@ -176,8 +183,6 @@ class PDScheduler:
                 f"delta must be finite and > 0, got {self.delta}"
             )
 
-        self.batch = batch
-        self._jobs: list[Job] = []
         #: The grid's boundaries and interval lengths as plain floats,
         #: updated in place of a numpy ``Grid`` on every refinement (the
         #: lengths are the same subtractions ``np.diff`` makes).
@@ -191,26 +196,25 @@ class PDScheduler:
         #: Per interval, the planned ``(job_id, load)`` entries — final
         #: loads for accepted jobs, the pre-rejection ``x̌`` otherwise.
         self._planned: list[list[tuple[int, float]]] = []
-        self._decisions: list[JobDecision] = []
         self._last_release = -np.inf
-        #: Total arrivals so far (== len(self._jobs) on the per-arrival
-        #: path; the epoch path stores columns instead of Job objects).
-        self._count = 0
-        #: Epoch-mode storage: per-block chunks of job columns
-        #: (release, deadline, workload, value arrays) and decision
-        #: columns (accepted, lam, speed, planned_work lists), appended
-        #: by :func:`repro.perf.epochs.arrive_epochs`. Materialized into
-        #: the historical Job/JobDecision shapes in :meth:`finish`.
-        self._chunks: list[tuple] = []
-        #: Optional pre-materialized job tuple for :meth:`finish` (set
-        #: by ``run_pd(batch="epoch")`` when the instance already holds
-        #: Job objects, preserving optional names bit for bit).
-        self._finish_jobs: tuple[Job, ...] | None = None
+        #: The fed jobs in arrival order, held by reference: the ``Job``
+        #: of each :meth:`arrive` call, or ``(arrays, count)`` for the
+        #: first ``count`` rows of a fed :class:`JobArrays` block.
+        #: Materialized into one ``Job`` tuple in :meth:`finish`.
+        self._chunks: list[Job | tuple[JobArrays, int]] = []
+        #: The decision columns, one entry per arrival: accepted, lambda,
+        #: planned speed and planned work. Packed, not lists of Python
+        #: objects: a million-job stream keeps them at 25 MB.
+        self._accepted = bytearray()
+        self._lams = array("d")
+        self._speeds = array("d")
+        self._planned_work = array("d")
         #: Per interval, the opening speed of its store
-        #: (:func:`~repro.perf.kernels._opening_speed`), the epoch path's
-        #: zero-work settle key. None until the epoch path first asks
-        #: (:meth:`_opening_speeds`), so ``arrive()`` never pays for it;
-        #: kept current from then on wherever a store changes.
+        #: (:func:`~repro.perf.kernels._opening_speed`), the epoch
+        #: layer's zero-work settle key. None until that layer first
+        #: asks (:meth:`_opening_speeds`), so a scheduler fed row by row
+        #: never pays for it; kept current from then on wherever a store
+        #: changes.
         self._open: list[float] | None = None
 
     # ------------------------------------------------------------------
@@ -218,152 +222,47 @@ class PDScheduler:
     # ------------------------------------------------------------------
     def arrive(self, job: Job) -> JobDecision:
         """Process the arrival of ``job`` and commit PD's decision."""
-        if self._chunks:
-            raise InvalidParameterError(
-                "cannot mix arrive() with epoch-batched arrivals; feed "
-                "this scheduler exclusively via arrive_many()"
-            )
-        if job.release < self._last_release - 1e-12:
-            raise InvalidParameterError(
-                f"jobs must arrive in release order: got release {job.release} "
-                f"after {self._last_release}"
-            )
-        self._last_release = max(self._last_release, job.release)
-        job_id = len(self._jobs)
-        self._jobs.append(job)
-        self._count = job_id + 1
-
-        self._refine_grid(job.release, job.deadline)
-        ks = _window(self._bounds, job.release, job.deadline)
-
-        kernel = WindowKernel(
-            self._states[ks.start : ks.stop],
-            self._lengths[ks.start : ks.stop],
-            self.m,
-        )
-        outcome = waterfill_job(
-            kernel,
-            workload=job.workload,
-            value=job.value,
-            delta=self.delta,
-            power=self.power,
-        )
-
-        # Commit: sorted insertion into each interval's live store for an
-        # accept; either way the planned loads (``x̌``) are recorded.
-        # Exact zeros carry no information (the dense materialization is
-        # zero-initialized) and are skipped.
-        for offset, k in enumerate(ks):
-            z = float(outcome.loads[offset])
-            if z == 0.0:
-                continue
-            if outcome.accepted:
-                self._states[k].insert(job_id, z)
-            self._planned[k].append((job_id, z))
-
-        decision = JobDecision(
+        job_id = self._count
+        outcome = self._arrive_row(job.release, job.deadline, job.workload, job.value)
+        self._chunks.append(job)
+        return JobDecision(
             job_id=job_id,
             accepted=outcome.accepted,
             lam=outcome.lam,
             planned_speed=outcome.speed,
             planned_work=outcome.planned_work,
         )
-        self._decisions.append(decision)
-        return decision
 
-    def arrive_many(self, arrays, *, epoch_size: int | None = None) -> None:
+    def arrive_many(self, arrays: JobArrays) -> None:
         """Process a columnar block of arrivals (release-ordered).
 
-        On the per-arrival path this is sugar for feeding
-        ``arrays.job(i)`` one at a time. With ``batch="epoch"`` the block
-        is consumed by :func:`repro.perf.epochs.arrive_epochs` — batched
-        numpy passes over the columns, bit-identical decisions.
+        Runs the epoch layer,
+        :func:`repro.perf.epochs.arrive_epochs`: batched numpy passes over
+        the columns around the scalar core, the same decisions as one
+        :meth:`arrive` per row. Calls to the two may be interleaved.
         """
-        if self.batch == "epoch":
-            from ..perf.epochs import DEFAULT_EPOCH_SIZE, arrive_epochs
+        from ..perf.epochs import arrive_epochs
 
-            arrive_epochs(
-                self,
-                arrays,
-                epoch_size=(
-                    DEFAULT_EPOCH_SIZE if epoch_size is None else epoch_size
-                ),
-            )
-            return
-        for i in range(arrays.n):
-            self.arrive(arrays.job(i))
-
-    def _materialize(self) -> tuple[Instance, tuple[JobDecision, ...]]:
-        """The (instance, decisions) pair in the historical shapes.
-
-        Per-arrival runs stored both directly; epoch runs stored columns
-        and materialize the identical objects here — same floats, same
-        job order, names preserved when the caller provided Job objects.
-        """
-        if self._jobs:
-            instance = Instance(tuple(self._jobs), m=self.m, alpha=self._alpha)
-            return instance, tuple(self._decisions)
-        decisions = []
-        jobs: list[Job] = []
-        job_id = 0
-        for rel, dl, wl, val, acc, lam, spd, pw in self._chunks:
-            rel_l = rel.tolist()
-            dl_l = dl.tolist()
-            wl_l = wl.tolist()
-            val_l = val.tolist()
-            for t in range(len(acc)):
-                decisions.append(
-                    JobDecision(
-                        job_id=job_id,
-                        accepted=acc[t],
-                        lam=lam[t],
-                        planned_speed=spd[t],
-                        planned_work=pw[t],
-                    )
-                )
-                if self._finish_jobs is None:
-                    jobs.append(
-                        Job(
-                            release=rel_l[t],
-                            deadline=dl_l[t],
-                            workload=wl_l[t],
-                            value=val_l[t],
-                        )
-                    )
-                job_id += 1
-        if self._finish_jobs is not None:
-            job_tuple = self._finish_jobs
-        else:
-            job_tuple = tuple(jobs)
-        instance = Instance(job_tuple, m=self.m, alpha=self._alpha)
-        return instance, tuple(decisions)
+        arrive_epochs(self, arrays)
 
     def finish(self) -> PDResult:
         """Assemble the final :class:`PDResult` after all arrivals."""
-        if self._count == 0:
-            raise InvalidParameterError("no jobs were processed")
-        instance, decisions = self._materialize()
-        finished = np.array([d.accepted for d in decisions], dtype=bool)
-        n = self._count
-        big_n = len(self._lengths)
-        loads = self.snapshot_loads()
-        planned = np.zeros((n, big_n))
-        for k, entries in enumerate(self._planned):
-            for job_id, z in entries:
-                planned[job_id, k] = z
-        schedule = Schedule(
-            instance=instance,
-            grid=self._grid,
-            loads=loads,
-            finished=finished,
-        )
-        return PDResult(
-            schedule=schedule,
-            decisions=decisions,
-            lambdas=np.array([d.lam for d in decisions]),
-            planned_loads=planned,
-            delta=self.delta,
-        )
+        jobs: list[Job] = []
+        for chunk in self._chunks:
+            if isinstance(chunk, Job):
+                jobs.append(chunk)
+                continue
+            arrays, count = chunk
+            jobs.extend(
+                Job(release=r, deadline=d, workload=w, value=v)
+                for r, d, w, v in zip(
+                    arrays.releases[:count].tolist(),
+                    arrays.deadlines[:count].tolist(),
+                    arrays.workloads[:count].tolist(),
+                    arrays.values[:count].tolist(),
+                )
+            )
+        return self._finish(Instance(tuple(jobs), m=self.m, alpha=self._alpha))
 
     def snapshot_loads(self) -> FloatArray:
         """Dense ``(jobs so far, N)`` view of the committed assignment.
@@ -404,17 +303,14 @@ class PDScheduler:
         """Sum of values of rejected jobs so far (no dense schedule)."""
         if self._count == 0:
             return 0.0
-        if self._jobs:
-            values = np.array([j.value for j in self._jobs], dtype=np.float64)
-            finished = np.array(
-                [d.accepted for d in self._decisions], dtype=bool
-            )
-        else:
-            values = np.concatenate([c[3] for c in self._chunks])
-            finished = np.array(
-                [a for c in self._chunks for a in c[4]], dtype=bool
-            )
-        return float(values[~finished].sum())
+        values = np.concatenate(
+            [
+                [chunk.value] if isinstance(chunk, Job) else chunk[0].values[: chunk[1]]
+                for chunk in self._chunks
+            ],
+            dtype=np.float64,
+        )
+        return float(values[~np.array(self._accepted, dtype=bool)].sum())
 
     def streaming_cost(self) -> float:
         """Energy plus lost value of the run so far (Equation (1))."""
@@ -423,6 +319,133 @@ class PDScheduler:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    @property
+    def _count(self) -> int:
+        """Total arrivals so far."""
+        return len(self._accepted)
+
+    def _arrive_row(
+        self, release: float, deadline: float, workload: float, value: float
+    ) -> WaterfillOutcome:
+        """The scalar core: one arrival, grid refinement included.
+
+        Checks the release order, refines the grid, water-fills the
+        job's window and commits the outcome: its loads and its
+        decision. The caller stores the job itself.
+        """
+        if release < self._last_release - 1e-12:
+            raise InvalidParameterError(
+                f"jobs must arrive in release order: got release {release} "
+                f"after {self._last_release}"
+            )
+        if release > self._last_release:
+            self._last_release = release
+        self._refine_grid(release, deadline)
+        ks = _window(self._bounds, release, deadline)
+        kernel = WindowKernel(
+            self._states[ks.start : ks.stop],
+            self._lengths[ks.start : ks.stop],
+            self.m,
+        )
+        outcome = waterfill_job(
+            kernel,
+            workload=workload,
+            value=value,
+            delta=self.delta,
+            power=self.power,
+        )
+        self._commit(ks.start, outcome, self._count)
+        self._accepted.append(outcome.accepted)
+        self._lams.append(outcome.lam)
+        self._speeds.append(outcome.speed)
+        self._planned_work.append(outcome.planned_work)
+        return outcome
+
+    def _record_block(
+        self,
+        accepted: np.ndarray,
+        lams: FloatArray,
+        speeds: FloatArray,
+        planned_work: FloatArray,
+    ) -> None:
+        """Append a block's decisions, one numpy column per field."""
+        self._accepted += accepted.tobytes()
+        self._lams.frombytes(lams.tobytes())
+        self._speeds.frombytes(speeds.tobytes())
+        self._planned_work.frombytes(planned_work.tobytes())
+
+    def _commit(self, i0: int, outcome: WaterfillOutcome, job_id: int) -> None:
+        """Record one filled arrival's loads in the window starting at
+        interval ``i0``: planned loads always (the ``x̌`` of a reject),
+        live stores (and their opening speeds, once tracked) on an
+        accept. Exact zeros carry no information (the dense
+        materialization is zero-initialized) and are skipped."""
+        states = self._states
+        planned = self._planned
+        opens = self._open
+        accepted = outcome.accepted
+        for offset, z in enumerate(outcome.loads.tolist()):
+            if z == 0.0:
+                continue
+            k = i0 + offset
+            if accepted:
+                state = states[k]
+                state.insert(job_id, z)
+                if opens is not None:
+                    opens[k] = _opening_speed(state.suffix, self._lengths[k], self.m)
+            planned[k].append((job_id, z))
+
+    def _run(self, ordered: Instance) -> PDResult:
+        """Feed the rows of a release-ordered instance through the
+        scalar core, then finish on that instance itself: its jobs keep
+        their names and int fields, and a columnar one builds no Job."""
+        arrays = ordered.arrays
+        for row in zip(
+            arrays.releases.tolist(),
+            arrays.deadlines.tolist(),
+            arrays.workloads.tolist(),
+            arrays.values.tolist(),
+        ):
+            self._arrive_row(*row)
+        self._chunks.append((arrays, arrays.n))
+        return self._finish(ordered)
+
+    def _finish(self, instance: Instance) -> PDResult:
+        """The :class:`PDResult` of the arrivals so far, on ``instance``
+        (the fed jobs in arrival order)."""
+        n = self._count
+        if n == 0:
+            raise InvalidParameterError("no jobs were processed")
+        decisions = tuple(
+            JobDecision(
+                job_id=job_id,
+                accepted=bool(accepted),
+                lam=lam,
+                planned_speed=speed,
+                planned_work=work,
+            )
+            for job_id, (accepted, lam, speed, work) in enumerate(
+                zip(self._accepted, self._lams, self._speeds, self._planned_work)
+            )
+        )
+        planned = np.zeros((n, len(self._lengths)))
+        for k, entries in enumerate(self._planned):
+            for job_id, z in entries:
+                planned[job_id, k] = z
+        schedule = Schedule(
+            instance=instance,
+            grid=self._grid,
+            loads=self.snapshot_loads(),
+            finished=np.array(self._accepted, dtype=bool),
+        )
+        return PDResult(
+            schedule=schedule,
+            decisions=decisions,
+            lambdas=np.array(self._lams),
+            planned_loads=planned,
+            delta=self.delta,
+        )
+
     def _opening_speeds(self) -> list[float]:
         """The per-interval opening speeds, built from the live stores
         on first use and kept current by every store change after it."""
@@ -534,28 +557,12 @@ class PDScheduler:
         return True
 
 
-def run_pd(
-    instance: Instance,
-    *,
-    delta: float | None = None,
-    batch: str | None = None,
-    epoch_size: int | None = None,
-) -> PDResult:
+def run_pd(instance: Instance, *, delta: float | None = None) -> PDResult:
     """Run PD on a full instance (jobs fed in arrival order).
 
     This is the main entry point of the library. Jobs are sorted by
     release time (deterministic tie-breaking); the returned result's
     instance reflects that order.
-
-    ``batch`` selects the execution strategy — ``"arrival"`` (the
-    historical one-``arrive()``-per-job loop) or ``"epoch"`` (the
-    vectorized arrival-epoch layer of :mod:`repro.perf.epochs`,
-    consuming jobs in blocks straight off the columnar storage).
-    ``None`` defers to the ambient :func:`repro.perf.epochs.batch_mode`
-    context (default ``"arrival"``). The results are bit-identical
-    either way — batching is an execution strategy, never a result
-    change — so the choice deliberately does not participate in cache
-    keys. ``epoch_size`` tunes the epoch block length (epoch mode only).
 
     Examples
     --------
@@ -567,28 +574,9 @@ def run_pd(
     >>> [bool(a) for a in result.accepted_mask]
     [False, True]
     """
-    from ..perf.epochs import current_batch_mode
-
-    mode = batch if batch is not None else current_batch_mode()
-    if mode not in ("arrival", "epoch"):
-        raise InvalidParameterError(
-            f"batch must be 'arrival' or 'epoch', got {mode!r}"
-        )
     ordered = instance.sorted_by_release()
-    scheduler = PDScheduler(
-        m=ordered.m, alpha=ordered.alpha, delta=delta, batch=mode
-    )
-    if mode == "epoch":
-        if not ordered.columnar:
-            # Job objects already exist (possibly named): reuse them at
-            # finish() so the epoch result is byte-identical even for
-            # named jobs, which the columns cannot carry.
-            scheduler._finish_jobs = ordered.jobs
-        scheduler.arrive_many(ordered.arrays, epoch_size=epoch_size)
-    else:
-        for job in ordered.jobs:
-            scheduler.arrive(job)
-    return scheduler.finish()
+    scheduler = PDScheduler(m=ordered.m, alpha=ordered.alpha, delta=delta)
+    return scheduler._run(ordered)
 
 
 # ----------------------------------------------------------------------

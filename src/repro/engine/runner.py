@@ -272,18 +272,11 @@ class RunRequest:
     ``tag`` is an arbitrary JSON-able mapping the caller threads through
     to the record (sweep parameters, seed, ...); it does not participate
     in the cache key — only the algorithm and the instance content do.
-
-    ``batch`` selects the execution strategy for algorithms that have an
-    epoch-batched main loop (``"arrival"`` / ``"epoch"``; ``None`` means
-    the ambient default). It is bit-parity-tested to never change a
-    result, so — like ``tag`` — it stays out of the cache key: records
-    computed under either mode are interchangeable.
     """
 
     algorithm: str
     instance: Instance
     tag: Mapping[str, Any] | None = None
-    batch: str | None = None
 
 
 @dataclass(frozen=True)
@@ -384,14 +377,9 @@ def evaluate_request(request: RunRequest) -> dict[str, Any]:
     certificate evaluation — the full cost of the cell, which is what a
     cost-aware scheduler needs to balance.
     """
-    from ..perf.epochs import batch_mode
-
     info = REGISTRY.info(request.algorithm)
     start = time.perf_counter()
-    # The ambient batch mode reaches the registered entry points without
-    # widening every registry signature; ``None`` is a no-op wrap.
-    with batch_mode(request.batch):
-        outcome = REGISTRY.run(request.algorithm, request.instance)
+    outcome = REGISTRY.run(request.algorithm, request.instance)
     ratio = g = math.nan
     if info.certificate is not None:
         cert = info.certificate(outcome.raw)

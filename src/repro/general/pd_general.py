@@ -131,7 +131,5 @@ def run_pd_general(
     scheduler = PDScheduler(
         m=ordered.m, alpha=ordered.alpha, delta=delta, power=power
     )
-    for job in ordered.jobs:
-        scheduler.arrive(job)
-    inner = scheduler.finish()
+    inner = scheduler._run(ordered)
     return GeneralPDResult(inner=inner, power=power, delta=delta)

@@ -321,17 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     swp.add_argument(
-        "--batch-mode",
-        choices=["arrival", "epoch"],
-        default=None,
-        help=(
-            "main-loop execution strategy for algorithms with an "
-            "epoch-batched path (bit-parity-tested: records and cache "
-            "keys are identical either way; epoch is the fast choice "
-            "for large n). Default: each algorithm's own default"
-        ),
-    )
-    swp.add_argument(
         "--progress",
         action="store_true",
         help="print a completion-order progress ticker to stderr",
@@ -1244,7 +1233,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         n=args.n,
         seeds=tuple(_csv(args.seeds, int)),
         skip_incapable=True,
-        batch_mode=args.batch_mode,
     )
     if args.workload:
         from ..workloads.registry import WORKLOADS

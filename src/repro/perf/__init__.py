@@ -8,20 +8,20 @@ simulation paths scale without changing a single bit of their output:
   evaluator (:class:`~repro.perf.kernels.WindowKernel`) the primal-dual
   water-filling prices jobs against, including its closed-form
   clearing-speed solve;
-* :mod:`repro.perf.epochs` — arrival-epoch batched execution of the
-  PD main loop (:func:`~repro.perf.epochs.arrive_epochs` plus the
-  ambient :func:`~repro.perf.epochs.batch_mode` switch): blocks of
-  consecutive arrivals consumed off the columnar job storage with
-  vectorized order/window/price-cap passes and zero-work rejects
-  settled against per-interval opening speeds, bit-identical decisions;
+* :mod:`repro.perf.epochs` — the arrival-epoch layer
+  (:func:`~repro.perf.epochs.arrive_epochs`) that
+  ``PDScheduler.arrive_many`` runs: blocks of consecutive arrivals
+  consumed off the columnar job storage with vectorized
+  order/window/price-cap passes and zero-work rejects settled against
+  per-interval opening speeds, bit-identical decisions;
 * :mod:`repro.perf.energy` — batched multi-interval energy evaluation
   (:func:`~repro.perf.energy.schedule_energy` over dense load matrices,
   :func:`~repro.perf.energy.stores_energy` over streaming
   ``IntervalLoads``), one vectorized pass instead of a per-column loop;
 * :mod:`repro.perf.reference` — the historical straight-line
   implementations (dense-matrix PD, per-column energy, the bisecting
-  water-fill), kept verbatim for differential ("bit parity") testing
-  against the kernels;
+  water-fill, OA's from-scratch replan), kept verbatim for
+  differential ("bit parity") testing against the kernels;
 * :mod:`repro.perf.bench` — named perf scenarios, the machine-readable
   ``BENCH_<scenario>.json`` emitter, and the baseline-comparison gate
   behind ``python -m repro bench``.
@@ -36,12 +36,7 @@ whose accepted speeds it moves within the old tolerance
 """
 
 from .energy import schedule_energy, stores_energy
-from .epochs import (
-    DEFAULT_EPOCH_SIZE,
-    arrive_epochs,
-    batch_mode,
-    current_batch_mode,
-)
+from .epochs import DEFAULT_EPOCH_SIZE, arrive_epochs
 from .kernels import IntervalLoads, WindowKernel
 
 __all__ = [
@@ -49,8 +44,6 @@ __all__ = [
     "IntervalLoads",
     "WindowKernel",
     "arrive_epochs",
-    "batch_mode",
-    "current_batch_mode",
     "schedule_energy",
     "stores_energy",
 ]

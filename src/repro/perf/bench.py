@@ -224,7 +224,7 @@ def _pd_stream_point(point: Mapping[str, Any]) -> dict:
     arrays = instance.sorted_by_release().arrays
 
     def exercise() -> float:
-        sched = PDScheduler(m=m, alpha=3.0, batch="epoch")
+        sched = PDScheduler(m=m, alpha=3.0)
         sched.arrive_many(arrays)
         return sched.streaming_cost()
 
@@ -240,7 +240,7 @@ def _oa_stream_point(point: Mapping[str, Any]) -> dict:
 
     n = int(point["n"])
     instance = slotted_instance(n, slots=2000, m=1, alpha=3.0, seed=0)
-    wall, out = _timed(lambda: oa_segments(instance, batch="epoch"))
+    wall, out = _timed(lambda: oa_segments(instance))
     _, executed = out
     power = PolynomialPower(3.0)
     energy = sum(

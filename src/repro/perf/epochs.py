@@ -1,13 +1,13 @@
-"""Arrival-epoch batched execution of the primal-dual scheduler.
+"""Arrival-epoch layer of the primal-dual scheduler.
 
-The online loop of :class:`~repro.core.pd.PDScheduler` is faithful but
-*literal*: one Python ``arrive()`` per job — Job materialization, a
-fresh-point probe, a ``covering()`` walk, a
-:class:`~repro.perf.kernels.WindowKernel` build, and a decision object,
-per arrival. At the million-job tier the interpreter overhead of that
+:class:`~repro.core.pd.PDScheduler` runs every arrival through one
+scalar core: a fresh-point probe, a window lookup, a
+:class:`~repro.perf.kernels.WindowKernel` build and a water-fill per
+job. At the million-job tier the interpreter overhead of that
 choreography dwarfs the actual water-filling arithmetic.
 
-This module replays the identical per-arrival semantics in **epochs**:
+This module is what :meth:`~repro.core.pd.PDScheduler.arrive_many`
+runs: it replays the identical per-arrival semantics in **epochs**,
 blocks of consecutive arrivals consumed straight off the
 :class:`~repro.model.job_arrays.JobArrays` columns, with the per-job
 bookkeeping hoisted into batched numpy passes:
@@ -18,8 +18,9 @@ bookkeeping hoisted into batched numpy passes:
 * **refinement scan** — the :meth:`~repro.model.intervals.Grid.fresh_points`
   nearness test, vectorized over every window endpoint in the block.
   Blocks are *split at the first refining arrival*: that job runs the
-  full scalar path (grid refinement included), everything before it is
-  batched against a grid that provably does not change under it. A
+  scheduler's scalar core (grid refinement included), everything
+  before it is batched against a grid that provably does not change
+  under it. A
   block whose first arrival refines is told so by the scalar classifier
   on the scheduler's boundary list, so the numpy ``Grid`` this scan
   reads is built at most once per refinement. In steady state (the grid
@@ -50,88 +51,46 @@ bookkeeping hoisted into batched numpy passes:
   insert rebuilds that store's suffix) and refreshes their opening
   speeds; grid refinement keeps the speeds current too;
 * **columnar decisions** — accepted/lam/speed/planned-work land in
-  per-block columns; ``JobDecision``/``Instance`` objects materialize
-  once, in ``finish()``.
+  the scheduler's decision columns, and the fed block is stored by
+  reference; ``JobDecision``/``Instance`` objects materialize once, in
+  ``finish()``.
 
 A job that opens some interval runs the *reference* scalar water-fill
 (:func:`repro.core.waterfill.waterfill_job` over a ``WindowKernel`` of
 the live stores) — the same floats in the same order — so decisions,
 load stores, planned loads, certificates, record payloads, and cache
-keys are byte-identical to the per-arrival path. The differential suite
-(``tests/test_epochs.py``) asserts exactly that, and ``repro lint``
-pins every public name here to its reference twin
+keys are byte-identical to feeding the rows one ``arrive()`` at a
+time. The differential suite (``tests/test_epochs.py``) asserts exactly
+that, and ``repro lint`` pins every public name here to its reference
+twin
 (:data:`repro.perf.reference.PARITY_PAIRS`).
 """
 
 from __future__ import annotations
 
-import contextvars
 import math
 from bisect import bisect_left
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..core.waterfill import price_cap, waterfill_job
 from ..errors import InvalidParameterError
-from ..model.intervals import _TIME_EPS, _fresh_points, _window
+from ..model.intervals import _TIME_EPS, _fresh_points
 from ..model.power import PolynomialPower
-from .kernels import _SETTLE_MARGIN, WindowKernel, _opening_speed
+from .kernels import _SETTLE_MARGIN, WindowKernel
 
 if TYPE_CHECKING:
     from ..core.pd import PDScheduler
-    from ..core.waterfill import WaterfillOutcome
     from ..model.job_arrays import JobArrays
     from ..model.power import PowerFunction
 
-__all__ = [
-    "DEFAULT_EPOCH_SIZE",
-    "arrive_epochs",
-    "batch_mode",
-    "current_batch_mode",
-]
+__all__ = ["DEFAULT_EPOCH_SIZE", "arrive_epochs"]
 
 #: Default arrival-epoch block length: large enough to amortize the
 #: per-block numpy passes over thousands of arrivals. Pure tuning — the
 #: block length never changes a decision.
 DEFAULT_EPOCH_SIZE = 2048
-
-_BATCH_MODES = ("arrival", "epoch")
-
-_MODE: contextvars.ContextVar[str] = contextvars.ContextVar(
-    "repro_batch_mode", default="arrival"
-)
-
-
-def current_batch_mode() -> str:
-    """The ambient execution mode ``run_pd``/``run_oa`` default to."""
-    return _MODE.get()
-
-
-@contextmanager
-def batch_mode(mode: str | None) -> Iterator[None]:
-    """Context manager selecting the ambient batch execution mode.
-
-    ``None`` is a no-op (keeps the surrounding mode) so callers can
-    thread an optional setting through unconditionally. The mode is an
-    *execution* option: it changes how results are computed, never what
-    they are, and therefore deliberately stays out of
-    :func:`repro.engine.runner.request_key` — a cached record answers
-    requests from either mode.
-    """
-    if mode is None:
-        yield
-        return
-    if mode not in _BATCH_MODES:
-        raise InvalidParameterError(
-            f"batch must be one of {_BATCH_MODES}, got {mode!r}"
-        )
-    token = _MODE.set(mode)
-    try:
-        yield
-    finally:
-        _MODE.reset(token)
 
 
 def arrive_epochs(
@@ -145,23 +104,24 @@ def arrive_epochs(
     Mutates ``scheduler`` (a :class:`~repro.core.pd.PDScheduler`) into
     exactly the state the sequential ``for i: scheduler.arrive(arrays.job(i))``
     loop would produce — same grid, same stores, same planned loads,
-    same decisions — while storing jobs and decisions columnar. The
-    scheduler must not have been fed through ``arrive()`` before (the
-    two storage layouts do not mix).
+    same decisions — while storing the block by reference and the
+    decisions columnar.
     """
     if isinstance(epoch_size, bool) or not isinstance(epoch_size, int) or epoch_size < 1:
         raise InvalidParameterError(
             f"epoch_size must be an int >= 1, got {epoch_size!r}"
         )
-    if scheduler._jobs:
-        raise InvalidParameterError(
-            "cannot mix epoch-batched arrivals with arrive(); this "
-            "scheduler already holds per-arrival jobs"
-        )
     n = arrays.n
+    start = scheduler._count
     i = 0
-    while i < n:
-        i = _process_block(scheduler, arrays, i, min(i + epoch_size, n))
+    try:
+        while i < n:
+            i = _process_block(scheduler, arrays, i, min(i + epoch_size, n))
+    finally:
+        # The rows consumed so far, the valid prefix of a failed block
+        # included, as the sequential loop would have stored them.
+        if scheduler._count > start:
+            scheduler._chunks.append((arrays, scheduler._count - start))
 
 
 # ----------------------------------------------------------------------
@@ -251,73 +211,6 @@ def _settled_at_block_start(
     return usable & (caps * _SETTLE_MARGIN < window_min)
 
 
-def _commit(
-    sched: PDScheduler, i0: int, outcome: WaterfillOutcome, job_id: int
-) -> None:
-    """Record one filled arrival's loads in the window starting at
-    interval ``i0``: planned loads always, live stores (and their
-    opening speeds, once tracked) on an accept. Exact zeros carry no
-    information and are skipped, as in ``PDScheduler.arrive``."""
-    states = sched._states
-    planned = sched._planned
-    opens = sched._open
-    accepted = outcome.accepted
-    for offset, z in enumerate(outcome.loads.tolist()):
-        if z == 0.0:
-            continue
-        k = i0 + offset
-        if accepted:
-            state = states[k]
-            state.insert(job_id, z)
-            if opens is not None:
-                opens[k] = _opening_speed(state.suffix, sched._lengths[k], sched.m)
-        planned[k].append((job_id, z))
-
-
-def _scalar_arrive(sched: PDScheduler, arrays: JobArrays, i: int) -> None:
-    """One arrival through the full scalar path (grid refinement included).
-
-    Used for the grid-bootstrapping first job and for every arrival
-    whose window endpoints do not snap to the current grid. Identical
-    to ``PDScheduler.arrive`` minus Job/decision object churn — the
-    release-order check already ran vectorized for the enclosing block.
-    """
-    release = float(arrays.releases[i])
-    deadline = float(arrays.deadlines[i])
-    if release > sched._last_release:
-        sched._last_release = release
-
-    sched._refine_grid(release, deadline)
-    ks = _window(sched._bounds, release, deadline)
-    kernel = WindowKernel(
-        sched._states[ks.start : ks.stop],
-        sched._lengths[ks.start : ks.stop],
-        sched.m,
-    )
-    outcome = waterfill_job(
-        kernel,
-        workload=float(arrays.workloads[i]),
-        value=float(arrays.values[i]),
-        delta=sched.delta,
-        power=sched.power,
-    )
-    job_id = sched._count
-    _commit(sched, ks.start, outcome, job_id)
-    sched._chunks.append(
-        (
-            arrays.releases[i : i + 1],
-            arrays.deadlines[i : i + 1],
-            arrays.workloads[i : i + 1],
-            arrays.values[i : i + 1],
-            [outcome.accepted],
-            [outcome.lam],
-            [outcome.speed],
-            [outcome.planned_work],
-        )
-    )
-    sched._count = job_id + 1
-
-
 def _process_block(sched: PDScheduler, arrays: JobArrays, lo: int, hi: int) -> int:
     """Process arrivals ``[lo, hi)``; return the next unprocessed index.
 
@@ -347,7 +240,12 @@ def _process_block(sched: PDScheduler, arrays: JobArrays, lo: int, hi: int) -> i
     if not sched._bounds or _fresh_points(
         sched._bounds, (float(r[0]), float(arrays.deadlines[lo]))
     ):
-        _scalar_arrive(sched, arrays, lo)
+        sched._arrive_row(
+            float(r[0]),
+            float(arrays.deadlines[lo]),
+            float(arrays.workloads[lo]),
+            float(arrays.values[lo]),
+        )
         return lo + 1
 
     grid = sched._grid
@@ -397,11 +295,13 @@ def _process_block(sched: PDScheduler, arrays: JobArrays, lo: int, hi: int) -> i
     vl = v.tolist()
     # Every arrival starts out as a zero-work reject (lambda = value,
     # speed = cap, nothing planned); the water-fill overwrites its row.
-    acc = [False] * cnt
-    lam = list(vl)
+    # The decision columns stay numpy until they join the scheduler's
+    # store; ``spd`` mirrors the speeds for the loop's reads.
+    acc = np.zeros(cnt, dtype=bool)
+    lam = np.array(v)
     caps = _price_caps(power, v, w, delta)
     spd = caps.tolist()
-    pw = [0.0] * cnt
+    pw = np.zeros(cnt)
     settled = _settled_at_block_start(
         opens, i_idx, j_idx, aligned & (j_idx > i_idx), caps
     )
@@ -412,7 +312,7 @@ def _process_block(sched: PDScheduler, arrays: JobArrays, lo: int, hi: int) -> i
         if algn[t] and j0 > i0:
             s_cap = spd[t]
             if s_cap != s_cap:  # NaN: left to the scalar by _price_caps
-                s_cap = spd[t] = price_cap(power, vl[t], wl[t], delta)
+                s_cap = caps[t] = price_cap(power, vl[t], wl[t], delta)
             # Settle against the live opening speeds (accepts earlier in
             # the block included); failing that, the exact screen asks
             # the reference kernel's own per-interval question at the
@@ -448,12 +348,11 @@ def _process_block(sched: PDScheduler, arrays: JobArrays, lo: int, hi: int) -> i
             delta=delta,
             power=power,
         )
-        _commit(sched, i0, outcome, base_id + t)
+        sched._commit(i0, outcome, base_id + t)
         acc[t] = outcome.accepted
         lam[t] = outcome.lam
-        spd[t] = outcome.speed
+        caps[t] = outcome.speed
         pw[t] = outcome.planned_work
 
-    sched._chunks.append((r, d, w, v, acc, lam, spd, pw))
-    sched._count = base_id + cnt
+    sched._record_block(acc, lam, caps, pw)
     return hi

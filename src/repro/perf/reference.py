@@ -45,6 +45,7 @@ __all__ = [
     "PARITY_PAIRS",
     "PDSchedulerReference",
     "arrive_epochs_reference",
+    "oa_segments_reference",
     "run_cll_reference",
     "run_pd_reference",
     "schedule_energy_reference",
@@ -63,14 +64,14 @@ PARITY_PAIRS = {
     "WindowKernel": "run_pd_reference",
     "schedule_energy": "schedule_energy_reference",
     "stores_energy": "schedule_energy_reference",
-    # Arrival-epoch batched execution (repro.perf.epochs): the reference
-    # twin is the per-arrival loop itself — one scalar arrive() per job.
+    # The arrival-epoch layer (repro.perf.epochs): the reference
+    # twin is the scalar core itself — one arrive() per job.
     "DEFAULT_EPOCH_SIZE": "arrive_epochs_reference",
     "arrive_epochs": "arrive_epochs_reference",
-    "batch_mode": "arrive_epochs_reference",
-    "current_batch_mode": "arrive_epochs_reference",
-    # CLL on the lazy OA planner (repro.core.cll): the twin replans in
-    # full with oa_plan, twice per release epoch.
+    # OA and CLL on the lazy OA planner (repro.classical.oa,
+    # repro.core.cll): the twins replan in full with oa_plan, once (OA)
+    # or twice (CLL) per release epoch.
+    "oa_segments": "oa_segments_reference",
     "run_cll": "run_cll_reference",
 }
 
@@ -262,18 +263,80 @@ def arrive_epochs_reference(scheduler: PDScheduler, arrays: JobArrays) -> None:
     """The per-arrival twin of :func:`repro.perf.epochs.arrive_epochs`.
 
     Feeds the columnar block one scalar ``arrive()`` at a time — the
-    exact loop the epoch layer replaces. The differential suite runs
-    both drivers against identical schedulers and asserts byte-identical
+    loop the epoch layer batches. The differential suite runs
+    both feeds against identical schedulers and asserts byte-identical
     decisions, stores, planned loads, payloads, and cache keys.
     """
     for i in range(arrays.n):
         scheduler.arrive(arrays.job(i))
 
 
-#: The event and work tolerances of ``repro.core.cll`` (the event one is
-#: also ``repro.classical.yds``'s).
+#: The event and work tolerances of ``repro.classical.oa`` and
+#: ``repro.core.cll`` (the event one is also ``repro.classical.yds``'s).
 _EPS = 1e-12
 _WORK_TOL = 1e-9
+
+
+def oa_segments_reference(
+    instance: Instance,
+) -> tuple[Instance, list[tuple[int, float, float, float]]]:
+    """The historical OA simulation, verbatim: a full :func:`oa_plan`
+    per release epoch over every known job, executed up to the next
+    epoch.
+
+    Replaced by :func:`repro.classical.oa.oa_segments`, which generates
+    each plan lazily and stops at the first round past the next
+    arrival; kept as its oracle. Returns ``(ordered_instance,
+    executed_segments)`` like the live path.
+    """
+    if instance.m != 1:
+        raise InvalidParameterError(
+            f"run_oa is single-processor; instance has m={instance.m}. "
+            "Use run_oa_multiprocessor for m > 1."
+        )
+    if instance.n == 0:
+        raise InvalidParameterError("OA needs at least one job")
+    ordered = instance.sorted_by_release()
+    n = ordered.n
+    releases = ordered.releases
+    epochs = sorted(set(releases.tolist()))
+    horizon_end = float(ordered.deadlines.max())
+
+    remaining = dict(enumerate(ordered.workloads.tolist()))
+    deadlines = dict(enumerate(ordered.deadlines.tolist()))
+    executed: list[tuple[int, float, float, float]] = []
+    known_count = 0
+    unfinished: set[int] = set()
+
+    for idx, t in enumerate(epochs):
+        t_next = epochs[idx + 1] if idx + 1 < len(epochs) else horizon_end
+        while known_count < n and releases[known_count] <= t + _EPS:
+            if remaining[known_count] > _WORK_TOL:
+                unfinished.add(known_count)
+            known_count += 1
+        if not unfinished:
+            continue
+        plan = oa_plan(
+            now=t,
+            job_ids=list(range(known_count)),
+            remaining=remaining,
+            deadlines=deadlines,
+            alpha=ordered.alpha,
+        )
+        for job, a, b, speed in plan.segments:
+            if a >= t_next - _EPS:
+                break
+            hi = min(b, t_next)
+            if hi <= a + _EPS:
+                continue
+            executed.append((job, a, hi, speed))
+            remaining[job] -= (hi - a) * speed
+            if remaining[job] < 0.0:
+                remaining[job] = 0.0
+            if remaining[job] <= _WORK_TOL:
+                unfinished.discard(job)
+
+    return ordered, executed
 
 
 def run_cll_reference(instance: Instance) -> CLLResult:

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from repro.analysis.certificates import dual_certificate
+from repro.classical.oa import oa_segments, run_oa, run_oa_multiprocessor
 from repro.classical.yds import yds
 from repro.core.pd import PDScheduler, run_pd
 from repro.engine.registry import REGISTRY
 from repro.errors import InvalidParameterError
 from repro.model.job import Instance, Job
 from repro.offline.convex import solve_min_energy
+from repro.perf.epochs import arrive_epochs
 
 
 class TestDegenerateInstances:
@@ -74,6 +76,21 @@ class TestDegenerateInstances:
     def test_empty_instance_single_processor(self, name):
         with pytest.raises(InvalidParameterError):
             REGISTRY.run(name, Instance((), m=1))
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            run_oa,
+            oa_segments,
+            run_oa_multiprocessor,
+            lambda instance: REGISTRY.run("oa", instance),
+        ],
+        ids=["run_oa", "oa_segments", "run_oa_multiprocessor", "registry"],
+    )
+    def test_oa_empty_instance_raises_canonical_error(self, entry, m):
+        with pytest.raises(InvalidParameterError):
+            entry(Instance((), m=m))
 
 
 class TestExtremeParameters:
@@ -294,7 +311,7 @@ class TestHostileParameters:
         arrays = Instance.from_tuples(
             [(0.0, 1.0, 1.0, 1.0), (0.5, 2.0, 1.0, 1.0)]
         ).arrays
-        sched = PDScheduler(m=1, alpha=3.0, batch="epoch")
+        sched = PDScheduler(m=1, alpha=3.0)
         with pytest.raises(InvalidParameterError, match="epoch_size"):
-            sched.arrive_many(arrays, epoch_size=epoch_size)
+            arrive_epochs(sched, arrays, epoch_size=epoch_size)
         assert sched._count == 0

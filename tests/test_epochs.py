@@ -1,14 +1,16 @@
-"""Differential suite for arrival-epoch batched execution.
+"""Differential suite for the arrival-epoch layer.
 
-``repro.perf.epochs`` replays the per-arrival PD loop in vectorized
-blocks — and promises the replay is invisible: same decisions, same
-stores, same planned loads, same payload hashes, same cache keys, and
-no bump of :data:`repro.engine.runner.RECORD_VERSION`. Every test here
-runs the epoch path (:func:`repro.perf.epochs.arrive_epochs` and its
-wrappers) against the per-arrival twin
-(:func:`repro.perf.reference.arrive_epochs_reference` — one scalar
-``arrive()`` per job) and compares with exact equality, never
-tolerances. The OA epoch bookkeeping loop gets the same treatment.
+``repro.perf.epochs`` replays PD's scalar core in vectorized blocks —
+and promises the replay is invisible: same decisions, same stores, same
+planned loads, same payload hashes, same cache keys, and no bump of
+:data:`repro.engine.runner.RECORD_VERSION`. Every test here runs the
+epoch layer (:func:`repro.perf.epochs.arrive_epochs`, which
+``PDScheduler.arrive_many`` runs) against the row loop (``run_pd``, or
+the per-arrival twin :func:`repro.perf.reference.arrive_epochs_reference`
+— one scalar ``arrive()`` per job) and compares with exact equality,
+never tolerances. OA's batched bookkeeping loop gets the same treatment
+against its from-scratch oracle,
+:func:`repro.perf.reference.oa_segments_reference`.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import repro.core.pd as pd_module
 import repro.perf.epochs as epochs
+from repro.classical.execution import schedule_from_segments
 from repro.classical.oa import oa_segments, run_oa
 from repro.core.pd import PDScheduler, run_pd
 from repro.core.waterfill import price_cap, waterfill_job
@@ -28,21 +32,20 @@ from repro.engine.runner import (
     RECORD_VERSION,
     RunRequest,
     evaluate_request,
-    request_key,
 )
 from repro.errors import InvalidParameterError
 from repro.general.powers import SumPower
 from repro.io.serialize import schedule_to_dict, stable_hash
-from repro.model.job import Instance
+from repro.model.job import Instance, Job
+from repro.model.job_arrays import JobArrays
 from repro.model.power import PolynomialPower
-from repro.perf.epochs import (
-    DEFAULT_EPOCH_SIZE,
-    arrive_epochs,
-    batch_mode,
-    current_batch_mode,
-)
+from repro.perf.epochs import DEFAULT_EPOCH_SIZE, arrive_epochs
 from repro.perf.kernels import _opening_speed
-from repro.perf.reference import arrive_epochs_reference, run_pd_reference
+from repro.perf.reference import (
+    arrive_epochs_reference,
+    oa_segments_reference,
+    run_pd_reference,
+)
 from repro.workloads import (
     diurnal_instance,
     heavy_tail_instance,
@@ -86,10 +89,22 @@ def tie_at_epoch_boundary(n: int = 24) -> Instance:
     return Instance.from_tuples(jobs, m=2, alpha=3.0)
 
 
+def run_epochs(instance: Instance, epoch_size: int = DEFAULT_EPOCH_SIZE):
+    """PD on ``instance`` through the epoch layer, finished."""
+    ordered = instance.sorted_by_release()
+    sched = PDScheduler(m=ordered.m, alpha=ordered.alpha)
+    arrive_epochs(sched, ordered.arrays, epoch_size=epoch_size)
+    return sched.finish()
+
+
 def assert_epoch_parity(instance: Instance, **epoch_kwargs) -> None:
-    """Full-result bitwise comparison of epoch vs per-arrival PD."""
-    new = run_pd(instance, batch="epoch", **epoch_kwargs)
-    old = run_pd(instance, batch="arrival")
+    """Full-result bitwise comparison of the epoch layer vs ``run_pd``'s
+    row loop. Job names, which only ``arrive()`` carries, are dropped."""
+    instance = Instance.from_arrays(
+        instance.arrays, m=instance.m, alpha=instance.alpha
+    )
+    new = run_epochs(instance, **epoch_kwargs)
+    old = run_pd(instance)
     assert np.array_equal(new.schedule.loads, old.schedule.loads)
     assert np.array_equal(new.planned_loads, old.planned_loads)
     assert np.array_equal(new.lambdas, old.lambdas)
@@ -99,7 +114,7 @@ def assert_epoch_parity(instance: Instance, **epoch_kwargs) -> None:
     assert new.schedule.energy == old.schedule.energy
     assert new.cost == old.cost
     # The record body that gets content-hashed is byte-identical, so
-    # cached pre-epoch records keep answering epoch-mode requests.
+    # cached records answer for either feed.
     assert stable_hash(schedule_to_dict(new.schedule)) == stable_hash(
         schedule_to_dict(old.schedule)
     )
@@ -129,7 +144,7 @@ class TestPDEpochParity:
         insertion-order ids, flushed suffixes, planned lists."""
         inst = slotted_instance(400, slots=60, m=4, alpha=3.0, seed=1)
         arrays = inst.sorted_by_release().arrays
-        fast = PDScheduler(m=4, alpha=3.0, batch="epoch")
+        fast = PDScheduler(m=4, alpha=3.0)
         arrive_epochs(fast, arrays, epoch_size=64)
         slow = PDScheduler(m=4, alpha=3.0)
         arrive_epochs_reference(slow, arrays)
@@ -146,20 +161,30 @@ class TestPDEpochParity:
         assert np.array_equal(fast.snapshot_loads(), slow.snapshot_loads())
 
     def test_named_jobs_survive_epoch_runs(self):
+        """Named jobs fed through ``arrive()`` keep their names, also
+        when a columnar block runs between them."""
         jobs = [
-            (0.0, 2.0, 1.0, 3.0, "first"),
-            (0.5, 2.5, 0.5, 0.001, "junk"),
-            (1.0, 3.0, 1.5, 5.0, "big"),
+            Job(0.0, 2.0, 1.0, 3.0, "first"),
+            Job(0.5, 2.5, 0.5, 0.001, "junk"),
+            Job(1.0, 3.0, 1.5, 5.0, "big"),
         ]
-        inst = Instance.from_tuples(jobs, m=1, alpha=3.0)
-        new = run_pd(inst, batch="epoch")
-        old = run_pd(inst, batch="arrival")
+        sched = PDScheduler(m=1, alpha=3.0)
+        sched.arrive(jobs[0])
+        sched.arrive_many(Instance((jobs[1],)).arrays)
+        sched.arrive(jobs[2])
+        new = sched.finish()
+        old = run_pd(Instance(tuple(jobs), m=1, alpha=3.0))
         assert [j.name for j in new.schedule.instance.jobs] == [
-            j.name for j in old.schedule.instance.jobs
+            "first",
+            None,
+            "big",
         ]
-        assert stable_hash(schedule_to_dict(new.schedule)) == stable_hash(
-            schedule_to_dict(old.schedule)
-        )
+        assert [j.name for j in old.schedule.instance.jobs] == [
+            "first",
+            "junk",
+            "big",
+        ]
+        assert new.decisions == old.decisions
 
 
 def assert_opening_speeds_current(sched: PDScheduler) -> None:
@@ -178,7 +203,7 @@ def assert_scheduler_parity(instance: Instance, epoch_size: int, **kwargs) -> No
     twin, then compare the live stores and the finished results bit for
     bit. ``kwargs`` go to both ``PDScheduler`` constructors."""
     arrays = instance.sorted_by_release().arrays
-    fast = PDScheduler(m=instance.m, alpha=instance.alpha, batch="epoch", **kwargs)
+    fast = PDScheduler(m=instance.m, alpha=instance.alpha, **kwargs)
     arrive_epochs(fast, arrays, epoch_size=epoch_size)
     slow = PDScheduler(m=instance.m, alpha=instance.alpha, **kwargs)
     arrive_epochs_reference(slow, arrays)
@@ -230,37 +255,30 @@ class TestZeroWorkScreen:
         )
 
     def test_settled_arrivals_place_no_work(self, monkeypatch):
-        """On a 20k-job slotted stream, every fill outside
-        ``_scalar_arrive`` places work, and every arrival that plans
-        work on the per-arrival path went through a fill."""
+        """On a 20k-job slotted stream, every fill inside a block places
+        work, and every arrival that plans work on the per-arrival path
+        went through a fill (in a block or in the scalar core)."""
         inst = slotted_instance(20_000, slots=200, m=4, alpha=3.0, seed=3)
         arrays = inst.sorted_by_release().arrays
-        in_scalar = []
+        slow = PDScheduler(m=4, alpha=3.0)
+        arrive_epochs_reference(slow, arrays)
         filled = set()
         block_fills = []
 
-        def recording_waterfill(kernel, **kwargs):
-            outcome = waterfill_job(kernel, **kwargs)
-            filled.add((kwargs["workload"], kwargs["value"]))
-            if not in_scalar:
-                block_fills.append(outcome.planned_work)
-            return outcome
+        def recording(in_block):
+            def recording_waterfill(kernel, **kwargs):
+                outcome = waterfill_job(kernel, **kwargs)
+                filled.add((kwargs["workload"], kwargs["value"]))
+                if in_block:
+                    block_fills.append(outcome.planned_work)
+                return outcome
 
-        scalar_arrive = epochs._scalar_arrive
+            return recording_waterfill
 
-        def marked_scalar_arrive(*args):
-            in_scalar.append(True)
-            try:
-                scalar_arrive(*args)
-            finally:
-                in_scalar.pop()
-
-        monkeypatch.setattr(epochs, "waterfill_job", recording_waterfill)
-        monkeypatch.setattr(epochs, "_scalar_arrive", marked_scalar_arrive)
-        fast = PDScheduler(m=4, alpha=3.0, batch="epoch")
+        monkeypatch.setattr(epochs, "waterfill_job", recording(True))
+        monkeypatch.setattr(pd_module, "waterfill_job", recording(False))
+        fast = PDScheduler(m=4, alpha=3.0)
         arrive_epochs(fast, arrays)
-        slow = PDScheduler(m=4, alpha=3.0)
-        arrive_epochs_reference(slow, arrays)
         decisions = fast.finish().decisions
         assert decisions == slow.finish().decisions
         assert block_fills and all(work > 0.0 for work in block_fills)
@@ -352,10 +370,12 @@ class TestSubnormalCaps:
             [(0, 1, 9, 5e-324)],
         ],
     )
-    @pytest.mark.parametrize("batch", ["arrival", "epoch"])
-    def test_run_pd_prices_subnormal_jobs(self, rows, batch):
+    @pytest.mark.parametrize("feed", ["arrival", "epoch"])
+    def test_run_pd_prices_subnormal_jobs(self, rows, feed):
+        """``arrival`` runs ``run_pd``'s row loop, ``epoch`` the epoch
+        layer."""
         instance = Instance.from_tuples(rows, m=1, alpha=3.0)
-        result = run_pd(instance, batch=batch)
+        result = run_pd(instance) if feed == "arrival" else run_epochs(instance)
         last = result.decisions[-1]
         assert not last.accepted and last.planned_speed > 0.0
         assert math.isfinite(last.planned_speed)
@@ -436,36 +456,74 @@ class TestEpochDifferentialProperty:
         assert_scheduler_parity(instance, epoch_size or instance.n)
 
 
+class TestInterleavedFeeds:
+    @pytest.mark.parametrize("epoch_size", [1, 7, None])
+    def test_interleaved_arrive_and_arrive_many_match_reference(self, epoch_size):
+        """One scheduler fed ``arrive()``, then a block, then
+        ``arrive()`` again equals the dense oracle on the concatenation:
+        decisions, loads, planned loads and the payload hash."""
+        ordered = slotted_instance(90, slots=12, m=2, alpha=3.0, seed=5)
+        ordered = ordered.sorted_by_release()
+        arrays = ordered.arrays
+        block = JobArrays(
+            releases=arrays.releases[20:70],
+            deadlines=arrays.deadlines[20:70],
+            workloads=arrays.workloads[20:70],
+            values=arrays.values[20:70],
+        )
+        sched = PDScheduler(m=2, alpha=3.0)
+        for job in ordered.jobs[:20]:
+            sched.arrive(job)
+        arrive_epochs(sched, block, epoch_size=epoch_size or block.n)
+        for job in ordered.jobs[70:]:
+            sched.arrive(job)
+        assert_opening_speeds_current(sched)
+        new = sched.finish()
+        old = run_pd_reference(ordered)
+        assert new.decisions == old.decisions
+        assert np.array_equal(new.schedule.loads, old.schedule.loads)
+        assert np.array_equal(new.planned_loads, old.planned_loads)
+        assert stable_hash(schedule_to_dict(new.schedule)) == stable_hash(
+            schedule_to_dict(old.schedule)
+        )
+        assert sched.streaming_lost_value() == old.schedule.lost_value
+
+
 class TestEpochErrors:
     def test_epoch_size_must_be_positive(self):
-        sched = PDScheduler(m=1, alpha=3.0, batch="epoch")
+        sched = PDScheduler(m=1, alpha=3.0)
         arrays = slotted_instance(5, slots=3, seed=0).sorted_by_release().arrays
         with pytest.raises(InvalidParameterError, match="epoch_size"):
             arrive_epochs(sched, arrays, epoch_size=0)
 
-    def test_cannot_mix_arrive_with_epoch_batches(self):
-        inst = slotted_instance(6, slots=3, seed=0).sorted_by_release()
-        sched = PDScheduler(m=1, alpha=3.0, batch="epoch")
-        sched.arrive_many(inst.arrays)
-        with pytest.raises(InvalidParameterError, match="cannot mix"):
-            sched.arrive(inst.jobs[0])
+    def test_default_epoch_size_is_sane(self):
+        assert DEFAULT_EPOCH_SIZE >= 1
+
+    def test_release_order_checked_across_calls(self):
+        """A release-order violation across an ``arrive()`` /
+        ``arrive_many()`` boundary raises the canonical error."""
+        late = Instance.from_tuples([(2.0, 3.0, 1.0, 1.0)]).arrays
+        early = Instance.from_tuples([(0.5, 3.0, 1.0, 1.0)]).arrays
+        sched = PDScheduler(m=1, alpha=3.0)
+        sched.arrive(late.job(0))
+        with pytest.raises(InvalidParameterError, match="release order"):
+            sched.arrive_many(early)
         other = PDScheduler(m=1, alpha=3.0)
-        other.arrive(inst.jobs[0])
-        with pytest.raises(InvalidParameterError, match="cannot mix"):
-            arrive_epochs(other, inst.arrays)
+        other.arrive_many(late)
+        with pytest.raises(InvalidParameterError, match="release order"):
+            other.arrive(early.job(0))
+        assert sched._count == other._count == 1
 
     def test_release_order_violation_processes_prefix_first(self):
         """Mid-block violations must leave the scheduler exactly where
         the sequential loop would: valid prefix processed, then raise."""
-        from repro.model.job_arrays import JobArrays
-
         arrays = JobArrays(
             releases=np.array([0.0, 1.0, 2.0, 0.5]),
             deadlines=np.array([2.0, 3.0, 4.0, 2.5]),
             workloads=np.ones(4),
             values=np.full(4, 2.0),
         )
-        fast = PDScheduler(m=1, alpha=3.0, batch="epoch")
+        fast = PDScheduler(m=1, alpha=3.0)
         with pytest.raises(InvalidParameterError, match="release order"):
             arrive_epochs(fast, arrays, epoch_size=8)
         slow = PDScheduler(m=1, alpha=3.0)
@@ -474,47 +532,80 @@ class TestEpochErrors:
         assert fast._count == 3
         for fs, ss in zip(fast._states, slow._states):
             assert fs.loads == ss.loads
+        assert fast.finish().decisions == slow.finish().decisions
 
     def test_invalid_batch_mode_rejected(self):
+        """No entry point takes an execution option any more: PD and OA
+        each run one path."""
         inst = slotted_instance(4, slots=2, seed=0)
-        with pytest.raises(InvalidParameterError, match="batch"):
-            run_pd(inst, batch="bogus")
-        with pytest.raises(InvalidParameterError, match="batch"):
-            PDScheduler(m=1, alpha=3.0, batch="bogus")
+        sched = PDScheduler(m=1, alpha=3.0)
+        calls = [
+            lambda: PDScheduler(m=1, alpha=3.0, batch="epoch"),
+            lambda: run_pd(inst, batch="epoch"),
+            lambda: run_pd(inst, epoch_size=8),
+            lambda: sched.arrive_many(inst.arrays, epoch_size=8),
+            lambda: oa_segments(inst, replan="reference"),
+            lambda: oa_segments(inst, batch="epoch"),
+            lambda: run_oa(inst, batch="epoch"),
+            lambda: RunRequest("pd", inst, batch="epoch"),
+        ]
+        for call in calls:
+            with pytest.raises(TypeError):
+                call()
+        import repro.perf
+
+        assert not hasattr(repro.perf, "batch_mode")
+        assert not hasattr(repro.perf, "current_batch_mode")
 
 
-class TestBatchModeContext:
-    def test_default_is_arrival(self):
-        assert current_batch_mode() == "arrival"
+def oa_reference_schedule(inst: Instance):
+    ordered, executed = oa_segments_reference(inst)
+    return schedule_from_segments(ordered, executed, np.ones(ordered.n, dtype=bool))
 
-    def test_context_sets_and_restores(self):
-        with batch_mode("epoch"):
-            assert current_batch_mode() == "epoch"
-            with batch_mode(None):  # None is a no-op wrap
-                assert current_batch_mode() == "epoch"
-            with batch_mode("arrival"):
-                assert current_batch_mode() == "arrival"
-            assert current_batch_mode() == "epoch"
-        assert current_batch_mode() == "arrival"
 
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(InvalidParameterError, match="batch"):
-            with batch_mode("turbo"):
-                pass  # pragma: no cover
+#: Offsets that put times within the 1e-12 event tolerance of each
+#: other, on both sides of it.
+_JITTER = [0.0, 0.0, 1e-12, -1e-12, 5e-13, -5e-13, 2e-12]
 
-    def test_run_pd_defers_to_ambient_mode(self):
-        inst = slotted_instance(60, slots=10, m=2, alpha=3.0, seed=4)
-        old = run_pd(inst)
-        with batch_mode("epoch"):
-            new = run_pd(inst)
-        assert new.decisions == old.decisions
-        assert new.cost == old.cost
 
-    def test_default_epoch_size_is_sane(self):
-        assert DEFAULT_EPOCH_SIZE >= 1
+@st.composite
+def oa_streams(draw):
+    """Single-processor streams for OA's differential: releases from a
+    small pool (exact ties) plus near-ties within 1e-12, deadlines from
+    a pool plus offsets within +-1e-12 (near-duplicates straddling the
+    event tolerance), and workloads from a pool that includes values at
+    and just above the 1e-9 work tolerance."""
+    releases = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.5])
+    rows = []
+    for release in sorted(draw(st.lists(releases, min_size=1, max_size=14))):
+        if release > 0.0:
+            release += draw(st.sampled_from(_JITTER))
+        deadline = draw(
+            st.sampled_from([d for d in (2.0, 3.0, 4.5, 6.0) if d > release + 0.5])
+        ) + draw(st.sampled_from(_JITTER))
+        workload = draw(
+            st.sampled_from([1e-9, 1e-9 * (1 + 1e-7), 2e-9, 0.3, 1.0, 2.5])
+        )
+        rows.append((release, deadline, workload, 1.0))
+    return Instance.from_tuples(rows, m=1, alpha=draw(st.sampled_from([2.0, 3.0])))
+
+
+def oa_outcome(segments_fn, inst: Instance):
+    """The executed segments, or the error raised, of one OA path."""
+    try:
+        return segments_fn(inst)[1]
+    except InvalidParameterError as err:
+        return repr(err)
 
 
 class TestOAEpochParity:
+    @given(inst=oa_streams())
+    @settings(max_examples=40, deadline=None)
+    def test_generated_streams_match_from_scratch_replan(self, inst):
+        assert oa_outcome(oa_segments, inst) == oa_outcome(
+            oa_segments_reference, inst
+        )
+
     @pytest.mark.parametrize("seed", [0, 7])
     def test_segments_bitwise_identical(self, seed):
         for family, n in [
@@ -523,78 +614,42 @@ class TestOAEpochParity:
             (diurnal_instance, 150),
         ]:
             inst = family(n, m=1, alpha=3.0, seed=seed)
-            _, old = oa_segments(inst, batch="arrival")
-            _, new = oa_segments(inst, batch="epoch")
+            _, old = oa_segments_reference(inst)
+            _, new = oa_segments(inst)
             assert new == old
 
     def test_run_oa_schedule_identical(self):
         inst = slotted_instance(150, slots=25, m=1, alpha=3.0, seed=3)
-        old = run_oa(inst, batch="arrival")
-        new = run_oa(inst, batch="epoch")
-        assert np.array_equal(new.schedule.loads, old.schedule.loads)
-        assert new.segments == old.segments
+        old = oa_reference_schedule(inst)
+        new = run_oa(inst)
+        assert np.array_equal(new.schedule.loads, old.loads)
+        assert new.segments == tuple(oa_segments_reference(inst)[1])
         assert new.energy == old.energy
         assert stable_hash(schedule_to_dict(new.schedule)) == stable_hash(
-            schedule_to_dict(old.schedule)
+            schedule_to_dict(old)
         )
-
-    def test_reference_replan_excludes_epoch_batching(self):
-        inst = slotted_instance(10, slots=4, m=1, alpha=3.0, seed=0)
-        with pytest.raises(InvalidParameterError, match="replan"):
-            oa_segments(inst, replan="reference", batch="epoch")
-
-    def test_ambient_mode_reaches_oa(self):
-        inst = slotted_instance(80, slots=12, m=1, alpha=3.0, seed=6)
-        _, old = oa_segments(inst)
-        with batch_mode("epoch"):
-            _, new = oa_segments(inst)
-        assert new == old
 
 
 class TestEngineCacheIdentity:
     def test_record_version_pinned(self):
-        # Epoch batching changes HOW results are computed, never WHAT —
-        # a version bump here would cold-start every cache for nothing.
-        # (3 is the exact water-fill's bump, not epoch batching's.)
+        # The feeds change HOW results are computed, never WHAT — a
+        # version bump here would cold-start every cache for nothing.
+        # (3 is the exact water-fill's bump.)
         assert RECORD_VERSION == 3
-
-    def test_request_key_ignores_batch(self):
-        inst = slotted_instance(30, slots=6, m=2, alpha=3.0, seed=1)
-        assert request_key("pd", inst) == request_key("pd", inst)
-        ra = RunRequest("pd", inst, batch="arrival")
-        re_ = RunRequest("pd", inst, batch="epoch")
-        assert request_key(ra.algorithm, ra.instance) == request_key(
-            re_.algorithm, re_.instance
-        )
 
     @pytest.mark.parametrize("algorithm", ["pd", "oa"])
     def test_evaluate_request_payload_identical(self, algorithm):
+        """A record's schedule is the one the other feed (PD) or the
+        from-scratch oracle (OA) computes."""
         inst = slotted_instance(40, slots=8, m=1, alpha=3.0, seed=2)
-        pa = evaluate_request(RunRequest(algorithm, inst, batch="arrival"))
-        pe = evaluate_request(RunRequest(algorithm, inst, batch="epoch"))
-        pa.pop("wall_time")
-        pe.pop("wall_time")
-        assert pa == pe
-
-    def test_experiment_spec_threads_batch_mode(self):
-        spec = ExperimentSpec(
-            name="t",
-            family="poisson",
-            grid={"alpha": [3.0], "m": [1]},
-            n=12,
-            seeds=(0,),
-            batch_mode="epoch",
-        )
-        assert all(r.batch == "epoch" for r in spec.requests())
-        plain = ExperimentSpec(
-            name="t",
-            family="poisson",
-            grid={"alpha": [3.0], "m": [1]},
-            n=12,
-            seeds=(0,),
-        )
-        assert all(r.batch is None for r in plain.requests())
+        payload = evaluate_request(RunRequest(algorithm, inst))
+        if algorithm == "pd":
+            other = run_epochs(inst).schedule
+        else:
+            other = oa_reference_schedule(inst)
+        assert payload["schedule"] == schedule_to_dict(other)
+        assert payload["cost"] == float(other.cost)
 
     def test_experiment_spec_rejects_unknown_batch_mode(self):
-        with pytest.raises(InvalidParameterError, match="batch_mode"):
-            ExperimentSpec(name="t", family="poisson", batch_mode="turbo")
+        with pytest.raises(TypeError, match="batch_mode"):
+            ExperimentSpec(name="t", family="poisson", batch_mode="epoch")

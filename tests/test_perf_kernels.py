@@ -22,9 +22,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.certificates import dual_certificate
 from repro.chen.interval_power import SortedLoads
-from repro.classical.oa import _PlanJob, run_oa
+from repro.classical.execution import schedule_from_segments
+from repro.classical.oa import _PlanJob, oa_segments, run_oa
 from repro.classical.yds import yds
-from repro.core.pd import run_pd
+from repro.core.pd import PDScheduler, run_pd
 from repro.core.waterfill import waterfill_job
 from repro.engine.runner import RECORD_VERSION, request_key
 from repro.io.serialize import schedule_to_dict, stable_hash
@@ -37,7 +38,12 @@ from repro.perf.kernels import (
     _opening_level,
     _opening_speed,
 )
-from repro.perf.reference import run_pd_reference, yds_reference
+from repro.perf.epochs import arrive_epochs
+from repro.perf.reference import (
+    oa_segments_reference,
+    run_pd_reference,
+    yds_reference,
+)
 from repro.workloads import (
     heavy_tail_instance,
     poisson_instance,
@@ -197,7 +203,10 @@ class TestPDParityProperty:
     @settings(max_examples=40, deadline=None)
     def test_generated_instances_bitwise_identical(self, instance):
         assert_pd_parity(instance)
-        epoch = run_pd(instance, batch="epoch", epoch_size=3)
+        ordered = instance.sorted_by_release()
+        sched = PDScheduler(m=ordered.m, alpha=ordered.alpha)
+        arrive_epochs(sched, ordered.arrays, epoch_size=3)
+        epoch = sched.finish()
         old = run_pd_reference(instance)
         assert epoch.decisions == old.decisions
         assert np.array_equal(epoch.schedule.loads, old.schedule.loads)
@@ -206,7 +215,6 @@ class TestPDParityProperty:
     @given(case=span_extending_arrivals())
     @settings(max_examples=30, deadline=None)
     def test_span_extended_on_both_sides_at_once(self, case):
-        from repro.core.pd import PDScheduler
         from repro.model.job import Job
         from repro.model.job_arrays import JobArrays
         from repro.perf.reference import PDSchedulerReference
@@ -231,8 +239,8 @@ class TestPDParityProperty:
         assert np.array_equal(fresh.planned_loads, ref.planned_loads)
         assert fresh.schedule.energy == ref.schedule.energy
 
-        epoch = PDScheduler(m=m, alpha=alpha, batch="epoch")
-        epoch.arrive_many(JobArrays(*map(list, zip(*rows))), epoch_size=2)
+        epoch = PDScheduler(m=m, alpha=alpha)
+        arrive_epochs(epoch, JobArrays(*map(list, zip(*rows))), epoch_size=2)
         result = epoch.finish()
         assert result.decisions == ref.decisions
         assert np.array_equal(result.schedule.loads, ref.schedule.loads)
@@ -535,58 +543,53 @@ class TestYdsOaParity:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_oa_on_reference_plans_is_unchanged(self, seed, monkeypatch):
-        """Three layers of OA parity at once: the incremental lazy-prefix
-        replanner (default) vs the historical from-scratch replan, with
-        the latter's YDS plans additionally pinned to the reference
-        scan. Not one executed segment may differ across the stack."""
+        """Three layers of OA parity at once: the lazy-prefix replanner
+        vs the historical from-scratch replan, with the latter's YDS
+        plans additionally pinned to the reference scan. Not one
+        executed segment may differ across the stack."""
         import repro.classical.oa as oa_module
 
         inst = self.classical(24, seed)
         fast = run_oa(inst)
         monkeypatch.setattr(oa_module, "yds", yds_reference)
-        slow = run_oa(inst, replan="reference")
-        assert fast.segments == slow.segments
-        assert np.array_equal(fast.schedule.loads, slow.schedule.loads)
-        assert fast.energy == slow.energy
+        _, slow = oa_segments_reference(inst)
+        assert fast.segments == tuple(slow)
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize(
         "family", [poisson_instance, uniform_instance, heavy_tail_instance]
     )
     def test_oa_incremental_replan_equals_reference(self, seed, family):
-        """The incremental OA replanner (lazy YDS prefix per epoch) must
-        reproduce the from-scratch replan bit for bit on every existing
-        differential case."""
-        from repro.classical.oa import oa_segments
-
+        """The OA replanner (lazy YDS prefix per epoch) must reproduce
+        the from-scratch replan bit for bit on every existing
+        differential case, schedule and payload hash included."""
         inst = self.classical(18, seed, family)
-        ordered_inc, exec_inc = oa_segments(inst, replan="incremental")
-        ordered_ref, exec_ref = oa_segments(inst, replan="reference")
-        assert exec_inc == exec_ref
+        ordered, exec_ref = oa_segments_reference(inst)
+        assert oa_segments(inst)[1] == exec_ref
         fast = run_oa(inst)
-        slow = run_oa(inst, replan="reference")
-        assert fast.segments == slow.segments
-        assert np.array_equal(fast.schedule.loads, slow.schedule.loads)
-        assert fast.schedule.grid.same_as(slow.schedule.grid)
+        slow = schedule_from_segments(
+            ordered, exec_ref, np.ones(ordered.n, dtype=bool)
+        )
+        assert fast.segments == tuple(exec_ref)
+        assert np.array_equal(fast.schedule.loads, slow.loads)
+        assert fast.schedule.grid.same_as(slow.grid)
         assert fast.energy == slow.energy
         assert stable_hash(schedule_to_dict(fast.schedule)) == stable_hash(
-            schedule_to_dict(slow.schedule)
+            schedule_to_dict(slow)
         )
 
     def test_oa_incremental_slotted_ties(self):
         """Slotted instances maximize release ties and epoch reuse — the
-        shape the incremental replanner is built for."""
-        from repro.classical.oa import oa_segments
+        shape the lazy replanner is built for."""
         from repro.workloads import slotted_instance
 
         inst = slotted_instance(300, slots=60, m=1, alpha=3.0, seed=3)
-        _, exec_inc = oa_segments(inst, replan="incremental")
-        _, exec_ref = oa_segments(inst, replan="reference")
-        assert exec_inc == exec_ref
+        assert oa_segments(inst)[1] == oa_segments_reference(inst)[1]
 
     def test_oa_rejects_unknown_replan(self):
+        """OA has one loop: ``replan`` is no longer a parameter."""
         inst = self.classical(4, 0)
-        with pytest.raises(Exception, match="replan"):
+        with pytest.raises(TypeError, match="replan"):
             run_oa(inst, replan="turbo")
 
 
