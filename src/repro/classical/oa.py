@@ -387,8 +387,11 @@ def oa_segments(
       tombstone deletions (ids enter in release order, so the list
       never needs sorting), compacted when more than half its entries
       are dead;
-    * the unfinished jobs are a flag-guarded counter, making the "any
-      work left" test O(1) without set churn.
+    * the unfinished jobs are a counter, making the "any work left"
+      test O(1) without set churn. A job reports its finish once: every
+      plan job is released at ``now`` and each round's region is the
+      single block ``[b_prev, b]``, so EDF gives a job one segment per
+      epoch, and a finished job is tombstoned before the next epoch.
     """
     if instance.m != 1:
         raise InvalidParameterError(
@@ -398,7 +401,6 @@ def oa_segments(
     if instance.n == 0:
         raise InvalidParameterError("OA needs at least one job")
     ordered = instance.sorted_by_release()
-    n = ordered.n
     releases = ordered.releases
     deadlines_arr = ordered.deadlines
     workloads = ordered.workloads
@@ -417,16 +419,12 @@ def oa_segments(
 
     alive_list: list[int] = []
     dead: set[int] = set()
-    finished_flag = bytearray(n)
     unfinished_count = 0
     known = 0
 
     def on_finish(j: int) -> None:
         nonlocal unfinished_count
-        # A multi-segment finish can report a job twice: count it once.
-        if not finished_flag[j]:
-            finished_flag[j] = 1
-            unfinished_count -= 1
+        unfinished_count -= 1
         dead.add(j)
 
     for idx, t in enumerate(epochs):

@@ -13,8 +13,7 @@ Four backends ship with the library, behind the common
 * :class:`DirectoryCache` — one ``<sha256>.json`` file per entry under a
   directory. No index, no eviction, no locking beyond atomic-rename
   writes; ``rm -r`` of the directory is always a safe reset. This is
-  the historical backend (``ResultCache`` remains its alias). A compact
-  per-key ``.timing`` sidecar makes cost estimation a metadata read.
+  the historical backend (``ResultCache`` remains its alias).
 * :class:`SqliteCache` — a single-file SQLite database in WAL mode,
   friendlier to filesystems that hate directories with tens of
   thousands of small files, and safe under concurrent writers (content
@@ -41,7 +40,6 @@ BatchRunner` is given.
 from __future__ import annotations
 
 import json
-import math
 import os
 import sqlite3
 import tempfile
@@ -49,7 +47,7 @@ import threading
 import time
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Protocol, Sequence, runtime_checkable
+from typing import Any, Iterator, Protocol, Sequence, runtime_checkable
 
 from ..errors import InvalidParameterError
 
@@ -74,12 +72,6 @@ _TMP_PREFIX = ".tmp-"
 #: generous threshold keeps the init-time sweep from racing them.
 _TMP_STALE_SECONDS = 3600.0
 
-#: Suffix of a :class:`DirectoryCache` entry's timing sidecar — a file
-#: holding nothing but ``repr(wall_time)``, so cost estimation over a
-#: large cache reads a few bytes per key instead of parsing payloads
-#: whose serialized schedules dominate the bytes.
-_TIMING_SUFFIX = ".timing"
-
 
 def _parse_entry(text: str | None) -> dict[str, Any] | None:
     """A local backend's ``get``, given its ``get_text``: a missing,
@@ -91,16 +83,6 @@ def _parse_entry(text: str | None) -> dict[str, Any] | None:
     except json.JSONDecodeError:
         return None
     return payload if isinstance(payload, dict) else None
-
-
-def _finite_timing(payload: Mapping[str, Any] | None) -> float | None:
-    """The payload's measured ``wall_time``, or ``None`` if unusable."""
-    if payload is None:
-        return None
-    timing = payload.get("wall_time")
-    if isinstance(timing, (int, float)) and math.isfinite(timing):
-        return float(timing)
-    return None
 
 
 @runtime_checkable
@@ -172,9 +154,6 @@ class DirectoryCache:
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.json"
 
-    def _timing_path(self, key: str) -> Path:
-        return self.directory / f"{key}{_TIMING_SUFFIX}"
-
     def _atomic_write(self, path: Path, text: str) -> None:
         """Write-then-rename, retried if a racing cleaner steals the temp
         file — content addressing makes the whole operation idempotent,
@@ -216,50 +195,12 @@ class DirectoryCache:
         return _parse_entry(self.get_text(key))
 
     def put(self, key: str, payload: dict[str, Any]) -> None:
-        """Store ``payload`` under ``key`` (atomic write-then-rename).
-
-        A payload carrying a finite measured ``wall_time`` also writes
-        its ``.timing`` sidecar, so the LPT/steal cost model reads one
-        small file per key instead of parsing the full payload.
-        """
+        """Store ``payload`` under ``key`` (atomic write-then-rename)."""
         self._atomic_write(self._path(key), json.dumps(payload))
-        timing = _finite_timing(payload)
-        if timing is not None:
-            self._atomic_write(self._timing_path(key), repr(timing))
-
-    def get_timing(self, key: str) -> float | None:
-        """The stored ``wall_time`` of one entry, payload left unparsed.
-
-        The fast path for :meth:`~repro.engine.runner.BatchRunner.
-        estimate_costs`: a few bytes from the ``.timing`` sidecar.
-        Entries written by a pre-sidecar build fall back to a full
-        payload read and lazily backfill their sidecar, so a warmed old
-        cache converges to O(keys) metadata reads. A miss (or an entry
-        with no usable timing) is ``None``.
-        """
-        try:
-            return float(self._timing_path(key).read_text())
-        except FileNotFoundError:
-            pass
-        except (ValueError, OSError):
-            pass  # unreadable sidecar: recover it from the payload below
-        timing = _finite_timing(self.get(key))
-        if timing is not None:
-            try:
-                self._atomic_write(self._timing_path(key), repr(timing))
-            except OSError:
-                pass  # backfill is an optimization, never a failure
-        return timing
 
     def stats(self) -> dict[str, Any]:
-        """Backend, entry count, payload bytes, and timing-index coverage.
-
-        ``timed_entries`` counts sidecar files only — pre-sidecar
-        entries whose payloads do carry a timing are excluded until a
-        ``get_timing`` backfills them; counting them would require the
-        full payload parse this index exists to avoid.
-        """
-        entries = total_bytes = timed = 0
+        """Backend, entry count, and payload bytes."""
+        entries = total_bytes = 0
         for path in self.directory.glob("*.json"):
             if path.name.startswith(_TMP_PREFIX):
                 continue
@@ -268,43 +209,34 @@ class DirectoryCache:
             except OSError:
                 continue  # deleted under us: not an entry anymore
             entries += 1
-            if self._timing_path(path.stem).exists():
-                timed += 1
         return {
             "backend": "dir",
             "location": str(self.directory),
             "entries": entries,
             "total_bytes": total_bytes,
-            "timed_entries": timed,
         }
 
     def gc(self, older_than: float) -> int:
-        """Prune entries not modified in ``older_than`` seconds.
+        """Prune every file not modified in ``older_than`` seconds.
 
-        Removes each stale entry with its timing sidecar, stale
-        ``.tmp-*`` leftovers past the cutoff, and orphaned sidecars
-        whose entry is already gone. Returns the number of *entries*
-        pruned.
+        Stale entries go, and so does any other stale file: ``.tmp-*``
+        leftovers of killed writers, and the ``.timing`` sidecars that
+        older builds wrote beside their entries. Returns the number of
+        *entries* (``*.json`` files, temp files excluded) pruned.
         """
         cutoff = time.time() - float(older_than)
         removed = 0
         for path in list(self.directory.iterdir()):
-            name = path.name
             try:
-                stale = path.stat().st_mtime < cutoff
+                if path.stat().st_mtime >= cutoff:
+                    continue
+                path.unlink()
             except OSError:
-                continue
-            if name.startswith(_TMP_PREFIX):
-                if stale:
-                    path.unlink(missing_ok=True)
-                continue
-            if name.endswith(".json") and stale:
-                path.unlink(missing_ok=True)
-                self._timing_path(path.stem).unlink(missing_ok=True)
+                continue  # gone under us, or not a file
+            if path.name.endswith(".json") and not path.name.startswith(
+                _TMP_PREFIX
+            ):
                 removed += 1
-            elif name.endswith(_TIMING_SUFFIX):
-                if not self._path(name[: -len(_TIMING_SUFFIX)]).exists():
-                    path.unlink(missing_ok=True)
         return removed
 
     def keys(self) -> Iterator[str]:
@@ -341,8 +273,10 @@ ResultCache = DirectoryCache
 class SqliteCache:
     """A single-file SQLite backend (WAL mode, concurrent-writer safe).
 
-    One table, ``entries(key TEXT PRIMARY KEY, payload TEXT, wall_time
-    REAL, created_at REAL)``. Writes use ``INSERT OR REPLACE`` inside an
+    One table, ``entries(key TEXT PRIMARY KEY, payload TEXT, created_at
+    REAL)``. Files written by older builds may also carry a ``wall_time``
+    column; ``put`` names its columns, so that one stays ``NULL``.
+    Writes use ``INSERT OR REPLACE`` inside an
     implicit transaction; WAL mode plus a generous busy timeout lets
     several runner processes share the file, and content addressing
     means the worst a race can do is store the same bytes twice. A write
@@ -390,17 +324,15 @@ class SqliteCache:
             conn.execute("PRAGMA synchronous=NORMAL")
             conn.execute(
                 "CREATE TABLE IF NOT EXISTS entries ("
-                "key TEXT PRIMARY KEY, payload TEXT NOT NULL, "
-                "wall_time REAL, created_at REAL)"
+                "key TEXT PRIMARY KEY, payload TEXT NOT NULL, created_at REAL)"
             )
-            for column in ("wall_time REAL", "created_at REAL"):
-                try:
-                    # Migrate older databases in place; the duplicate-
-                    # column error on current ones is the cheap
-                    # existence probe.
-                    conn.execute(f"ALTER TABLE entries ADD COLUMN {column}")
-                except sqlite3.OperationalError:
-                    pass
+            try:
+                # Migrate older databases in place (``put`` writes
+                # created_at); the duplicate-column error on current
+                # ones is the cheap existence probe.
+                conn.execute("ALTER TABLE entries ADD COLUMN created_at REAL")
+            except sqlite3.OperationalError:
+                pass
             conn.commit()
             self._conn = conn
             self._pid = os.getpid()
@@ -449,53 +381,29 @@ class SqliteCache:
         return _parse_entry(self.get_text(key))
 
     def put(self, key: str, payload: dict[str, Any]) -> None:
-        # The measured wall time is denormalized into its own column so
-        # the LPT cost model can read one float per cell instead of
-        # parsing full payloads (schedules dominate the payload bytes).
-        timing = _finite_timing(payload)
         text = json.dumps(payload)
         conn = self._connect()
 
         def write() -> None:
             with conn:
                 conn.execute(
-                    "INSERT OR REPLACE INTO entries "
-                    "(key, payload, wall_time, created_at) "
-                    "VALUES (?, ?, ?, ?)",
-                    (key, text, timing, time.time()),
+                    "INSERT OR REPLACE INTO entries (key, payload, created_at) "
+                    "VALUES (?, ?, ?)",
+                    (key, text, time.time()),
                 )
 
         self._write_with_retry(write)
 
-    def get_timing(self, key: str) -> float | None:
-        """The stored ``wall_time`` of one entry, payload left unparsed.
-
-        The fast path for :meth:`~repro.engine.runner.BatchRunner.
-        estimate_costs` over large caches. Entries written by a
-        pre-timing build (``NULL`` column) fall back to a full payload
-        read; a miss (or an entry with no usable timing) is ``None``.
-        """
-        row = self._connect().execute(
-            "SELECT wall_time FROM entries WHERE key = ?", (key,)
-        ).fetchone()
-        if row is None:
-            return None
-        if row[0] is not None:
-            return float(row[0])
-        return _finite_timing(self.get(key))
-
     def stats(self) -> dict[str, Any]:
-        """Backend, entry count, payload bytes, and timing coverage."""
+        """Backend, entry count, and payload bytes."""
         row = self._connect().execute(
-            "SELECT COUNT(*), COALESCE(SUM(LENGTH(payload)), 0), "
-            "COUNT(wall_time) FROM entries"
+            "SELECT COUNT(*), COALESCE(SUM(LENGTH(payload)), 0) FROM entries"
         ).fetchone()
         return {
             "backend": "sqlite",
             "location": str(self.path),
             "entries": int(row[0]),
             "total_bytes": int(row[1]),
-            "timed_entries": int(row[2]),
         }
 
     def gc(self, older_than: float) -> int:
@@ -600,10 +508,8 @@ class MemoryCache:
             )
         self.max_entries = max_entries
         self._lock = threading.Lock()
-        # key -> (created_at, wall_time | None, payload text)
-        self._entries: OrderedDict[str, tuple[float, float | None, str]] = (
-            OrderedDict()
-        )
+        # key -> (created_at, payload text)
+        self._entries: OrderedDict[str, tuple[float, str]] = OrderedDict()
 
     def get_text(self, key: str) -> str | None:
         """The entry's stored JSON text (a use: recency is bumped)."""
@@ -612,28 +518,20 @@ class MemoryCache:
             if entry is None:
                 return None
             self._entries.move_to_end(key)
-        return entry[2]
+        return entry[1]
 
     def get(self, key: str) -> dict[str, Any] | None:
         return _parse_entry(self.get_text(key))
 
     def put(self, key: str, payload: dict[str, Any]) -> None:
         created = time.time()
-        timing = _finite_timing(payload)
         text = json.dumps(payload)
         with self._lock:
-            self._entries[key] = (created, timing, text)
+            self._entries[key] = (created, text)
             self._entries.move_to_end(key)
             if self.max_entries is not None:
                 while len(self._entries) > self.max_entries:
                     self._entries.popitem(last=False)
-
-    def get_timing(self, key: str) -> float | None:
-        """The entry's ``wall_time`` without a payload parse (no recency
-        bump: cost estimation is a scan, not a use)."""
-        with self._lock:
-            entry = self._entries.get(key)
-        return entry[1] if entry is not None else None
 
     def keys(self) -> Iterator[str]:
         with self._lock:
@@ -648,8 +546,7 @@ class MemoryCache:
             "backend": "memory",
             "location": f"lru({bound})",
             "entries": len(entries),
-            "total_bytes": sum(len(e[2]) for e in entries),
-            "timed_entries": sum(1 for e in entries if e[1] is not None),
+            "total_bytes": sum(len(e[1]) for e in entries),
         }
 
     def gc(self, older_than: float) -> int:
@@ -750,36 +647,6 @@ class TieredCache:
         for tier in self.tiers:
             tier.put(key, payload)
 
-    def get_timing(self, key: str) -> float | None:
-        for tier in self.tiers:
-            probe = getattr(tier, "get_timing", None)
-            if probe is not None:
-                timing = probe(key)
-                if timing is not None:
-                    return timing
-        return _finite_timing(self.get(key))
-
-    def get_timings(self, keys: Sequence[str]) -> dict[str, float]:
-        """Bulk timings without payload parses; keys no tier can time
-        are simply absent (the cost model estimates them at its
-        default)."""
-        out: dict[str, float] = {}
-        missing = list(keys)
-        for tier in self.tiers:
-            if not missing:
-                break
-            bulk = getattr(tier, "get_timings", None)
-            probe = getattr(tier, "get_timing", None)
-            if bulk is not None:
-                out.update(bulk(missing))
-            elif probe is not None:
-                for key in missing:
-                    timing = probe(key)
-                    if timing is not None:
-                        out[key] = timing
-            missing = [key for key in missing if key not in out]
-        return out
-
     def keys(self) -> Iterator[str]:
         return self.tiers[-1].keys()
 
@@ -799,7 +666,6 @@ class TieredCache:
             ),
             "entries": authoritative.get("entries"),
             "total_bytes": authoritative.get("total_bytes"),
-            "timed_entries": authoritative.get("timed_entries"),
             "tiers": per_tier,
         }
 
@@ -869,7 +735,12 @@ BACKENDS = {
 
 def open_cache(path: str | Path, backend: str = "dir") -> CacheBackend:
     """Construct a cache backend by name (``dir``, ``sqlite``,
-    ``memory``, or ``http`` — where ``path`` is the server URL)."""
+    ``memory``, or ``http`` — where ``path`` is the server URL).
+
+    A path the backend cannot open (a regular file given to ``dir``, a
+    directory or a non-database file given to ``sqlite``) is an
+    :class:`~repro.errors.InvalidParameterError` naming both.
+    """
     try:
         factory = BACKENDS[backend]
     except KeyError:
@@ -877,4 +748,9 @@ def open_cache(path: str | Path, backend: str = "dir") -> CacheBackend:
             f"unknown cache backend {backend!r}; "
             f"available: {', '.join(sorted(BACKENDS))}"
         ) from None
-    return factory(path)
+    try:
+        return factory(path)
+    except (OSError, sqlite3.Error) as exc:
+        raise InvalidParameterError(
+            f"cannot open a {backend} cache at {str(path)!r}: {exc}"
+        ) from exc

@@ -13,11 +13,11 @@ CacheBackend`); this module is the client side, all stdlib
   fault surfaces.
 * :class:`HttpCache` — a :class:`~repro.engine.cache.CacheBackend` over
   a small JSON/HTTP wire protocol, with batched ``get_many`` /
-  ``put_many`` round trips to amortize latency and a bulk
-  ``get_timings`` probe so LPT cost estimation costs one request per
-  chunk. The server sends records as their stored text, unparsed, so
-  this client is where a corrupt entry becomes a miss for its key
-  alone (see :meth:`HttpCache.get_many`).
+  ``put_many`` round trips to amortize latency (the runner's cache
+  probe, and so LPT cost estimation, reads through ``get_many``). The
+  server sends records as their stored text, unparsed, so this client
+  is where a corrupt entry becomes a miss for its key alone (see
+  :meth:`HttpCache.get_many`).
 * :class:`HttpClaimTable` — the client of the server's shared claim
   table, which is what turns static shards into work stealing: each
   worker claims the next unclaimed grid positions (batched — ``k`` per
@@ -70,9 +70,9 @@ __all__ = [
     "RetryPolicy",
 ]
 
-#: Default number of entries per ``records:batch`` / ``timings``
-#: round trip. Large enough to amortize a round trip, small enough
-#: to keep a single response bounded (payloads carry full schedules).
+#: Default number of entries per ``records:batch`` round trip. Large
+#: enough to amortize a round trip, small enough to keep a single
+#: response bounded (payloads carry full schedules).
 DEFAULT_BATCH_SIZE = 64
 
 #: Cap on idle keep-alive connections parked per cache pool. A sweep
@@ -100,7 +100,7 @@ def _check_url(url: str) -> str:
 class RetryPolicy:
     """Bounded exponential backoff with deterministic jitter.
 
-    Shared by every *lenient* route (records and timings): attempt,
+    Shared by every *lenient* route (the record routes): attempt,
     then on transport fault sleep ``base_delay * 2**attempt`` capped at
     ``max_delay``, scaled by a jitter factor drawn from a **seeded**
     ``random.Random`` — reproducible under ``repro lint``'s
@@ -325,12 +325,12 @@ class HttpCache:
     """A :class:`~repro.engine.cache.CacheBackend` over the cache-server
     wire protocol, on a persistent connection pool.
 
-    ``get``/``put``/``get_many``/``put_many``/``get_timings`` are
-    *lenient*: any transport or protocol problem reads as a miss (or a
-    dropped write) after the retry budget — see the module docstring
-    for why. Introspection (``keys``, ``len``, ``stats``, ``gc``) is
-    *strict* and raises :class:`~repro.errors.CacheError`: those answers
-    are the point of the call, and a silently-empty one would lie.
+    ``get``/``put``/``get_many``/``put_many`` are *lenient*: any
+    transport or protocol problem reads as a miss (or a dropped write)
+    after the retry budget — see the module docstring for why.
+    Introspection (``keys``, ``len``, ``stats``, ``gc``) is *strict* and
+    raises :class:`~repro.errors.CacheError`: those answers are the
+    point of the call, and a silently-empty one would lie.
     ``close()`` releases the pool's parked sockets — sweeps and the CLI
     route through it.
     """
@@ -379,8 +379,8 @@ class HttpCache:
     ) -> tuple[int, Any | None] | None:
         """A round trip under the retry policy; ``None`` once the
         budget is spent (the caller reads that as a miss / dropped
-        write). Every record and timing route funnels through here, so
-        backoff behavior is uniform across the lenient surface."""
+        write). Every record route funnels through here, so backoff
+        behavior is uniform across the lenient surface."""
         delays = self.retry.delays()
         while True:
             try:
@@ -446,29 +446,6 @@ class HttpCache:
         for chunk in self._chunks(items):
             self._lenient_json("POST", "/records:batch", {"put": dict(chunk)})
 
-    def get_timings(self, keys: Sequence[str]) -> dict[str, float]:
-        """Bulk ``wall_time`` lookup — the cost model's one round trip
-        (per chunk) instead of one per key."""
-        out: dict[str, float] = {}
-        for chunk in self._chunks(list(keys)):
-            result = self._lenient_json(
-                "POST", "/timings", {"keys": list(chunk)}
-            )
-            if result is None:
-                continue
-            status, reply = result
-            if status != 200 or not isinstance(reply, dict):
-                continue
-            timings = reply.get("timings")
-            if isinstance(timings, dict):
-                for key, value in timings.items():
-                    if isinstance(value, (int, float)):
-                        out[key] = float(value)
-        return out
-
-    def get_timing(self, key: str) -> float | None:
-        return self.get_timings([key]).get(key)
-
     # -- strict introspection -------------------------------------------
     def _strict(self, method: str, path: str, body: Any | None = None) -> Any:
         status, reply = _pool_json(self._pool, method, path, body)
@@ -497,8 +474,8 @@ class HttpCache:
         """The server's stats, stamped with this client's URL.
 
         ``deep=True`` (the default) asks the server for the full
-        backend walk — entries, bytes, timing coverage — which is the
-        authoritative answer introspection wants. ``deep=False`` hits
+        backend walk — entries and bytes — which is the authoritative
+        answer introspection wants. ``deep=False`` hits
         the lock-free monitoring snapshot instead: live fabric
         counters, never touching the backend, safe to poll against a
         busy server.

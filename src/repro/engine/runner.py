@@ -37,6 +37,7 @@ from __future__ import annotations
 import heapq
 import math
 import queue
+import sys
 import threading
 import time
 from collections import deque
@@ -1310,18 +1311,18 @@ class BatchRunner:
     ) -> list[float]:
         """Per-request cost estimates (seconds) from prior cached runs.
 
-        Reads the measured ``wall_time`` each request's payload stored
-        in the cache backend — any :class:`~repro.engine.cache.
-        CacheBackend` works, which is how a warm sweep's timings become
-        the next sweep's LPT schedule. A backend exposing ``get_timing``
-        (the :class:`~repro.engine.cache.SqliteCache` column, the
-        :class:`~repro.engine.cache.DirectoryCache` ``.timing`` sidecar)
-        answers without parsing full payloads, and one exposing bulk
-        ``get_timings`` (the HTTP backend, tiered stacks) answers the
-        whole request list in batched round trips instead of one per
-        key. Requests with no cached timing (or a timing from a build
-        that predates measurement) estimate at ``default``, so a cold
-        cache degrades to count balancing rather than failing.
+        Reads the measured ``wall_time`` of each request's cached record
+        through the runner's own cache probe (:meth:`_probe_cache`), so
+        any :class:`~repro.engine.cache.CacheBackend` works, a backend
+        with ``get_many`` (the HTTP backend, tiered stacks) answers in
+        batched round trips, and a tiered stack promotes what it reads,
+        as a run's probe does. This is how a warm sweep's timings become
+        the next sweep's LPT schedule. Each distinct cell is probed
+        once, and only its float is kept, so at most one probe chunk of
+        payloads is alive at a time. A request with no cached record, or
+        whose ``wall_time`` is not a finite number >= 0, estimates at
+        ``default``, so a cold cache degrades to count balancing rather
+        than failing.
         """
         if self.cache is None:
             return [float(default)] * len(requests)
@@ -1329,36 +1330,14 @@ class BatchRunner:
             request_key(request.algorithm, request.instance)
             for request in requests
         ]
-        memo: dict[str, float] = {}  # duplicate cells share one lookup
-        bulk = getattr(self.cache, "get_timings", None)
-        probe = getattr(self.cache, "get_timing", None)
-        if bulk is not None:
-            unique = list(dict.fromkeys(keys))
-            fetched = bulk(unique)
-
-            def lookup(key: str) -> float | None:
-                return fetched.get(key)
-        elif probe is not None:
-            lookup = probe
-        else:
-
-            def lookup(key: str) -> float | None:
-                payload = self.cache.get(key)
-                return payload.get("wall_time") if payload is not None else None
-
-        estimates = []
-        for key in keys:
-            estimate = memo.get(key)
-            if estimate is None:
-                cost = lookup(key)
-                if (
-                    cost is None
-                    or not math.isfinite(float(cost))
-                    or float(cost) < 0.0
-                ):
-                    estimate = float(default)
-                else:
-                    estimate = float(cost)
-                memo[key] = estimate
-            estimates.append(estimate)
-        return estimates
+        measured: dict[str, float] = {}
+        for key, payload in self._probe_cache(list(dict.fromkeys(keys))):
+            cost = payload.get("wall_time")
+            # One comparison chain rejects NaN, infinities, negatives and
+            # ints too large for a float (a record is outside input).
+            if (
+                isinstance(cost, (int, float))
+                and 0.0 <= cost <= sys.float_info.max
+            ):
+                measured[key] = float(cost)
+        return [measured.get(key, float(default)) for key in keys]

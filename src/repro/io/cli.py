@@ -42,9 +42,9 @@ Subcommands
     Serve a local cache backend (and the work-stealing claim table)
     over HTTP for a fleet of sweep workers.
 ``cache``
-    Cache maintenance: ``stats`` (backend, entries, bytes, timing
-    coverage — any backend, including a remote server) and ``gc
-    --older-than`` (prune old entries and stale temp files).
+    Cache maintenance: ``stats`` (backend, entries, bytes — any
+    backend, including a remote server) and ``gc --older-than`` (prune
+    old entries and stale temp files).
 ``bench``
     Run named perf scenarios (``pd-scaling``, ``oa-scaling``,
     ``yds-scaling``, ``grid-refine``, ``cache-micro``) and write
@@ -470,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     cch = sub.add_parser("cache", help="inspect and maintain result caches")
     cch_sub = cch.add_subparsers(dest="cache_command", required=True)
     for name, blurb in (
-        ("stats", "backend, entry count, total bytes, timing coverage"),
+        ("stats", "backend, entry count, total bytes"),
         ("gc", "prune entries older than --older-than (plus stale temp files)"),
     ):
         ccmd = cch_sub.add_parser(name, help=blurb)
@@ -756,17 +756,10 @@ def _format_stats(stats: dict, indent: int = 0) -> list[str]:
         f"{pad}backend        : {stats.get('backend', '?')}"
         + (f" ({location})" if location else "")
     ]
-    entries = stats.get("entries")
-    if entries is not None:
-        lines.append(f"{pad}entries        : {entries}")
+    if stats.get("entries") is not None:
+        lines.append(f"{pad}entries        : {stats['entries']}")
     if stats.get("total_bytes") is not None:
         lines.append(f"{pad}total bytes    : {stats['total_bytes']}")
-    timed = stats.get("timed_entries")
-    if timed is not None and entries is not None:
-        pct = (100.0 * timed / entries) if entries else 100.0
-        lines.append(
-            f"{pad}timing coverage: {timed}/{entries} ({pct:.1f}%)"
-        )
     if stats.get("claim_tables"):
         lines.append(f"{pad}claim tables   : {stats['claim_tables']}")
     for tier in stats.get("tiers", ()):
@@ -779,27 +772,28 @@ def _cmd_cache_serve(args: argparse.Namespace) -> int:
     from ..engine.cache import open_cache
     from .server import CacheServer
 
-    cache = open_cache(args.path, args.backend)
-    server = CacheServer(
-        cache,
-        host=args.host,
-        port=args.port,
-        verbose=args.verbose,
-        stripes=args.stripes,
-    )
-    host, port = server.address
-    print(
-        f"serving {args.backend} cache {args.path} at http://{host}:{port} "
-        "(ctrl-c to stop)",
-        flush=True,
-    )
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.stop()
-        cache.close()
+    # The backend closes on every way out, a server that refuses to
+    # start included.
+    with open_cache(args.path, args.backend) as cache:
+        server = CacheServer(
+            cache,
+            host=args.host,
+            port=args.port,
+            verbose=args.verbose,
+            stripes=args.stripes,
+        )
+        host, port = server.address
+        print(
+            f"serving {args.backend} cache {args.path} at "
+            f"http://{host}:{port} (ctrl-c to stop)",
+            flush=True,
+        )
+        try:
+            server.serve_forever()
+        except KeyboardInterrupt:
+            pass
+        finally:
+            server.stop()
     return 0
 
 

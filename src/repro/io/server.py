@@ -14,8 +14,6 @@ Wire protocol (Python-dialect JSON — ``NaN`` literals allowed):
 | ``GET /records/<key>``   | —                               | 200 stored payload text, or 404 |
 | ``PUT /records/<key>``   | payload object                  | 204 |
 | ``POST /records:batch``  | ``{"get": [keys], "put": {key: payload}}`` | 200 ``{"records": {...}, "stored": n}`` |
-| ``GET /timings``         | —                               | 200 ``{"timings": {key: seconds}}`` (all timed entries) |
-| ``POST /timings``        | ``{"keys": [keys]}``            | 200 ``{"timings": {...}}`` (subset) |
 | ``GET /keys``            | —                               | 200 ``{"keys": [...]}`` |
 | ``GET /stats``           | —                               | 200 lock-free fabric snapshot (never touches the backend) |
 | ``GET /stats?deep=1``    | —                               | 200 full backend stats + ``claim_tables`` |
@@ -56,11 +54,11 @@ Locking, three independent planes:
 * **record traffic** is striped: each key hashes (crc32) onto one of N
   mutexes, so concurrent handler threads touch *different* keys in
   parallel and only same-stripe traffic serializes. Full-scan routes
-  (``keys``, ``GET /timings``, ``gc``, deep stats) take every stripe
-  in index order — a deadlock-free global write barrier. Striping is
-  only enabled for backends that declare ``thread_safe = True``;
-  anything else (a single sqlite connection) collapses to one stripe,
-  which is exactly the old global-lock behavior.
+  (``keys``, ``gc``, deep stats) take every stripe in index order — a
+  deadlock-free global write barrier. Striping is only enabled for
+  backends that declare ``thread_safe = True``; anything else (a single
+  sqlite connection) collapses to one stripe, which is exactly the old
+  global-lock behavior.
 * **claim state** is pure in-memory behind its own mutex: a slow disk
   draining bulk record writes cannot stall claim handouts past the
   workers' strict timeout (claim faults abort workers by design).
@@ -257,7 +255,9 @@ class CacheServer:
     Asking for more than one stripe over a backend that is not
     thread-safe is refused — striping would hand its unsynchronized
     internals to concurrent handler threads. So is a backend without
-    ``get_text``: record replies splice its stored text.
+    ``get_text``: record replies splice its stored text. An address it
+    cannot bind (a port outside 0..65535, a host that does not resolve)
+    is an :class:`~repro.errors.InvalidParameterError` naming both.
     """
 
     def __init__(
@@ -314,7 +314,14 @@ class CacheServer:
         # connections — handler threads otherwise sit in readline on
         # warm sockets and keep serving a "stopped" server.
         self._connections: set[socket.socket] = set()
-        self._httpd = ThreadingHTTPServer((host, port), _Handler)
+        try:
+            self._httpd = ThreadingHTTPServer((host, port), _Handler)
+        except (OverflowError, OSError) as exc:
+            # A port outside 0..65535, a host that does not resolve, an
+            # address already in use: the caller's input, not a crash.
+            raise InvalidParameterError(
+                f"cannot bind the cache server to {host}:{port}: {exc}"
+            ) from exc
         self._httpd.daemon_threads = True
         self._httpd.fabric = self  # type: ignore[attr-defined]
         self._thread: threading.Thread | None = None
@@ -415,33 +422,6 @@ class CacheServer:
             f"{json.dumps(key)}: {text}" for key, text in records.items()
         )
         return f'{{"records": {{{body}}}, "stored": {len(puts)}}}'
-
-    def timings(self, keys: Sequence[str] | None) -> dict[str, float]:
-        if keys is None:
-            # Full scan (and DirectoryCache may backfill sidecars as it
-            # probes): take the global barrier like every scan route.
-            with self._records.all_stripes():
-                return self._timings_locked(list(self.cache.keys()))
-        out: dict[str, float] = {}
-        for key in keys:
-            with self._records.for_key(key):
-                out.update(self._timings_locked([key]))
-        return out
-
-    def _timings_locked(self, keys: Sequence[str]) -> dict[str, float]:
-        probe = getattr(self.cache, "get_timing", None)
-        out: dict[str, float] = {}
-        for key in keys:
-            if probe is not None:
-                timing = probe(key)
-            else:
-                payload = self.cache.get(key)
-                timing = (
-                    payload.get("wall_time") if payload is not None else None
-                )
-            if isinstance(timing, (int, float)):
-                out[str(key)] = float(timing)
-        return out
 
     def list_keys(self) -> list[str]:
         with self._records.all_stripes():
@@ -723,8 +703,6 @@ class _Handler(BaseHTTPRequestHandler):
             )
         elif parts == ["keys"]:
             self._reply(200, {"keys": self.fabric.list_keys()})
-        elif parts == ["timings"]:
-            self._reply(200, {"timings": self.fabric.timings(None)})
         elif len(parts) == 2 and parts[0] == "records":
             text = self.fabric.record_text(
                 self._safe_name(parts[1], "record key")
@@ -769,22 +747,11 @@ class _Handler(BaseHTTPRequestHandler):
                     400, f"batch put payloads must be objects (bad: {bad[:3]})"
                 )
             # Batch *gets* walk the same backend paths as single-record
-            # reads (and /timings can even trigger the DirectoryCache
-            # sidecar backfill write), so their keys go through the
-            # same traversal gate.
+            # reads, so their keys go through the same traversal gate.
             body = self.fabric.batch(
                 [self._safe_name(str(k), "record key") for k in gets], puts
             )
             self._send(200, body.encode("utf-8"))
-        elif parts == ["timings"]:
-            keys = self._fields().get("keys")
-            if keys is not None and not isinstance(keys, list):
-                raise _HttpStatus(400, "timings body wants {'keys': [keys]}")
-            if keys is not None:
-                keys = [
-                    self._safe_name(str(key), "record key") for key in keys
-                ]
-            self._reply(200, {"timings": self.fabric.timings(keys)})
         elif parts == ["gc"]:
             older_than = self._fields().get("older_than")
             if not isinstance(older_than, (int, float)):

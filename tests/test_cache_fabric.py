@@ -11,8 +11,9 @@ Four guarantees, each load-bearing for multi-machine sweeps:
   union, exactly the unsharded run, and the claim session token lets
   the merge step recognize the shards as one run;
 * **concurrent durability** — the sqlite backend survives multiple
-  processes hammering ``put`` (bounded busy retry), and the directory
-  backend's timing sidecar keeps cost estimation payload-free.
+  processes hammering ``put`` (bounded busy retry), and caches written
+  by builds that kept a timing index (``.timing`` sidecars, a sqlite
+  ``wall_time`` column) still open, serve, take puts and gc.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from repro.engine import (
     SqliteCache,
     TieredCache,
     backend_stats,
-    request_key,
     shard_assignment,
 )
 from repro.errors import CacheError, InvalidParameterError
@@ -120,15 +120,40 @@ class TestHttpCacheProtocol:
 
     def test_timings_flow_to_cost_estimates(self, requests, server):
         cache = HttpCache(server.url)
-        BatchRunner(cache=cache).run(requests)
-        keys = [request_key(r.algorithm, r.instance) for r in requests]
-        timings = cache.get_timings(keys)
-        assert set(timings) == set(keys)
-        assert all(t > 0 for t in timings.values())
-        # estimate_costs takes the bulk path and matches per-key probes
+        records = BatchRunner(cache=cache).run(requests)
+        assert all(r.wall_time > 0 for r in records)
         costs = BatchRunner(cache=cache).estimate_costs(requests)
-        assert costs == [timings[k] for k in keys]
-        assert cache.get_timing(keys[0]) == timings[keys[0]]
+        assert costs == [r.wall_time for r in records]
+
+    def test_estimate_costs_is_one_batched_probe_per_distinct_cell(
+        self, server
+    ):
+        """Costs arrive in records: one ``records:batch`` round trip per
+        ``batch_size`` distinct cells, duplicates probed once."""
+        distinct = [
+            RunRequest("pd", poisson_instance(4, m=1, alpha=3.0, seed=s))
+            for s in range(5)
+        ]
+        cache = HttpCache(server.url, batch_size=2)
+        records = BatchRunner(cache=cache).run(distinct)
+        order = [0, 1, 0, 2, 3, 3, 4, 1]
+        before = server.stats_counters.snapshot()
+        costs = BatchRunner(cache=cache).estimate_costs(
+            [distinct[i] for i in order]
+        )
+        after = server.stats_counters.snapshot()
+        assert costs == [records[i].wall_time for i in order]
+        assert after["requests"] - before["requests"] == 3
+        assert after["batch_requests"] - before["batch_requests"] == 3
+
+    @pytest.mark.parametrize("method", ["GET", "POST"])
+    def test_timings_route_is_gone(self, server, method):
+        from repro.engine.remote import HttpConnectionPool
+
+        body = b'{"keys": []}' if method == "POST" else None
+        with HttpConnectionPool(server.url) as pool:
+            status, _, _ = pool.request(method, "/timings", body)
+        assert status == 404
 
     def test_stats_reports_server_backend(self, server):
         cache = HttpCache(server.url)
@@ -160,8 +185,8 @@ class TestHttpCacheFaults:
         assert cache.get("k") is None
         cache.put("k", {"v": 1})  # dropped, not raised
         assert cache.get_many(["k"]) == {}
-        assert cache.get_timings(["k"]) == {}
         runner = BatchRunner(cache=cache)
+        assert runner.estimate_costs(requests) == [1.0] * len(requests)
         records = runner.run(requests)
         assert _strip(records) == _strip(plain_records)
         assert runner.stats.computed == len(requests)
@@ -253,13 +278,6 @@ class TestServerHardening:
             assert len(backend) == 0
             # batch *gets* walk the same backend read path
             assert cache.get_many(["../../escaped"]) == {}
-            # and /timings can even WRITE (the sidecar backfill):
-            # a hostile key must never reach the backend there either
-            (tmp_path / "outer" / "loot.json").write_text(
-                json.dumps({"v": 1, "wall_time": 0.5})
-            )
-            assert cache.get_timings(["../../loot"]) == {}
-            assert not (tmp_path / "outer" / "loot.timing").exists()
             with pytest.raises(CacheError, match="illegal claim id"):
                 HttpClaimTable(srv.url, "../../table", 2)
         finally:
@@ -299,7 +317,7 @@ class TestServerHardening:
         assert server.stats_fast()["claim_tables"] == 0
 
     @pytest.mark.parametrize(
-        "route", ["/timings", "/gc", "/claims/t", "/claims/t/done"]
+        "route", ["/gc", "/claims/t", "/claims/t/done"]
     )
     def test_non_object_bodies_are_a_400(self, server, route):
         from repro.engine.remote import HttpConnectionPool
@@ -481,12 +499,15 @@ class TestTieredCache:
         assert stats["backend"] == "tiered" and stats["entries"] == 1
         assert [t["backend"] for t in stats["tiers"]] == ["memory", "dir"]
 
-    def test_get_timing_prefers_metadata_paths(self, tmp_path):
+    def test_estimate_costs_promotes_what_it_reads(self, requests, tmp_path):
         disk = DirectoryCache(tmp_path / "d")
-        disk.put("k", {"v": 1, "wall_time": 0.25})
-        tiered = TieredCache([MemoryCache(), disk])
-        assert tiered.get_timing("k") == 0.25
-        assert tiered.get_timings(["k", "nope"]) == {"k": 0.25}
+        records = BatchRunner(cache=disk).run(requests)
+        memory = MemoryCache()
+        costs = BatchRunner(
+            cache=TieredCache([memory, disk])
+        ).estimate_costs(requests)
+        assert costs == [r.wall_time for r in records]
+        assert sorted(memory.keys()) == sorted(r.key for r in records)
 
     def test_empty_tier_list_rejected(self):
         with pytest.raises(InvalidParameterError, match="at least one"):
@@ -883,41 +904,22 @@ class TestSqliteConcurrency:
 
 
 class TestDirectoryCacheTimingIndex:
-    """Satellite perf fix: cost estimation reads metadata, not payloads."""
+    """Each cell's wall time lives in its record alone. Older builds
+    also kept a timing index (``.timing`` sidecars beside directory
+    entries, a ``wall_time`` column in sqlite); caches they wrote keep
+    working, and their leftovers are never entries."""
 
-    def test_put_writes_sidecar_and_get_timing_reads_it(self, tmp_path):
+    def test_put_writes_one_file_per_entry(self, tmp_path):
         cache = DirectoryCache(tmp_path / "c")
         cache.put("k", {"v": 1, "wall_time": 0.5})
-        sidecar = tmp_path / "c" / "k.timing"
-        assert sidecar.read_text() == "0.5"
-        assert cache.get_timing("k") == 0.5
-        assert cache.get_timing("missing") is None
-        # timing-less payloads write no sidecar and time as None
-        cache.put("plain", {"v": 2})
-        assert not (tmp_path / "c" / "plain.timing").exists()
-        assert cache.get_timing("plain") is None
-
-    def test_pre_sidecar_entries_backfill_lazily(self, tmp_path):
-        cache = DirectoryCache(tmp_path / "c")
-        # Simulate an entry from a build without sidecars:
-        (tmp_path / "c" / "old.json").write_text(
-            json.dumps({"v": 1, "wall_time": 0.25})
-        )
-        assert not (tmp_path / "c" / "old.timing").exists()
-        assert cache.get_timing("old") == 0.25
-        assert (tmp_path / "c" / "old.timing").read_text() == "0.25"
+        assert [p.name for p in (tmp_path / "c").iterdir()] == ["k.json"]
 
     def test_sidecars_are_not_entries(self, tmp_path):
         cache = DirectoryCache(tmp_path / "c")
         cache.put("k", {"v": 1, "wall_time": 0.5})
+        (tmp_path / "c" / "k.timing").write_text("0.5")  # an older build's
         assert list(cache.keys()) == ["k"] and len(cache) == 1
-
-    def test_estimate_costs_uses_sidecars(self, requests, tmp_path):
-        cache = DirectoryCache(tmp_path / "c")
-        BatchRunner(cache=cache).run(requests)
-        costs = BatchRunner(cache=cache).estimate_costs(requests)
-        keys = [request_key(r.algorithm, r.instance) for r in requests]
-        assert costs == [cache.get_timing(k) for k in keys]
+        assert cache.stats()["entries"] == 1
 
     def test_gc_prunes_entries_sidecars_and_temps(self, tmp_path):
         import os
@@ -926,13 +928,39 @@ class TestDirectoryCacheTimingIndex:
         cache.put("old", {"v": 1, "wall_time": 0.5})
         cache.put("fresh", {"v": 2, "wall_time": 0.5})
         (tmp_path / "c" / ".tmp-stale.json").write_text("x")
-        (tmp_path / "c" / "orphan.timing").write_text("1.0")
+        for name in ("old.timing", "orphan.timing", "fresh.timing"):
+            (tmp_path / "c" / name).write_text("0.5")  # an older build's
         ancient = time.time() - 7200
-        for name in ("old.json", "old.timing", ".tmp-stale.json"):
+        for name in ("old.json", "old.timing", "orphan.timing", ".tmp-stale.json"):
             os.utime(tmp_path / "c" / name, (ancient, ancient))
         assert cache.gc(3600.0) == 1
         left = sorted(p.name for p in (tmp_path / "c").iterdir())
         assert left == ["fresh.json", "fresh.timing"]
+        assert cache.get("fresh") == {"v": 2, "wall_time": 0.5}
+
+    def test_older_dir_cache_with_sidecars_serves(self, requests, tmp_path):
+        """A directory an older build filled (an entry plus its sidecar
+        per cell) opens, serves over HTTP, takes puts and gc."""
+        root = tmp_path / "c"
+        records = BatchRunner(cache=DirectoryCache(root)).run(requests)
+        for record in records:
+            (root / f"{record.key}.timing").write_text(repr(record.wall_time))
+        backend = DirectoryCache(root)
+        srv = CacheServer(backend).start()
+        try:
+            cache = HttpCache(srv.url)
+            assert BatchRunner(cache=cache).estimate_costs(requests) == [
+                r.wall_time for r in records
+            ]
+            warm = BatchRunner(cache=cache).run(requests)
+            assert all(r.cached for r in warm)
+            assert _strip(warm) == _strip(records)
+            cache.put("new", {"v": 1})
+            assert len(cache) == len(records) + 1
+            assert cache.gc(0.0) == len(records) + 1
+        finally:
+            srv.stop()
+        assert list(root.iterdir()) == []
 
     def test_stats_counts_entries_bytes_coverage(self, tmp_path):
         cache = DirectoryCache(tmp_path / "c")
@@ -940,14 +968,14 @@ class TestDirectoryCacheTimingIndex:
         cache.put("b", {"v": 2})
         stats = cache.stats()
         assert stats["backend"] == "dir" and stats["entries"] == 2
-        assert stats["timed_entries"] == 1 and stats["total_bytes"] > 0
+        assert stats["total_bytes"] > 0
 
     def test_sqlite_gc_and_stats(self, tmp_path):
         cache = SqliteCache(tmp_path / "c.db")
         cache.put("k", {"v": 1, "wall_time": 0.5})
         stats = cache.stats()
         assert stats["backend"] == "sqlite"
-        assert stats["entries"] == 1 and stats["timed_entries"] == 1
+        assert stats["entries"] == 1 and stats["total_bytes"] > 0
         assert cache.gc(3600.0) == 0
         # pre-timestamp entries (created_at NULL) are prunable
         conn = cache._connect()
@@ -1160,7 +1188,7 @@ class TestCacheCli:
         out = capsys.readouterr().out
         assert "backend        : dir" in out
         assert "entries        : 1" in out
-        assert "timing coverage: 1/1" in out
+        assert "timing" not in out
         assert main(
             ["cache", "gc", "--cache", cache_dir, "--older-than", "0s"]
         ) == 0

@@ -16,11 +16,13 @@ against its from-scratch oracle,
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import repro.classical.oa as oa_module
 import repro.core.pd as pd_module
 import repro.perf.epochs as epochs
 from repro.classical.execution import schedule_from_segments
@@ -598,6 +600,32 @@ def oa_outcome(segments_fn, inst: Instance):
         return repr(err)
 
 
+#: (family, n) of the m=1 instances OA's batched loop is checked on.
+OA_FAMILIES = [
+    (slotted_instance, 250),
+    (heavy_tail_instance, 120),
+    (diurnal_instance, 150),
+]
+
+
+def finish_reports(inst: Instance) -> Counter:
+    """How often ``oa_segments`` hears each job finish, per job id."""
+    real = oa_module._execute_plan_prefix
+    reports: Counter = Counter()
+
+    def counting(plan, *, on_finish, **kwargs):
+        def report(job: int) -> None:
+            reports[job] += 1
+            on_finish(job)
+
+        real(plan, on_finish=report, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oa_module, "_execute_plan_prefix", counting)
+        oa_outcome(oa_segments, inst)
+    return reports
+
+
 class TestOAEpochParity:
     @given(inst=oa_streams())
     @settings(max_examples=40, deadline=None)
@@ -608,15 +636,30 @@ class TestOAEpochParity:
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_segments_bitwise_identical(self, seed):
-        for family, n in [
-            (slotted_instance, 250),
-            (heavy_tail_instance, 120),
-            (diurnal_instance, 150),
-        ]:
+        for family, n in OA_FAMILIES:
             inst = family(n, m=1, alpha=3.0, seed=seed)
             _, old = oa_segments_reference(inst)
             _, new = oa_segments(inst)
             assert new == old
+
+    @given(inst=oa_streams())
+    @settings(max_examples=40, deadline=None)
+    def test_generated_streams_report_each_finish_at_most_once(self, inst):
+        """The unfinished-job counter takes one decrement per finish: a
+        plan job runs as one EDF segment per epoch, and a finished job
+        is tombstoned before the next epoch plans."""
+        assert max(finish_reports(inst).values(), default=0) <= 1
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_family_jobs_report_their_finish_exactly_once(self, seed):
+        for family, n in OA_FAMILIES:
+            inst = family(n, m=1, alpha=3.0, seed=seed)
+            working = np.flatnonzero(
+                inst.sorted_by_release().workloads > oa_module._WORK_TOL
+            )
+            reports = finish_reports(inst)
+            assert sorted(reports) == working.tolist()
+            assert set(reports.values()) == {1}
 
     def test_run_oa_schedule_identical(self):
         inst = slotted_instance(150, slots=25, m=1, alpha=3.0, seed=3)

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+import socket
 
 import numpy as np
 import pytest
 
+import repro.io.server as server_module
 from repro.analysis.report import audit_run
 from repro.core.pd import run_pd
+from repro.engine import SqliteCache
 from repro.errors import InvalidParameterError
 from repro.io.cli import build_parser, main
 from repro.io.serialize import (
@@ -305,6 +308,75 @@ class TestSweepSubcommand:
         assert main(self.BASE + ["--json", cells_path]) == 0
         assert main(["sweep", "poisson", "--merge", cells_path]) == 2
         assert "not a sweep shard file" in capsys.readouterr().err
+
+
+class TestUnusableCacheOrAddress:
+    """Where the CLI opens a cache or binds the server, a path or an
+    address it cannot use exits 2 with one ``error:`` line naming it."""
+
+    SWEEP = [
+        "sweep", "poisson", "-n", "3", "--alphas", "3.0", "--ms", "1",
+        "--algorithms", "pd", "--seeds", "0",
+    ]
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "file-as-dir",
+            "dir-as-sqlite",
+            "stats-dir-as-sqlite",
+            "port-above-range",
+            "port-negative",
+            "host-unresolvable",
+        ],
+    )
+    def test_canonical_error(self, case, tmp_path, monkeypatch, capsys):
+        regular = tmp_path / "file"
+        regular.write_text("x")
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        serve = ["cache-serve", str(tmp_path / "served.db"), "--backend", "sqlite"]
+        argv, named = {
+            "file-as-dir": (
+                self.SWEEP + ["--cache", str(regular)],
+                ["dir", str(regular)],
+            ),
+            "dir-as-sqlite": (
+                self.SWEEP + ["--cache", str(folder), "--cache-backend", "sqlite"],
+                ["sqlite", str(folder)],
+            ),
+            "stats-dir-as-sqlite": (
+                ["cache", "stats", "--cache", str(folder), "--cache-backend", "sqlite"],
+                ["sqlite", str(folder)],
+            ),
+            "port-above-range": (serve + ["--port", "99999"], ["127.0.0.1:99999"]),
+            "port-negative": (serve + ["--port", "-1"], ["127.0.0.1:-1"]),
+            "host-unresolvable": (
+                serve + ["--host", "no-such-host.invalid"],
+                ["no-such-host.invalid:8080"],
+            ),
+        }[case]
+        if case == "host-unresolvable":
+            # Resolving a name may ask a nameserver: fail the bind
+            # locally, the way an unresolvable host fails it.
+            def unresolvable(*args, **kwargs):
+                raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
+
+            monkeypatch.setattr(server_module, "ThreadingHTTPServer", unresolvable)
+        closed = []
+        real_close = SqliteCache.close
+
+        def counting_close(cache):
+            closed.append(cache)
+            real_close(cache)
+
+        monkeypatch.setattr(SqliteCache, "close", counting_close)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert all(text in err for text in named), err
+        if argv[0] == "cache-serve":
+            assert len(closed) == 1  # the refused server's backend
 
 
 class TestSweepWorkloadAxis:

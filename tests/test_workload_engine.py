@@ -27,6 +27,7 @@ from repro.engine import (
     BatchRunner,
     DirectoryCache,
     ExperimentSpec,
+    MemoryCache,
     RunRequest,
     SqliteCache,
     aggregate_records,
@@ -501,20 +502,27 @@ class TestCostAwareSharding:
             merge_shards(shards, assignment=assignment[:-1])
 
     def test_estimate_costs_memoizes_duplicate_cells(self, tmp_path):
-        inst = poisson_instance(5, m=1, alpha=3.0, seed=7)
+        """One ``get`` per distinct cell on a backend without
+        ``get_many``, whatever the duplicates."""
+        insts = [poisson_instance(5, m=1, alpha=3.0, seed=s) for s in (7, 8)]
         cache = SqliteCache(tmp_path / "c.db")
-        BatchRunner(cache=cache).run_one("pd", inst)
+        records = BatchRunner(cache=cache).run(
+            [RunRequest("pd", inst) for inst in insts]
+        )
         lookups = []
-        real = cache.get_timing
+        real = cache.get
 
         def counting(key):
             lookups.append(key)
             return real(key)
 
-        cache.get_timing = counting
-        runner = BatchRunner(cache=cache)
-        estimates = runner.estimate_costs([RunRequest("pd", inst)] * 4)
-        assert len(set(estimates)) == 1 and len(lookups) == 1
+        cache.get = counting
+        order = [0, 1, 1, 0, 0]
+        estimates = BatchRunner(cache=cache).estimate_costs(
+            [RunRequest("pd", insts[i]) for i in order]
+        )
+        assert estimates == [records[i].wall_time for i in order]
+        assert lookups == [records[0].key, records[1].key]
 
     def test_estimate_costs_reads_cached_timings(self, requests, tmp_path):
         cold = BatchRunner(cache=tmp_path / "c")
@@ -533,21 +541,21 @@ class TestCostAwareSharding:
         estimates = BatchRunner(cache=backend(target)).estimate_costs(requests[:3])
         assert all(math.isfinite(e) and e > 0.0 for e in estimates)
 
-    def test_sqlite_timing_column_fast_path(self, requests, tmp_path):
-        cache = SqliteCache(tmp_path / "c.db")
-        records = BatchRunner(cache=cache).run(requests[:2])
-        assert cache.get_timing(records[0].key) == records[0].wall_time
-        assert cache.get_timing("missing") is None
-        # a payload without a usable timing answers None, not a crash
-        cache.put("odd", {"v": 1})
-        assert cache.get_timing("odd") is None
-        # legacy rows (NULL column) fall back to the payload itself
-        cache._connect().execute(
-            "UPDATE entries SET wall_time = NULL WHERE key = ?",
-            (records[0].key,),
+    def test_estimates_skip_unusable_timings(self, requests):
+        """A record whose ``wall_time`` is missing, not a number, not
+        finite, negative or too large for a float estimates at the
+        default."""
+        timings = [None, "fast", math.nan, math.inf, -0.5, 10**400]
+        cache = MemoryCache()
+        for request, timing in zip(requests, timings):
+            cache.put(
+                request_key(request.algorithm, request.instance),
+                {} if timing is None else {"wall_time": timing},
+            )
+        estimates = BatchRunner(cache=cache).estimate_costs(
+            requests[: len(timings)], default=2.5
         )
-        cache._connect().commit()
-        assert cache.get_timing(records[0].key) == records[0].wall_time
+        assert estimates == [2.5] * len(timings)
 
     def test_sqlite_pre_timing_database_migrates(self, tmp_path):
         import sqlite3
@@ -563,9 +571,39 @@ class TestCostAwareSharding:
         conn.commit()
         conn.close()
         cache = SqliteCache(path)  # ALTER TABLE migration runs here
-        assert cache.get_timing("k") == 0.5
-        cache.put("k2", {"wall_time": 0.25})
-        assert cache.get_timing("k2") == 0.25
+        assert cache.get("k") == {"wall_time": 0.5}
+        cache.put("k2", {"wall_time": 0.25})  # the INSERT names created_at
+        assert cache.get("k2") == {"wall_time": 0.25}
+        assert cache.gc(3600.0) == 1  # the undatable legacy row
+        cache.close()
+
+    def test_sqlite_database_with_timing_column_still_works(
+        self, requests, tmp_path
+    ):
+        """A file an older build wrote keeps its ``wall_time`` column:
+        rows read as before, puts leave the column NULL, and LPT costs
+        come from the records."""
+        import sqlite3
+
+        path = tmp_path / "timed.db"
+        records = BatchRunner(cache=SqliteCache(path)).run(requests[:2])
+        conn = sqlite3.connect(path)
+        conn.execute("ALTER TABLE entries ADD COLUMN wall_time REAL")
+        conn.execute("UPDATE entries SET wall_time = 99.0")
+        conn.commit()
+        conn.close()
+        cache = SqliteCache(path)
+        assert BatchRunner(cache=cache).estimate_costs(requests[:2]) == [
+            r.wall_time for r in records
+        ]
+        cache.put("k", {"wall_time": 0.25})
+        row = cache._connect().execute(
+            "SELECT wall_time FROM entries WHERE key = 'k'"
+        ).fetchone()
+        assert row == (None,)
+        assert cache.stats()["entries"] == 3
+        assert cache.gc(3600.0) == 0 and cache.gc(0.0) == 3
+        cache.close()
 
 
 class TestCacheClose:
