@@ -23,8 +23,8 @@ Layout
 * :mod:`repro.core` — the paper's primal-dual algorithm **PD**, the
   Chan–Lam–Li baseline, and a uniform algorithm runner.
 * :mod:`repro.engine` — the experiment engine: capability-aware
-  algorithm registry, streaming/cached batch runner with a
-  measured-cost shard scheduler, declarative sweeps.
+  algorithm registry, streaming/cached batch runner with static and
+  work-stealing shards, declarative sweeps.
 * :mod:`repro.classical` — YDS, OA, AVR, BKP, qOA.
 * :mod:`repro.offline` — convex program + exact (IMP) solver.
 * :mod:`repro.analysis` — dual certificates, Lemma/Proposition checks.

@@ -14,10 +14,9 @@ CacheBackend`); this module is the client side, all stdlib
 * :class:`HttpCache` — a :class:`~repro.engine.cache.CacheBackend` over
   a small JSON/HTTP wire protocol, with batched ``get_many`` /
   ``put_many`` round trips to amortize latency (the runner's cache
-  probe, and so LPT cost estimation, reads through ``get_many``). The
-  server sends records as their stored text, unparsed, so this client
-  is where a corrupt entry becomes a miss for its key alone (see
-  :meth:`HttpCache.get_many`).
+  probe reads through ``get_many``). The server sends records as their
+  stored text, unparsed, so this client is where a corrupt entry
+  becomes a miss for its key alone (see :meth:`HttpCache.get_many`).
 * :class:`HttpClaimTable` — the client of the server's shared claim
   table, which is what turns static shards into work stealing: each
   worker claims the next unclaimed grid positions (batched — ``k`` per
@@ -525,8 +524,8 @@ class HttpClaimTable:
 
     ``token`` is the server-minted identity of this claim session.
     Every cooperating worker reads back the same token and stamps it
-    into its shard file as the assignment fingerprint, which is how
-    ``--merge`` recognizes dynamically-claimed shards as one run.
+    into its shard file's ``assignment`` slot, which is how ``--merge``
+    recognizes dynamically-claimed shards as one run.
 
     ``lease_ttl`` (seconds) opts into claim leases: positions this
     worker claims but never reports :meth:`done` within the TTL are

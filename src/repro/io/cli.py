@@ -32,10 +32,9 @@ Subcommands
     to a ``cache-serve`` process at ``--cache-url``, ``tiered`` stacks
     memory → local dir → remote), streamed (``--progress`` prints a
     completion-order ticker to stderr), and split across machines
-    (``--shard i/k`` to compute one deterministic slice —
-    ``--shard-strategy lpt`` balances the slices by measured per-cell
-    cost from the cache, ``--shard-strategy steal`` claims cells
-    dynamically from the cache server's shared claim table —
+    (``--shard i/k`` to compute one deterministic round-robin slice —
+    ``--shard-strategy steal`` claims cells dynamically from the cache
+    server's shared claim table instead —
     ``--merge shard0.json shard1.json ...`` to recombine slices into
     the exact unsharded result).
 ``cache-serve``
@@ -62,7 +61,7 @@ import argparse
 import math
 import os
 import sys
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from ..analysis.report import audit_run
 from ..core.pd import run_pd
@@ -270,16 +269,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     swp.add_argument(
         "--shard-strategy",
-        choices=["rr", "lpt", "steal"],
+        choices=["rr", "steal"],
         default="rr",
         help=(
             "how --shard splits the grid: positional round-robin (rr, "
-            "default), longest-processing-time balancing over measured "
-            "per-cell costs read from --cache (lpt; cells without a "
-            "cached timing weigh 1.0), or dynamic work stealing (steal; "
-            "each worker claims cells from the cache server's shared "
-            "claim table at --cache-url, so the shard index only labels "
-            "the worker)"
+            "default; shard I owns positions I, I+K, I+2K, ...), or "
+            "dynamic work stealing (steal; each worker claims cells from "
+            "the cache server's shared claim table at --cache-url, so the "
+            "shard index only labels the worker)"
         ),
     )
     swp.add_argument(
@@ -356,16 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     srv.add_argument(
         "--verbose", action="store_true", help="log every request to stderr"
-    )
-    srv.add_argument(
-        "--stripes",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "record-lock stripes (default: 16 for thread-safe backends "
-            "like dir/memory, 1 for sqlite — which must stay serialized)"
-        ),
     )
 
     bch = sub.add_parser(
@@ -780,7 +767,6 @@ def _cmd_cache_serve(args: argparse.Namespace) -> int:
             host=args.host,
             port=args.port,
             verbose=args.verbose,
-            stripes=args.stripes,
         )
         host, port = server.address
         print(
@@ -1002,25 +988,47 @@ def _print_cells(experiment: str, cells) -> None:
     print(format_cells(table, title=experiment))
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+#: The fields ``--merge`` reads from every shard file, each with what it
+#: must hold.
+_SHARD_FIELDS = {
+    "shard": (
+        "an [index, count] pair with 0 <= index < count",
+        lambda v: isinstance(v, list)
+        and len(v) == 2
+        and all(map(_is_int, v))
+        and 0 <= v[0] < v[1],
+    ),
+    "total": ("an int >= 0", lambda v: _is_int(v) and v >= 0),
+    "positions": (
+        "a list of ints",
+        lambda v: isinstance(v, list) and all(map(_is_int, v)),
+    ),
+    "records": (
+        "a list of record objects",
+        lambda v: isinstance(v, list) and all(isinstance(r, dict) for r in v),
+    ),
+}
+
+
 def _merge_shard_files(paths: Sequence[str]):
     """Load shard record files and recombine them in request order.
 
-    Shard files written by this build carry their owned request
-    ``positions``, so any :func:`~repro.engine.runner.shard_assignment`
-    strategy (round-robin or measured-cost LPT) merges back exactly;
-    files without positions fall back to the historical round-robin
-    interleave.
+    Every shard file carries the grid's ``total`` and the request
+    ``positions`` its records belong to, so the grid is rebuilt
+    position by position whatever strategy cut it. A file missing one
+    of :data:`_SHARD_FIELDS`, or holding it with the wrong type, is
+    refused naming the file and the field; files that disagree on the
+    experiment, the shard count, the strategy, the grid size or (for
+    steal shards) the claim session are refused too.
     """
-    from ..engine import record_from_payload
-    from ..engine.runner import merge_shards, record_to_payload
+    from ..engine import record_from_payload, record_to_payload
 
-    by_index: dict[int, list] = {}
-    positions_by_index: dict[int, list | None] = {}
-    experiments = set()
-    counts = set()
-    assignments = set()
-    totals = set()
-    strategies = set()
+    shards: dict[int, tuple[list[int], list]] = {}
+    agreed: dict[str, Any] = {}
     for path in paths:
         payload = load_json(path)
         if payload.get("kind") != "sweep-shard":
@@ -1028,51 +1036,60 @@ def _merge_shard_files(paths: Sequence[str]):
                 f"{path} is not a sweep shard file (kind="
                 f"{payload.get('kind')!r}); produce one with --shard I/K"
             )
+        for name, (expected, valid) in _SHARD_FIELDS.items():
+            if not valid(payload.get(name)):
+                problem = (
+                    f"must be {expected}" if name in payload else "is missing"
+                )
+                raise InvalidParameterError(
+                    f"shard file {path}: field {name!r} {problem}"
+                )
         index, count = payload["shard"]
-        counts.add(int(count))
-        experiments.add(payload.get("experiment"))
-        strategies.add(payload.get("strategy"))
-        if "assignment" in payload:
-            assignments.add(payload["assignment"])
-        if "total" in payload:
-            totals.add(int(payload["total"]))
-        if index in by_index:
+        header = {
+            "experiment": payload.get("experiment"),
+            "shard count": count,
+            "strategy": payload.get("strategy"),
+            "grid size": payload["total"],
+        }
+        for name, value in header.items():
+            first = agreed.setdefault(name, value)
+            if value != first:
+                raise InvalidParameterError(
+                    f"shard files disagree on the {name} ({first!r} in "
+                    f"{paths[0]}, {value!r} in {path}); merge shards of one "
+                    "sweep only"
+                )
+        # Every worker of one steal session stamps its server-minted
+        # token; static shards need none, their positions suffice.
+        session = payload.get("assignment")
+        if header["strategy"] == "steal" and (
+            agreed.setdefault("session", session) != session
+        ):
+            raise InvalidParameterError(
+                "shard files come from different claim sessions (the cache "
+                "server restarted between steal workers?); re-run the "
+                "workers against one server lifetime"
+            )
+        if index in shards:
             raise InvalidParameterError(f"shard {index} given twice")
-        by_index[int(index)] = [
-            record_from_payload(r) for r in payload["records"]
-        ]
-        positions_by_index[int(index)] = payload.get("positions")
-    if len(counts) != 1 or len(experiments) != 1:
-        raise InvalidParameterError(
-            f"shard files disagree (experiments={sorted(map(str, experiments))}, "
-            f"shard counts={sorted(counts)}); merge shards of one sweep only"
-        )
-    if len(assignments) > 1:
-        raise InvalidParameterError(
-            "shard files were cut from different shard assignments — with "
-            "--shard-strategy lpt this means the invocations read different "
-            "timing snapshots (e.g. earlier shards wrote new timings into "
-            "the shared cache; re-cut every shard against the same frozen "
-            "cache state), and with --shard-strategy steal it means the "
-            "workers joined different claim sessions (e.g. the cache "
-            "server restarted between workers; re-run them against one "
-            "server lifetime)"
-        )
-    count = counts.pop()
-    missing = sorted(set(range(count)) - set(by_index))
+        positions, records = payload["positions"], payload["records"]
+        if len(positions) != len(records):
+            raise InvalidParameterError(
+                f"shard {index} lists {len(positions)} positions for "
+                f"{len(records)} records"
+            )
+        try:
+            shards[index] = (positions, [record_from_payload(r) for r in records])
+        except InvalidParameterError as exc:
+            raise InvalidParameterError(
+                f"shard file {path}: field 'records' holds a bad record ({exc})"
+            ) from None
+    count = agreed["shard count"]
+    missing = sorted(set(range(count)) - set(shards))
     if missing:
         raise InvalidParameterError(
             f"missing shard file(s) for index(es) {missing} of {count}"
         )
-    if len(totals) > 1:
-        raise InvalidParameterError(
-            f"shard files disagree on the grid size ({sorted(totals)}); "
-            "merge shards of one sweep only"
-        )
-    shards = [by_index[i] for i in range(count)]
-    experiment = experiments.pop()
-    if any(positions_by_index[i] is None for i in range(count)):
-        return experiment, merge_shards(shards)
 
     def dedup_form(record) -> str:
         """Identity of a record minus per-worker bookkeeping.
@@ -1092,25 +1109,18 @@ def _merge_shard_files(paths: Sequence[str]):
     # legitimately record one cell. Keep the lowest shard's copy after
     # checking the duplicates agree; for static strategies a duplicate
     # still means broken shard files and fails loudly.
-    allow_duplicates = strategies == {"steal"}
-    # The declared grid size beats the record-count sum: with dynamic
-    # (steal) shards, a worker that claimed cells and died leaves a hole
-    # that only the declared total can expose — if the lost cells are
-    # the last positions of the grid, the surviving records still form
-    # a dense prefix a sum-based total would happily accept.
-    total = totals.pop() if totals else sum(len(s) for s in shards)
+    allow_duplicates = agreed["strategy"] == "steal"
+    # The declared grid size, not the record count, bounds the grid:
+    # with dynamic (steal) shards, a worker that claimed cells and died
+    # leaves a hole that only the declared total can expose — if the
+    # lost cells are the last positions of the grid, the surviving
+    # records still form a dense prefix.
+    total = agreed["grid size"]
     chosen: dict[int, object] = {}
     duplicates = 0
-    for shard in sorted(positions_by_index):
-        positions = positions_by_index[shard]
-        records = by_index[shard]
-        if len(positions) != len(records):
-            raise InvalidParameterError(
-                f"shard {shard} lists {len(positions)} positions for "
-                f"{len(records)} records"
-            )
-        for position, record in zip(positions, records):
-            if not isinstance(position, int) or not 0 <= position < total:
+    for index in sorted(shards):
+        for position, record in zip(*shards[index]):
+            if not 0 <= position < total:
                 raise InvalidParameterError(
                     f"shard position lists do not partition the request "
                     f"list (bad position {position!r})"
@@ -1147,7 +1157,7 @@ def _merge_shard_files(paths: Sequence[str]):
             "worker(s) against a fresh claim session (cached cells "
             "stream back instantly)"
         )
-    return experiment, [chosen[position] for position in range(total)]
+    return agreed["experiment"], [chosen[position] for position in range(total)]
 
 
 def _progress_printer(args: argparse.Namespace):
@@ -1177,7 +1187,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         ExperimentSpec,
         aggregate_records,
         record_to_payload,
-        shard_assignment,
     )
 
     if args.shard and args.merge:
@@ -1317,37 +1326,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     claims.close()
                 positions = [position for position, _ in pairs]
                 records = [record for _, record in pairs]
-                # The claim session's server-minted token plays the
-                # assignment-fingerprint role: every worker of one
-                # session stamps the same token, so --merge recognizes
+                # Every worker of one claim session stamps the same
+                # server-minted token, so --merge recognizes
                 # dynamically-claimed shards as one run.
-                fingerprint = claims.token
+                token = claims.token
             else:
-                costs = (
-                    runner.estimate_costs(requests)
-                    if args.shard_strategy == "lpt"
-                    else None
-                )
-                assignment = shard_assignment(
-                    len(requests),
-                    count,
-                    strategy=args.shard_strategy,
-                    costs=costs,
-                )
-                positions = [
-                    p for p in range(len(requests)) if assignment[p] == index
-                ]
+                positions = list(range(index, len(requests), count))
                 records = runner.run(
                     [requests[p] for p in positions], on_record=progress
                 )
-                # Fingerprint of the full split this shard was cut
-                # from: --merge compares it across files, so shards
-                # cut from disagreeing LPT cost snapshots (e.g. a
-                # cache that later shards mutated) fail with a
-                # targeted message instead of a confusing one.
-                fingerprint = stable_hash(
-                    {"kind": "shard-assignment", "assignment": assignment}
-                )
+                token = None
             save_json(
                 {
                     "schema": 1,
@@ -1355,7 +1343,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     "experiment": spec.name,
                     "shard": [index, count],
                     "strategy": args.shard_strategy,
-                    "assignment": fingerprint,
+                    "assignment": token,
                     # The full grid size: --merge validates the shards'
                     # positions partition 0..total-1 exactly, so cells a
                     # crashed steal worker claimed but never computed

@@ -198,5 +198,22 @@ def save_json(payload: dict[str, Any], path: str | Path) -> None:
 
 
 def load_json(path: str | Path) -> dict[str, Any]:
-    """Read a payload produced by :func:`save_json`."""
-    return json.loads(Path(path).read_text())
+    """Read a payload produced by :func:`save_json`.
+
+    A path that cannot be read, a file that is not JSON, and JSON that
+    is not an object each raise
+    :class:`~repro.errors.InvalidParameterError` naming the path.
+    """
+    try:
+        payload = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise InvalidParameterError(
+            f"cannot read {path} ({exc.strerror or exc})"
+        ) from None
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise InvalidParameterError(f"{path} is not a JSON file ({exc})") from None
+    if not isinstance(payload, dict):
+        raise InvalidParameterError(
+            f"{path} does not hold a JSON object (got {type(payload).__name__})"
+        )
+    return payload

@@ -249,15 +249,14 @@ class CacheServer:
     calling thread (the CLI). Neither closes the backend — its owner
     does.
 
-    ``stripes`` sets the record-lock stripe count; the default is
-    :data:`DEFAULT_STRIPES` for backends declaring ``thread_safe =
-    True`` and 1 (the old fully-serialized behavior) otherwise.
-    Asking for more than one stripe over a backend that is not
-    thread-safe is refused — striping would hand its unsynchronized
-    internals to concurrent handler threads. So is a backend without
-    ``get_text``: record replies splice its stored text. An address it
-    cannot bind (a port outside 0..65535, a host that does not resolve)
-    is an :class:`~repro.errors.InvalidParameterError` naming both.
+    Record traffic rides :data:`DEFAULT_STRIPES` lock stripes over a
+    backend declaring ``thread_safe = True`` and one stripe (the old
+    fully-serialized behavior) otherwise, so concurrent handler threads
+    never reach an unsynchronized backend's internals. A backend
+    without ``get_text`` is refused: record replies splice its stored
+    text. An address it cannot bind (a port outside 0..65535, a host
+    that does not resolve) is an
+    :class:`~repro.errors.InvalidParameterError` naming both.
     """
 
     def __init__(
@@ -267,7 +266,6 @@ class CacheServer:
         port: int = 0,
         *,
         verbose: bool = False,
-        stripes: int | None = None,
     ) -> None:
         if not callable(getattr(cache, "get_text", None)):
             raise InvalidParameterError(
@@ -277,19 +275,7 @@ class CacheServer:
         self.cache = cache
         self.verbose = verbose
         concurrent = bool(getattr(cache, "thread_safe", False))
-        if stripes is None:
-            stripes = DEFAULT_STRIPES if concurrent else 1
-        if not isinstance(stripes, int) or isinstance(stripes, bool) or stripes < 1:
-            raise InvalidParameterError(
-                f"stripes must be an int >= 1, got {stripes!r}"
-            )
-        if stripes > 1 and not concurrent:
-            raise InvalidParameterError(
-                f"backend {type(cache).__name__} does not declare "
-                "thread_safe = True; it must be served with stripes=1 "
-                "(concurrent handler threads would corrupt it)"
-            )
-        self._records = _LockStripes(stripes)
+        self._records = _LockStripes(DEFAULT_STRIPES if concurrent else 1)
         self.stats_counters = FabricStats()
         # One startup walk pins the backend's identity and seeds the
         # live entry counter, so the fast /stats never needs another.

@@ -24,7 +24,6 @@ from typing import Any
 
 import numpy as np
 
-from ..chen.interval_power import SortedLoads
 from ..classical.execution import schedule_from_segments
 from ..classical.oa import oa_plan
 from ..classical.timeline import IntervalSet

@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.adversary import (
-    AdversaryResult,
     mutate_instance,
     search_adversarial,
 )

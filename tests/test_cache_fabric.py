@@ -40,7 +40,6 @@ from repro.engine import (
     SqliteCache,
     TieredCache,
     backend_stats,
-    shard_assignment,
 )
 from repro.errors import CacheError, InvalidParameterError
 from repro.io.server import CacheServer
@@ -118,17 +117,16 @@ class TestHttpCacheProtocol:
         assert found == entries  # absent key simply missing
         assert cache.get_many([]) == {}
 
-    def test_timings_flow_to_cost_estimates(self, requests, server):
+    def test_http_hit_carries_the_cold_wall_time(self, requests, server):
         cache = HttpCache(server.url)
         records = BatchRunner(cache=cache).run(requests)
         assert all(r.wall_time > 0 for r in records)
-        costs = BatchRunner(cache=cache).estimate_costs(requests)
-        assert costs == [r.wall_time for r in records]
+        warm = BatchRunner(cache=cache).run(requests)
+        assert all(r.cached for r in warm)
+        assert [r.wall_time for r in warm] == [r.wall_time for r in records]
 
-    def test_estimate_costs_is_one_batched_probe_per_distinct_cell(
-        self, server
-    ):
-        """Costs arrive in records: one ``records:batch`` round trip per
+    def test_warm_run_is_one_batched_probe_per_distinct_cell(self, server):
+        """A warm run probes in ``records:batch`` round trips, one per
         ``batch_size`` distinct cells, duplicates probed once."""
         distinct = [
             RunRequest("pd", poisson_instance(4, m=1, alpha=3.0, seed=s))
@@ -138,11 +136,10 @@ class TestHttpCacheProtocol:
         records = BatchRunner(cache=cache).run(distinct)
         order = [0, 1, 0, 2, 3, 3, 4, 1]
         before = server.stats_counters.snapshot()
-        costs = BatchRunner(cache=cache).estimate_costs(
-            [distinct[i] for i in order]
-        )
+        warm = BatchRunner(cache=cache).run([distinct[i] for i in order])
         after = server.stats_counters.snapshot()
-        assert costs == [records[i].wall_time for i in order]
+        assert all(r.cached for r in warm)
+        assert [r.wall_time for r in warm] == [records[i].wall_time for i in order]
         assert after["requests"] - before["requests"] == 3
         assert after["batch_requests"] - before["batch_requests"] == 3
 
@@ -186,7 +183,6 @@ class TestHttpCacheFaults:
         cache.put("k", {"v": 1})  # dropped, not raised
         assert cache.get_many(["k"]) == {}
         runner = BatchRunner(cache=cache)
-        assert runner.estimate_costs(requests) == [1.0] * len(requests)
         records = runner.run(requests)
         assert _strip(records) == _strip(plain_records)
         assert runner.stats.computed == len(requests)
@@ -499,14 +495,13 @@ class TestTieredCache:
         assert stats["backend"] == "tiered" and stats["entries"] == 1
         assert [t["backend"] for t in stats["tiers"]] == ["memory", "dir"]
 
-    def test_estimate_costs_promotes_what_it_reads(self, requests, tmp_path):
+    def test_warm_run_promotes_what_it_reads(self, requests, tmp_path):
         disk = DirectoryCache(tmp_path / "d")
         records = BatchRunner(cache=disk).run(requests)
         memory = MemoryCache()
-        costs = BatchRunner(
-            cache=TieredCache([memory, disk])
-        ).estimate_costs(requests)
-        assert costs == [r.wall_time for r in records]
+        warm = BatchRunner(cache=TieredCache([memory, disk])).run(requests)
+        assert all(r.cached for r in warm)
+        assert [r.wall_time for r in warm] == [r.wall_time for r in records]
         assert sorted(memory.keys()) == sorted(r.key for r in records)
 
     def test_empty_tier_list_rejected(self):
@@ -665,10 +660,6 @@ class TestWorkStealing:
         finally:
             httpd.shutdown()
             httpd.server_close()
-
-    def test_steal_has_no_static_assignment(self):
-        with pytest.raises(InvalidParameterError, match="dynamic"):
-            shard_assignment(4, 2, strategy="steal")
 
 
 class TestClaimLeases:
@@ -949,12 +940,10 @@ class TestDirectoryCacheTimingIndex:
         srv = CacheServer(backend).start()
         try:
             cache = HttpCache(srv.url)
-            assert BatchRunner(cache=cache).estimate_costs(requests) == [
-                r.wall_time for r in records
-            ]
             warm = BatchRunner(cache=cache).run(requests)
             assert all(r.cached for r in warm)
             assert _strip(warm) == _strip(records)
+            assert [r.wall_time for r in warm] == [r.wall_time for r in records]
             cache.put("new", {"v": 1})
             assert len(cache) == len(records) + 1
             assert cache.gc(0.0) == len(records) + 1

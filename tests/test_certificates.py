@@ -8,7 +8,6 @@ import pytest
 from repro.analysis.certificates import contributing_jobs, dual_certificate
 from repro.core.pd import run_pd
 from repro.errors import CertificateError
-from repro.model.job import Instance
 from repro.offline import solve_exact
 from repro.workloads import (
     batch_instance,

@@ -206,6 +206,13 @@ class TestSharding:
         ]
         assert merge_shards(shards) == full
 
+    def test_rr_assignment_is_positional(self):
+        assert [shard_requests(range(7), (i, 3)) for i in range(3)] == [
+            [0, 3, 6],
+            [1, 4],
+            [2, 5],
+        ]
+
     @pytest.mark.parametrize("count", [2, 4])
     def test_shards_partition_the_request_list(self, count, requests):
         slices = [shard_requests(requests, (i, count)) for i in range(count)]

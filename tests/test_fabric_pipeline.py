@@ -359,18 +359,12 @@ class TestStripedLocks:
         try:
             srv = CacheServer(sqlite)  # collapses to one stripe
             assert len(srv._records) == 1
-            with pytest.raises(InvalidParameterError, match="thread"):
-                CacheServer(sqlite, stripes=4)
         finally:
             sqlite.close()
 
     def test_thread_safe_backend_gets_striped(self):
         srv = CacheServer(MemoryCache())
         assert len(srv._records) > 1
-        narrow = CacheServer(MemoryCache(), stripes=2)
-        assert len(narrow._records) == 2
-        with pytest.raises(InvalidParameterError, match="stripes"):
-            CacheServer(MemoryCache(), stripes=0)
 
 
 class TestPipelinedSteal:

@@ -9,7 +9,6 @@ with the constructive Chen/McNaughton layer on random instances.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro import (
-    Instance,
     dual_certificate,
     run_algorithm,
     run_cll,

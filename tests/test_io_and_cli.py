@@ -287,6 +287,12 @@ class TestSweepSubcommand:
         capsys.readouterr()
         with open(full) as f_full, open(merged) as f_merged:
             assert f_full.read() == f_merged.read()
+        # each shard file records the strategy and its owned positions
+        total = load_json(shards[0])["total"]
+        for index, shard_path in enumerate(shards):
+            payload = load_json(shard_path)
+            assert payload["strategy"] == "rr"
+            assert payload["positions"] == list(range(index, total, 2))
 
     def test_shard_requires_json(self, capsys):
         assert main(self.BASE + ["--shard", "0/2"]) == 2
@@ -379,8 +385,107 @@ class TestUnusableCacheOrAddress:
             assert len(closed) == 1  # the refused server's backend
 
 
+class TestInputFiles:
+    """A file the CLI reads that does not hold what it should exits 2
+    with one ``error:`` line naming the file (and, in a shard file, the
+    field)."""
+
+    SWEEP = [
+        "sweep", "poisson", "-n", "3", "--alphas", "3.0", "--ms", "1",
+        "--algorithms", "pd", "--seeds", "0,1,2",
+    ]
+
+    @pytest.fixture(scope="class")
+    def shard_files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("shards")
+        paths = [root / f"s{i}.json" for i in range(2)]
+        for index, path in enumerate(paths):
+            argv = self.SWEEP + ["--shard", f"{index}/2", "--json", str(path)]
+            assert main(argv) == 0
+        return [load_json(path) for path in paths]
+
+    @staticmethod
+    def _save(payloads, tmp_path):
+        paths = [str(tmp_path / f"s{i}.json") for i in range(len(payloads))]
+        for payload, path in zip(payloads, paths):
+            save_json(payload, path)
+        return paths
+
+    @staticmethod
+    def _fails(argv, capsys, *named):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert all(text in err for text in named), err
+
+    @pytest.mark.parametrize("command", ["run", "merge"])
+    @pytest.mark.parametrize(
+        "content",
+        [b"garbage{", b"\xff\xfe", b"[1, 2]", None],
+        ids=["not-json", "not-utf8", "array", "directory"],
+    )
+    def test_non_object_file(self, command, content, tmp_path, capsys):
+        path = tmp_path / "input.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        argv = {
+            "run": ["run", "pd", str(path)],
+            "merge": ["sweep", "--merge", str(path)],
+        }[command]
+        self._fails(argv, capsys, str(path))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("shard", None),
+            ("shard", "0/2"),
+            ("total", None),
+            ("total", "3"),
+            ("positions", None),
+            ("positions", {"0": 0}),
+            ("records", None),
+            ("records", [1, 2]),
+            ("records", [{"kind": "run-record", "schema": 1, "record": 3}] * 2),
+        ],
+        ids=[
+            "shard-missing", "shard-not-a-pair", "total-missing",
+            "total-not-an-int", "positions-missing", "positions-not-a-list",
+            "records-missing", "records-not-objects", "records-incomplete",
+        ],
+    )
+    def test_malformed_shard_file(
+        self, field, value, shard_files, tmp_path, capsys
+    ):
+        payloads = [dict(payload) for payload in shard_files]
+        if value is None:
+            del payloads[0][field]
+        else:
+            payloads[0][field] = value
+        paths = self._save(payloads, tmp_path)
+        self._fails(["sweep", "--merge", *paths], capsys, paths[0], repr(field))
+
+    def test_merge_rejects_disagreeing_strategies(
+        self, shard_files, tmp_path, capsys
+    ):
+        payloads = [dict(payload) for payload in shard_files]
+        payloads[1]["strategy"] = "steal"
+        paths = self._save(payloads, tmp_path)
+        self._fails(["sweep", "--merge", *paths], capsys, "strategy")
+
+    def test_rr_merge_needs_no_session_token(self, shard_files, tmp_path):
+        """Only steal shards must share a claim session; an rr file
+        from an older build, which hashed its split into the same slot,
+        still merges by its positions."""
+        payloads = [dict(payload) for payload in shard_files]
+        payloads[0]["assignment"] = "0" * 64
+        paths = self._save(payloads, tmp_path)
+        assert main(["sweep", "--merge", *paths]) == 0
+
+
 class TestSweepWorkloadAxis:
-    """CLI coverage for the workload axis, streaming, and LPT sharding."""
+    """CLI coverage for the workload axis, streaming, and sharding."""
 
     def test_workload_axis_sweep(self, tmp_path, capsys):
         out_path = str(tmp_path / "cells.json")
@@ -442,54 +547,8 @@ class TestSweepWorkloadAxis:
         err = capsys.readouterr().err
         assert "[1/2]" in err and "[2/2]" in err and "pd" in err
 
-    def test_lpt_sharded_sweep_merges_byte_identical(self, tmp_path, capsys):
-        cache = str(tmp_path / "cache.db")
-        base = [
-            "sweep", "poisson", "-n", "5", "--alphas", "3.0", "--ms", "1",
-            "--algorithms", "pd,oa", "--seeds", "0,1",
-            "--cache", cache, "--cache-backend", "sqlite",
-        ]
-        full, merged = str(tmp_path / "full.json"), str(tmp_path / "m.json")
-        shards = [str(tmp_path / f"s{i}.json") for i in range(2)]
-        # warm the cache so LPT schedules from *measured* timings
-        assert main(base + ["--json", full]) == 0
-        for index, shard_path in enumerate(shards):
-            argv = base + ["--shard", f"{index}/2", "--shard-strategy",
-                           "lpt", "--json", shard_path]
-            assert main(argv) == 0
-        assert main(["sweep", "--merge", *shards, "--json", merged]) == 0
-        capsys.readouterr()
-        with open(full) as f_full, open(merged) as f_merged:
-            assert f_full.read() == f_merged.read()
-        # the shard files record the strategy and their owned positions
-        shard_payload = load_json(shards[0])
-        assert shard_payload["strategy"] == "lpt"
-        positions = shard_payload["positions"] + load_json(shards[1])["positions"]
-        assert sorted(positions) == list(range(4))  # pd,oa x seeds 0,1
-
     def test_shard_index_validated(self, capsys):
         assert main([
             "sweep", "poisson", "--shard", "2/2", "--json", "x.json",
         ]) == 2
         assert "0 <= I < K" in capsys.readouterr().err
-
-    def test_merge_diagnoses_divergent_lpt_assignments(self, tmp_path, capsys):
-        """LPT shards cut against a *live* shared cache disagree on the
-        split (earlier shards write timings that change later shards'
-        cost vectors); --merge must say so, not interleave garbage."""
-        cache = str(tmp_path / "cache.db")
-        base = [
-            "sweep", "poisson", "-n", "5", "--alphas", "3.0", "--ms", "1",
-            "--algorithms", "pd,oa", "--seeds", "0,1",
-            "--cache", cache, "--cache-backend", "sqlite",
-        ]
-        shards = [str(tmp_path / f"s{i}.json") for i in range(2)]
-        for index, shard_path in enumerate(shards):
-            # no warm-up run: shard 0's fresh timings skew shard 1's split
-            argv = base + ["--shard", f"{index}/2", "--shard-strategy",
-                           "lpt", "--json", shard_path]
-            assert main(argv) == 0
-        code = main(["sweep", "--merge", *shards])
-        err = capsys.readouterr().err
-        if code == 2:  # the splits actually diverged (the common case)
-            assert "timing snapshots" in err or "partition" in err

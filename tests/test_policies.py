@@ -8,7 +8,6 @@ relations the decomposition predicts.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 

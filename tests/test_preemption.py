@@ -8,7 +8,6 @@ sane counting on hand-built schedules where the answer is known.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import run_pd

@@ -16,7 +16,6 @@ from repro import run_pd, solve_exact
 from repro.errors import InvalidParameterError
 from repro.model.job import Instance
 from repro.profit import (
-    AugmentedProfitResult,
     bait_value,
     loss_profit_gap,
     opt_profit_lower_bound,

@@ -8,7 +8,6 @@ invariances (time shift, time/work scaling) the energy model implies.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 

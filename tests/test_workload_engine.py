@@ -1,6 +1,6 @@
-"""Tests for streaming cost-aware execution and the workload registry.
+"""Tests for streaming execution, timed records and the workload registry.
 
-Four guarantees, each load-bearing for large distributed sweeps:
+Three guarantees, each load-bearing for large distributed sweeps:
 
 * **workload identity** — every spelling of a parameterized workload
   spec (``heavy-tail?n=64&alpha=3.0``) resolves to one canonical name,
@@ -10,9 +10,6 @@ Four guarantees, each load-bearing for large distributed sweeps:
   record exactly once (serial or process pool), callbacks fire in
   completion order, and :meth:`BatchRunner.run` stays byte-identical to
   the pre-streaming request-order output;
-* **cost-aware sharding** — LPT shard schedules built from measured
-  (cached) per-cell wall times merge back bit-identical to round-robin
-  and unsharded runs;
 * **timing round-trip** — the measured ``wall_time`` survives cache and
   shard-file round-trips, and unknown payload keys fail loudly.
 """
@@ -27,17 +24,12 @@ from repro.engine import (
     BatchRunner,
     DirectoryCache,
     ExperimentSpec,
-    MemoryCache,
     RunRequest,
     SqliteCache,
-    aggregate_records,
-    merge_shards,
     record_from_payload,
     record_to_payload,
     request_key,
     run_experiment,
-    shard_assignment,
-    shard_requests,
 )
 from repro.errors import InvalidParameterError, ReproError
 from repro.workloads import WORKLOADS, named_families, poisson_instance
@@ -434,74 +426,12 @@ class TestStreaming:
         assert len(cells) == 1 and cells[0].runs == 2
 
 
-class TestCostAwareSharding:
-    """Tentpole: LPT schedules from measured costs merge bit-identical."""
+class TestTimedCaches:
+    """Each cell's wall time lives in its record: a warm run reads it
+    back through one probe per distinct cell, and caches an older build
+    wrote with a timing column still serve."""
 
-    def test_rr_assignment_is_positional(self):
-        assert shard_assignment(7, 3) == [0, 1, 2, 0, 1, 2, 0]
-
-    def test_lpt_balances_measured_costs(self):
-        costs = [8.0, 1.0, 1.0, 1.0, 1.0, 4.0, 2.0, 2.0]
-        assignment = shard_assignment(8, 2, strategy="lpt", costs=costs)
-        loads = [0.0, 0.0]
-        for position, shard in enumerate(assignment):
-            loads[shard] += costs[position]
-        assert abs(loads[0] - loads[1]) <= 2.0  # vs 10 for contiguous halves
-        # deterministic: same inputs, same schedule
-        assert assignment == shard_assignment(8, 2, strategy="lpt", costs=costs)
-
-    def test_lpt_without_costs_balances_counts(self):
-        assignment = shard_assignment(10, 3, strategy="lpt")
-        sizes = [assignment.count(s) for s in range(3)]
-        assert sorted(sizes) == [3, 3, 4]
-
-    def test_lpt_validation(self):
-        with pytest.raises(InvalidParameterError, match="one cost per request"):
-            shard_assignment(3, 2, strategy="lpt", costs=[1.0])
-        with pytest.raises(InvalidParameterError, match="finite"):
-            shard_assignment(2, 2, strategy="lpt", costs=[1.0, math.nan])
-        with pytest.raises(InvalidParameterError, match="unknown shard strategy"):
-            shard_assignment(2, 2, strategy="fair")
-
-    @pytest.mark.parametrize("count", [2, 3])
-    def test_lpt_shards_merge_to_unsharded_measurements(self, count, requests):
-        full = BatchRunner().run(requests)
-        costs = [float(i % 4 + 1) for i in range(len(requests))]
-        shards = [
-            BatchRunner().run(
-                requests, shard=(index, count), strategy="lpt", costs=costs
-            )
-            for index in range(count)
-        ]
-        assignment = shard_assignment(
-            len(requests), count, strategy="lpt", costs=costs
-        )
-        merged = merge_shards(shards, assignment=assignment)
-        assert merged == full  # equality excludes only wall_time
-
-    def test_lpt_shards_partition_the_request_list(self, requests):
-        costs = [float(i + 1) for i in range(len(requests))]
-        slices = [
-            shard_requests(requests, (i, 3), strategy="lpt", costs=costs)
-            for i in range(3)
-        ]
-        assert sum(len(s) for s in slices) == len(requests)
-        flat = [id(r) for s in slices for r in s]
-        assert sorted(flat) == sorted(id(r) for r in requests)
-
-    def test_merge_with_assignment_validates_shapes(self, requests):
-        costs = [1.0] * len(requests)
-        shards = [
-            BatchRunner().run(requests, shard=(i, 2), strategy="lpt", costs=costs)
-            for i in range(2)
-        ]
-        assignment = shard_assignment(len(requests), 2, strategy="lpt", costs=costs)
-        with pytest.raises(InvalidParameterError, match="assignment"):
-            merge_shards([shards[0], shards[1][:-1]], assignment=assignment)
-        with pytest.raises(InvalidParameterError, match="assignment"):
-            merge_shards(shards, assignment=assignment[:-1])
-
-    def test_estimate_costs_memoizes_duplicate_cells(self, tmp_path):
+    def test_warm_run_probes_each_distinct_cell_once(self, tmp_path):
         """One ``get`` per distinct cell on a backend without
         ``get_many``, whatever the duplicates."""
         insts = [poisson_instance(5, m=1, alpha=3.0, seed=s) for s in (7, 8)]
@@ -518,44 +448,12 @@ class TestCostAwareSharding:
 
         cache.get = counting
         order = [0, 1, 1, 0, 0]
-        estimates = BatchRunner(cache=cache).estimate_costs(
+        warm = BatchRunner(cache=cache).run(
             [RunRequest("pd", insts[i]) for i in order]
         )
-        assert estimates == [records[i].wall_time for i in order]
+        assert [r.wall_time for r in warm] == [records[i].wall_time for i in order]
+        assert all(r.cached for r in warm)
         assert lookups == [records[0].key, records[1].key]
-
-    def test_estimate_costs_reads_cached_timings(self, requests, tmp_path):
-        cold = BatchRunner(cache=tmp_path / "c")
-        assert cold.estimate_costs(requests) == [1.0] * len(requests)
-        assert cold.estimate_costs(requests, default=2.5) == [2.5] * len(requests)
-        fresh = cold.run(requests)
-        warm = BatchRunner(cache=tmp_path / "c")
-        estimates = warm.estimate_costs(requests)
-        assert estimates == [r.wall_time for r in fresh]
-        assert BatchRunner().estimate_costs(requests) == [1.0] * len(requests)
-
-    @pytest.mark.parametrize("backend", [DirectoryCache, SqliteCache])
-    def test_estimates_work_on_any_backend(self, backend, requests, tmp_path):
-        target = tmp_path / ("c" if backend is DirectoryCache else "c.db")
-        BatchRunner(cache=backend(target)).run(requests[:3])
-        estimates = BatchRunner(cache=backend(target)).estimate_costs(requests[:3])
-        assert all(math.isfinite(e) and e > 0.0 for e in estimates)
-
-    def test_estimates_skip_unusable_timings(self, requests):
-        """A record whose ``wall_time`` is missing, not a number, not
-        finite, negative or too large for a float estimates at the
-        default."""
-        timings = [None, "fast", math.nan, math.inf, -0.5, 10**400]
-        cache = MemoryCache()
-        for request, timing in zip(requests, timings):
-            cache.put(
-                request_key(request.algorithm, request.instance),
-                {} if timing is None else {"wall_time": timing},
-            )
-        estimates = BatchRunner(cache=cache).estimate_costs(
-            requests[: len(timings)], default=2.5
-        )
-        assert estimates == [2.5] * len(timings)
 
     def test_sqlite_pre_timing_database_migrates(self, tmp_path):
         import sqlite3
@@ -581,8 +479,8 @@ class TestCostAwareSharding:
         self, requests, tmp_path
     ):
         """A file an older build wrote keeps its ``wall_time`` column:
-        rows read as before, puts leave the column NULL, and LPT costs
-        come from the records."""
+        rows read as before, puts leave the column NULL, and a warm run
+        reads each cell's time from its record."""
         import sqlite3
 
         path = tmp_path / "timed.db"
@@ -593,9 +491,9 @@ class TestCostAwareSharding:
         conn.commit()
         conn.close()
         cache = SqliteCache(path)
-        assert BatchRunner(cache=cache).estimate_costs(requests[:2]) == [
-            r.wall_time for r in records
-        ]
+        warm = BatchRunner(cache=cache).run(requests[:2])
+        assert all(r.cached for r in warm)
+        assert [r.wall_time for r in warm] == [r.wall_time for r in records]
         cache.put("k", {"wall_time": 0.25})
         row = cache._connect().execute(
             "SELECT wall_time FROM entries WHERE key = 'k'"
