@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import run_algorithm
+from repro.engine import REGISTRY
 from repro.workloads import poisson_instance
 
 from helpers import emit_table
@@ -42,7 +42,7 @@ def admission_sweep():
     for scale in SCALES:
         inst = base.with_values((base.values * scale).tolist())
         costs = {
-            name: run_algorithm(name, inst).cost for name in POLICIES
+            name: REGISTRY.run(name, inst).cost for name in POLICIES
         }
         rows.append((scale, costs))
     return rows
@@ -99,7 +99,7 @@ def test_e15_load_awareness_matters(benchmark):
         rows = [(0.0, 1.0, 1.0, 4.0)] * 5
         inst = Instance.from_tuples(rows, m=1, alpha=ALPHA)
         return {
-            name: run_algorithm(name, inst).cost
+            name: REGISTRY.run(name, inst).cost
             for name in ("accept-all", "solo-threshold", "pd", "exact")
         }
 

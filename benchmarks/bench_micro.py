@@ -127,24 +127,17 @@ def test_cache_backend_latency(tmp_path):
     """Record get/put latency per cache backend to benchmarks/results.
 
     Not a pytest-benchmark case: the interesting output is the
-    *comparison table* (dir vs sqlite vs memory vs tiered vs http),
-    written as ``micro_cache_latency.{txt,json}`` so the fabric's
-    overhead trajectory is trackable across commits. The http backend
-    runs against a live in-process ``CacheServer`` — real sockets, so
-    the number includes the round trip the tiered stack exists to
-    amortize.
+    *comparison table* (dir vs sqlite vs memory vs http), written as
+    ``micro_cache_latency.{txt,json}`` so the fabric's overhead
+    trajectory is trackable across commits. The http backend runs
+    against a live in-process ``CacheServer`` — real sockets, so the
+    number includes the network round trip.
     """
     import time as _time
 
     from helpers import emit_table
 
-    from repro.engine import (
-        DirectoryCache,
-        HttpCache,
-        MemoryCache,
-        SqliteCache,
-        TieredCache,
-    )
+    from repro.engine import DirectoryCache, HttpCache, MemoryCache, SqliteCache
     from repro.io.server import CacheServer
 
     payload = {
@@ -161,9 +154,6 @@ def test_cache_backend_latency(tmp_path):
             "dir": DirectoryCache(tmp_path / "d"),
             "sqlite": SqliteCache(tmp_path / "s.db"),
             "http": HttpCache(server.url),
-            "tiered": TieredCache(
-                [MemoryCache(), DirectoryCache(tmp_path / "t")]
-            ),
         }
         rows, data = [], []
         for name, cache in backends.items():

@@ -16,7 +16,7 @@ Run: ``python examples/admission_policies.py``
 
 from __future__ import annotations
 
-from repro.core import run_algorithm
+from repro.engine import REGISTRY
 from repro.model.job import Instance
 from repro.workloads import poisson_instance
 
@@ -27,7 +27,7 @@ def show(title: str, inst: Instance) -> None:
     print(title)
     print(f"  {'policy':>17} {'cost':>10} {'energy':>10} {'lost':>8} {'acc':>7}")
     for name in POLICIES:
-        out = run_algorithm(name, inst)
+        out = REGISTRY.run(name, inst)
         s = out.schedule
         print(
             f"  {name:>17} {s.cost:>10.4f} {s.energy:>10.4f} "

@@ -21,7 +21,7 @@ Layout
 * :mod:`repro.chen` — Chen et al.'s per-interval multiprocessor scheduler
   (the energy function ``P_k`` and its marginals).
 * :mod:`repro.core` — the paper's primal-dual algorithm **PD**, the
-  Chan–Lam–Li baseline, and a uniform algorithm runner.
+  Chan–Lam–Li baseline, and the admission policies.
 * :mod:`repro.engine` — the experiment engine: capability-aware
   algorithm registry, streaming/cached batch runner with static and
   work-stealing shards, declarative sweeps.
@@ -46,13 +46,7 @@ from .analysis import (
     schedule_metrics,
 )
 from .classical import run_avr, run_bkp, run_oa, run_oa_multiprocessor, run_qoa, yds
-from .core import (
-    PDResult,
-    PDScheduler,
-    run_algorithm,
-    run_cll,
-    run_pd,
-)
+from .core import PDResult, PDScheduler, run_cll, run_pd
 from .discrete import SpeedSet, discretize_schedule, run_pd_discrete
 from .engine import (
     REGISTRY,
@@ -60,7 +54,6 @@ from .engine import (
     AlgorithmRegistry,
     BatchRunner,
     ExperimentSpec,
-    ResultCache,
     RunRecord,
     RunRequest,
     run_experiment,
@@ -89,13 +82,11 @@ __all__ = [
     "PDResult",
     "PDScheduler",
     "run_cll",
-    "run_algorithm",
     # engine (registry / batch runner / declarative experiments)
     "REGISTRY",
     "AlgorithmInfo",
     "AlgorithmRegistry",
     "BatchRunner",
-    "ResultCache",
     "RunRequest",
     "RunRecord",
     "ExperimentSpec",

@@ -81,10 +81,6 @@ class IntervalPartition:
             return 0.0
         return self.pool_load / self.num_pool_processors
 
-    def is_dedicated_position(self, rank: int) -> bool:
-        """Whether the ``rank``-th largest load is dedicated."""
-        return rank < self.num_dedicated
-
     def dedicated_ids(self) -> IntArray:
         """Input indices of the dedicated jobs (largest-first)."""
         return self.order[: self.num_dedicated]

@@ -10,8 +10,8 @@ from .policies import (
     run_solo_threshold,
     run_with_admission,
 )
-from .simulator import RunOutcome, available_algorithms, run_algorithm
 from .waterfill import WaterfillOutcome, waterfill_job
+from ..engine.registry import RunOutcome
 
 __all__ = [
     "run_pd",
@@ -23,13 +23,11 @@ __all__ = [
     "cll_admits",
     "waterfill_job",
     "WaterfillOutcome",
-    "run_algorithm",
     "PolicyResult",
     "run_accept_all",
     "run_reject_all",
     "run_solo_threshold",
     "run_oracle_admission",
     "run_with_admission",
-    "available_algorithms",
     "RunOutcome",
 ]

@@ -481,7 +481,8 @@ class PDScheduler:
         their endpoints from the same boundary floats), a bitwise no-op.
         Split children scale by ``(child_end - child_start) /
         parent_length`` — the same single multiply, in the same float
-        order, as :meth:`~repro.model.intervals.Refinement.split_row`.
+        order, as the reference oracle's dense split
+        (:mod:`repro.perf.reference`).
         """
         old = self._bounds
         if not old:

@@ -23,7 +23,7 @@ policies:
   analytically.)
 
 All policies return a standard :class:`PolicyResult` and are registered
-with :func:`repro.core.simulator.run_algorithm` under the names above.
+with :data:`repro.engine.REGISTRY` under the names above.
 E15 sweeps value scales and shows the ranking the design predicts.
 """
 

@@ -10,18 +10,18 @@ Three layers, each usable on its own:
 * :mod:`repro.engine.runner` — :class:`BatchRunner`, which *streams*
   (algorithm × instance) grids (``iter_records`` yields in completion
   order; ``run`` collects in request order) serially or on a process
-  pool, with a content-addressed on-disk :class:`ResultCache`, per-cell
-  measured wall times, and round-robin shards (:func:`shard_requests`,
-  :func:`merge_shards`);
+  pool, with a content-addressed cache (any :class:`CacheBackend`),
+  per-cell measured wall times, and round-robin shards
+  (:func:`shard_requests`, :func:`merge_shards`);
 * :mod:`repro.engine.experiment` — :class:`ExperimentSpec`, the
   declarative parameter-grid form (grid, variant, and workload axes)
   that compiles down to batch requests.
 
 The *cache fabric* spans the cache layer: :mod:`repro.engine.cache`
-adds an in-memory LRU (:class:`MemoryCache`) and the promoting/
-write-through :class:`TieredCache`, :mod:`repro.engine.remote` holds
-the network clients (:class:`HttpCache`, :class:`HttpClaimTable`), and
-:mod:`repro.io.server` serves any local backend — plus the
+holds the local backends (:class:`DirectoryCache`,
+:class:`SqliteCache`, :class:`MemoryCache`),
+:mod:`repro.engine.remote` holds the network clients
+(:class:`HttpCache`, :class:`HttpClaimTable`), and :mod:`repro.io.server` serves any local backend — plus the
 work-stealing claim table :meth:`BatchRunner.run_stolen` consumes —
 over a small JSON/HTTP wire protocol.
 
@@ -33,10 +33,7 @@ from .cache import (
     CacheBackend,
     DirectoryCache,
     MemoryCache,
-    ResultCache,
     SqliteCache,
-    TieredCache,
-    backend_stats,
     open_cache,
 )
 from .remote import (
@@ -87,14 +84,11 @@ __all__ = [
     "CacheBackend",
     "DirectoryCache",
     "MemoryCache",
-    "ResultCache",
     "SqliteCache",
-    "TieredCache",
     "HttpCache",
     "HttpClaimTable",
     "HttpConnectionPool",
     "RetryPolicy",
-    "backend_stats",
     "open_cache",
     "BatchRunner",
     "ClaimTable",

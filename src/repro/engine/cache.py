@@ -7,25 +7,21 @@ record schema version). Re-running a sweep with one changed cell
 therefore recomputes exactly that cell: every other request hashes to an
 existing entry.
 
-Four backends ship with the library, behind the common
-:class:`CacheBackend` protocol:
+Three backends ship with this module, behind the common
+:class:`CacheBackend` protocol (the fourth, the network client
+:class:`~repro.engine.remote.HttpCache`, lives in
+:mod:`repro.engine.remote`):
 
 * :class:`DirectoryCache` — one ``<sha256>.json`` file per entry under a
   directory. No index, no eviction, no locking beyond atomic-rename
-  writes; ``rm -r`` of the directory is always a safe reset. This is
-  the historical backend (``ResultCache`` remains its alias).
+  writes; ``rm -r`` of the directory is always a safe reset.
 * :class:`SqliteCache` — a single-file SQLite database in WAL mode,
   friendlier to filesystems that hate directories with tens of
   thousands of small files, and safe under concurrent writers (content
   addressing makes every write idempotent, so writers can only race to
   store the same bytes; busy-lock collisions retry with backoff).
-* :class:`MemoryCache` — a bounded in-process LRU, the hot tier of a
-  :class:`TieredCache` (and a zero-setup backend for tests and the
-  cache server).
-* :class:`TieredCache` — a composite that probes fast tiers first,
-  writes through to every tier, and promotes hits upward, so a hot key
-  behind a remote :class:`~repro.engine.remote.HttpCache` tier is
-  fetched over the network at most once.
+* :class:`MemoryCache` — an unbounded in-process dict, the zero-setup
+  store for tests, micro benches and ``cache-serve --backend memory``.
 
 The three local backends also answer ``get_text(key)``: the entry's
 stored JSON text, unparsed. Their ``get`` is a parse of that text, and
@@ -45,9 +41,8 @@ import sqlite3
 import tempfile
 import threading
 import time
-from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Iterator, Protocol, Sequence, runtime_checkable
+from typing import Any, Iterator, Protocol, runtime_checkable
 
 from ..errors import InvalidParameterError
 
@@ -55,10 +50,7 @@ __all__ = [
     "CacheBackend",
     "DirectoryCache",
     "MemoryCache",
-    "ResultCache",
     "SqliteCache",
-    "TieredCache",
-    "backend_stats",
     "open_cache",
 ]
 
@@ -95,7 +87,7 @@ class CacheBackend(Protocol):
     unreadable entry returns ``None`` — a miss, never an error.
 
     ``get_text`` (see the module docstring) is not part of the
-    protocol: remote and tiered backends store no text of their own.
+    protocol: the remote backend stores no text of its own.
 
     ``close`` releases whatever the backend holds open (connections,
     sidecar files); it must be idempotent, and a closed backend may
@@ -264,10 +256,6 @@ class DirectoryCache:
 
     def __len__(self) -> int:
         return sum(1 for _ in self.keys())
-
-
-#: Backward-compatible name for the historical JSON-directory backend.
-ResultCache = DirectoryCache
 
 
 class SqliteCache:
@@ -472,53 +460,36 @@ class SqliteCache:
 
 
 class MemoryCache:
-    """A bounded in-process LRU backend.
+    """An unbounded in-process backend: a dict behind a lock.
 
-    The hot tier of a :class:`TieredCache` (and a zero-setup backend for
-    tests and the cache server). Payloads are stored in their canonical
-    JSON text form and re-parsed on ``get`` — the same round trip every
-    other backend performs — so a caller mutating a returned dict can
-    never corrupt the stored entry, and parity with the on-disk backends
-    holds bit for bit.
-
-    Eviction is LRU over *entry count* (``max_entries``; ``None`` means
-    unbounded — the right setting when the memory cache IS the store,
-    as under ``cache-serve --backend memory``, where a silent LRU cap
-    would evict a fleet's results mid-sweep): a ``get`` or ``put``
-    refreshes recency, and the stalest entry is dropped when the bound
-    is exceeded. Entries also remember their insertion time, so
+    Payloads are stored in their canonical JSON text form and re-parsed
+    on ``get`` — the same round trip every other backend performs — so
+    a caller mutating a returned dict can never corrupt the stored
+    entry, and parity with the on-disk backends holds bit for bit.
+    Nothing is ever evicted: under ``cache-serve --backend memory`` the
+    memory cache is the whole store, and a bound would drop a fleet's
+    results mid-sweep. Entries remember their insertion time, so
     ``gc(older_than)`` works like the durable backends'.
 
     A small internal mutex makes every operation atomic under
-    concurrent callers — LRU bookkeeping (``move_to_end`` racing a
-    ``popitem``) is the kind of compound mutation the GIL alone does
-    not protect — so the striped :class:`~repro.io.server.CacheServer`
-    can serve this backend from parallel handler threads.
+    concurrent callers, so the striped
+    :class:`~repro.io.server.CacheServer` can serve this backend from
+    parallel handler threads.
     """
 
-    #: See the class docstring: all compound mutations are mutex-atomic.
+    #: See the class docstring: every operation holds the mutex.
     thread_safe = True
 
-    def __init__(self, max_entries: int | None = 1024) -> None:
-        if max_entries is not None and (
-            not isinstance(max_entries, int) or max_entries < 1
-        ):
-            raise InvalidParameterError(
-                f"max_entries must be an int >= 1 or None, got {max_entries!r}"
-            )
-        self.max_entries = max_entries
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         # key -> (created_at, payload text)
-        self._entries: OrderedDict[str, tuple[float, str]] = OrderedDict()
+        self._entries: dict[str, tuple[float, str]] = {}
 
     def get_text(self, key: str) -> str | None:
-        """The entry's stored JSON text (a use: recency is bumped)."""
+        """The entry's stored JSON text, or ``None`` on a miss."""
         with self._lock:
             entry = self._entries.get(key)
-            if entry is None:
-                return None
-            self._entries.move_to_end(key)
-        return entry[1]
+        return None if entry is None else entry[1]
 
     def get(self, key: str) -> dict[str, Any] | None:
         return _parse_entry(self.get_text(key))
@@ -528,10 +499,6 @@ class MemoryCache:
         text = json.dumps(payload)
         with self._lock:
             self._entries[key] = (created, text)
-            self._entries.move_to_end(key)
-            if self.max_entries is not None:
-                while len(self._entries) > self.max_entries:
-                    self._entries.popitem(last=False)
 
     def keys(self) -> Iterator[str]:
         with self._lock:
@@ -539,12 +506,11 @@ class MemoryCache:
         yield from snapshot
 
     def stats(self) -> dict[str, Any]:
-        bound = "unbounded" if self.max_entries is None else self.max_entries
         with self._lock:
             entries = list(self._entries.values())
         return {
             "backend": "memory",
-            "location": f"lru({bound})",
+            "location": "in-process",
             "entries": len(entries),
             "total_bytes": sum(len(e[1]) for e in entries),
         }
@@ -575,139 +541,6 @@ class MemoryCache:
             return len(self._entries)
 
 
-class TieredCache:
-    """A composite backend: fast tiers shield slow ones.
-
-    ``tiers`` is ordered fastest-first (the canonical stack is
-    ``[MemoryCache(), DirectoryCache(...), HttpCache(...)]``). Reads
-    probe tier by tier and **promote** a hit into every faster tier, so
-    a hot key behind the network tier is fetched remotely at most once
-    per process. Writes go **through** to every tier, so the remote
-    stays authoritative and a restarted worker finds its local tiers
-    warm. ``keys``/``len``/``contains`` answer from the *last* tier —
-    the authoritative one; faster tiers are partial replicas by
-    construction.
-    """
-
-    def __init__(self, tiers: Sequence[CacheBackend]) -> None:
-        tiers = list(tiers)
-        if not tiers:
-            raise InvalidParameterError("TieredCache needs at least one tier")
-        for tier in tiers:
-            if not (hasattr(tier, "get") and hasattr(tier, "put")):
-                raise InvalidParameterError(
-                    f"every tier must be a CacheBackend, got {tier!r}"
-                )
-        self.tiers = tiers
-
-    @property
-    def thread_safe(self) -> bool:
-        """A stack is only as concurrent as its weakest tier."""
-        return all(
-            bool(getattr(tier, "thread_safe", False)) for tier in self.tiers
-        )
-
-    def get(self, key: str) -> dict[str, Any] | None:
-        for depth, tier in enumerate(self.tiers):
-            payload = tier.get(key)
-            if payload is not None:
-                for upper in self.tiers[:depth]:
-                    upper.put(key, payload)
-                return payload
-        return None
-
-    def get_many(self, keys: Sequence[str]) -> dict[str, dict[str, Any]]:
-        """Batched probe: each tier sees only the keys the faster tiers
-        missed, and every deep hit is promoted upward."""
-        found: dict[str, dict[str, Any]] = {}
-        level: dict[str, int] = {}
-        missing = list(keys)
-        for depth, tier in enumerate(self.tiers):
-            if not missing:
-                break
-            fetch_many = getattr(tier, "get_many", None)
-            if fetch_many is not None:
-                hits = fetch_many(missing)
-            else:
-                hits = {}
-                for key in missing:
-                    payload = tier.get(key)
-                    if payload is not None:
-                        hits[key] = payload
-            for key, payload in hits.items():
-                found[key] = payload
-                level[key] = depth
-            missing = [key for key in missing if key not in found]
-        for key, depth in level.items():
-            for upper in self.tiers[:depth]:
-                upper.put(key, found[key])
-        return found
-
-    def put(self, key: str, payload: dict[str, Any]) -> None:
-        for tier in self.tiers:
-            tier.put(key, payload)
-
-    def keys(self) -> Iterator[str]:
-        return self.tiers[-1].keys()
-
-    def stats(self) -> dict[str, Any]:
-        """The authoritative tier's numbers, plus one entry per tier.
-
-        Each tier's stats are computed exactly once — a directory walk
-        or a strict HTTP round trip is not free, and repeating it would
-        turn one server hiccup into a spurious failure.
-        """
-        per_tier = [backend_stats(tier) for tier in self.tiers]
-        authoritative = per_tier[-1]
-        return {
-            "backend": "tiered",
-            "location": " -> ".join(
-                stats.get("backend", "?") for stats in per_tier
-            ),
-            "entries": authoritative.get("entries"),
-            "total_bytes": authoritative.get("total_bytes"),
-            "tiers": per_tier,
-        }
-
-    def gc(self, older_than: float) -> int:
-        """GC every tier that supports it; reports the authoritative
-        (last) tier's count."""
-        removed = 0
-        for depth, tier in enumerate(self.tiers):
-            collect = getattr(tier, "gc", None)
-            if collect is not None:
-                count = collect(older_than)
-                if depth == len(self.tiers) - 1:
-                    removed = count
-        return removed
-
-    def close(self) -> None:
-        for tier in self.tiers:
-            tier.close()
-
-    def __enter__(self) -> "TieredCache":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def __contains__(self, key: str) -> bool:
-        return key in self.tiers[-1]
-
-    def __len__(self) -> int:
-        return len(self.tiers[-1])
-
-
-def backend_stats(cache: CacheBackend) -> dict[str, Any]:
-    """A backend's ``stats()`` dict, or a minimal fallback for backends
-    that predate the stats surface (entry count only — computing bytes
-    generically would parse every payload)."""
-    probe = getattr(cache, "stats", None)
-    if probe is not None:
-        return probe()
-    return {"backend": type(cache).__name__, "entries": len(cache)}
-
-
 def _open_http(url: str | Path) -> CacheBackend:
     # Imported here only to keep the module dependency one-way on paper
     # (remote is the layer above); the engine package __init__ loads
@@ -717,18 +550,13 @@ def _open_http(url: str | Path) -> CacheBackend:
     return HttpCache(str(url))
 
 
-#: Constructors by CLI/backend name; the single source of truth for
-#: ``--cache-backend`` choices. ``http`` interprets the path as the
+#: Constructors by backend name. ``http`` interprets the path as the
 #: cache server's base URL; ``memory`` ignores it (one process's RAM
-#: has no path) and is unbounded — when the memory cache is the whole
-#: store (``cache-serve --backend memory``), the hot-tier LRU default
-#: would silently evict results mid-sweep. The ``tiered`` composite is
-#: assembled explicitly (it needs a local path *and* a URL), not
-#: through this table.
+#: has no path).
 BACKENDS = {
     "dir": DirectoryCache,
     "sqlite": SqliteCache,
-    "memory": lambda path=None: MemoryCache(max_entries=None),
+    "memory": lambda path=None: MemoryCache(),
     "http": _open_http,
 }
 

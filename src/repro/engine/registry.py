@@ -27,9 +27,8 @@ parsed parameters exposed as ``info.params`` so the batch runner can
 fold them into cache keys. Unknown parameters, unknown bases, and
 malformed specs all fail loudly.
 
-:mod:`repro.core.simulator` remains the stable public façade
-(``run_algorithm`` / ``available_algorithms``); it is now a thin shim
-over the global :data:`REGISTRY` defined here.
+Callers run an algorithm by name with ``REGISTRY.run(name, instance)``
+and list the names with ``REGISTRY.names()``.
 """
 
 from __future__ import annotations
@@ -177,7 +176,7 @@ class AlgorithmInfo:
     """One registered algorithm: its runner plus capability metadata.
 
     ``runner`` maps an instance to ``(schedule, raw_result)`` — the same
-    normalized form the old simulator registry used. ``certificate``
+    normalized form :meth:`AlgorithmRegistry.run` wraps. ``certificate``
     (when present) maps the *raw* result to a dual certificate; its
     presence defines the ``certificate-producing`` capability.
 

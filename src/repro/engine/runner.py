@@ -20,7 +20,7 @@ which buys two properties at once:
   worker count (``wall_time`` is the one measured, non-deterministic
   field; it is excluded from record equality);
 * **cacheable**: the same payload is what the content-addressed
-  :class:`~repro.engine.cache.ResultCache` stores, so a cache hit is
+  :class:`~repro.engine.cache.CacheBackend` stores, so a cache hit is
   indistinguishable from a fresh run (and a warm sweep recomputes
   nothing — only changed cells miss). The stored wall time is the
   *original* measured cost of the cell.
@@ -586,9 +586,9 @@ class _PutBatcher:
     into ``put_many`` calls, so the steal loop's claim/compute cycle
     never blocks on cache-write round trips — the flush half of the
     pipelined stolen sweep. Engaged only for backends exposing
-    ``put_many`` (the HTTP client, tiered stacks over it), where a
-    write is a network round trip worth hiding; local backends keep
-    their cheap synchronous writes and immediate-visibility semantics.
+    ``put_many`` (the HTTP client), where a write is a network round
+    trip worth hiding; local backends keep their cheap synchronous
+    writes and immediate-visibility semantics.
 
     Batches flush at ``batch_size`` entries (default: the backend's
     own ``batch_size``) or after ``max_delay`` seconds of quiet,
@@ -716,9 +716,6 @@ class BatchRunner:
         self.cache = cache
         self.stats = RunnerStats()
 
-    def reset_stats(self) -> None:
-        self.stats = RunnerStats()
-
     # ------------------------------------------------------------------
     def run_one(self, algorithm: str, instance: Instance) -> RunRecord:
         """Convenience wrapper: evaluate a single cell."""
@@ -729,7 +726,7 @@ class BatchRunner:
     ) -> Iterator[tuple[str, dict[str, Any]]]:
         """Yield ``(key, payload)`` for every cache hit among ``keys``.
 
-        Backends with a ``get_many`` (remote/tiered) are probed in
+        Backends with a ``get_many`` (the HTTP client) are probed in
         chunks of their ``batch_size`` — one round trip per chunk
         instead of one per key; everything else falls back to per-key
         ``get``. Either way hits stream out chunk by chunk.
@@ -781,8 +778,8 @@ class BatchRunner:
         # carries a full serialized schedule) is yielded and released
         # before the next chunk is read, so a warm sweep's peak memory
         # is one probe chunk, not the whole grid. Backends exposing
-        # get_many (the HTTP backend, tiered stacks over it) are probed
-        # in batched round trips to amortize network latency.
+        # get_many (the HTTP backend) are probed in batched round trips
+        # to amortize network latency.
         hit_keys: set[str] = set()
         if self.cache is not None:
             for key, payload in self._probe_cache(list(positions)):

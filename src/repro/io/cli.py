@@ -28,11 +28,11 @@ Subcommands
     algorithms, including parameterized variant specs (``pd?delta=0.05``)
     and declarative variant axes (``--variant delta=0.01,0.05``).
     Optionally parallel (``--workers``), cached (``--cache`` +
-    ``--cache-backend {dir,sqlite,memory,http,tiered}``; ``http`` talks
-    to a ``cache-serve`` process at ``--cache-url``, ``tiered`` stacks
-    memory → local dir → remote), streamed (``--progress`` prints a
-    completion-order ticker to stderr), and split across machines
-    (``--shard i/k`` to compute one deterministic round-robin slice —
+    ``--cache-backend {dir,sqlite,http}``; ``http`` talks to a
+    ``cache-serve`` process at ``--cache-url``), streamed
+    (``--progress`` prints a completion-order ticker to stderr), and
+    split across machines (``--shard i/k`` to compute one deterministic
+    round-robin slice —
     ``--shard-strategy steal`` claims cells dynamically from the cache
     server's shared claim table instead —
     ``--merge shard0.json shard1.json ...`` to recombine slices into
@@ -46,7 +46,7 @@ Subcommands
     old entries and stale temp files).
 ``bench``
     Run named perf scenarios (``pd-scaling``, ``oa-scaling``,
-    ``yds-scaling``, ``grid-refine``, ``cache-micro``) and write
+    ``yds-scaling``, ``cache-micro``, ...) and write
     machine-readable ``BENCH_<scenario>.json`` series; ``--baseline
     DIR`` gates on >``--factor``× per-point regressions against the
     committed baselines (machine-calibrated).
@@ -65,9 +65,10 @@ from typing import Any, Callable, Sequence
 
 from ..analysis.report import audit_run
 from ..core.pd import run_pd
-from ..core.simulator import available_algorithms, run_algorithm
+from ..engine.registry import REGISTRY
 from ..errors import InvalidParameterError, ReproError
 from ..model.job import Instance
+from ..workloads.registry import WORKLOADS
 from .serialize import (
     instance_from_dict,
     instance_to_dict,
@@ -80,16 +81,13 @@ from .serialize import (
 __all__ = ["main", "build_parser"]
 
 
-def _generators() -> dict[str, Callable[..., Instance]]:
-    from ..workloads import named_families
-
-    return named_families()
-
-
-def _cache_backends() -> dict[str, Callable]:
+def _cache_backends() -> list[str]:
+    """The ``--cache-backend`` choices: every backend but ``memory``,
+    whose store would die with the invocation (``cache-serve --backend
+    memory`` keeps it)."""
     from ..engine.cache import BACKENDS
 
-    return BACKENDS
+    return sorted(set(BACKENDS) - {"memory"})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="generate a workload instance")
-    gen.add_argument("family", choices=sorted(_generators()))
+    gen.add_argument("family", choices=WORKLOADS.names())
     gen.add_argument("output", help="output JSON path")
     gen.add_argument("-n", type=int, default=20, help="number of jobs")
     gen.add_argument("-m", type=int, default=1, help="processors")
@@ -116,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="algorithm",
         help=(
             "registry name or variant spec (e.g. pd?delta=0.05); "
-            f"names: {', '.join(available_algorithms())}"
+            f"names: {', '.join(REGISTRY.names())}"
         ),
     )
     run.add_argument("instance", help="instance JSON path")
@@ -180,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "workload family name or parameterized spec (e.g. "
             f"heavy-tail?pareto_shape=2.0); families: "
-            f"{', '.join(sorted(_generators()))}. Omit when sweeping a "
+            f"{', '.join(WORKLOADS.names())}. Omit when sweeping a "
             "--workload axis or merging shards"
         ),
     )
@@ -233,19 +231,15 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument(
         "--cache",
         default=None,
-        help=(
-            "content-addressed result-cache path (directory or sqlite "
-            "file; the local tier for --cache-backend tiered)"
-        ),
+        help="content-addressed result-cache path (directory or sqlite file)",
     )
     swp.add_argument(
         "--cache-backend",
-        choices=sorted([*_cache_backends(), "tiered"]),
+        choices=_cache_backends(),
         default="dir",
         help=(
             "cache backend for --cache (default: dir); http talks to a "
-            "cache-serve process at --cache-url, tiered stacks "
-            "memory -> --cache dir -> --cache-url remote"
+            "cache-serve process at --cache-url"
         ),
     )
     swp.add_argument(
@@ -254,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="URL",
         help=(
             "base URL of a `repro cache-serve` process (for "
-            "--cache-backend http/tiered, and the claim table of "
+            "--cache-backend http, and the claim table of "
             "--shard-strategy steal)"
         ),
     )
@@ -468,9 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         ccmd.add_argument(
             "--cache-backend",
-            # no "memory": stats/gc on a cache born empty this very
-            # invocation could only ever report nothing
-            choices=sorted({*_cache_backends(), "tiered"} - {"memory"}),
+            choices=_cache_backends(),
             default="dir",
             help="backend at --cache (default: dir)",
         )
@@ -478,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--cache-url",
             default=None,
             metavar="URL",
-            help="a cache-serve URL (for --cache-backend http/tiered)",
+            help="a cache-serve URL (for --cache-backend http)",
         )
         if name == "gc":
             ccmd.add_argument(
@@ -494,11 +486,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_instance(path: str) -> Instance:
-    return instance_from_dict(load_json(path))
+    payload = load_json(path)
+    try:
+        return instance_from_dict(payload)
+    except ReproError as exc:
+        raise InvalidParameterError(f"{path}: {exc}") from None
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    inst = _generators()[args.family](
+    inst = WORKLOADS.info(args.family).generator(
         args.n, m=args.m, alpha=args.alpha, seed=args.seed
     )
     save_json(instance_to_dict(inst), args.output)
@@ -508,7 +504,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
-    outcome = run_algorithm(args.algorithm, inst)
+    outcome = REGISTRY.run(args.algorithm, inst)
     print(outcome.schedule.summary())
     if args.save_schedule:
         save_json(schedule_to_dict(outcome.schedule), args.save_schedule)
@@ -527,7 +523,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     print("-" * 62)
     for name in names:
         try:
-            outcome = run_algorithm(name, inst)
+            outcome = REGISTRY.run(name, inst)
         except ReproError as exc:
             print(f"{name:<12} (skipped: {exc})")
             continue
@@ -625,16 +621,27 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
     return 0
 
 
-def _csv(text: str, cast: Callable):
-    return [cast(s.strip()) for s in text.split(",") if s.strip()]
-
-
 def _number(text: str):
     """Parse a variant-axis value: int if it looks like one, else float."""
     try:
         return int(text)
     except ValueError:
         return float(text)
+
+
+def _csv(text: str, cast: Callable, option: str) -> list:
+    """The items of a comma-separated option value, each cast; an item
+    the cast refuses is an error naming the option and the item."""
+    items = []
+    for item in (part.strip() for part in text.split(",")):
+        if not item:
+            continue
+        try:
+            items.append(cast(item))
+        except ValueError:
+            kind = "an integer" if cast is int else "a number"
+            raise InvalidParameterError(f"{option}: {item!r} is not {kind}") from None
+    return items
 
 
 def _parse_shard(text: str) -> tuple[int, int]:
@@ -684,13 +691,12 @@ def _open_cli_cache(
 ):
     """Open the cache a subcommand asked for, or ``None`` for no cache.
 
-    The three remote shapes: ``--cache-backend http`` is the server
-    alone (``--cache-url``), ``tiered`` is memory → local dir
-    (``--cache``) → server, and ``allow_bare_url`` lets a local-backend
-    invocation carry a ``--cache-url`` anyway (the steal strategy needs
-    the server for its claim table even when results cache elsewhere).
+    ``--cache-backend http`` is the server alone (``--cache-url``);
+    ``allow_bare_url`` lets a local-backend invocation carry a
+    ``--cache-url`` anyway (the steal strategy needs the server for its
+    claim table even when results cache elsewhere).
     """
-    from ..engine.cache import MemoryCache, TieredCache, open_cache
+    from ..engine.cache import open_cache
 
     if backend == "http":
         if url is None:
@@ -700,58 +706,33 @@ def _open_cli_cache(
             )
         if cache is not None:
             raise InvalidParameterError(
-                "--cache-backend http stores nothing locally; drop --cache "
-                "or use --cache-backend tiered for a local tier"
+                "--cache-backend http stores nothing locally; drop --cache"
             )
         return open_cache(url, "http")
-    if backend == "tiered":
-        if cache is None or url is None:
-            raise InvalidParameterError(
-                "--cache-backend tiered stacks memory -> local dir -> "
-                "remote; give both --cache (the local directory) and "
-                "--cache-url (the server)"
-            )
-        from ..engine.remote import HttpCache
-
-        return TieredCache(
-            [MemoryCache(), open_cache(cache, "dir"), HttpCache(url)]
-        )
     if url is not None and not allow_bare_url:
         raise InvalidParameterError(
-            "--cache-url only applies to --cache-backend http or tiered "
-            "(or to --shard-strategy steal, whose claim table lives on "
-            "the server)"
+            "--cache-url only applies to --cache-backend http (or to "
+            "--shard-strategy steal, whose claim table lives on the "
+            "server)"
         )
-    if backend == "memory":
-        if cache is not None:
-            raise InvalidParameterError(
-                "--cache-backend memory stores nothing on disk and would "
-                "silently ignore --cache; drop --cache for a transient "
-                "in-process cache, or pick dir/sqlite for the path"
-            )
-        return open_cache(None, "memory")
     if cache is None:
         return None
     return open_cache(cache, backend)
 
 
-def _format_stats(stats: dict, indent: int = 0) -> list[str]:
-    """Human-readable lines for a backend-stats dict (tiers recurse)."""
-    pad = "  " * indent
+def _format_stats(stats: dict) -> list[str]:
+    """Human-readable lines for a backend-stats dict."""
     location = stats.get("location") or stats.get("url")
     lines = [
-        f"{pad}backend        : {stats.get('backend', '?')}"
+        f"backend        : {stats.get('backend', '?')}"
         + (f" ({location})" if location else "")
     ]
     if stats.get("entries") is not None:
-        lines.append(f"{pad}entries        : {stats['entries']}")
+        lines.append(f"entries        : {stats['entries']}")
     if stats.get("total_bytes") is not None:
-        lines.append(f"{pad}total bytes    : {stats['total_bytes']}")
+        lines.append(f"total bytes    : {stats['total_bytes']}")
     if stats.get("claim_tables"):
-        lines.append(f"{pad}claim tables   : {stats['claim_tables']}")
-    for tier in stats.get("tiers", ()):
-        lines.append(f"{pad}tier:")
-        lines.extend(_format_stats(tier, indent + 1))
+        lines.append(f"claim tables   : {stats['claim_tables']}")
     return lines
 
 
@@ -898,8 +879,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    from ..engine.cache import backend_stats
-
     if args.cache is None and args.cache_url is None:
         raise InvalidParameterError(
             "give --cache PATH (a local cache) or --cache-backend http "
@@ -916,16 +895,10 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     cache = _open_cli_cache(args.cache, args.cache_backend, args.cache_url)
     try:
         if args.cache_command == "stats":
-            for line in _format_stats(backend_stats(cache)):
+            for line in _format_stats(cache.stats()):
                 print(line)
             return 0
-        age = _parse_age(args.older_than)
-        collect = getattr(cache, "gc", None)
-        if collect is None:
-            raise InvalidParameterError(
-                f"backend {args.cache_backend!r} does not support gc"
-            )
-        removed = collect(age)
+        removed = cache.gc(_parse_age(args.older_than))
         print(f"pruned {removed} entries older than {args.older_than}")
         return 0
     finally:
@@ -940,7 +913,7 @@ def _variant_axes(specs: Sequence[str] | None) -> dict[str, list]:
             raise InvalidParameterError(
                 f"--variant expects KEY=V1,V2,..., got {spec!r}"
             )
-        axes[key.strip()] = _csv(values, _number)
+        axes[key.strip()] = _csv(values, _number, f"--variant {spec!r}")
     return axes
 
 
@@ -1224,17 +1197,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         pinned = set(WORKLOADS.info(args.family).params)
     grid: dict[str, list] = {}
     if args.alphas is not None or (not args.workload and "alpha" not in pinned):
-        grid["alpha"] = _csv(args.alphas or "3.0", float)
+        grid["alpha"] = _csv(args.alphas or "3.0", float, "--alphas")
     if args.ms is not None or (not args.workload and "m" not in pinned):
-        grid["m"] = _csv(args.ms or "1", int)
+        grid["m"] = _csv(args.ms or "1", int, "--ms")
     if args.value_x:
-        grid["value_x"] = _csv(args.value_x, float)
+        grid["value_x"] = _csv(args.value_x, float, "--value-x")
     common = dict(
         grid=grid,
-        algorithms=tuple(_csv(args.algorithms, str)),
+        algorithms=tuple(_csv(args.algorithms, str, "--algorithms")),
         variants=_variant_axes(args.variant),
         n=args.n,
-        seeds=tuple(_csv(args.seeds, int)),
+        seeds=tuple(_csv(args.seeds, int, "--seeds")),
         skip_incapable=True,
     )
     if args.workload:

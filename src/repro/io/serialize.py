@@ -96,20 +96,60 @@ def instance_to_dict(instance: Instance) -> dict[str, Any]:
     }
 
 
-def instance_from_dict(payload: dict[str, Any]) -> Instance:
-    """Inverse of :func:`instance_to_dict`, with validation."""
-    _require_kind(payload, "instance")
-    jobs = tuple(
-        Job(
-            release=float(row["release"]),
-            deadline=float(row["deadline"]),
-            workload=float(row["workload"]),
-            value=float(row["value"]),
-            name=row.get("name"),
+def _number_field(payload: dict[str, Any], name: str, where: str) -> float:
+    """``payload[name]`` as a float; a missing or non-numeric field is an
+    :class:`~repro.errors.InvalidParameterError` naming it."""
+    value = payload.get(name)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        problem = (
+            f"must be a number, got {value!r}" if name in payload else "is missing"
         )
-        for row in payload["jobs"]
+        raise InvalidParameterError(f"{where} field {name!r} {problem}")
+    return float(value)
+
+
+def instance_from_dict(payload: dict[str, Any]) -> Instance:
+    """Inverse of :func:`instance_to_dict`, with validation.
+
+    The file's shape is checked here: ``jobs`` is a list of objects with
+    numeric ``release``, ``deadline``, ``workload`` and ``value``, ``m``
+    is a whole number and ``alpha`` a number, each failure an
+    :class:`~repro.errors.InvalidParameterError` naming the field.
+    :class:`Job` and :class:`Instance` check the ranges.
+    """
+    _require_kind(payload, "instance")
+    rows = payload.get("jobs")
+    if not isinstance(rows, list):
+        problem = (
+            f"must be a list of job objects, got {rows!r}"
+            if "jobs" in payload
+            else "is missing"
+        )
+        raise InvalidParameterError(f"instance field 'jobs' {problem}")
+    jobs = []
+    for index, row in enumerate(rows):
+        if not isinstance(row, dict):
+            raise InvalidParameterError(
+                f"instance job {index} must be an object, got {row!r}"
+            )
+        where = f"instance job {index}:"
+        jobs.append(
+            Job(
+                release=_number_field(row, "release", where),
+                deadline=_number_field(row, "deadline", where),
+                workload=_number_field(row, "workload", where),
+                value=_number_field(row, "value", where),
+                name=row.get("name"),
+            )
+        )
+    m = _number_field(payload, "m", "instance")
+    if not m.is_integer():  # a whole float (a file may say 2.0) is fine
+        raise InvalidParameterError(
+            f"instance field 'm' must be a whole number, got {m!r}"
+        )
+    return Instance(
+        tuple(jobs), m=int(m), alpha=_number_field(payload, "alpha", "instance")
     )
-    return Instance(jobs, m=int(payload["m"]), alpha=float(payload["alpha"]))
 
 
 # ----------------------------------------------------------------------

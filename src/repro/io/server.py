@@ -1,7 +1,7 @@
 """The cache fabric service: any local backend, served over HTTP.
 
 ``CacheServer`` wraps a :class:`~repro.engine.cache.CacheBackend` (a
-directory, a WAL-mode sqlite file, or a plain in-memory LRU) behind a
+directory, a WAL-mode sqlite file, or a plain in-memory dict) behind a
 small JSON/HTTP wire protocol, stdlib only (``http.server``), so fleets
 of workers on separate machines can share one result cache and one
 work-stealing claim table. The CLI front end is ``python -m repro
@@ -82,7 +82,7 @@ from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Iterator, Sequence
 
-from ..engine.cache import CacheBackend, backend_stats
+from ..engine.cache import CacheBackend
 from ..engine.runner import (
     InProcessClaimTable,
     _check_claim_total,
@@ -105,11 +105,11 @@ class FabricStats:
     attribute increments on ints are GIL-atomic enough for monitoring
     (a preempted increment can lose a count, never corrupt one), and
     the payoff is that the monitoring path never blocks behind record
-    traffic. ``entries`` tracks the backend's live entry count exactly
-    for append-only backends (seeded from one startup walk, bumped on
-    first-time puts, decremented by gc); a bounded LRU evicting behind
-    the server's back drifts it — ``/stats?deep=1`` resyncs from the
-    authoritative backend walk.
+    traffic. ``entries`` tracks the backend's live entry count (seeded
+    from one startup walk, bumped on first-time puts, decremented by
+    gc); a store changed behind the server's back (another process
+    sharing the directory or sqlite file) drifts it — ``/stats?deep=1``
+    resyncs from the authoritative backend walk.
 
     ``record_hits`` counts entries found, whether or not their stored
     text parses (the server never parses it). ``claim_reissues``
@@ -253,10 +253,11 @@ class CacheServer:
     backend declaring ``thread_safe = True`` and one stripe (the old
     fully-serialized behavior) otherwise, so concurrent handler threads
     never reach an unsynchronized backend's internals. A backend
-    without ``get_text`` is refused: record replies splice its stored
-    text. An address it cannot bind (a port outside 0..65535, a host
-    that does not resolve) is an
-    :class:`~repro.errors.InvalidParameterError` naming both.
+    without ``get_text`` or ``stats`` is refused: record replies splice
+    its stored text, and ``/stats`` reports its ``stats()``. An address
+    it cannot bind (a port outside 0..65535, a host that does not
+    resolve) is an :class:`~repro.errors.InvalidParameterError` naming
+    both.
     """
 
     def __init__(
@@ -267,10 +268,13 @@ class CacheServer:
         *,
         verbose: bool = False,
     ) -> None:
-        if not callable(getattr(cache, "get_text", None)):
+        if not all(
+            callable(getattr(cache, name, None)) for name in ("get_text", "stats")
+        ):
             raise InvalidParameterError(
-                f"backend {type(cache).__name__} has no get_text; the cache "
-                "server serves records as stored text (dir, sqlite, memory)"
+                f"backend {type(cache).__name__} lacks get_text or stats; the "
+                "cache server serves records as stored text and reports the "
+                "backend's stats (dir, sqlite, memory)"
             )
         self.cache = cache
         self.verbose = verbose
@@ -279,7 +283,7 @@ class CacheServer:
         self.stats_counters = FabricStats()
         # One startup walk pins the backend's identity and seeds the
         # live entry counter, so the fast /stats never needs another.
-        identity = dict(backend_stats(cache))
+        identity = cache.stats()
         self._backend_name = str(identity.get("backend", type(cache).__name__))
         self._backend_location = identity.get("location")
         seeded = identity.get("entries")
@@ -434,7 +438,7 @@ class CacheServer:
         backend stats under the global barrier, resyncing the live
         entry counter while it holds the truth."""
         with self._records.all_stripes():
-            out = dict(backend_stats(self.cache))
+            out = dict(self.cache.stats())
         entries = out.get("entries")
         if isinstance(entries, int):
             self.stats_counters.resync_entries(entries)

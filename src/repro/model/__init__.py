@@ -1,6 +1,6 @@
 """Problem model: jobs, power functions, atomic intervals, schedules."""
 
-from .intervals import Grid, Refinement, grid_for_instance
+from .intervals import Grid, grid_for_instance
 from .job import Instance, Job
 from .power import (
     PolynomialPower,
@@ -24,7 +24,6 @@ __all__ = [
     "energy_at_constant_speed",
     "optimal_constant_speed_energy",
     "Grid",
-    "Refinement",
     "grid_for_instance",
     "Schedule",
     "CostBreakdown",

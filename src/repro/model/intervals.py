@@ -1,4 +1,4 @@
-"""Atomic time intervals and their online refinement.
+"""Atomic time intervals: the grid and its point helpers.
 
 Following Bingham & Greenstreet (and Section 2.1 of the paper), time is
 partitioned into *atomic intervals* ``T_k = [tau_{k-1}, tau_k)`` whose
@@ -10,8 +10,13 @@ An online algorithm does not know the final grid: when a new job arrives
 its release/deadline may split existing intervals. The paper observes
 (Section 3, "Concerning the Time Partitioning") that splitting an interval
 and dividing assigned portions proportionally to the sub-lengths leaves
-the schedule unchanged. :meth:`Grid.refine` implements exactly this and
-returns the bookkeeping needed to remap per-interval arrays.
+the schedule unchanged. PD applies that split to its own interval
+lists (:mod:`repro.core.pd`); the reference oracle in
+:mod:`repro.perf.reference` applies it to dense matrices.
+
+This module holds the :class:`Grid` itself and the point rules PD and
+the epoch driver share with it: :func:`_fresh_points` (which new points
+split an interval), :func:`_boundary_index` and :func:`_window`.
 """
 
 from __future__ import annotations
@@ -27,58 +32,10 @@ from ..errors import GridMismatchError, InvalidParameterError
 from ..types import FloatArray, IntervalIndex, Time
 from .job import Instance, Job
 
-__all__ = ["Grid", "Refinement", "grid_for_instance"]
+__all__ = ["Grid", "grid_for_instance"]
 
 #: Two time points closer than this are considered identical breakpoints.
 _TIME_EPS = 1e-12
-
-
-@dataclass(frozen=True)
-class Refinement:
-    """Result of refining a grid with new breakpoints.
-
-    Attributes
-    ----------
-    grid:
-        The refined grid.
-    parent:
-        For each new interval index, the index of the old interval that
-        contains it (``len == grid.size``). New intervals that lie outside
-        the old grid's span have parent ``-1``.
-    fraction:
-        For each new interval, its length divided by its parent's length
-        (1.0 for parent ``-1``). Splitting a per-interval quantity ``q_k``
-        proportionally means assigning ``q_parent * fraction`` to each
-        child — the paper's load-preserving split.
-    """
-
-    grid: "Grid"
-    parent: np.ndarray
-    fraction: FloatArray
-
-    def split_row(self, row: FloatArray, *, fill: float = 0.0) -> FloatArray:
-        """Remap a per-old-interval array onto the refined grid.
-
-        ``row[k]`` is distributed over the children of old interval ``k``
-        in proportion to their lengths; positions with no parent get
-        ``fill``.
-        """
-        out = np.full(self.grid.size, fill, dtype=np.float64)
-        mask = self.parent >= 0
-        out[mask] = row[self.parent[mask]] * self.fraction[mask]
-        return out
-
-    def carry_row(self, row: FloatArray, *, fill: float = 0.0) -> FloatArray:
-        """Remap a per-old-interval *intensive* array (e.g. a speed).
-
-        Unlike :meth:`split_row`, the value is copied to every child
-        unchanged — appropriate for quantities that do not scale with
-        interval length.
-        """
-        out = np.full(self.grid.size, fill, dtype=np.float64)
-        mask = self.parent >= 0
-        out[mask] = row[self.parent[mask]]
-        return out
 
 
 @dataclass(frozen=True)
@@ -205,58 +162,6 @@ class Grid:
         return (span >= i[:, None]) & (span < j[:, None])
 
     # ------------------------------------------------------------------
-    # Refinement
-    # ------------------------------------------------------------------
-    def fresh_points(self, new_points: Iterable[Time]) -> list[float]:
-        """Sorted new breakpoints that do not snap to an existing
-        boundary (nor to an earlier kept point), deduplicated with the
-        grid tolerance — :func:`_fresh_points` on this grid."""
-        return _fresh_points(self._points, new_points)
-
-    def refine(self, new_points: Iterable[Time]) -> Refinement:
-        """Insert breakpoints and report how old intervals split.
-
-        Points outside the current span extend the grid (this happens when
-        a newly released job's deadline exceeds the known horizon); the
-        extension intervals have no parent. New points within tolerance of
-        an existing boundary snap to it, so refinement never *moves* a
-        boundary.
-
-        Amortized-cheap by design: proximity checks are binary searches
-        against the sorted boundary array (the nearest boundary minimizes
-        the distance, so checking the two neighbours equals checking all),
-        and the parent/fraction bookkeeping is one vectorized pass — the
-        per-arrival refinement inside PD costs O(N) C-level work instead
-        of the historical O(N log N) Python loop.
-        """
-        b = self.boundaries
-        kept = self.fresh_points(new_points)
-        if kept:
-            merged = np.sort(
-                np.concatenate((b, np.asarray(kept, dtype=np.float64)))
-            )
-        else:
-            merged = b.copy()
-        new = Grid(merged)
-        starts = merged[:-1]
-        ends = merged[1:]
-        old_lo, old_hi = self.span
-        # Exact comparisons: the merged grid holds the old span's end
-        # points verbatim and every fresh point lies more than the
-        # tolerance away from them, so only extension intervals reach
-        # past the old span. (An ``old_hi + _TIME_EPS`` test rounds: a
-        # fresh point a few ulps past the tolerance used to be read as
-        # a split of the last interval, inventing load there.)
-        outside = (starts < old_lo) | (ends > old_hi)
-        parent = np.clip(
-            np.searchsorted(b, starts, side="right") - 1, 0, self.size - 1
-        ).astype(np.int64)
-        fraction = (ends - starts) / self._lengths[parent]
-        parent[outside] = -1
-        fraction[outside] = 1.0
-        return Refinement(grid=new, parent=parent, fraction=fraction)
-
-    # ------------------------------------------------------------------
     # Comparisons
     # ------------------------------------------------------------------
     def same_as(self, other: "Grid", *, tol: float = _TIME_EPS) -> bool:
@@ -293,9 +198,10 @@ def _dedupe(sorted_points: Sequence[float]) -> list[float]:
 def _fresh_points(bounds: Sequence[float], new_points: Iterable[Time]) -> list[float]:
     """Sorted ``new_points`` that do not snap to ``bounds``, deduplicated.
 
-    The one point classifier of every grid refinement: :meth:`Grid.refine`,
-    PD's online grid and the epoch path's block check all call it, so
-    the snapping rule cannot drift between them. A point within
+    The one point classifier of every grid refinement: PD's online
+    grid, the epoch path's block check and the reference oracle's
+    refinement all call it, so the snapping rule cannot drift between
+    them. A point within
     ``_TIME_EPS`` of its nearest boundary snaps (the sorted list's
     neighbours minimize the distance, so checking both neighbours
     equals checking all); fresh points are >eps from every boundary,

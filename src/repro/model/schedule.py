@@ -252,31 +252,6 @@ class Schedule:
         return out
 
     # ------------------------------------------------------------------
-    # Rebasing
-    # ------------------------------------------------------------------
-    def on_grid(self, target: Grid) -> "Schedule":
-        """Re-express this schedule on a refinement of its grid.
-
-        Loads split proportionally to sub-interval lengths, which leaves
-        speeds, energy, and cost unchanged (the paper's Section 3
-        observation). The target must contain every current boundary.
-        """
-        refinement = self.grid.refine(target.boundaries.tolist())
-        if not refinement.grid.same_as(target):
-            raise GridMismatchError(
-                "target grid is not a refinement of the schedule's grid"
-            )
-        new_loads = np.stack(
-            [refinement.split_row(self.loads[j]) for j in range(self.instance.n)]
-        )
-        return Schedule(
-            instance=self.instance,
-            grid=refinement.grid,
-            loads=new_loads,
-            finished=self.finished,
-        )
-
-    # ------------------------------------------------------------------
     # Diagnostics
     # ------------------------------------------------------------------
     def summary(self) -> str:

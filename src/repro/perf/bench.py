@@ -151,24 +151,6 @@ def _yds_point(point: Mapping[str, Any]) -> dict:
     return {"n": n, "m": 1, "wall_time": wall, "cost": result.energy}
 
 
-def _grid_refine_point(point: Mapping[str, Any]) -> dict:
-    from ..model.intervals import Grid
-
-    n = int(point["n"])
-    rounds = 200
-    boundaries = np.linspace(0.0, float(n), n + 1)
-    rng = np.random.default_rng(0)
-    cuts = rng.uniform(0.05, float(n) - 0.05, size=(rounds, 2))
-    grid = Grid(boundaries)
-
-    def exercise() -> None:
-        for row in cuts:
-            grid.refine(row.tolist())
-
-    wall, _ = _timed(exercise)
-    return {"n": n, "m": 1, "wall_time": wall, "rounds": rounds}
-
-
 def _cache_point(point: Mapping[str, Any]) -> dict:
     import tempfile
 
@@ -252,7 +234,7 @@ def _oa_stream_point(point: Mapping[str, Any]) -> dict:
 def _fabric_point(point: Mapping[str, Any]) -> dict:
     """HTTP cache fabric throughput against a live in-process server.
 
-    Every point boots a fresh :class:`CacheServer` over an unbounded
+    Every point boots a fresh :class:`CacheServer` over a
     ``MemoryCache`` and drives it through ``HttpCache`` /
     ``HttpClaimTable`` exactly as a distributed sweep would: keep-alive
     connection pools and claim leases batched 16 per round trip.
@@ -277,7 +259,7 @@ def _fabric_point(point: Mapping[str, Any]) -> dict:
 
     op = str(point["op"])
     n = int(point["n"])
-    server = CacheServer(MemoryCache(max_entries=None)).start()
+    server = CacheServer(MemoryCache()).start()
     try:
         if op == "bulk":
             size = int(point["size"])
@@ -387,13 +369,6 @@ SCENARIOS: dict[str, BenchScenario] = {
             full=_points(n=[25, 50, 100, 200, 400]),
             smoke=_points(n=[25, 50]),
             run_point=_yds_point,
-        ),
-        BenchScenario(
-            name="grid-refine",
-            summary="micro: 200 two-point refinements of an N-interval grid",
-            full=_points(n=[100, 1000, 5000, 20000]),
-            smoke=_points(n=[100, 1000]),
-            run_point=_grid_refine_point,
         ),
         BenchScenario(
             name="cache-micro",
@@ -657,23 +632,3 @@ def compare_to_baseline(
                 )
     return regressions
 
-
-def main_check(
-    results_dir: str, baseline_dir: str, *, factor: float = 2.0
-) -> list[str]:
-    """Compare every BENCH file in ``results_dir`` against its baseline."""
-    regressions: list[str] = []
-    for entry in sorted(os.listdir(results_dir)):
-        if not (entry.startswith("BENCH_") and entry.endswith(".json")):
-            continue
-        base_path = os.path.join(baseline_dir, entry)
-        if not os.path.exists(base_path):
-            continue
-        regressions.extend(
-            compare_to_baseline(
-                load_result(os.path.join(results_dir, entry)),
-                load_result(base_path),
-                factor=factor,
-            )
-        )
-    return regressions

@@ -15,7 +15,7 @@ bookkeeping hoisted into batched numpy passes:
 * **release-order check** — one ``np.maximum.accumulate`` running-max
   pass per block (same tolerance, same error message, raised at the
   same prefix position as the sequential loop);
-* **refinement scan** — the :meth:`~repro.model.intervals.Grid.fresh_points`
+* **refinement scan** — the :func:`~repro.model.intervals._fresh_points`
   nearness test, vectorized over every window endpoint in the block.
   Blocks are *split at the first refining arrival*: that job runs the
   scheduler's scalar core (grid refinement included), everything
@@ -128,7 +128,7 @@ def arrive_epochs(
 # Internals
 # ----------------------------------------------------------------------
 def _near_boundary(b: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Vectorized ``Grid.fresh_points`` nearness test, one point at a time.
+    """Vectorized ``_fresh_points`` nearness test, one point at a time.
 
     ``True`` where the point snaps to an existing boundary — the exact
     per-point condition of the scalar classifier (searchsorted-left

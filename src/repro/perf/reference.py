@@ -20,7 +20,8 @@ Deliberately slow. Never import this module from a hot path.
 
 from __future__ import annotations
 
-from typing import Any
+from dataclasses import dataclass
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -32,12 +33,12 @@ from ..core.cll import CLLResult, cll_admits
 from ..core.pd import JobDecision, PDResult, PDScheduler
 from ..core.waterfill import WaterfillOutcome, price_cap, waterfill_job
 from ..errors import InvalidParameterError, SolverError
-from ..model.intervals import Grid, Refinement
+from ..model.intervals import Grid, _fresh_points
 from ..model.job import Instance, Job
 from ..model.job_arrays import JobArrays
 from ..model.power import PolynomialPower, PowerFunction
 from ..model.schedule import Schedule
-from ..types import FloatArray
+from ..types import FloatArray, Time
 from .kernels import IntervalLoads, WindowKernel
 
 __all__ = [
@@ -230,7 +231,7 @@ class PDSchedulerReference:
             self._loads = np.zeros((0, self._grid.size))
             self._planned = np.zeros((0, self._grid.size))
             return
-        refinement = self._grid.refine([job.release, job.deadline])
+        refinement = _refine(self._grid, [job.release, job.deadline])
         if refinement.grid.same_as(self._grid):
             return
         self._loads = _remap_rows(self._loads, refinement)
@@ -238,7 +239,64 @@ class PDSchedulerReference:
         self._grid = refinement.grid
 
 
-def _remap_rows(matrix: FloatArray, refinement: Refinement) -> FloatArray:
+@dataclass(frozen=True)
+class _Refinement:
+    """A grid refined with new breakpoints, and how old intervals split.
+
+    ``parent[k]`` is the old interval holding new interval ``k`` (``-1``
+    for intervals that extend the old span); ``fraction[k]`` is its
+    length over its parent's (``1.0`` for parent ``-1``). Splitting a
+    per-interval load ``q`` proportionally gives child ``k`` the share
+    ``q[parent[k]] * fraction[k]`` — the paper's Section 3 split, which
+    leaves every speed, and so the schedule, unchanged.
+    """
+
+    grid: Grid
+    parent: np.ndarray
+    fraction: FloatArray
+
+    def split_row(self, row: FloatArray, *, fill: float = 0.0) -> FloatArray:
+        """Remap a per-old-interval array onto the refined grid: ``row[k]``
+        is shared among the children of old interval ``k`` in proportion
+        to their lengths; positions with no parent get ``fill``."""
+        out = np.full(self.grid.size, fill, dtype=np.float64)
+        mask = self.parent >= 0
+        out[mask] = row[self.parent[mask]] * self.fraction[mask]
+        return out
+
+
+def _refine(grid: Grid, new_points: Iterable[Time]) -> _Refinement:
+    """Insert breakpoints into ``grid`` and report how old intervals split.
+
+    Points outside the span extend the grid (a new job's deadline past
+    the known horizon); the extension intervals have no parent. A point
+    within tolerance of an existing boundary snaps to it
+    (:func:`~repro.model.intervals._fresh_points`), so refinement never
+    moves a boundary.
+    """
+    b = grid.boundaries
+    kept = _fresh_points(b.tolist(), new_points)
+    if kept:
+        merged = np.sort(np.concatenate((b, np.asarray(kept, dtype=np.float64))))
+    else:
+        merged = b.copy()
+    starts = merged[:-1]
+    ends = merged[1:]
+    old_lo, old_hi = grid.span
+    # Exact comparisons: the merged grid holds the old span's end points
+    # verbatim and every fresh point lies more than the tolerance away
+    # from them, so only extension intervals reach past the old span.
+    outside = (starts < old_lo) | (ends > old_hi)
+    parent = np.clip(
+        np.searchsorted(b, starts, side="right") - 1, 0, grid.size - 1
+    ).astype(np.int64)
+    fraction = (ends - starts) / grid.lengths[parent]
+    parent[outside] = -1
+    fraction[outside] = 1.0
+    return _Refinement(grid=Grid(merged), parent=parent, fraction=fraction)
+
+
+def _remap_rows(matrix: FloatArray, refinement: _Refinement) -> FloatArray:
     """Apply a grid refinement to every row of a per-interval matrix."""
     if matrix.shape[0] == 0:
         return np.zeros((0, refinement.grid.size))

@@ -8,14 +8,11 @@ specs (``heavy-tail?n=64&alpha=3.0&seed=7``) resolve to canonical names,
 so every spelling of the same workload builds the identical instance and
 shares one batch-runner cache key.
 
-:func:`named_families` is the historical string table the CLI
-(``generate`` / ``sweep``) and the engine's declarative experiments
-resolve family names against; it is now a thin shim over the registry.
-Every entry keeps the uniform keyword signature
+Callers list the families with ``WORKLOADS.names()`` and reach a
+family's generator as ``WORKLOADS.info(name).generator``; every
+generator keeps the uniform keyword signature
 ``family(n, *, m=1, alpha=3.0, seed=0)``.
 """
-
-from typing import Callable
 
 from .datacenter import diurnal_instance, diurnal_intensity
 from .lowerbound import (
@@ -39,25 +36,11 @@ from .structured import (
 )
 from . import perturb as _perturb  # noqa: F401 - registers the jitter family
 
-
-def named_families() -> dict[str, Callable]:
-    """Name → generator, all with signature ``(n, *, m, alpha, seed)``.
-
-    Compatibility shim over :data:`WORKLOADS` (like
-    :mod:`repro.core.simulator` is for the algorithm registry): the
-    returned callables are the registered base generators, so string
-    lookups in the CLI and :class:`~repro.engine.ExperimentSpec` keep
-    working unchanged — and automatically see families registered later.
-    """
-    return {info.name: info.generator for info in WORKLOADS}
-
-
 __all__ = [
     "WORKLOADS",
     "WorkloadInfo",
     "WorkloadRegistry",
     "register_workload",
-    "named_families",
     "lower_bound_instance",
     "pd_cost_closed_form",
     "optimal_cost_closed_form",

@@ -21,10 +21,6 @@ instance — and, since the batch runner's
 :func:`~repro.engine.runner.request_key` hashes instance *content*,
 shares the identical cache key. Unknown families, unknown parameters,
 uncastable values, and malformed specs all fail loudly.
-
-:func:`repro.workloads.named_families` remains the stable public façade
-(like :mod:`repro.core.simulator` is for algorithms); it is now a thin
-shim over the global :data:`WORKLOADS` registry defined here.
 """
 
 from __future__ import annotations

@@ -34,7 +34,6 @@ class TestScenarios:
             "oa-scaling",
             "cll-scaling",
             "yds-scaling",
-            "grid-refine",
             "cache-micro",
         } <= set(SCENARIOS)
 

@@ -1,10 +1,10 @@
-"""Tests for the distributed cache fabric: HTTP backend, tiered
-composition, and work-stealing execution.
+"""Tests for the distributed cache fabric: HTTP backend, memory
+backend, and work-stealing execution.
 
 Four guarantees, each load-bearing for multi-machine sweeps:
 
-* **protocol parity** — :class:`HttpCache` (and tiered stacks over it)
-  pass the same backend contract as dir/sqlite, records bit-identical;
+* **protocol parity** — :class:`HttpCache` passes the same backend
+  contract as dir/sqlite, records bit-identical;
 * **fault tolerance** — a dead, restarted, or garbage-speaking cache
   server degrades to recomputation, never to wrong results or crashes;
 * **steal parity** — workers draining one claim table produce, in
@@ -38,8 +38,6 @@ from repro.engine import (
     MemoryCache,
     RunRequest,
     SqliteCache,
-    TieredCache,
-    backend_stats,
 )
 from repro.errors import CacheError, InvalidParameterError
 from repro.io.server import CacheServer
@@ -391,122 +389,26 @@ class TestServerHardening:
             srv.stop()
 
 
-class TestTieredCache:
-    """Tentpole: promotion, write-through, and LRU eviction."""
-
-    def test_write_through_reaches_every_tier(self, tmp_path):
-        memory = MemoryCache()
-        disk = DirectoryCache(tmp_path / "d")
-        tiered = TieredCache([memory, disk])
-        tiered.put("k", {"v": 1})
-        assert memory.get("k") == {"v": 1} and disk.get("k") == {"v": 1}
-
-    def test_read_promotion_fills_faster_tiers(self, tmp_path):
-        memory = MemoryCache()
-        disk = DirectoryCache(tmp_path / "d")
-        disk.put("k", {"v": 1})  # only the slow tier holds it
-        tiered = TieredCache([memory, disk])
-        assert tiered.get("k") == {"v": 1}
-        assert memory.get("k") == {"v": 1}  # promoted
-
-    def test_hot_keys_hit_the_slow_tier_once(self):
-        class CountingCache(MemoryCache):
-            def __init__(self):
-                super().__init__()
-                self.gets = 0
-
-            def get(self, key):
-                self.gets += 1
-                return super().get(key)
-
-        remote = CountingCache()
-        remote.put("k", {"v": 1})
-        tiered = TieredCache([MemoryCache(), remote])
-        for _ in range(5):
-            assert tiered.get("k") == {"v": 1}
-        assert remote.gets == 1
-
-    def test_get_many_probes_deep_only_for_misses_and_promotes(self):
-        class CountingCache(MemoryCache):
-            def __init__(self):
-                super().__init__()
-                self.asked: list[list[str]] = []
-
-            def get_many(self, keys):
-                self.asked.append(list(keys))
-                return {
-                    k: p
-                    for k in keys
-                    if (p := self.get(k)) is not None
-                }
-
-        hot = MemoryCache()
-        hot.put("a", {"v": "a"})
-        remote = CountingCache()
-        remote.put("b", {"v": "b"})
-        tiered = TieredCache([hot, remote])
-        found = tiered.get_many(["a", "b", "c"])
-        assert found == {"a": {"v": "a"}, "b": {"v": "b"}}
-        assert remote.asked == [["b", "c"]]  # "a" never left the hot tier
-        assert hot.get("b") == {"v": "b"}  # deep hit promoted
-
-    def test_memory_lru_eviction_and_recency(self):
-        cache = MemoryCache(max_entries=2)
-        cache.put("a", {"v": 1})
-        cache.put("b", {"v": 2})
-        assert cache.get("a") == {"v": 1}  # refresh "a"
-        cache.put("c", {"v": 3})  # evicts the stalest: "b"
-        assert "b" not in cache and "a" in cache and "c" in cache
-        assert len(cache) == 2
-        with pytest.raises(InvalidParameterError, match="max_entries"):
-            MemoryCache(max_entries=0)
+class TestMemoryCache:
+    """The unbounded in-process backend (``cache-serve --backend memory``)."""
 
     def test_memory_backend_as_the_store_is_unbounded(self):
         """When the memory cache IS the store (cache-serve --backend
-        memory), the hot-tier LRU default must not evict mid-sweep."""
+        memory), nothing may be evicted mid-sweep."""
         from repro.engine import open_cache
 
         cache = open_cache(None, "memory")
-        assert cache.max_entries is None
-        for i in range(1500):  # well past the 1024 hot-tier default
+        for i in range(1500):
             cache.put(f"k{i}", {"v": i})
         assert len(cache) == 1500 and cache.get("k0") == {"v": 0}
-        assert "unbounded" in cache.stats()["location"]
+        assert cache.stats()["entries"] == 1500
 
-    def test_runner_parity_cold_and_warm(self, requests, plain_records, tmp_path):
-        def stack():
-            return TieredCache(
-                [MemoryCache(), DirectoryCache(tmp_path / "d")]
-            )
-
-        cold = BatchRunner(cache=stack()).run(requests)
-        warm = BatchRunner(cache=stack()).run(requests)
+    def test_runner_parity_cold_and_warm(self, requests, plain_records):
+        cache = MemoryCache()
+        cold = BatchRunner(cache=cache).run(requests)
+        warm = BatchRunner(cache=cache).run(requests)
         assert all(r.cached for r in warm)
         assert _strip(cold) == _strip(plain_records) == _strip(warm)
-
-    def test_authoritative_tier_answers_introspection(self, tmp_path):
-        memory = MemoryCache()
-        disk = DirectoryCache(tmp_path / "d")
-        disk.put("deep", {"v": 1})
-        tiered = TieredCache([memory, disk])
-        assert list(tiered.keys()) == ["deep"]
-        assert len(tiered) == 1 and "deep" in tiered
-        stats = tiered.stats()
-        assert stats["backend"] == "tiered" and stats["entries"] == 1
-        assert [t["backend"] for t in stats["tiers"]] == ["memory", "dir"]
-
-    def test_warm_run_promotes_what_it_reads(self, requests, tmp_path):
-        disk = DirectoryCache(tmp_path / "d")
-        records = BatchRunner(cache=disk).run(requests)
-        memory = MemoryCache()
-        warm = BatchRunner(cache=TieredCache([memory, disk])).run(requests)
-        assert all(r.cached for r in warm)
-        assert [r.wall_time for r in warm] == [r.wall_time for r in records]
-        assert sorted(memory.keys()) == sorted(r.key for r in records)
-
-    def test_empty_tier_list_rejected(self):
-        with pytest.raises(InvalidParameterError, match="at least one"):
-            TieredCache([])
 
 
 class TestWorkStealing:
@@ -976,19 +878,6 @@ class TestDirectoryCacheTimingIndex:
         assert cache.gc(0.0) == 1 and len(cache) == 0
         cache.close()
 
-    def test_backend_stats_fallback(self):
-        class Minimal:
-            def get(self, key):
-                return None
-
-            def put(self, key, payload):
-                pass
-
-            def __len__(self):
-                return 0
-
-        stats = backend_stats(Minimal())
-        assert stats == {"backend": "Minimal", "entries": 0}
 
 
 class TestCacheCli:
@@ -1246,35 +1135,27 @@ class TestCacheCli:
             "--cache", "somewhere",
         ]
         assert main(argv) == 2
-        assert "tiered" in capsys.readouterr().err
+        assert "drop --cache" in capsys.readouterr().err
 
-    def test_memory_backend_rejects_a_path(self, capsys):
+    def test_cli_backends_are_dir_sqlite_and_http(self):
+        """sweep, cache stats and cache gc offer the same three choices;
+        any other backend name is an argparse error."""
+        from repro.io.cli import _cache_backends
+
+        assert _cache_backends() == ["dir", "http", "sqlite"]
+
+    @pytest.mark.parametrize(
+        "command",
+        [BASE, ["cache", "stats"], ["cache", "gc", "--older-than", "1d"]],
+        ids=["sweep", "cache-stats", "cache-gc"],
+    )
+    def test_memory_backend_is_not_a_choice(self, command, capsys):
+        """A memory cache would die with the invocation: sweep computes
+        each duplicate cell once without one, and stats/gc on it could
+        only report nothing."""
         from repro.io.cli import main
 
-        argv = self.BASE + [
-            "--cache", "somewhere", "--cache-backend", "memory",
-        ]
-        assert main(argv) == 2
-        assert "silently ignore" in capsys.readouterr().err
-        # without a path it is a legitimate transient cache
-        assert main(self.BASE + ["--cache-backend", "memory"]) == 0
-        capsys.readouterr()
-
-    def test_tiered_backend_sweeps_and_caches(self, tmp_path, capsys):
-        from repro.io.cli import main
-
-        backend = MemoryCache()
-        srv = CacheServer(backend).start()
-        try:
-            argv = self.BASE + [
-                "--cache", str(tmp_path / "local"),
-                "--cache-backend", "tiered", "--cache-url", srv.url,
-            ]
-            assert main(argv) == 0
-            assert "2 cells computed" in capsys.readouterr().out
-            assert len(backend) == 2  # write-through reached the remote
-            # a second run against only the local tier is fully warm
-            assert main(argv) == 0
-            assert "2 served from cache" in capsys.readouterr().out
-        finally:
-            srv.stop()
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--cache-backend", "memory"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err

@@ -23,9 +23,9 @@ from repro.engine.registry import REGISTRY
 from repro.errors import InvalidParameterError
 from repro.model.job import Instance
 from repro.perf.reference import run_cll_reference
-from repro.workloads import named_families
+from repro.workloads import WORKLOADS
 
-_FAMILIES = sorted(named_families())
+_FAMILIES = WORKLOADS.names()
 
 
 def assert_bitwise_equal(fast, slow) -> None:
@@ -62,7 +62,7 @@ class TestFamilyParity:
     @pytest.mark.parametrize("alpha", [2.0, 3.0])
     @pytest.mark.parametrize("family", _FAMILIES)
     def test_bitwise_parity(self, family, alpha):
-        generate = named_families()[family]
+        generate = WORKLOADS.info(family).generator
         for n in (1, 2, 20, 200):
             for seed in (0, 1):
                 inst = generate(n, m=1, alpha=alpha, seed=seed)

@@ -25,11 +25,11 @@ from repro.io.serialize import canonical_json, instance_to_dict
 from repro.model.job import Instance, Job
 from repro.model.job_arrays import JobArrays
 from repro.workloads import (
+    WORKLOADS,
     agreeable_instance,
     batch_instance,
     heavy_tail_instance,
     laminar_instance,
-    named_families,
     poisson_instance,
     slotted_instance,
     tight_instance,
@@ -72,7 +72,7 @@ GOLDEN_DIGESTS = {
 def golden_keys(family: str) -> list[str]:
     """Keys over seeds, float and int alpha, m in {1, 4}, the family's
     knobs, int ``value_ratio`` bounds, and the ``value_x`` axis."""
-    generate = named_families()[family]
+    generate = WORKLOADS.info(family).generator
     knobs = FAMILY_KNOBS[family]
     keys = []
     for seed in (0, 1, 7):
@@ -103,7 +103,7 @@ def test_golden_keys_are_unchanged(family):
 
 @pytest.mark.parametrize("family", CONVERTED)
 def test_converted_families_are_columnar_and_key_as_job_tuples(family):
-    inst = named_families()[family](60, m=2, alpha=2.5, seed=9)
+    inst = WORKLOADS.info(family).generator(60, m=2, alpha=2.5, seed=9)
     assert inst.columnar
     tuple_twin = Instance(inst.jobs, m=inst.m, alpha=inst.alpha)
     assert not tuple_twin.columnar
@@ -173,9 +173,8 @@ def test_key_builds_no_job_objects(monkeypatch):
     monkeypatch.setattr(Job, "__post_init__", forbidden)
     monkeypatch.setattr(JobArrays, "to_jobs", forbidden)
     monkeypatch.setattr(JobArrays, "job", forbidden)
-    families = named_families()
     for family in CONVERTED + ("slotted",):
-        inst = families[family](50, m=2, alpha=3.0, seed=3)
+        inst = WORKLOADS.info(family).generator(50, m=2, alpha=3.0, seed=3)
         instance_to_dict(inst)
         request_key("pd?delta=0.05", inst)
         inst.with_values(inst.values * 2.0).sorted_by_release()

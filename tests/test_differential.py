@@ -17,8 +17,10 @@ from repro.classical.yds import yds
 from repro.core.cll import run_cll
 from repro.core.pd import run_pd
 from repro.model.job import Instance, Job
+from repro.model.schedule import Schedule
 from repro.offline.convex import solve_min_energy
 from repro.offline.optimal import solve_exact
+from repro.perf.reference import _refine, _remap_rows
 from repro.workloads.random_instances import poisson_instance
 
 
@@ -142,13 +144,23 @@ class TestScheduleEnergyAgreement:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_grid_refinement_energy_invariance(self, seed):
+        """Section 3: splitting every interval, loads shared by
+        sub-length (the reference oracle's refinement), leaves the
+        schedule's energy unchanged."""
         inst = tiny_instance(seed, n=5, m=2, alpha=2.5)
         sched = run_pd(inst).schedule
         mids = [
             (a + b) / 2.0
             for a, b in zip(sched.grid.boundaries, sched.grid.boundaries[1:])
         ]
-        finer = sched.on_grid(sched.grid.refine(mids).grid)
+        refinement = _refine(sched.grid, mids)
+        finer = Schedule(
+            instance=sched.instance,
+            grid=refinement.grid,
+            loads=_remap_rows(sched.loads, refinement),
+            finished=sched.finished,
+        )
+        assert finer.grid.size == 2 * sched.grid.size
         assert finer.energy == pytest.approx(sched.energy, rel=1e-9)
 
 

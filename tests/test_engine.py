@@ -3,9 +3,9 @@
 The load-bearing guarantee is *parity*: the engine is a pure
 orchestration layer, so for every registered algorithm a
 :class:`BatchRunner` — serial or parallel, cache cold or warm — must
-return bit-identical costs and schedules to a direct
-:func:`run_algorithm` call. Everything else (capability metadata,
-cache accounting, declarative sweeps) builds on that.
+return bit-identical costs and schedules to a direct ``REGISTRY.run``
+call. Everything else (capability metadata, cache accounting,
+declarative sweeps) builds on that.
 """
 
 from __future__ import annotations
@@ -14,12 +14,11 @@ import math
 
 import pytest
 
-from repro.core.simulator import available_algorithms, run_algorithm
 from repro.engine import (
     REGISTRY,
     BatchRunner,
+    DirectoryCache,
     ExperimentSpec,
-    ResultCache,
     RunRequest,
     run_experiment,
 )
@@ -40,9 +39,9 @@ def instance():
 
 @pytest.fixture(scope="module")
 def direct(instance):
-    """Ground truth: one plain run_algorithm call per registered name."""
+    """Ground truth: one plain REGISTRY.run call per registered name."""
     return {
-        name: run_algorithm(name, instance) for name in available_algorithms()
+        name: REGISTRY.run(name, instance) for name in REGISTRY.names()
     }
 
 
@@ -74,7 +73,7 @@ class TestBatchParity:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_parity_cold_and_warm(self, workers, instance, direct, tmp_path):
-        requests = [RunRequest(name, instance) for name in available_algorithms()]
+        requests = [RunRequest(name, instance) for name in REGISTRY.names()]
         runner = BatchRunner(workers=workers, cache=tmp_path / "cache")
 
         cold = runner.run(requests)
@@ -90,7 +89,7 @@ class TestBatchParity:
 
     def test_parity_without_cache(self, instance, direct):
         records = BatchRunner(workers=1).run(
-            [RunRequest(name, instance) for name in available_algorithms()]
+            [RunRequest(name, instance) for name in REGISTRY.names()]
         )
         _assert_parity(records, direct, instance)
 
@@ -164,7 +163,7 @@ class TestCache:
         assert [r.cached for r in records] == [False, True, True]
 
     def test_corrupt_entry_is_a_miss(self, instance, tmp_path):
-        cache = ResultCache(tmp_path / "c")
+        cache = DirectoryCache(tmp_path / "c")
         key = request_key("pd", instance)
         (tmp_path / "c" / f"{key}.json").write_text("{not json")
         runner = BatchRunner(workers=1, cache=cache)
@@ -200,7 +199,7 @@ class TestRegistryCapabilities:
         for info in REGISTRY:
             if not info.multiprocessor:
                 with pytest.raises(InvalidParameterError):
-                    run_algorithm(info.name, inst)
+                    REGISTRY.run(info.name, inst)
 
     def test_select(self):
         certified = {
@@ -281,7 +280,7 @@ class TestExperimentSpec:
         )
         cell = run_experiment(spec)[0]
         base = poisson_instance(6, m=1, alpha=3.0, seed=0)
-        manual = run_algorithm(
+        manual = REGISTRY.run(
             "pd", base.with_values([j.value * 0.5 for j in base.jobs])
         )
         assert cell.mean_cost == manual.schedule.cost

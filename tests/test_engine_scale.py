@@ -25,7 +25,6 @@ from repro.engine import (
     BatchRunner,
     DirectoryCache,
     ExperimentSpec,
-    ResultCache,
     RunRecord,
     RunRequest,
     SqliteCache,
@@ -133,9 +132,6 @@ class TestCacheBackends:
         assert isinstance(open_cache(tmp_path / "s.db", "sqlite"), SqliteCache)
         with pytest.raises(InvalidParameterError, match="unknown cache backend"):
             open_cache(tmp_path / "x", "redis")
-
-    def test_result_cache_alias_preserved(self):
-        assert ResultCache is DirectoryCache
 
     def test_runner_rejects_non_backend(self):
         with pytest.raises(InvalidParameterError, match="CacheBackend"):

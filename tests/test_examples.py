@@ -11,12 +11,15 @@ keeping this module's budget around ten seconds.
 
 from __future__ import annotations
 
+import ast
+import importlib
 import runpy
 from pathlib import Path
 
 import pytest
 
-EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+ROOT = Path(__file__).resolve().parent.parent
+EXAMPLES = ROOT / "examples"
 
 #: (script, substring its stdout must contain)
 FAST_EXAMPLES = [
@@ -52,3 +55,45 @@ def test_every_example_has_module_docstring():
         assert '"""' in head.split("\n\n")[0] or head.count('"""') >= 2, (
             f"{path.name} lacks a docstring"
         )
+
+
+#: Every example and benchmark script; tier-1 runs neither the slow
+#: examples nor any ``benchmarks/bench_*.py``.
+SCRIPTS = sorted(EXAMPLES.glob("*.py")) + sorted((ROOT / "benchmarks").glob("*.py"))
+
+
+def _repro_imports(path: Path) -> list[tuple[str, str | None]]:
+    """``(module, name)`` for each ``repro`` import in ``path``, at any
+    depth (``name`` is ``None`` for a plain ``import repro...``)."""
+    found: list[tuple[str, str | None]] = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            found.extend(
+                (alias.name, None)
+                for alias in node.names
+                if alias.name.split(".")[0] == "repro"
+            )
+        elif (
+            isinstance(node, ast.ImportFrom)
+            and node.level == 0
+            and node.module is not None
+            and node.module.split(".")[0] == "repro"
+        ):
+            found.extend((node.module, alias.name) for alias in node.names)
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", SCRIPTS, ids=[f"{p.parent.name}/{p.name}" for p in SCRIPTS]
+)
+def test_script_repro_imports_resolve(path):
+    """Each name a script imports from ``repro`` exists; no script runs."""
+    for module_name, name in _repro_imports(path):
+        module = importlib.import_module(module_name)
+        if name is None or hasattr(module, name):
+            continue
+        # ``from repro.pkg import submodule`` names a module, not an attribute
+        try:
+            importlib.import_module(f"{module_name}.{name}")
+        except ModuleNotFoundError:
+            pytest.fail(f"{path.name}: {module_name} has no name {name!r}")

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from repro import (
+    REGISTRY,
     dual_certificate,
-    run_algorithm,
     run_cll,
     run_pd,
     schedule_metrics,
@@ -82,9 +82,9 @@ class TestFullPipeline:
     def test_registry_cross_comparison_classical(self):
         """On a must-finish instance: YDS <= every online algorithm."""
         inst = poisson_instance(8, m=1, alpha=3.0, seed=4).with_values([1e12] * 8)
-        opt = run_algorithm("yds", inst).energy
+        opt = REGISTRY.run("yds", inst).energy
         for name in ["oa", "avr", "bkp", "qoa", "pd"]:
-            online = run_algorithm(name, inst).energy
+            online = REGISTRY.run(name, inst).energy
             assert online >= opt * (1.0 - 1e-9), name
 
     def test_pd_vs_cll_single_processor(self):
@@ -132,24 +132,21 @@ class TestExtensionCrossCutting:
         """profit + loss = total value for every registered algorithm's
         schedule — the identity is schedule-level, so no algorithm can
         break it without corrupting its schedule."""
-        from repro.core import available_algorithms, run_algorithm
         from repro.profit import loss_profit_gap
 
         inst = poisson_instance(6, m=1, alpha=3.0, seed=11)
-        for name in available_algorithms():
-            outcome = run_algorithm(name, inst)
+        for name in REGISTRY.names():
+            outcome = REGISTRY.run(name, inst)
             assert loss_profit_gap(outcome.schedule) < 1e-6, name
 
     def test_every_registry_algorithm_validates(self):
-        from repro.core import available_algorithms, run_algorithm
-
         from repro.errors import InvalidParameterError
 
         inst = poisson_instance(5, m=2, alpha=3.0, seed=12)
         single_proc_only = set()
-        for name in available_algorithms():
+        for name in REGISTRY.names():
             try:
-                outcome = run_algorithm(name, inst)
+                outcome = REGISTRY.run(name, inst)
             except InvalidParameterError:
                 single_proc_only.add(name)
                 continue
@@ -198,10 +195,9 @@ class TestExtensionCrossCutting:
 
     def test_preemption_stats_for_all_profit_aware_algorithms(self):
         from repro.analysis import preemption_stats
-        from repro.core import run_algorithm
 
         inst = poisson_instance(6, m=3, alpha=3.0, seed=15)
         for name in ("pd", "accept-all", "oracle-admission"):
-            schedule = run_algorithm(name, inst).schedule
+            schedule = REGISTRY.run(name, inst).schedule
             stats = preemption_stats(schedule)
             assert stats.max_migrations_per_interval <= inst.m - 1

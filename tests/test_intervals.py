@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from repro.errors import GridMismatchError, InvalidParameterError
 from repro.model.intervals import Grid, grid_for_instance
 from repro.model.job import Instance, Job
+from repro.perf.reference import _refine
 
 
 def make_grid(*points):
@@ -72,9 +73,11 @@ class TestGridBasics:
 
 
 class TestRefinement:
+    """The reference oracle's refinement (:mod:`repro.perf.reference`)."""
+
     def test_refine_splits_proportionally(self):
         g = make_grid(0.0, 4.0)
-        ref = g.refine([1.0])
+        ref = _refine(g, [1.0])
         np.testing.assert_allclose(ref.grid.boundaries, [0.0, 1.0, 4.0])
         np.testing.assert_array_equal(ref.parent, [0, 0])
         np.testing.assert_allclose(ref.fraction, [0.25, 0.75])
@@ -83,14 +86,14 @@ class TestRefinement:
 
     def test_refine_preserves_row_sums(self):
         g = make_grid(0.0, 2.0, 5.0)
-        ref = g.refine([0.7, 3.3, 4.9])
+        ref = _refine(g, [0.7, 3.3, 4.9])
         row = np.array([3.0, 10.0])
         split = ref.split_row(row)
         assert split.sum() == pytest.approx(row.sum())
 
     def test_refine_extends_beyond_span(self):
         g = make_grid(1.0, 2.0)
-        ref = g.refine([0.0, 3.0])
+        ref = _refine(g, [0.0, 3.0])
         np.testing.assert_allclose(ref.grid.boundaries, [0.0, 1.0, 2.0, 3.0])
         np.testing.assert_array_equal(ref.parent, [-1, 0, -1])
         row = ref.split_row(np.array([5.0]), fill=0.0)
@@ -104,20 +107,15 @@ class TestRefinement:
             (make_grid(2.0, 2.5), 2.0 - 1e-12, 2.5),
             (make_grid(1.0, 1.5), 1.0, 1.5 + 1e-12),
         ]:
-            ref = g.refine([lo, hi])
+            ref = _refine(g, [lo, hi])
             assert ref.grid.size == 2
             row = ref.split_row(np.array([0.5]), fill=0.0)
             assert row.sum() == 0.5
             assert list(ref.parent).count(-1) == 1
 
-    def test_carry_row_copies_values(self):
-        g = make_grid(0.0, 2.0)
-        ref = g.refine([1.0])
-        np.testing.assert_allclose(ref.carry_row(np.array([3.5])), [3.5, 3.5])
-
     def test_noop_refinement(self):
         g = make_grid(0.0, 1.0, 2.0)
-        ref = g.refine([1.0])
+        ref = _refine(g, [1.0])
         assert ref.grid.same_as(g)
 
     @given(
@@ -134,7 +132,7 @@ class TestRefinement:
             g = Grid.from_points(points)
         except InvalidParameterError:
             return  # degenerate point set
-        ref = g.refine(new_points)
+        ref = _refine(g, new_points)
         rng = np.random.default_rng(0)
         row = rng.uniform(0.0, 10.0, size=g.size)
         split = ref.split_row(row)
@@ -156,7 +154,7 @@ class TestRefinement:
         except InvalidParameterError:
             return
         mids = [(a + b) / 2 for a, b in zip(g.boundaries, g.boundaries[1:])]
-        ref = g.refine(mids)
+        ref = _refine(g, mids)
         row = np.linspace(1.0, 2.0, g.size)
         speeds_before = row / g.lengths
         split = ref.split_row(row)

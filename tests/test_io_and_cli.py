@@ -317,8 +317,9 @@ class TestSweepSubcommand:
 
 
 class TestUnusableCacheOrAddress:
-    """Where the CLI opens a cache or binds the server, a path or an
-    address it cannot use exits 2 with one ``error:`` line naming it."""
+    """Where the CLI opens a cache, binds the server or reads a sweep
+    list option, a path, an address or a list item it cannot use exits
+    2 with one ``error:`` line naming it."""
 
     SWEEP = [
         "sweep", "poisson", "-n", "3", "--alphas", "3.0", "--ms", "1",
@@ -334,6 +335,12 @@ class TestUnusableCacheOrAddress:
             "port-above-range",
             "port-negative",
             "host-unresolvable",
+            "seeds-not-an-int",
+            "ms-fractional",
+            "ms-not-an-int",
+            "alphas-not-a-number",
+            "value-x-not-a-number",
+            "variant-not-a-number",
         ],
     )
     def test_canonical_error(self, case, tmp_path, monkeypatch, capsys):
@@ -361,6 +368,21 @@ class TestUnusableCacheOrAddress:
                 serve + ["--host", "no-such-host.invalid"],
                 ["no-such-host.invalid:8080"],
             ),
+            "seeds-not-an-int": (self.SWEEP + ["--seeds", "0,x"], ["--seeds", "'x'"]),
+            "ms-fractional": (self.SWEEP + ["--ms", "1.5"], ["--ms", "'1.5'"]),
+            "ms-not-an-int": (self.SWEEP + ["--ms", "x"], ["--ms", "'x'"]),
+            "alphas-not-a-number": (
+                self.SWEEP + ["--alphas", "x"],
+                ["--alphas", "'x'"],
+            ),
+            "value-x-not-a-number": (
+                self.SWEEP + ["--value-x", "x"],
+                ["--value-x", "'x'"],
+            ),
+            "variant-not-a-number": (
+                self.SWEEP + ["--variant", "delta=0.01,x"],
+                ["--variant", "delta", "'x'"],
+            ),
         }[case]
         if case == "host-unresolvable":
             # Resolving a name may ask a nameserver: fail the bind
@@ -383,6 +405,10 @@ class TestUnusableCacheOrAddress:
         assert all(text in err for text in named), err
         if argv[0] == "cache-serve":
             assert len(closed) == 1  # the refused server's backend
+
+
+#: One well-formed instance-file job row.
+_JOB = {"release": 0.0, "deadline": 1.0, "workload": 1.0, "value": 1.0}
 
 
 class TestInputFiles:
@@ -435,6 +461,42 @@ class TestInputFiles:
             "merge": ["sweep", "--merge", str(path)],
         }[command]
         self._fails(argv, capsys, str(path))
+
+    @pytest.mark.parametrize("command", ["run", "adversary"])
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            ({"jobs": None}, "'jobs'"),
+            ({"jobs": {"release": 0}}, "'jobs'"),
+            ({"jobs": [5]}, "job 0"),
+            ({"jobs": [{"release": 0}]}, "'deadline'"),
+            ({"jobs": [{**_JOB, "workload": "1"}]}, "'workload'"),
+            ({"m": "x"}, "'m'"),
+            ({"m": 1.5}, "'m'"),
+            ({"alpha": None}, "'alpha'"),
+        ],
+        ids=[
+            "jobs-missing", "jobs-not-a-list", "job-not-an-object",
+            "job-field-missing", "job-field-not-a-number", "m-not-a-number",
+            "m-fractional", "alpha-missing",
+        ],
+    )
+    def test_malformed_instance_file(
+        self, command, change, field, tmp_path, capsys
+    ):
+        """A field is missing (``None`` here) or of the wrong type."""
+        payload = {
+            "schema": 1, "kind": "instance", "m": 1, "alpha": 3.0,
+            "jobs": [_JOB],
+        }
+        payload.update(change)
+        path = str(tmp_path / "instance.json")
+        save_json({k: v for k, v in payload.items() if v is not None}, path)
+        argv = {
+            "run": ["run", "pd", path],
+            "adversary": ["adversary", path, "--rounds", "1"],
+        }[command]
+        self._fails(argv, capsys, path, field)
 
     @pytest.mark.parametrize(
         "field, value",

@@ -10,6 +10,7 @@ from repro.classical.yds import yds
 from repro.core.pd import PDScheduler, run_pd
 from repro.errors import InvalidParameterError
 from repro.model.job import Instance, Job
+from repro.perf.reference import _refine
 from repro.workloads import (
     lower_bound_instance,
     pd_cost_closed_form,
@@ -96,7 +97,7 @@ class TestOnlineDiscipline:
         sched.arrive(Job(1.0, 2.0, 1.0, 1e9))
         # Re-express the old loads on the new grid: they must be exactly
         # the proportional split, with all new work on the new row.
-        ref = grid_before.refine([1.0, 2.0])
+        ref = _refine(grid_before, [1.0, 2.0])
         expected_row0 = ref.split_row(loads_before[0])
         np.testing.assert_allclose(
             sched.snapshot_loads()[0], expected_row0, rtol=1e-12

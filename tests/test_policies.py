@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import run_pd, solve_exact
-from repro.core import run_algorithm
 from repro.core.policies import (
     run_accept_all,
     run_oracle_admission,
@@ -20,6 +19,7 @@ from repro.core.policies import (
     run_solo_threshold,
     run_with_admission,
 )
+from repro.engine import REGISTRY
 from repro.errors import InvalidParameterError
 from repro.model.job import Instance
 from repro.workloads.random_instances import poisson_instance
@@ -137,16 +137,14 @@ class TestDominanceRelations:
         inst = poisson_instance(6, m=1, alpha=3.0, seed=seed)
         opt = solve_exact(inst).cost
         for name in ("solo-threshold", "oracle-admission", "reject-all"):
-            outcome = run_algorithm(name, inst)
+            outcome = REGISTRY.run(name, inst)
             assert outcome.cost >= opt - 1e-7
             outcome.schedule.validate()
 
 
 class TestRegistry:
     def test_policies_available_via_runner(self, spread_instance):
-        from repro.core import available_algorithms
-
-        names = available_algorithms()
+        names = REGISTRY.names()
         for name in (
             "accept-all",
             "reject-all",
@@ -154,5 +152,5 @@ class TestRegistry:
             "oracle-admission",
         ):
             assert name in names
-            outcome = run_algorithm(name, spread_instance)
+            outcome = REGISTRY.run(name, spread_instance)
             assert outcome.cost >= 0.0

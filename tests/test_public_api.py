@@ -66,7 +66,7 @@ class TestResultDataclasses:
     def test_run_outcome(self):
         from repro.core import RunOutcome
 
-        out = repro.run_algorithm("pd", poisson_instance(4, m=1, alpha=3.0, seed=0))
+        out = repro.REGISTRY.run("pd", poisson_instance(4, m=1, alpha=3.0, seed=0))
         assert isinstance(out, RunOutcome)
         assert out.cost == out.schedule.cost and out.name == "pd"
 

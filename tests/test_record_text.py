@@ -33,7 +33,6 @@ from repro.engine import (
     MemoryCache,
     RunRequest,
     SqliteCache,
-    TieredCache,
     request_key,
 )
 from repro.engine.runner import evaluate_request
@@ -49,7 +48,7 @@ def _backend(kind: str, tmp_path):
         return DirectoryCache(tmp_path / "dir")
     if kind == "sqlite":
         return SqliteCache(tmp_path / "cache.db")
-    return MemoryCache(max_entries=None)
+    return MemoryCache()
 
 
 @pytest.fixture(scope="module")
@@ -251,8 +250,16 @@ class TestClientKeepsTheMissRule:
 
 class TestServerSurface:
     def test_backend_without_get_text_is_refused(self):
+        # The HTTP client stores no text of its own; nothing is dialled.
         with pytest.raises(InvalidParameterError, match="get_text"):
-            CacheServer(TieredCache([MemoryCache()]))
+            CacheServer(HttpCache("http://127.0.0.1:9"))
+
+    def test_backend_without_stats_is_refused(self):
+        class NoStats(MemoryCache):
+            stats = None
+
+        with pytest.raises(InvalidParameterError, match="stats"):
+            CacheServer(NoStats())
 
     def test_claim_reissues_surface_in_stats(self, monkeypatch):
         clock = {"now": 0.0}

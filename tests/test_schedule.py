@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import GridMismatchError, InfeasibleScheduleError
-from repro.model.intervals import Grid, grid_for_instance
+from repro.model.intervals import grid_for_instance
 from repro.model.job import Instance
 from repro.model.schedule import Schedule
 from repro.model.validation import validate_segments
@@ -142,30 +142,6 @@ class TestRealizeAndSpeeds:
         mat = sched.processor_speed_matrix()
         assert mat.shape == (2, 3)
         assert np.all(np.diff(mat, axis=0) <= 1e-12)  # rows sorted fast->slow
-
-    def test_on_grid_preserves_cost(self, two_job_instance):
-        sched = make_schedule(
-            two_job_instance,
-            [[1.0, 1.0, 0.0], [0.0, 0.5, 0.5]],
-            [True, True],
-        )
-        finer = Grid.from_points([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
-        rebased = sched.on_grid(finer)
-        assert rebased.cost == pytest.approx(sched.cost)
-        assert rebased.energy == pytest.approx(sched.energy)
-        np.testing.assert_allclose(
-            rebased.work_done(), sched.work_done()
-        )
-
-    def test_on_grid_requires_refinement(self, two_job_instance):
-        sched = make_schedule(
-            two_job_instance,
-            [[1.0, 1.0, 0.0], [0.0, 0.5, 0.5]],
-            [True, True],
-        )
-        coarser = Grid.from_points([0.0, 3.0])
-        with pytest.raises(GridMismatchError):
-            sched.on_grid(coarser)
 
     def test_summary_mentions_acceptance(self, two_job_instance):
         sched = make_schedule(

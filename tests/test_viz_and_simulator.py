@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.simulator import available_algorithms, run_algorithm
+from repro.engine import REGISTRY
 from repro.errors import InvalidParameterError
 from repro.model.job import Instance
 from repro.viz import gantt, interval_gantt, speed_profile
@@ -57,21 +57,21 @@ class TestViz:
 
 
 class TestRegistry:
-    def test_available_algorithms(self):
-        names = available_algorithms()
+    def test_registered_names(self):
+        names = REGISTRY.names()
         assert "pd" in names and "yds" in names and "exact" in names
 
     def test_unknown_name(self):
         inst = poisson_instance(3, seed=0)
         with pytest.raises(InvalidParameterError):
-            run_algorithm("nope", inst)
+            REGISTRY.run("nope", inst)
 
     @pytest.mark.parametrize("name", ["pd", "cll", "yds", "oa", "avr", "bkp", "qoa"])
     def test_single_proc_algorithms_run(self, name):
         inst = poisson_instance(6, m=1, alpha=3.0, seed=3)
         if name in ("yds", "oa", "avr", "bkp", "qoa"):
             inst = inst.with_values([1e12] * inst.n)
-        outcome = run_algorithm(name, inst)
+        outcome = REGISTRY.run(name, inst)
         assert outcome.cost >= 0.0
         outcome.schedule.validate()
 
@@ -80,18 +80,18 @@ class TestRegistry:
         inst = poisson_instance(6, m=2, alpha=3.0, seed=4)
         if name != "pd":
             inst = inst.with_values([1e12] * inst.n)
-        outcome = run_algorithm(name, inst)
+        outcome = REGISTRY.run(name, inst)
         outcome.schedule.validate()
 
     def test_exact_runs_small(self):
         inst = poisson_instance(5, m=1, alpha=2.0, seed=5)
-        outcome = run_algorithm("exact", inst)
-        pd = run_algorithm("pd", inst)
+        outcome = REGISTRY.run("exact", inst)
+        pd = REGISTRY.run("pd", inst)
         assert outcome.cost <= pd.cost * (1.0 + 1e-9)
 
     def test_raw_result_exposed(self):
         inst = poisson_instance(4, m=1, alpha=3.0, seed=6)
-        outcome = run_algorithm("pd", inst)
+        outcome = REGISTRY.run("pd", inst)
         from repro.core.pd import PDResult
 
         assert isinstance(outcome.raw, PDResult)
