@@ -168,7 +168,8 @@ def search_adversarial(
     objective:
         ``"certificate"`` (any size) or ``"optimal"`` (exact, small n).
     rounds:
-        Mutation-evaluation steps per seed.
+        Mutation-evaluation steps per seed, an int ``>= 0`` (``0``
+        evaluates the seeds only).
     rng:
         Seedable randomness; pass an int for reproducibility.
     max_jobs:
@@ -186,6 +187,10 @@ def search_adversarial(
     """
     if not seeds:
         raise InvalidParameterError("need at least one seed instance")
+    if not isinstance(rounds, int) or isinstance(rounds, bool) or rounds < 0:
+        raise InvalidParameterError(
+            f"rounds must be an int >= 0, got {rounds!r}"
+        )
     gen = (
         rng
         if isinstance(rng, np.random.Generator)

@@ -10,9 +10,9 @@ Three layers, each usable on its own:
 * :mod:`repro.engine.runner` — :class:`BatchRunner`, which *streams*
   (algorithm × instance) grids (``iter_records`` yields in completion
   order; ``run`` collects in request order) serially or on a process
-  pool, with a content-addressed cache (any :class:`CacheBackend`),
-  per-cell measured wall times, and round-robin shards
-  (:func:`shard_requests`, :func:`merge_shards`);
+  pool, with a content-addressed cache (any :class:`CacheBackend`) and
+  per-cell measured wall times (``run_stolen`` drains a shared claim
+  table instead of a fixed list);
 * :mod:`repro.engine.experiment` — :class:`ExperimentSpec`, the
   declarative parameter-grid form (grid, variant, and workload axes)
   that compiles down to batch requests.
@@ -40,7 +40,6 @@ from .remote import (
     HttpCache,
     HttpClaimTable,
     HttpConnectionPool,
-    RetryPolicy,
 )
 from .experiment import (
     ExperimentCell,
@@ -66,11 +65,9 @@ from .runner import (
     RunRecord,
     RunRequest,
     evaluate_request,
-    merge_shards,
     record_from_payload,
     record_to_payload,
     request_key,
-    shard_requests,
 )
 
 __all__ = [
@@ -88,7 +85,6 @@ __all__ = [
     "HttpCache",
     "HttpClaimTable",
     "HttpConnectionPool",
-    "RetryPolicy",
     "open_cache",
     "BatchRunner",
     "ClaimTable",
@@ -98,8 +94,6 @@ __all__ = [
     "RunRequest",
     "request_key",
     "evaluate_request",
-    "shard_requests",
-    "merge_shards",
     "record_to_payload",
     "record_from_payload",
     "ExperimentSpec",

@@ -30,10 +30,9 @@ Fault model, deliberately asymmetric:
 * **cache traffic degrades**: a ``get`` against an unreachable or
   misbehaving server is a *miss* and a ``put`` is dropped — the sweep
   falls back to recomputing, which is always correct (the cache is an
-  optimization). Transient faults are retried under bounded
-  exponential backoff with *seeded* jitter (:class:`RetryPolicy`), so
-  a server restart mid-sweep costs time, never correctness — and never
-  determinism.
+  optimization). A transport fault is retried after each delay in
+  :data:`RETRY_DELAYS`, so a server restart mid-sweep costs time,
+  never correctness.
 * **claim traffic fails loudly** (:class:`~repro.errors.CacheError`),
   after the pool's single stale-socket reconnect but with no backoff
   loop: a worker that cannot reach the claim table must stop rather
@@ -52,7 +51,6 @@ import contextlib
 import http.client
 import json
 import math
-import random
 import socket
 import threading
 import time
@@ -61,12 +59,18 @@ from email.message import Message
 from typing import Any, Iterator, Mapping, Sequence
 
 from ..errors import CacheError, InvalidParameterError
+from .runner import (
+    DEFAULT_LEASE_TTL,
+    _check_claim_count,
+    _check_claim_total,
+    _check_done_positions,
+    _check_lease_ttl,
+)
 
 __all__ = [
     "HttpCache",
     "HttpClaimTable",
     "HttpConnectionPool",
-    "RetryPolicy",
 ]
 
 #: Default number of entries per ``records:batch`` round trip. Large
@@ -78,6 +82,10 @@ DEFAULT_BATCH_SIZE = 64
 #: worker talks to one server from a handful of threads at most; excess
 #: sockets beyond the cap are closed on check-in rather than hoarded.
 DEFAULT_POOL_SIZE = 4
+
+#: Seconds slept before each retry of a lenient record round trip: two
+#: retries, then the call reads as a miss (or a dropped write).
+RETRY_DELAYS = (0.05, 0.1)
 
 
 def _check_url(url: str) -> str:
@@ -94,56 +102,6 @@ def _check_url(url: str) -> str:
             f"got {url!r}"
         )
     return url.rstrip("/")
-
-
-class RetryPolicy:
-    """Bounded exponential backoff with deterministic jitter.
-
-    Shared by every *lenient* route (the record routes): attempt,
-    then on transport fault sleep ``base_delay * 2**attempt`` capped at
-    ``max_delay``, scaled by a jitter factor drawn from a **seeded**
-    ``random.Random`` — reproducible under ``repro lint``'s
-    determinism contract (RPR1xx: no unseeded entropy), yet still
-    de-synchronized across workers when each passes its shard index as
-    the seed. ``retries=0`` restores single-shot behavior.
-    """
-
-    def __init__(
-        self,
-        retries: int = 2,
-        *,
-        base_delay: float = 0.05,
-        max_delay: float = 1.0,
-        jitter: float = 0.25,
-        seed: int = 0,
-    ) -> None:
-        if not isinstance(retries, int) or isinstance(retries, bool) or retries < 0:
-            raise InvalidParameterError(
-                f"retries must be an int >= 0, got {retries!r}"
-            )
-        if base_delay < 0 or max_delay < 0:
-            raise InvalidParameterError(
-                f"backoff delays must be >= 0, got base_delay={base_delay!r} "
-                f"max_delay={max_delay!r}"
-            )
-        if not 0 <= jitter <= 1:
-            raise InvalidParameterError(
-                f"jitter must be within [0, 1], got {jitter!r}"
-            )
-        self.retries = retries
-        self.base_delay = float(base_delay)
-        self.max_delay = float(max_delay)
-        self.jitter = float(jitter)
-        self.seed = seed
-        self._rng = random.Random(seed)
-
-    def delays(self) -> Iterator[float]:
-        """One bounded, jittered delay per permitted retry."""
-        for attempt in range(self.retries):
-            delay = min(self.base_delay * (2.0**attempt), self.max_delay)
-            if self.jitter:
-                delay *= 1.0 + self.jitter * self._rng.uniform(-1.0, 1.0)
-            yield delay
 
 
 class HttpConnectionPool:
@@ -344,7 +302,6 @@ class HttpCache:
         *,
         timeout: float = 10.0,
         batch_size: int = DEFAULT_BATCH_SIZE,
-        retry: RetryPolicy | None = None,
     ) -> None:
         self._pool = HttpConnectionPool(url, timeout=timeout)
         self.url = self._pool.url
@@ -358,7 +315,6 @@ class HttpCache:
                 f"batch_size must be an int >= 1, got {batch_size!r}"
             )
         self.batch_size = batch_size
-        self.retry = RetryPolicy() if retry is None else retry
 
     # -- wire helpers ---------------------------------------------------
     @property
@@ -376,11 +332,11 @@ class HttpCache:
     def _lenient_json(
         self, method: str, path: str, body: Any | None = None
     ) -> tuple[int, Any | None] | None:
-        """A round trip under the retry policy; ``None`` once the
-        budget is spent (the caller reads that as a miss / dropped
-        write). Every record route funnels through here, so backoff
-        behavior is uniform across the lenient surface."""
-        delays = self.retry.delays()
+        """A round trip retried after each of :data:`RETRY_DELAYS`;
+        ``None`` once they are spent (the caller reads that as a miss /
+        dropped write). Every record route funnels through here, so
+        backoff behavior is uniform across the lenient surface."""
+        delays = iter(RETRY_DELAYS)
         while True:
             try:
                 return _pool_json(self._pool, method, path, body)
@@ -527,14 +483,15 @@ class HttpClaimTable:
     into its shard file's ``assignment`` slot, which is how ``--merge``
     recognizes dynamically-claimed shards as one run.
 
-    ``lease_ttl`` (seconds) opts into claim leases: positions this
-    worker claims but never reports :meth:`done` within the TTL are
-    reissued by the server to other claimers, so a crashed worker's
-    cells are recomputed instead of stranded. All cooperating workers
-    must pass the same ``lease_ttl`` (the server 409s a mismatch, like
-    a total mismatch). Pick a TTL comfortably above the most expensive
-    cell — a too-short lease makes healthy-but-slow workers race their
-    own reissues.
+    Every claim is leased for ``lease_ttl`` seconds
+    (:data:`~repro.engine.runner.DEFAULT_LEASE_TTL` unless given):
+    positions this worker claims but never reports :meth:`done` within
+    the TTL are reissued by the server to other claimers, so a crashed
+    worker's cells are recomputed instead of stranded. All cooperating
+    workers must use the same ``lease_ttl`` (the server 409s a
+    mismatch, like a total mismatch). Pick a TTL comfortably above the
+    most expensive cell — a too-short lease makes healthy-but-slow
+    workers race their own reissues.
 
     Claim traffic rides its own small keep-alive pool. A batched
     handout is one bodiless ``POST /claims/<id>/next?k=N``.
@@ -546,11 +503,9 @@ class HttpClaimTable:
         claim_id: str,
         total: int,
         *,
-        lease_ttl: float | None = None,
+        lease_ttl: float = DEFAULT_LEASE_TTL,
         timeout: float = 10.0,
     ) -> None:
-        from .runner import _check_claim_total, _check_lease_ttl
-
         self._pool = HttpConnectionPool(url, timeout=timeout, max_idle=2)
         self.url = self._pool.url
         self.timeout = self._pool.timeout
@@ -558,10 +513,12 @@ class HttpClaimTable:
         self.total = _check_claim_total(total)
         self.lease_ttl = _check_lease_ttl(lease_ttl)
         self._last_outstanding = 0
-        body: dict = {"total": total}
-        if self.lease_ttl is not None:
-            body["lease"] = self.lease_ttl
-        status, reply = _pool_json(self._pool, "POST", self._path(""), body)
+        status, reply = _pool_json(
+            self._pool,
+            "POST",
+            self._path(""),
+            {"total": total, "lease": self.lease_ttl},
+        )
         if status == 409:
             detail = (reply or {}).get("error", "total mismatch")
             raise CacheError(
@@ -583,12 +540,10 @@ class HttpClaimTable:
         """Atomically claim up to ``count`` unclaimed positions in one
         round trip.
 
-        An empty list means the table is drained — this worker is done.
-        Strict by design: a transport failure raises rather than letting
-        the worker invent positions.
+        An empty list with no live leases table-wide (:meth:`pending`)
+        means the table is drained. Strict by design: a transport
+        failure raises rather than letting the worker invent positions.
         """
-        from .runner import _check_claim_count  # shared claim validation
-
         _check_claim_count(count)
         status, reply = _pool_json(
             self._pool, "POST", self._path(f"/next?k={count}")
@@ -623,7 +578,7 @@ class HttpClaimTable:
     def pending(self) -> int:
         """Live leases table-wide, as of the most recent :meth:`claim`.
 
-        Consulted by lease-aware workers right after an empty claim —
+        Consulted by stealing workers right after an empty claim —
         the reply that returned no positions carries the current
         outstanding count, so no extra round trip is needed.
         """
@@ -636,8 +591,6 @@ class HttpClaimTable:
         table must stop rather than let its leases silently expire into
         recomputation while it keeps going.
         """
-        from .runner import _check_done_positions  # shared claim validation
-
         checked = _check_done_positions(positions, self.total)
         status, reply = _pool_json(
             self._pool, "POST", self._path("/done"), {"positions": checked}

@@ -39,6 +39,7 @@ import time
 from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED,
+    Future,
     ProcessPoolExecutor,
     as_completed,
     wait,
@@ -68,8 +69,6 @@ __all__ = [
     "InProcessClaimTable",
     "request_key",
     "evaluate_request",
-    "merge_shards",
-    "shard_requests",
     "record_to_payload",
     "record_from_payload",
 ]
@@ -83,28 +82,39 @@ __all__ = [
 #: unchanged.)
 RECORD_VERSION = 3
 
+#: Claim-lease length, in seconds, of a claim table whose creator
+#: names none: every claim is leased, and a handed-out position not
+#: reported done within the TTL is reissued.
+DEFAULT_LEASE_TTL = 60.0
+
+
 class ClaimTable(Protocol):
     """What work-stealing execution needs from a claim source.
 
-    One claim table fronts one compiled request list; ``claim(count)``
-    atomically hands out up to ``count`` not-yet-claimed request
-    positions (each position at most once *at a time*, across every
-    cooperating worker), and an empty list means the table is drained.
+    One claim table fronts one compiled request list. ``claim(count)``
+    atomically hands out up to ``count`` positions under a **lease** of
+    ``lease_ttl`` seconds; ``done(positions)`` reports computed
+    positions so their leases are never reissued; ``pending()`` counts
+    live leases table-wide. A position not reported done within the TTL
+    is *reissued* to a later claimer, so one crashed worker cannot
+    strand its cells. Claiming is therefore at-least-once: a position
+    can be recomputed (the result cache makes that cheap, and the merge
+    step keeps one copy of identical records and fails loudly on
+    differing ones). An empty claim with no live leases means the
+    table is drained.
+
     Two implementations ship: :class:`InProcessClaimTable` (threads of
     one process) and :class:`repro.engine.remote.HttpClaimTable`
     (workers on separate machines, served by ``repro cache-serve``).
-
-    Tables may optionally implement **claim leases**: a handed-out
-    position not reported via ``done(positions)`` within the table's
-    lease TTL is *reissued* to a later claimer, so one crashed worker
-    cannot strand tail cells. Leases trade exactly-once claiming for
-    at-least-once: a position can be recomputed (the result cache makes
-    the recompute cheap, and the merge step still detects genuine
-    duplicates loudly). Tables without leases keep the historical
-    exactly-once behavior and need no ``done``.
     """
 
+    lease_ttl: float
+
     def claim(self, count: int = 1) -> list[int]: ...
+
+    def done(self, positions: Sequence[int]) -> None: ...
+
+    def pending(self) -> int: ...
 
 
 def _check_claim_count(count: int) -> None:
@@ -122,9 +132,7 @@ def _check_claim_total(total) -> int:
     return total
 
 
-def _check_lease_ttl(lease_ttl) -> float | None:
-    if lease_ttl is None:
-        return None
+def _check_lease_ttl(lease_ttl) -> float:
     if (
         not isinstance(lease_ttl, (int, float))
         or isinstance(lease_ttl, bool)
@@ -132,7 +140,7 @@ def _check_lease_ttl(lease_ttl) -> float | None:
         or float(lease_ttl) <= 0.0
     ):
         raise InvalidParameterError(
-            f"lease_ttl must be a positive number of seconds or None, "
+            f"lease_ttl must be a positive number of seconds, "
             f"got {lease_ttl!r}"
         )
     return float(lease_ttl)
@@ -162,18 +170,19 @@ class InProcessClaimTable:
     claims the next position the moment it finishes the last one, so a
     runner stuck on an expensive cell simply claims fewer.
 
-    With ``lease_ttl`` set, every handed-out position carries a lease:
-    if :meth:`done` is not called for it within ``lease_ttl`` seconds
-    (by the table's ``clock``), the position is reissued to the next
-    claimer — the crash-recovery semantics of the claim-lease protocol.
-    ``clock`` is injectable for deterministic tests.
+    Every handed-out position carries a lease: if :meth:`done` is not
+    called for it within ``lease_ttl`` seconds (by the table's
+    ``clock``; :data:`DEFAULT_LEASE_TTL` unless given), the position is
+    reissued to the next claimer — the crash-recovery semantics of the
+    claim-lease protocol. ``clock`` is injectable for deterministic
+    tests.
     """
 
     def __init__(
         self,
         total: int,
         *,
-        lease_ttl: float | None = None,
+        lease_ttl: float = DEFAULT_LEASE_TTL,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self.total = _check_claim_total(total)
@@ -189,29 +198,20 @@ class InProcessClaimTable:
     def claim(self, count: int = 1) -> list[int]:
         _check_claim_count(count)
         with self._lock:
-            positions: list[int] = []
-            if self.lease_ttl is not None:
-                now = self._clock()
-                expired = sorted(
-                    position
-                    for position, deadline in self._outstanding.items()
-                    if deadline <= now
-                )
-                for position in expired:
-                    if len(positions) == count:
-                        break
-                    self._outstanding[position] = now + self.lease_ttl
-                    positions.append(position)
-                self._reissued += len(positions)
+            now = self._clock()
+            deadline = now + self.lease_ttl
+            positions = sorted(
+                position
+                for position, expiry in self._outstanding.items()
+                if expiry <= now
+            )[:count]
+            self._reissued += len(positions)
             take = min(count - len(positions), self.total - self._cursor)
             if take > 0:
-                fresh = list(range(self._cursor, self._cursor + take))
+                positions.extend(range(self._cursor, self._cursor + take))
                 self._cursor += take
-                if self.lease_ttl is not None:
-                    deadline = self._clock() + self.lease_ttl
-                    for position in fresh:
-                        self._outstanding[position] = deadline
-                positions.extend(fresh)
+            for position in positions:
+                self._outstanding[position] = deadline
             return positions
 
     def done(self, positions: Sequence[int]) -> None:
@@ -227,7 +227,7 @@ class InProcessClaimTable:
 
         Nonzero after an empty :meth:`claim` means the table is not
         drained — those cells will either be reported done by their
-        holders or expire back into the queue, so a lease-aware worker
+        holders or expire back into the queue, so a stealing worker
         waits instead of exiting (the crash-recovery guarantee needs a
         survivor still claiming when the leases expire).
         """
@@ -499,62 +499,6 @@ def record_from_payload(payload: dict[str, Any]) -> RunRecord:
         ) from None
 
 
-def _check_shard(shard: tuple[int, int]) -> tuple[int, int]:
-    try:
-        index, count = shard
-    except (TypeError, ValueError):
-        raise InvalidParameterError(
-            f"shard must be an (index, count) pair, got {shard!r}"
-        ) from None
-    if not isinstance(index, int) or not isinstance(count, int):
-        raise InvalidParameterError(
-            f"shard indices must be ints, got {shard!r}"
-        )
-    if count < 1 or not 0 <= index < count:
-        raise InvalidParameterError(
-            f"shard index must satisfy 0 <= index < count, got {shard!r}"
-        )
-    return index, count
-
-
-def shard_requests(
-    requests: Sequence[RunRequest], shard: tuple[int, int]
-) -> list[RunRequest]:
-    """The deterministic subset of ``requests`` owned by one shard.
-
-    Shard ``(i, k)`` owns positions ``i, i+k, i+2k, ...``: membership is
-    a pure function of the request list, so machines agree on the split
-    without coordination.
-    """
-    index, count = _check_shard(shard)
-    return list(requests[index::count])
-
-
-def merge_shards(shards: Sequence[Sequence[RunRecord]]) -> list[RunRecord]:
-    """Recombine per-shard record lists into full-run request order.
-
-    ``shards[i]`` must be the records of shard ``(i, len(shards))`` over
-    one common request list; the result is exactly what an unsharded
-    ``run`` of that list returns. Shard ``i`` of ``k`` owns
-    ``ceil((n - i) / k)`` positions, so shards from different sweeps, a
-    missing shard, or a wrong order fail loudly instead of silently
-    interleaving garbage.
-    """
-    count = len(shards)
-    if count == 0:
-        raise InvalidParameterError("need at least one shard to merge")
-    total = sum(len(s) for s in shards)
-    for index, records in enumerate(shards):
-        expected = (total - index + count - 1) // count
-        if len(records) != expected:
-            raise InvalidParameterError(
-                f"shard {index}/{count} has {len(records)} records, "
-                f"expected {expected} of {total} total — shards are "
-                "incomplete, duplicated, or from different request lists"
-            )
-    return [shards[pos % count][pos // count] for pos in range(total)]
-
-
 @dataclass
 class RunnerStats:
     """Cumulative work accounting of a :class:`BatchRunner`.
@@ -655,6 +599,25 @@ class _PutBatcher:
             raise self._failure
 
 
+class _InlineExecutor:
+    """The stolen path's executor for ``workers=1``.
+
+    ``submit`` evaluates the cell in this process and returns an already
+    finished :class:`~concurrent.futures.Future`, so one pipelined loop
+    serves every worker count. Nothing is pickled, so registry runners
+    monkeypatched in this process are the ones that run; an evaluation
+    error raises from ``submit`` itself.
+    """
+
+    def submit(self, fn: Callable[..., Any], /, *args: Any) -> Future:
+        future: Future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, wait: bool = True, *, cancel_futures: bool = False) -> None:
+        """Nothing to stop: every submitted cell already ran."""
+
+
 class BatchRunner:
     """Evaluates request grids, optionally in parallel and/or cached.
 
@@ -676,12 +639,11 @@ class BatchRunner:
     claim_batch:
         Positions leased per claim round trip on the stolen path
         (:meth:`iter_stolen`) — the ``k`` of the server's
-        ``claim_next?k=N``. ``None`` (default) picks ``workers`` for
-        pooled runs and 1 for serial ones (the finest stealing
-        granularity, the historical behavior). Larger batches amortize
-        claim latency against a remote table at the cost of coarser
-        stealing: a worker holds at most one batch beyond its pool
-        capacity.
+        ``claim_next?k=N``. ``None`` (default) picks ``workers`` — 1,
+        the finest stealing granularity, for a serial runner. Larger
+        batches amortize claim latency against a remote table at the
+        cost of coarser stealing: a worker holds at most one batch
+        beyond its executor's capacity.
     """
 
     def __init__(
@@ -839,7 +801,6 @@ class BatchRunner:
         self,
         requests: Sequence[RunRequest],
         *,
-        shard: tuple[int, int] | None = None,
         on_record: Callable[[RunRecord, int, int], None] | None = None,
     ) -> list[RunRecord]:
         """Evaluate all cells; results are in request order.
@@ -853,18 +814,8 @@ class BatchRunner:
         record *in completion order* as results land — progress bars and
         live dashboards hook in here without giving up the ordered
         return value.
-
-        ``shard=(i, k)`` evaluates only the deterministic ``i``-th of
-        ``k`` slices of the request list (see :func:`shard_requests`)
-        and returns that slice's records; :func:`merge_shards` recombines
-        the ``k`` slices into the unsharded result, so a grid can be
-        split across machines and recombined into bit-identical
-        measurements. (Only the ``cached`` bookkeeping flag can differ,
-        since it reflects each shard's own cache state.)
         """
-        requests = (
-            list(requests) if shard is None else shard_requests(requests, shard)
-        )
+        requests = list(requests)
         total = len(requests)
         records: list[RunRecord | None] = [None] * total
         done = 0
@@ -889,41 +840,36 @@ class BatchRunner:
 
         Per claimed block: one claim round trip (``claim_batch``
         positions — see the constructor), one batched cache probe
-        (hits stream back without occupying a pool slot), then
-        evaluation — serial for ``workers=1``, otherwise on a process
-        pool that keeps at most ``workers`` cells in flight. The
-        pooled loop is *pipelined*: while futures compute, the next
-        claim batch is already being leased and probed (the worker
-        processes run independently, so those round trips overlap
-        compute instead of serializing with it), and completed
-        payloads flush to the cache through a background ``put_many``
-        batcher when the backend has one. A worker therefore holds at
-        most one claim batch beyond its pool capacity — bounded
-        hoarding, traded for claim traffic that scales with batches
-        instead of cells. In-batch deduplication does not apply —
-        positions are claimed individually — but a shared cache gives
-        duplicate cells across workers one computation in practice.
+        (hits stream back without occupying an executor slot), then
+        evaluation on an executor that keeps at most ``workers`` cells
+        in flight: a process pool, or for ``workers=1`` an inline
+        executor that evaluates each cell as it is submitted. The loop
+        is *pipelined*: while a pool computes, the next claim batch is
+        already being leased and probed (the worker processes run
+        independently, so those round trips overlap compute instead of
+        serializing with it), and completed payloads flush to the cache
+        through a background ``put_many`` batcher when the backend has
+        one. A worker therefore holds at most one claim batch beyond its
+        executor's capacity — bounded hoarding, traded for claim traffic
+        that scales with batches instead of cells. In-batch
+        deduplication does not apply — positions are claimed
+        individually — but a shared cache gives duplicate cells across
+        workers one computation in practice.
 
-        The union of every worker's pairs is exactly the full request
-        list, each position once; sorting by position reproduces the
-        unsharded :meth:`run` measurements bit for bit. (With a leased
-        claim table, "each position once" holds per worker — a lease
-        the *same* worker re-receives after expiry is skipped here, and
-        completed cells are reported back via the table's ``done`` so
-        healthy workers' leases are never reissued.)
+        Every claim is leased. Hits are reported ``done`` once per
+        block and computed cells once per harvest, so healthy workers'
+        leases are never reissued; a worker that finds the table empty
+        while other workers hold live leases polls instead of exiting,
+        so someone is still claiming when a crashed worker's leases
+        lapse. The union of every worker's pairs covers the full
+        request list; each worker yields a position at most once (a
+        lease the *same* worker re-receives after expiry is skipped
+        here), so sorting by position reproduces the unsharded
+        :meth:`run` measurements bit for bit.
         """
         requests = list(requests)
         total = len(requests)
-        # Leases are a table property: done-reporting (and the
-        # wait-on-pending drain rule) apply only when the table was
-        # created with a TTL — a lease-less steal sweep keeps the
-        # historical exactly-once protocol and zero extra traffic.
-        leased = getattr(claims, "lease_ttl", None) is not None
-        report = getattr(claims, "done", None) if leased else None
-        pending = getattr(claims, "pending", None) if leased else None
-        poll = (
-            min(max(claims.lease_ttl / 20.0, 0.005), 0.5) if leased else 0.0
-        )
+        poll = min(max(claims.lease_ttl / 20.0, 0.005), 0.5)
         seen: set[int] = set()
         completed: set[int] = set()
 
@@ -943,21 +889,10 @@ class BatchRunner:
             """
             claimed = claims.claim(count)
             if not claimed:
-                if pending is not None and pending():
-                    return [], "waiting"
-                return [], "drained"
-            stale = [p for p in claimed if p in seen]
-            if stale:
-                if not leased:
-                    # Without leases a repeat handout is a table bug,
-                    # not a reissue — keep the historical loud failure.
-                    raise CacheError(
-                        f"claim table handed out position {stale[0]} twice — "
-                        "it does not implement exactly-once claiming"
-                    )
-                finished = [p for p in stale if p in completed]
-                if finished:
-                    report(finished)
+                return [], "waiting" if claims.pending() else "drained"
+            finished = [p for p in claimed if p in completed]
+            if finished:
+                claims.done(finished)
             fresh_positions = [p for p in claimed if p not in seen]
             if not fresh_positions:
                 # Everything handed out was a re-lease of our own work
@@ -1028,46 +963,18 @@ class BatchRunner:
             ]
             if hit_positions:
                 completed.update(hit_positions)
-                if report is not None:
-                    report(hit_positions)
+                claims.done(hit_positions)
             return [
                 (position, request, key, hits.get(key))
                 for position, (request, key) in zip(claimed, resolved)
             ], "ok"
 
-        if self.workers == 1:
-            # Serial path: claim_batch defaults to 1 — the finest
-            # stealing granularity — but honors an explicit batch, which
-            # turns N claim round trips and N probes into one of each.
-            batch = self.claim_batch or 1
-            try:
-                while True:
-                    staged, status = claim_block(batch)
-                    if status == "drained":
-                        return
-                    if status == "waiting":
-                        time.sleep(poll)
-                        continue
-                    for position, request, key, payload in staged:
-                        if payload is not None:
-                            self.stats.cache_hits += 1
-                            record = _record_from_payload(
-                                payload, key=key, cached=True, tag=request.tag
-                            )
-                        else:
-                            _, record = fresh(
-                                position, key, evaluate_request(request)
-                            )
-                            completed.add(position)
-                            if report is not None:
-                                report([position])
-                        yield position, record
-            finally:
-                if flusher is not None:
-                    flusher.close()
-
         batch = self.claim_batch or self.workers
-        pool = ProcessPoolExecutor(max_workers=self.workers)
+        pool: ProcessPoolExecutor | _InlineExecutor = (
+            _InlineExecutor()
+            if self.workers == 1
+            else ProcessPoolExecutor(max_workers=self.workers)
+        )
         in_flight: dict[Any, tuple[int, str]] = {}
         ready: deque[tuple[int, RunRequest, str, dict[str, Any] | None]] = (
             deque()
@@ -1075,7 +982,6 @@ class BatchRunner:
         drained = False
         try:
             while True:
-                waiting = False
                 # Drain the staged queue: hits stream straight out
                 # without occupying a slot, misses fill free slots.
                 while ready:
@@ -1101,12 +1007,6 @@ class BatchRunner:
                     staged, status = claim_block(batch)
                     if status == "drained":
                         drained = True
-                    elif status == "waiting":
-                        # Other workers hold live leases; cells may yet
-                        # flow back. Keep harvesting (or idle-poll
-                        # below) instead of exiting — the crash-recovery
-                        # guarantee needs a claimer alive at expiry.
-                        waiting = True
                     elif staged:
                         ready.extend(staged)
                         continue
@@ -1117,27 +1017,24 @@ class BatchRunner:
                         position, key = in_flight.pop(future)
                         pairs.append(fresh(position, key, future.result()))
                         completed.add(position)
-                    if report is not None:
-                        # One done round trip per harvest, not per cell.
-                        report([position for position, _ in pairs])
+                    # One done round trip per harvest, not per cell.
+                    claims.done([position for position, _ in pairs])
                     for pair in pairs:
                         yield pair
                     continue
-                if ready:
-                    continue
                 if drained:
                     return
-                if waiting:
-                    time.sleep(poll)
-                    continue
-                return
+                # Other workers hold live leases; cells may yet flow
+                # back. Idle-poll instead of exiting — the crash-recovery
+                # guarantee needs a claimer alive at expiry.
+                time.sleep(poll)
         finally:
             # Reached on exhaustion, on a worker exception, and on
             # GeneratorExit: cancel queued cells instead of silently
-            # computing-and-discarding. Unstarted claimed cells are
-            # lost to this claim session — the merge step detects the
-            # hole loudly rather than re-issuing positions. The flush
-            # batcher drains after the pool stops feeding it.
+            # computing-and-discarding. Their leases were never reported
+            # done, so the table reissues them to a surviving worker
+            # after the TTL. The flush batcher drains after the pool
+            # stops feeding it.
             pool.shutdown(wait=False, cancel_futures=True)
             if flusher is not None:
                 flusher.close()
@@ -1161,15 +1058,8 @@ class BatchRunner:
         ends up doing is decided by the stealing itself.
         """
         pairs: list[tuple[int, RunRecord]] = []
-        seen: set[int] = set()
         done = 0
         for position, record in self.iter_stolen(requests, claims):
-            if position in seen:
-                raise CacheError(
-                    f"claim table handed out position {position} twice — "
-                    "it does not implement exactly-once claiming"
-                )
-            seen.add(position)
             pairs.append((position, record))
             done += 1
             if on_record is not None:

@@ -66,6 +66,7 @@ from typing import Any, Callable, Sequence
 from ..analysis.report import audit_run
 from ..core.pd import run_pd
 from ..engine.registry import REGISTRY
+from ..engine.runner import DEFAULT_LEASE_TTL
 from ..errors import InvalidParameterError, ReproError
 from ..model.job import Instance
 from ..workloads.registry import WORKLOADS
@@ -279,13 +280,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help=(
-            "claim-lease TTL for --shard-strategy steal: a claimed cell "
-            "whose completion is not reported within this many seconds "
-            "is reissued to another worker (crash recovery; all "
-            "cooperating workers must pass the same value). Pick a TTL "
-            "comfortably above the most expensive cell. Default: no "
-            "leases (exactly-once claiming, crashed workers strand "
-            "their claimed cells until --merge flags the hole)"
+            "claim-lease TTL for --shard-strategy steal (default "
+            f"{DEFAULT_LEASE_TTL:g}): a claimed cell whose completion is "
+            "not reported within this many seconds is reissued to another "
+            "worker (crash recovery; all cooperating workers must use the "
+            "same value). A worker that finds no unclaimed cell waits for "
+            "its peers' live leases instead of exiting. Pick a TTL "
+            "comfortably above the most expensive cell"
         ),
     )
     swp.add_argument(
@@ -595,13 +596,13 @@ def _cmd_profit(args: argparse.Namespace) -> int:
     from ..profit import profit_of_result, run_pd_augmented
 
     inst = _load_instance(args.instance)
-    if args.epsilon > 0.0:
-        augmented = run_pd_augmented(inst, args.epsilon)
-        print(augmented.summary())
-    else:
+    if args.epsilon == 0.0:
         result = run_pd(inst)
         print(result.schedule.summary())
         print(f"  {profit_of_result(result)}")
+    else:
+        augmented = run_pd_augmented(inst, args.epsilon)
+        print(augmented.summary())
     return 0
 
 
@@ -1289,7 +1290,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     args.cache_url,
                     claim_id,
                     len(requests),
-                    lease_ttl=args.lease_ttl,
+                    lease_ttl=(
+                        DEFAULT_LEASE_TTL
+                        if args.lease_ttl is None
+                        else args.lease_ttl
+                    ),
                 )
                 try:
                     pairs = runner.run_stolen(

@@ -115,7 +115,8 @@ def instance_from_dict(payload: dict[str, Any]) -> Instance:
     numeric ``release``, ``deadline``, ``workload`` and ``value``, ``m``
     is a whole number and ``alpha`` a number, each failure an
     :class:`~repro.errors.InvalidParameterError` naming the field.
-    :class:`Job` and :class:`Instance` check the ranges.
+    :class:`Job` and :class:`Instance` check the ranges, and that a job's
+    optional ``name`` is a string.
     """
     _require_kind(payload, "instance")
     rows = payload.get("jobs")

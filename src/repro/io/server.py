@@ -18,7 +18,7 @@ Wire protocol (Python-dialect JSON — ``NaN`` literals allowed):
 | ``GET /stats``           | —                               | 200 lock-free fabric snapshot (never touches the backend) |
 | ``GET /stats?deep=1``    | —                               | 200 full backend stats + ``claim_tables`` |
 | ``POST /gc``             | ``{"older_than": seconds}``     | 200 ``{"removed": n}``, or 501 |
-| ``POST /claims/<id>``    | ``{"total": n, "lease": ttl?}`` | 200 ``{"token", "total", "claimed", "lease_ttl"}``, 409 on total/lease mismatch |
+| ``POST /claims/<id>``    | ``{"total": n, "lease": ttl}``  | 200 ``{"token", "total", "claimed", "lease_ttl"}``, 400 without a positive ``lease``, 409 on total/lease mismatch |
 | ``POST /claims/<id>/next?k=N`` | —                         | 200 ``{"positions": [...], "token", "remaining", "outstanding"}`` |
 | ``POST /claims/<id>/done`` | ``{"positions": [...]}``      | 200 ``{"token", "done"}`` |
 
@@ -43,11 +43,11 @@ server-minted session ``token`` that every cooperating worker stamps
 into its shard file — the merge step's proof that the shards partition
 one claim session. ``?k=N`` leases up to N positions in one round trip
 (one without it); a request body on that route is a 400, so a client
-sending its count anywhere else fails loudly. With a ``lease`` TTL
-(seconds) the table reissues a claimed position whose ``done`` report
-never arrives within the TTL, so one crashed worker cannot strand tail
-cells; workers of one session must agree on the lease policy (mismatch
-is a 409, like a total mismatch).
+sending its count anywhere else fails loudly. Every table is created
+with a ``lease`` TTL (seconds, required): it reissues a claimed
+position whose ``done`` report never arrives within the TTL, so one
+crashed worker cannot strand tail cells; workers of one session must
+agree on the TTL (mismatch is a 409, like a total mismatch).
 
 Locking, three independent planes:
 
@@ -221,8 +221,8 @@ class _ClaimState:
     The cursor/lease/done bookkeeping is
     :class:`~repro.engine.runner.InProcessClaimTable` — the *same*
     class in-process work stealing uses — so the HTTP and in-process
-    claim protocols cannot drift. With a lease TTL, handed-out
-    positions not reported done are reissued by a later claim — the
+    claim protocols cannot drift. Handed-out positions not reported
+    done within the lease TTL are reissued by a later claim — the
     crash-recovery half of the work-stealing protocol (a worker that
     claimed cells and died never reports, so its cells flow back into
     the queue after one TTL).
@@ -468,7 +468,7 @@ class CacheServer:
         return state
 
     def claim_create(
-        self, claim_id: str, total: int, lease_ttl: float | None = None
+        self, claim_id: str, total: int, lease_ttl: float
     ) -> dict[str, Any]:
         with self._claims_lock:
             state = self._claims.get(claim_id)
@@ -490,7 +490,7 @@ class CacheServer:
                     f"claim table {claim_id} was created with lease_ttl="
                     f"{state.table.lease_ttl}, this worker asks for "
                     f"{lease_ttl} — cooperating workers must agree on the "
-                    "lease policy",
+                    "lease TTL",
                 )
             return {
                 "claim": claim_id,

@@ -78,7 +78,8 @@ class Job:
     value:
         Loss ``v_j >= 0`` suffered if the job is not finished.
     name:
-        Optional human-readable label used in rendered schedules.
+        Optional human-readable label used in rendered schedules: a
+        string or ``None``.
     """
 
     release: float
@@ -103,6 +104,10 @@ class Job:
             raise InvalidJobError(f"workload must be > 0, got {self.workload}")
         if self.value < 0.0:
             raise InvalidJobError(f"value must be >= 0, got {self.value}")
+        if self.name is not None and not isinstance(self.name, str):
+            raise InvalidJobError(
+                f"job name must be a string or None, got {self.name!r}"
+            )
 
     @property
     def window(self) -> tuple[Time, Time]:

@@ -26,6 +26,7 @@ Pruhs & Stein's qualitative claim.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..core.pd import PDResult, run_pd
@@ -96,7 +97,8 @@ def run_pd_augmented(
     instance:
         The original problem instance (adversary's machine model).
     epsilon:
-        Augmentation; must be ``>= 0``. ``0`` degrades to plain PD.
+        Augmentation; must be a finite number ``>= 0``. ``0`` degrades
+        to plain PD.
     delta:
         PD's aggressiveness parameter, forwarded to the inner run.
 
@@ -108,8 +110,15 @@ def run_pd_augmented(
     profit guarantee against the unaugmented optimum is the *additional*
     content quantified empirically by E12.
     """
-    if epsilon < 0.0:
-        raise InvalidParameterError(f"epsilon must be >= 0, got {epsilon}")
+    if (
+        not isinstance(epsilon, (int, float))
+        or isinstance(epsilon, bool)
+        or not math.isfinite(epsilon)
+        or epsilon < 0.0
+    ):
+        raise InvalidParameterError(
+            f"epsilon must be a finite number >= 0, got {epsilon!r}"
+        )
     shrunk = instance.scaled(work=1.0 / (1.0 + epsilon))
     inner = run_pd(shrunk, delta=delta)
     return AugmentedProfitResult(

@@ -39,6 +39,7 @@ from repro.engine import (
     RunRequest,
     SqliteCache,
 )
+from repro.engine.runner import DEFAULT_LEASE_TTL
 from repro.errors import CacheError, InvalidParameterError
 from repro.io.server import CacheServer
 from repro.workloads import poisson_instance
@@ -495,24 +496,20 @@ class TestWorkStealing:
 
     def test_out_of_range_claims_rejected(self, requests):
         class BrokenTable:
+            lease_ttl = DEFAULT_LEASE_TTL
+
             def claim(self, count: int = 1):
                 return [999]
+
+            def done(self, positions):
+                pass
+
+            def pending(self):
+                return 0
 
         # a fabric fault, so CacheError (not a parameter error)
         with pytest.raises(CacheError, match="out of sync"):
             BatchRunner().run_stolen(requests, BrokenTable())
-
-    def test_duplicate_claims_rejected(self, requests):
-        class DoubleTable:
-            def __init__(self):
-                self.handed = 0
-
-            def claim(self, count: int = 1):
-                self.handed += 1
-                return [0] if self.handed <= 2 else []
-
-        with pytest.raises(CacheError, match="twice"):
-            BatchRunner().run_stolen(requests, DoubleTable())
 
     def test_http_claim_table_shares_a_session(self, server):
         first = HttpClaimTable(server.url, "sweep-1", 4)
@@ -598,10 +595,84 @@ class TestClaimLeases:
         with pytest.raises(InvalidParameterError, match="done positions"):
             InProcessClaimTable(3, lease_ttl=1.0).done([7])
 
-    def test_no_lease_table_keeps_exactly_once(self):
+    def test_default_lease_everywhere(self, server):
+        """A table whose creator names no TTL is leased for
+        ``DEFAULT_LEASE_TTL``, in process and on the server."""
+        from repro.engine.remote import HttpConnectionPool
+
+        assert InProcessClaimTable(3).lease_ttl == DEFAULT_LEASE_TTL
+        table = HttpClaimTable(server.url, "default-lease", 3)
+        assert table.lease_ttl == DEFAULT_LEASE_TTL
+        table.close()
+        with HttpConnectionPool(server.url) as pool:
+            join = {"total": 3, "lease": DEFAULT_LEASE_TTL}
+            status, _, raw = pool.request(
+                "POST",
+                "/claims/default-lease",
+                json.dumps(join).encode("utf-8"),
+            )
+            assert status == 200
+            assert json.loads(raw)["lease_ttl"] == DEFAULT_LEASE_TTL
+            join["lease"] = 2 * DEFAULT_LEASE_TTL
+            status, _, _ = pool.request(
+                "POST",
+                "/claims/default-lease",
+                json.dumps(join).encode("utf-8"),
+            )
+            assert status == 409
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"total": 3},
+            {"total": 3, "lease": None},
+            {"total": 3, "lease": 0},
+            {"total": 3, "lease": -1.0},
+            {"total": 3, "lease": True},
+            {"total": 3, "lease": "60"},
+        ],
+        ids=["missing", "null", "zero", "negative", "bool", "string"],
+    )
+    def test_claim_create_requires_a_lease(self, server, body):
+        from repro.engine.remote import HttpConnectionPool
+
+        with HttpConnectionPool(server.url) as pool:
+            status, _, raw = pool.request(
+                "POST", "/claims/no-lease", json.dumps(body).encode("utf-8")
+            )
+        assert status == 400
+        assert "lease" in json.loads(raw)["error"]
+        assert server.stats_fast()["claim_tables"] == 0
+
+    def test_every_stolen_cell_is_reported_done(self, requests, tmp_path):
+        """The serial steal loop reports each hit block and each
+        computed cell, so a healthy worker leaves no live lease."""
+
+        class SpyTable(InProcessClaimTable):
+            def __init__(self, total):
+                super().__init__(total)
+                self.reports: list[list[int]] = []
+
+            def done(self, positions):
+                self.reports.append(list(positions))
+                super().done(positions)
+
+        cache = SqliteCache(tmp_path / "c.db")
+        BatchRunner(cache=cache).run(requests[:2])  # two warm cells
+        table = SpyTable(len(requests))
+        pairs = BatchRunner(cache=cache, claim_batch=2).run_stolen(
+            requests, table
+        )
+        cache.close()
+        assert [position for position, _ in pairs] == list(range(len(requests)))
+        assert table.reports == [[0, 1]] + [[p] for p in range(2, len(requests))]
+        assert table.pending() == 0 and table.reissued == 0
+
+    def test_live_leases_are_not_reissued(self):
         table = InProcessClaimTable(2)
         assert table.claim(2) == [0, 1]
-        assert table.claim(5) == []  # drained forever, nothing reissued
+        assert table.claim(5) == []  # drained while the leases live
+        assert table.pending() == 2 and table.reissued == 0
 
     def test_kill_one_worker_cells_flow_to_the_survivor(
         self, requests, plain_records, server
@@ -646,20 +717,6 @@ class TestClaimLeases:
         assert _strip([r for _, r in pairs]) == _strip(plain_records)
         # It must have outlived the crashed worker's lease to get 0/1.
         assert time.monotonic() - start >= 0.3
-
-    def test_no_done_traffic_without_leases(self, requests):
-        class SpyTable(InProcessClaimTable):
-            def __init__(self, total):
-                super().__init__(total)
-                self.done_calls = 0
-
-            def done(self, positions):
-                self.done_calls += 1
-                super().done(positions)
-
-        table = SpyTable(len(requests))
-        BatchRunner().run_stolen(requests, table)
-        assert table.done_calls == 0  # lease-less: historical protocol
 
     def test_lease_policy_mismatch_rejected(self, server):
         HttpClaimTable(server.url, "lease-policy", 4, lease_ttl=5.0)
@@ -916,6 +973,47 @@ class TestCacheCli:
                 json.load(open(path))["assignment"] for path in shards
             }
             assert len(tokens) == 1
+        finally:
+            srv.stop()
+
+    def test_concurrent_steal_sweep_with_default_lease(self, tmp_path, capsys):
+        """Two CLI workers without --lease-ttl race one claim table: it
+        is leased for DEFAULT_LEASE_TTL, both workers exit with every
+        lease reported done, and the merge is byte-identical."""
+        from repro.io.cli import main
+
+        srv = CacheServer(MemoryCache()).start()
+        try:
+            full = str(tmp_path / "full.json")
+            assert main(self.BASE + ["--json", full]) == 0
+            shards = [str(tmp_path / f"s{i}.json") for i in range(2)]
+            codes: dict[int, int] = {}
+
+            def worker(index: int) -> None:
+                codes[index] = main(self.BASE + [
+                    "--shard", f"{index}/2", "--shard-strategy", "steal",
+                    "--cache-backend", "http", "--cache-url", srv.url,
+                    "--claim-batch", "1", "--json", shards[index],
+                ])
+
+            threads = [
+                threading.Thread(target=worker, args=(index,))
+                for index in range(2)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+            assert codes == {0: 0, 1: 0}
+            (state,) = srv._claims.values()
+            assert state.table.lease_ttl == DEFAULT_LEASE_TTL
+            assert state.table.pending() == 0
+            merged = str(tmp_path / "merged.json")
+            assert main(["sweep", "--merge", *shards, "--json", merged]) == 0
+            capsys.readouterr()
+            with open(full, "rb") as a, open(merged, "rb") as b:
+                assert a.read() == b.read()
         finally:
             srv.stop()
 

@@ -1,13 +1,14 @@
-"""Tests for the engine's scale-out layer: cache backends, sharding,
-and parameterized algorithm variants.
+"""Tests for the engine's scale-out layer: cache backends, record
+payloads, and parameterized algorithm variants.
 
 Three guarantees, each load-bearing for distributed reproduction runs:
 
 * **backend parity** — the directory and sqlite caches are
   interchangeable bit for bit, cold or warm;
-* **shard parity** — a request list split ``--shard i/k`` style and
-  recombined with :func:`merge_shards` equals the unsharded run,
-  for any shard count;
+* **record round trips** — a record survives its shard-file payload
+  form losslessly, and a payload from another build is refused (the
+  ``--shard``/``--merge`` flow itself is tested through the CLI in
+  ``test_io_and_cli.py``);
 * **variant identity** — every spelling of ``pd?delta=...`` resolves to
   one canonical entry with one cache key, the certificate hook intact.
 """
@@ -30,14 +31,12 @@ from repro.engine import (
     SqliteCache,
     aggregate_records,
     canonical_variant_name,
-    merge_shards,
     open_cache,
     parse_variant_name,
     record_from_payload,
     record_to_payload,
     request_key,
     run_experiment,
-    shard_requests,
 )
 from repro.errors import InvalidParameterError
 from repro.workloads import poisson_instance
@@ -190,61 +189,8 @@ class TestDirectoryCacheTempFiles:
         assert again.get(record.key) is not None
 
 
-class TestSharding:
-    """Tentpole: deterministic shards recombine into the unsharded run."""
-
-    @pytest.mark.parametrize("count", [1, 2, 4])
-    def test_shards_merge_to_unsharded_records(self, count, requests):
-        full = BatchRunner().run(requests)
-        shards = [
-            BatchRunner().run(requests, shard=(index, count))
-            for index in range(count)
-        ]
-        assert merge_shards(shards) == full
-
-    def test_rr_assignment_is_positional(self):
-        assert [shard_requests(range(7), (i, 3)) for i in range(3)] == [
-            [0, 3, 6],
-            [1, 4],
-            [2, 5],
-        ]
-
-    @pytest.mark.parametrize("count", [2, 4])
-    def test_shards_partition_the_request_list(self, count, requests):
-        slices = [shard_requests(requests, (i, count)) for i in range(count)]
-        assert sum(len(s) for s in slices) == len(requests)
-        interleaved = [
-            slices[pos % count][pos // count] for pos in range(len(requests))
-        ]
-        assert interleaved == list(requests)
-
-    def test_sharded_runs_share_a_cache(self, requests, tmp_path):
-        cache = SqliteCache(tmp_path / "c.db")
-        for index in range(2):
-            BatchRunner(cache=cache).run(requests, shard=(index, 2))
-        warm = BatchRunner(cache=cache).run(requests)
-        assert all(r.cached for r in warm)
-
-    def test_invalid_shards_rejected(self, requests):
-        runner = BatchRunner()
-        for bad in [(2, 2), (-1, 2), (0, 0), ("0", 2), (1,)]:
-            with pytest.raises(InvalidParameterError):
-                runner.run(requests, shard=bad)
-
-    def test_merge_validates_shapes(self, requests):
-        shards = [
-            BatchRunner().run(requests, shard=(index, 2)) for index in range(2)
-        ]
-        with pytest.raises(InvalidParameterError, match="expected"):
-            merge_shards([shards[0], shards[1][:-1]])
-        with pytest.raises(InvalidParameterError, match="at least one"):
-            merge_shards([])
-        # shards passed in the wrong order have the wrong shapes too
-        # (unless n is a multiple of k — then contents still differ, so
-        # only shape errors are promised here)
-        if len(shards[0]) != len(shards[1]):
-            with pytest.raises(InvalidParameterError):
-                merge_shards([shards[1], shards[0]])
+class TestRecordPayload:
+    """A record survives its payload form; foreign payloads are refused."""
 
     def test_record_payload_roundtrip(self, requests):
         for record in BatchRunner().run(requests[:3]):

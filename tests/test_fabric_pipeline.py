@@ -28,7 +28,7 @@ from repro.engine import (
     MemoryCache,
     RunRequest,
 )
-from repro.engine.remote import HttpConnectionPool, RetryPolicy
+from repro.engine.remote import RETRY_DELAYS, HttpConnectionPool
 from repro.engine.runner import _PutBatcher, request_key
 from repro.errors import CacheError, InvalidParameterError
 from repro.io.server import CacheServer, FabricStats
@@ -158,35 +158,8 @@ class TestCompressionNegotiation:
 
 
 class TestRetryPolicy:
-    """Seeded jitter, bounded growth, shared by every lenient route."""
-
-    def test_delays_are_deterministic_per_seed(self):
-        first = list(RetryPolicy(5, seed=7).delays())
-        second = list(RetryPolicy(5, seed=7).delays())
-        other = list(RetryPolicy(5, seed=8).delays())
-        assert first == second
-        assert first != other
-
-    def test_delays_bounded_and_growing(self):
-        policy = RetryPolicy(
-            6, base_delay=0.05, max_delay=0.4, jitter=0.25, seed=0
-        )
-        delays = list(policy.delays())
-        assert len(delays) == 6
-        assert all(0 < d <= 0.4 * 1.25 for d in delays)
-        # Exponential growth dominates the +-25% jitter early on.
-        assert delays[2] > delays[0]
-
-    def test_zero_retries_is_single_shot(self):
-        assert list(RetryPolicy(0).delays()) == []
-
-    def test_validation(self):
-        with pytest.raises(InvalidParameterError, match="retries"):
-            RetryPolicy(-1)
-        with pytest.raises(InvalidParameterError, match="jitter"):
-            RetryPolicy(1, jitter=2.0)
-        with pytest.raises(InvalidParameterError, match="delays"):
-            RetryPolicy(1, base_delay=-0.1)
+    """Every lenient route retries after the fixed ``RETRY_DELAYS``,
+    then misses; claim traffic never retries."""
 
     def test_lenient_routes_back_off_then_miss(self, monkeypatch):
         import socket as socket_mod
@@ -199,13 +172,19 @@ class TestRetryPolicy:
         monkeypatch.setattr(
             "repro.engine.remote.time.sleep", naps.append
         )
-        cache = HttpCache(
-            f"http://127.0.0.1:{port}",
-            timeout=0.5,
-            retry=RetryPolicy(3, seed=1),
-        )
+        assert RETRY_DELAYS == (0.05, 0.1)
+        cache = HttpCache(f"http://127.0.0.1:{port}", timeout=0.5)
         assert cache.get("anything") is None  # miss, not a crash
-        assert naps == list(RetryPolicy(3, seed=1).delays())
+        assert naps == [0.05, 0.1]
+        naps.clear()
+        assert cache.get_many(["a", "b"]) == {}
+        assert naps == [0.05, 0.1]
+        naps.clear()
+        cache.put("k", {"v": 1})  # dropped, not raised
+        assert naps == [0.05, 0.1]
+        naps.clear()
+        cache.put_many({"k": {"v": 1}})
+        assert naps == [0.05, 0.1]
 
     def test_claim_traffic_never_retries(self, monkeypatch):
         """Claim faults must stay loud and immediate — backoff there

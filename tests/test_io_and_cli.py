@@ -201,6 +201,32 @@ class TestNewSubcommands:
         out = capsys.readouterr().out
         assert "eps=0.25" in out
 
+    @staticmethod
+    def _fails(argv, capsys, named):
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert named in err, err
+
+    @pytest.mark.parametrize("epsilon", ["-1", "nan", "inf"])
+    def test_profit_bad_epsilon_fails_loudly(self, epsilon, tmp_path, capsys):
+        """Only 0 means plain PD; anything that is not a finite number
+        >= 0 is refused instead of silently running plain PD."""
+        inst_path = self._instance(tmp_path)
+        self._fails(
+            ["profit", inst_path, "--epsilon", epsilon], capsys, "epsilon"
+        )
+
+    def test_adversary_rounds_validated(self, tmp_path, capsys):
+        inst_path = self._instance(tmp_path)
+        self._fails(
+            ["adversary", inst_path, "--rounds", "-1"], capsys, "rounds"
+        )
+        # zero rounds stays legal: the seed instance is evaluated once
+        assert main(["adversary", inst_path, "--rounds", "0"]) == 0
+        assert "1 evaluations" in capsys.readouterr().out
+
     def test_adversary_and_save(self, tmp_path, capsys):
         inst_path = self._instance(tmp_path)
         hard_path = str(tmp_path / "hard.json")
@@ -474,11 +500,14 @@ class TestInputFiles:
             ({"m": "x"}, "'m'"),
             ({"m": 1.5}, "'m'"),
             ({"alpha": None}, "'alpha'"),
+            ({"jobs": [{**_JOB, "name": [1, 2]}]}, "name"),
+            ({"jobs": [{**_JOB, "name": {"a": 1}}]}, "name"),
         ],
         ids=[
             "jobs-missing", "jobs-not-a-list", "job-not-an-object",
             "job-field-missing", "job-field-not-a-number", "m-not-a-number",
-            "m-fractional", "alpha-missing",
+            "m-fractional", "alpha-missing", "job-name-a-list",
+            "job-name-an-object",
         ],
     )
     def test_malformed_instance_file(

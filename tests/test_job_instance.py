@@ -40,6 +40,13 @@ class TestJob:
     def test_zero_value_allowed(self):
         assert Job(0.0, 1.0, 1.0, 0.0).value == 0.0
 
+    @pytest.mark.parametrize("name", [[1, 2], {"a": 1}, 5, b"x"])
+    def test_name_is_a_string_or_none(self, name):
+        with pytest.raises(InvalidJobError, match="name"):
+            Job(0.0, 1.0, 1.0, 1.0, name=name)
+        assert Job(0.0, 1.0, 1.0, 1.0, name="").label() == ""
+        assert Job(0.0, 1.0, 1.0, 1.0, name=None).name is None
+
     def test_with_value(self):
         j = Job(0.0, 1.0, 1.0, 1.0)
         assert j.with_value(9.0).value == 9.0

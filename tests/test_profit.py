@@ -177,6 +177,19 @@ class TestAugmentation:
         with pytest.raises(InvalidParameterError):
             run_pd_augmented(profitable_instance, -0.1)
 
+    @pytest.mark.parametrize("epsilon", ["-1", "nan", "inf"])
+    def test_non_finite_epsilon_rejected_through_the_registry(
+        self, epsilon, profitable_instance
+    ):
+        """Not an error deep in the shrunk instance's job checks: the
+        canonical parameter error, naming epsilon."""
+        from repro.engine import REGISTRY
+
+        with pytest.raises(InvalidParameterError, match="epsilon"):
+            REGISTRY.run(f"pd-aug?epsilon={epsilon}", profitable_instance)
+        with pytest.raises(InvalidParameterError, match="epsilon"):
+            run_pd_augmented(profitable_instance, float(epsilon))
+
     def test_energy_closed_form_on_trap(self):
         """Same acceptance => energy scales by (1+eps)**(-alpha) on each
         committed speed... times unchanged durations: total scales by

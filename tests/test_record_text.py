@@ -300,5 +300,5 @@ def test_in_process_table_counts_reissues():
     clock["now"] = 25.0
     assert table.claim(5) == [1]
     assert table.reissued == 3
-    plain = InProcessClaimTable(2)  # no leases, no reissues
+    plain = InProcessClaimTable(2)  # default lease, none expired yet
     assert plain.claim(5) == [0, 1] and plain.reissued == 0
