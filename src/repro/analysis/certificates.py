@@ -9,7 +9,11 @@ where ``E_lambda(j) = l(j) * s^_j**alpha`` is the energy the *optimal
 infeasible solution* invests in job ``j``: job ``j`` runs at speed
 ``s^_j = (lambda~_j / (alpha w_j))**(1/(alpha-1))`` during exactly the
 atomic intervals where it is among the ``min(m, n_k)`` available jobs with
-the largest ``s^`` values (the "contributing jobs", Lemma 5c).
+the largest ``s^`` values (the "contributing jobs", Lemma 5c). A job is
+available exactly in its contiguous window on the grid, so
+:func:`contributions` reads each window as a first interval and a stop
+(:meth:`~repro.model.intervals.Grid.windows`) and never builds an
+``(n, N)`` availability matrix.
 
 Weak duality makes ``g(lambda~)`` a lower bound on the cost of *any*
 schedule, so each run carries a machine-checkable certificate:
@@ -30,6 +34,7 @@ import numpy as np
 
 from ..core.pd import PDResult
 from ..errors import CertificateError
+from ..model.schedule import Schedule
 from ..types import FloatArray
 
 __all__ = [
@@ -37,6 +42,7 @@ __all__ = [
     "dual_certificate",
     "certificate_from_duals",
     "contributing_jobs",
+    "contributions",
 ]
 
 
@@ -95,7 +101,7 @@ class DualCertificate:
 
 
 def contributing_jobs(
-    availability: np.ndarray, s_hat: FloatArray, m: int
+    windows: tuple[np.ndarray, np.ndarray], size: int, s_hat: FloatArray, m: int
 ) -> tuple[tuple[int, ...], ...]:
     """The sets ``phi(k)`` of Lemma 5(c) for every atomic interval.
 
@@ -103,46 +109,45 @@ def contributing_jobs(
     *available* jobs with the largest ``s_hat`` values; ties resolve by
     job id (any consistent rule is admissible per the paper's footnote).
     Jobs with ``s_hat == 0`` contribute nothing and are excluded.
+
+    ``windows`` is :meth:`~repro.model.intervals.Grid.windows`: job
+    ``j`` is available exactly in the intervals ``first[j] <= k <
+    stop[j]`` of a grid with ``size`` intervals. One pass over the jobs
+    in priority order fills per-interval slots, so each interval picks
+    the same jobs in the same order as the literal per-interval rescan,
+    at O(sum of window widths) instead of O(n * N).
     """
-    n, big_n = availability.shape
-    order_all = np.lexsort((np.arange(n), -s_hat))  # s_hat desc, then id asc
+    first, stop = windows
+    slots = np.zeros(size, dtype=np.int64)
+    picked: list[list[int]] = [[] for _ in range(size)]
+    # s_hat descending, then id ascending.
+    for j in np.lexsort((np.arange(s_hat.size), -s_hat)).tolist():
+        if s_hat[j] <= 0.0:
+            continue
+        lo = int(first[j])
+        segment = slots[lo : int(stop[j])]
+        open_positions = np.nonzero(segment < m)[0]
+        if open_positions.size:
+            segment[open_positions] += 1
+            for k in open_positions.tolist():
+                picked[lo + k].append(j)
+    return tuple(tuple(members) for members in picked)
 
-    # Fast path: availability rows that are single contiguous runs (the
-    # shape every grid-aligned job window produces). One pass over the
-    # jobs in priority order fills per-interval slots — identical picks
-    # in identical order to the historical per-interval rescan, at
-    # O(sum of window widths) instead of O(n * N).
-    counts = availability.sum(axis=1)
-    first = availability.argmax(axis=1)
-    last = big_n - 1 - availability[:, ::-1].argmax(axis=1)
-    if np.all((counts == 0) | (last - first + 1 == counts)):
-        slots = np.zeros(big_n, dtype=np.int64)
-        picked_lists: list[list[int]] = [[] for _ in range(big_n)]
-        for j in order_all:
-            if s_hat[j] <= 0.0 or counts[j] == 0:
-                continue
-            lo = int(first[j])
-            segment = slots[lo : lo + int(counts[j])]
-            open_positions = np.nonzero(segment < m)[0]
-            if open_positions.size:
-                segment[open_positions] += 1
-                job = int(j)
-                for k in open_positions:
-                    picked_lists[lo + k].append(job)
-        return tuple(tuple(lst) for lst in picked_lists)
 
-    # General path (non-contiguous availability): the literal Lemma 5(c)
-    # rescan per interval.
-    out: list[tuple[int, ...]] = []
-    for k in range(big_n):
-        picked: list[int] = []
-        for j in order_all:
-            if len(picked) == m:
-                break
-            if availability[j, k] and s_hat[j] > 0.0:
-                picked.append(int(j))
-        out.append(tuple(picked))
-    return tuple(out)
+def contributions(
+    schedule: Schedule, s_hat: FloatArray
+) -> tuple[tuple[tuple[int, ...], ...], FloatArray]:
+    """``phi(k)`` for every interval and each job's contributing time
+    ``l(j)``, the lengths of its intervals summed in ascending order."""
+    grid = schedule.grid
+    instance = schedule.instance
+    phi = contributing_jobs(grid.windows(instance), grid.size, s_hat, instance.m)
+    lengths = grid.lengths
+    l_of_j = np.zeros(instance.n)
+    for k, members in enumerate(phi):
+        for j in members:
+            l_of_j[j] += float(lengths[k])
+    return phi, l_of_j
 
 
 def dual_certificate(result: PDResult) -> DualCertificate:
@@ -150,7 +155,7 @@ def dual_certificate(result: PDResult) -> DualCertificate:
     return certificate_from_duals(result.schedule, result.lambdas)
 
 
-def certificate_from_duals(schedule, lambdas: FloatArray) -> DualCertificate:
+def certificate_from_duals(schedule: Schedule, lambdas: FloatArray) -> DualCertificate:
     """Evaluate ``g(lambda)`` for *any* nonnegative dual vector.
 
     Weak duality does not care where the duals came from: for every
@@ -162,21 +167,12 @@ def certificate_from_duals(schedule, lambdas: FloatArray) -> DualCertificate:
     ratio is an honest measurement that may exceed the bound.
     """
     instance = schedule.instance
-    grid = schedule.grid
     alpha = instance.alpha
-    m = instance.m
     w = instance.workloads
     lam = np.asarray(lambdas, dtype=np.float64)
 
     s_hat = (np.maximum(lam, 0.0) / (alpha * w)) ** (1.0 / (alpha - 1.0))
-    avail = grid.availability_matrix(instance)
-    phi = contributing_jobs(avail, s_hat, m)
-
-    lengths = grid.lengths
-    l_of_j = np.zeros(instance.n)
-    for k, members in enumerate(phi):
-        for j in members:
-            l_of_j[j] += float(lengths[k])
+    phi, l_of_j = contributions(schedule, s_hat)
 
     e_lambda = l_of_j * s_hat**alpha
     x_hat = np.where(w > 0, l_of_j * s_hat / w, 0.0)

@@ -18,7 +18,9 @@ Albers–Antoniadis–Greiner exact offline algorithm (see DESIGN.md,
 generates YDS rounds on demand, and its EDF consumer
 :func:`_execute_plan_prefix` — also runs the Chan–Lam–Li profitable
 scheduler (:mod:`repro.core.cll`): its admission test stops at the round
-that freezes the candidate.
+that freezes the candidate. A plan's frozen time is always the one block
+``[now, front]``, so its rounds carry the float ``front`` where full YDS
+carries an :class:`~repro.classical.timeline.IntervalSet`.
 """
 
 from __future__ import annotations
@@ -148,8 +150,8 @@ class _LazyPlan:
     round that freezes its candidate. The rounds that *are* generated
     find their window with :func:`_plan_window`, which replays the one
     row of YDS's critical-window scan that this structure leaves live,
-    float for float, and freeze it with the same ``IntervalSet`` code as
-    :func:`oa_plan`'s full YDS run. Iterating a plan twice replays the
+    float for float, and freeze it by advancing the block's right end
+    ``front`` (:func:`_yds_rounds`). Iterating a plan twice replays the
     memoized rounds before generating more.
 
     Sub-job ids are positions in ``alive`` — the relabeling ``oa_plan``
@@ -174,7 +176,7 @@ class _LazyPlan:
             _PlanJob(now, deadlines[j], w) for j, w in zip(alive, workloads)
         ]
         self._rounds: list[_Round] = []
-        self._source = _yds_rounds(self.view, len(alive))
+        self._source = _yds_rounds(self.view, len(alive), now)
 
     def __iter__(self) -> Iterator[_Round]:
         """The plan's rounds in discovery order, memoized ones first."""
@@ -201,7 +203,7 @@ def _plan_window(
     view: Sequence[_PlanJob],
     remaining: set[int],
     events: list[float],
-    frozen: IntervalSet,
+    front: float,
 ) -> tuple[float, float, float, list[int]]:
     """YDS's critical window for a common-release plan, in one pass.
 
@@ -216,9 +218,12 @@ def _plan_window(
       or after ``deadline - _EPS``), summed in ascending sub-job id order
       like ``np.add.at``;
     * the running prefix over the buckets, as ``np.cumsum`` accumulates;
-    * the frozen measure below each event, one ``min(t, hi) - lo`` term
-      per part of ``frozen.parts`` (a non-positive term adds an exact
-      zero there, so it is skipped here);
+    * the frozen measure below each event. The frozen set of a plan is
+      the one block ``[now, front]`` (see :func:`_yds_rounds`), so YDS's
+      sum of one ``min(t, hi) - lo`` term per part, where a
+      non-positive term adds an exact zero, is the single term
+      ``max(min(t, front) - now, 0.0)``, and the winner's
+      ``measure_within`` is ``max(0.0, min(front, b) - now)``;
     * the same ``SolverError`` at the first occupied window with no
       available time, and the sequential ``g > best + _EPS`` rule in
       ascending deadline order.
@@ -229,7 +234,6 @@ def _plan_window(
     common-release structure raises ``SolverError``.
     """
     now = events[0]
-    parts = frozen.parts
     big_e = len(events)
     bucket = [0.0] * big_e
     members = [0] * big_e
@@ -244,15 +248,6 @@ def _plan_window(
         bucket[k] += job.workload
         members[k] += 1
 
-    def frozen_below(t: float) -> float:
-        total = 0.0
-        for part_lo, part_hi in parts:
-            term = min(t, part_hi) - part_lo
-            if term > 0.0:
-                total += term
-        return total
-
-    base = frozen_below(now)
     inside_work = bucket[0]
     count = members[0]
     best = 0
@@ -263,7 +258,7 @@ def _plan_window(
         if not count:
             continue
         t = events[bi]
-        avail = (t - now) - (frozen_below(t) - base)
+        avail = (t - now) - max(min(t, front) - now, 0.0)
         if avail <= _EPS:
             raise SolverError(
                 f"no available time left in candidate window [{now}, {t}] "
@@ -281,7 +276,7 @@ def _plan_window(
         for j in remaining
         if view[j].release >= a - _EPS and view[j].deadline <= b + _EPS
     ]
-    avail = (b - a) - frozen.measure_within(a, b)
+    avail = (b - a) - max(0.0, min(front, b) - now)
     if avail <= _EPS:  # pragma: no cover - caught by the scan
         raise SolverError(
             f"no available time left in candidate window [{a}, {b}] "
@@ -291,21 +286,27 @@ def _plan_window(
     return g, a, b, inside
 
 
-def _yds_rounds(view: list[_PlanJob], count: int) -> Iterator[_Round]:
-    """YDS's round loop over a plan view, one round per ``next``."""
+def _yds_rounds(view: list[_PlanJob], count: int, now: float) -> Iterator[_Round]:
+    """YDS's round loop over a plan view, one round per ``next``.
+
+    Every round's window is ``[now, b]``, and ``b`` passes every earlier
+    round's, so the frozen set is the one block ``[now, front]`` and a
+    round's region is ``[front, b]``: the floats YDS's ``subtract`` and
+    ``union`` produce from them, without the set algebra.
+    """
     rem_sub = set(range(count))
-    frozen = IntervalSet.empty()
+    front = now
     while rem_sub:
         events = sorted(
             {view[j].release for j in rem_sub}
             | {view[j].deadline for j in rem_sub}
         )
-        g, a, b, inside = _plan_window(view, rem_sub, events, frozen)
-        region = IntervalSet.span(a, b).subtract(frozen)
-        job_ids = tuple(sorted(inside))
-        frozen = frozen.union(region)
+        g, _, b, inside = _plan_window(view, rem_sub, events, front)
+        region = IntervalSet.empty()
+        if b > front + _EPS:
+            region, front = IntervalSet.span(front, b), b
         rem_sub -= set(inside)
-        yield g, b, job_ids, region
+        yield g, b, tuple(sorted(inside)), region
 
 
 def _execute_plan_prefix(

@@ -23,8 +23,11 @@ Implementation note: the scheduler runs on the incremental kernels of
 :class:`~repro.perf.kernels.IntervalLoads` store (descending-sorted
 loads + suffix sums, maintained by sorted insertion on accept and
 split-copy on refinement) instead of columns of a dense ``(n, N)``
-matrix rebuilt per arrival; the dense matrices are materialized once,
-in :meth:`PDScheduler.finish`. Every arrival runs through one scalar
+matrix rebuilt per arrival; the dense loads are materialized once, in
+:meth:`PDScheduler.finish`. Each load is stored once: an accepted
+job's planned loads are its store loads, so only a rejected job's
+``x̌`` is kept beside the stores, and ``PDResult.planned_loads`` is the
+dense loads plus those. Every arrival runs through one scalar
 core (:meth:`PDScheduler._arrive_row`): :meth:`PDScheduler.arrive` and
 :func:`run_pd` feed it one row at a time, and
 :meth:`PDScheduler.arrive_many` runs the epoch layer of
@@ -77,11 +80,10 @@ class JobDecision:
     planned_speed:
         The speed ``s~_j`` the job was priced at just before ``lambda_j``
         got fixed (Equation (10)).
-    planned_loads:
-        For rejected jobs: the loads PD *planned* just before rejecting
-        (the paper's ``x̌``), keyed by the grid the job saw at arrival —
-        re-expressed on the final grid, see :class:`PDResult`. Empty for
-        accepted jobs (their final loads live in the schedule).
+    planned_work:
+        The total work of the loads PD planned for the job at that speed:
+        its committed loads if accepted, the paper's ``x̌`` if rejected
+        (their per-interval split is in :attr:`PDResult.planned_loads`).
     """
 
     job_id: int
@@ -193,8 +195,9 @@ class PDScheduler:
         self._grid_cache: Grid | None = None
         #: One live sorted-load store per atomic interval (accepted work).
         self._states: list[IntervalLoads] = []
-        #: Per interval, the planned ``(job_id, load)`` entries — final
-        #: loads for accepted jobs, the pre-rejection ``x̌`` otherwise.
+        #: Per interval, the rejected jobs' ``(job_id, load)`` entries:
+        #: the ``x̌`` planned just before the reject. An accepted job's
+        #: planned loads are its store loads.
         self._planned: list[list[tuple[int, float]]] = []
         self._last_release = -np.inf
         #: The fed jobs in arrival order, held by reference: the ``Job``
@@ -263,21 +266,6 @@ class PDScheduler:
                 )
             )
         return self._finish(Instance(tuple(jobs), m=self.m, alpha=self._alpha))
-
-    def snapshot_loads(self) -> FloatArray:
-        """Dense ``(jobs so far, N)`` view of the committed assignment.
-
-        A materialization of the live per-interval stores on the current
-        grid — the matrix the historical implementation carried around
-        explicitly. Diagnostics/tests only; O(n·N) per call.
-        """
-        if not self._bounds:
-            return np.zeros((0, 0))
-        loads = np.zeros((self._count, len(self._lengths)))
-        for k, state in enumerate(self._states):
-            if state.ids:
-                loads[state.ids, k] = state.loads
-        return loads
 
     # ------------------------------------------------------------------
     # Streaming cost accessors
@@ -376,10 +364,10 @@ class PDScheduler:
 
     def _commit(self, i0: int, outcome: WaterfillOutcome, job_id: int) -> None:
         """Record one filled arrival's loads in the window starting at
-        interval ``i0``: planned loads always (the ``x̌`` of a reject),
-        live stores (and their opening speeds, once tracked) on an
-        accept. Exact zeros carry no information (the dense
-        materialization is zero-initialized) and are skipped."""
+        interval ``i0``: live stores (and their opening speeds, once
+        tracked) on an accept, the planned ``x̌`` on a reject. Exact
+        zeros carry no information (the dense materialization is
+        zero-initialized) and are skipped."""
         states = self._states
         planned = self._planned
         opens = self._open
@@ -388,12 +376,13 @@ class PDScheduler:
             if z == 0.0:
                 continue
             k = i0 + offset
-            if accepted:
-                state = states[k]
-                state.insert(job_id, z)
-                if opens is not None:
-                    opens[k] = _opening_speed(state.suffix, self._lengths[k], self.m)
-            planned[k].append((job_id, z))
+            if not accepted:
+                planned[k].append((job_id, z))
+                continue
+            state = states[k]
+            state.insert(job_id, z)
+            if opens is not None:
+                opens[k] = _opening_speed(state.suffix, self._lengths[k], self.m)
 
     def _run(self, ordered: Instance) -> PDResult:
         """Feed the rows of a release-ordered instance through the
@@ -428,14 +417,20 @@ class PDScheduler:
                 zip(self._accepted, self._lams, self._speeds, self._planned_work)
             )
         )
-        planned = np.zeros((n, len(self._lengths)))
+        loads = np.zeros((n, len(self._lengths)))
+        for k, state in enumerate(self._states):
+            if state.ids:
+                loads[state.ids, k] = state.loads
+        # An accepted job's planned loads are its store loads: both were
+        # split by the same multiplies. Only the rejects' x̌ is added.
+        planned = loads.copy()
         for k, entries in enumerate(self._planned):
             for job_id, z in entries:
                 planned[job_id, k] = z
         schedule = Schedule(
             instance=instance,
             grid=self._grid,
-            loads=self.snapshot_loads(),
+            loads=loads,
             finished=np.array(self._accepted, dtype=bool),
         )
         return PDResult(

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..analysis.certificates import contributing_jobs
+from ..analysis.certificates import contributions
 from ..model.power import PowerFunction
 from .pd_general import GeneralPDResult
 
@@ -72,11 +72,11 @@ def general_dual_bound(result: GeneralPDResult) -> GeneralDualBound:
 
     Mirrors :func:`repro.analysis.certificates.dual_certificate` with the
     polynomial closed forms replaced by protocol calls; the contributing
-    -set construction is shared code.
+    sets and ``l(j)`` come from the same window pass
+    (:func:`~repro.analysis.certificates.contributions`).
     """
     schedule = result.schedule
     instance = schedule.instance
-    grid = schedule.grid
     power: PowerFunction = result.power
     w = instance.workloads
     lam = np.maximum(result.lambdas, 0.0)
@@ -84,14 +84,7 @@ def general_dual_bound(result: GeneralPDResult) -> GeneralDualBound:
     s_hat = np.array(
         [power.derivative_inverse(float(l) / float(wj)) for l, wj in zip(lam, w)]
     )
-    avail = grid.availability_matrix(instance)
-    phi = contributing_jobs(avail, s_hat, instance.m)
-
-    lengths = grid.lengths
-    l_of_j = np.zeros(instance.n)
-    for k, members in enumerate(phi):
-        for j in members:
-            l_of_j[j] += float(lengths[k])
+    _, l_of_j = contributions(schedule, s_hat)
 
     x_contrib = float(
         sum(

@@ -10,7 +10,9 @@ provably, since it is nothing but convex weak duality — is the dual
 lower bound ``g(lambda~) <= cost(OPT)`` computed by
 :mod:`repro.general.duality`, so every generalized run still carries a
 machine-checkable certificate of the form ``cost(PD) <= r * cost(OPT)``
-with an *empirical* ``r = cost / g``.
+with an *empirical* ``r = cost / g``. The run's energy is billed under
+``power`` by the same batched Equation (6) kernel as ``Schedule.energy``
+(:func:`energy_with_power`), emptiness gate included.
 """
 
 from __future__ import annotations
@@ -20,16 +22,14 @@ from functools import cached_property
 
 import numpy as np
 
-from ..chen.interval_power import interval_energy
 from ..core.pd import PDResult, PDScheduler
 from ..errors import InvalidParameterError
 from ..model.job import Instance
 from ..model.power import PowerFunction
 from ..model.schedule import Schedule
+from ..perf.energy import schedule_energy
 
 __all__ = ["GeneralPDResult", "run_pd_general", "energy_with_power"]
-
-_LOAD_EPS = 1e-12
 
 
 def energy_with_power(schedule: Schedule, power: PowerFunction) -> float:
@@ -39,18 +39,13 @@ def energy_with_power(schedule: Schedule, power: PowerFunction) -> float:
     independent of the convex power function (the most balanced feasible
     load vector is optimal for every convex ``P`` by majorization), so
     re-pricing the same loads under a different ``P`` is exact, not a
-    bound.
+    bound. Evaluated by the batched kernel behind ``Schedule.energy``
+    (:func:`repro.perf.energy.schedule_energy`) with ``power`` in place
+    of the instance's polynomial.
     """
-    lengths = schedule.grid.lengths
-    total = 0.0
-    for k in range(schedule.grid.size):
-        col = schedule.loads[:, k]
-        if float(col.sum()) <= _LOAD_EPS:
-            continue
-        total += interval_energy(
-            col, schedule.instance.m, float(lengths[k]), power
-        )
-    return total
+    return schedule_energy(
+        schedule.loads, schedule.grid.lengths, schedule.instance.m, power
+    )
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ import numpy as np
 
 from ..errors import GridMismatchError, InvalidParameterError
 from ..types import FloatArray, IntervalIndex, Time
-from .job import Instance, Job
+from .job import Instance
 
 __all__ = ["Grid", "grid_for_instance"]
 
@@ -128,19 +128,14 @@ class Grid:
         """
         return _window(self._points, start, end)
 
-    def availability(self, job: Job) -> np.ndarray:
-        """Boolean mask ``c_{jk}``: interval ``k`` lies inside the job window."""
-        mask = np.zeros(self.size, dtype=bool)
-        mask[list(self.covering(job.release, job.deadline))] = True
-        return mask
-
-    def availability_matrix(self, instance: Instance) -> np.ndarray:
-        """Full ``n x N`` boolean availability matrix for an instance.
+    def windows(self, instance: Instance) -> tuple[np.ndarray, np.ndarray]:
+        """Every job's window as interval indices ``[first[j], stop[j])``.
 
         Requires every job window endpoint to be a grid boundary, i.e. the
-        grid built by :func:`grid_for_instance`. Vectorized: one
-        searchsorted per endpoint column and a broadcast range compare,
-        instead of a Python covering() walk per job.
+        grid built by :func:`grid_for_instance`; the first misaligned
+        window raises :class:`GridMismatchError`. Vectorized: one
+        searchsorted per endpoint column, under the same alignment test
+        as :meth:`covering`.
         """
         def aligned(col: np.ndarray, t: FloatArray) -> np.ndarray:
             hit = col < self.boundaries.size
@@ -150,16 +145,22 @@ class Grid:
 
         starts = instance.releases
         ends = instance.deadlines
-        i = np.searchsorted(self.boundaries, starts - _TIME_EPS, side="left")
-        j = np.searchsorted(self.boundaries, ends - _TIME_EPS, side="left")
-        if not (aligned(i, starts).all() and aligned(j, ends).all()):
-            # Fall back to the per-job path for the exact historical
-            # error message on the first offending window.
-            return np.stack(
-                [self.availability(job) for job in instance.jobs], axis=0
-            )
+        first = np.searchsorted(self.boundaries, starts - _TIME_EPS, side="left")
+        stop = np.searchsorted(self.boundaries, ends - _TIME_EPS, side="left")
+        ok = aligned(first, starts) & aligned(stop, ends)
+        if not ok.all():
+            # covering() makes the same float test, so it raises the
+            # canonical error for the first misaligned window.
+            j = int(np.argmin(ok))
+            self.covering(float(starts[j]), float(ends[j]))
+        return first, stop
+
+    def availability_matrix(self, instance: Instance) -> np.ndarray:
+        """Full ``n x N`` boolean availability matrix for an instance:
+        the :meth:`windows` as a broadcast range compare."""
+        first, stop = self.windows(instance)
         span = np.arange(self.size)
-        return (span >= i[:, None]) & (span < j[:, None])
+        return (span >= first[:, None]) & (span < stop[:, None])
 
     # ------------------------------------------------------------------
     # Comparisons

@@ -245,7 +245,27 @@ def _fabric_point(point: Mapping[str, Any]) -> dict:
     ``bulk`` pushes ``put_many``/``get_many`` batches of ``size``-byte
     payloads. ``records_per_s`` is the figure of merit; request
     construction and cache seeding happen outside the timed region.
+
+    The point runs pinned to one CPU, as perfbench's steal-warm does:
+    client and server threads then hand off within one core instead of
+    waking another, whose latency the calibration yardstick (numpy and
+    Python, not loopback hand-offs) does not scale with. No point starts
+    a worker process: ``workers=1`` steals on the inline executor, and
+    ``steal-hits`` computes no cell. Server threads inherit the mask; it
+    is restored when the point ends.
     """
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+    if cpus:
+        os.sched_setaffinity(0, {min(cpus)})
+    try:
+        return _fabric_run(point)
+    finally:
+        if cpus:
+            os.sched_setaffinity(0, cpus)
+
+
+def _fabric_run(point: Mapping[str, Any]) -> dict:
+    """One :func:`_fabric_point` measurement, on the caller's CPUs."""
     from ..engine.cache import MemoryCache
     from ..engine.remote import HttpCache, HttpClaimTable
     from ..engine.runner import (

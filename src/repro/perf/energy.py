@@ -41,12 +41,19 @@ parity suite). The bit-parity obligations, and how each is met:
 matrix — which is what lets the million-job PD bench report energy
 without materializing a 30 GB schedule. The stores are already
 descending-sorted with reference-bit suffix sums (the PR 5 insertion
-lemma), so the per-interval arithmetic is literally the reference's;
+lemma), so the per-interval arithmetic is literally the reference's,
+single-load intervals included (their dedication scan dedicates the
+one load, and the dedicated sum is the reference's one-element sum);
 the one caveat is the emptiness gate, which sums only the nonzero loads
 (sequentially) where the dense reference sums the whole zero-padded
 column (pairwise). The two gate values agree unless a column total sits
 within one rounding step of the ``1e-12`` gate — generic position,
 asserted exactly on every differential workload.
+
+Outside the reference oracle, these two functions are the only
+whole-schedule evaluators of Equation (6): ``Schedule.energy`` and
+:func:`repro.general.pd_general.energy_with_power` (any power
+function) both call :func:`schedule_energy`.
 """
 
 from __future__ import annotations
@@ -189,14 +196,6 @@ def stores_energy(
         if p == 0 or state.suffix[0] <= _GATE_EPS:
             continue
         length = float(lengths[k])
-        if p == 1:
-            v = state.loads[0]
-            if v > _PART_EPS:
-                single = np.array([v], dtype=np.float64)
-                total += (
-                    float(np.sum(power.power_array(single / length))) * length
-                )
-            continue
         srt = np.asarray(state.loads, dtype=np.float64)
         suffix = state.suffix
         tol = _PART_EPS * max(1.0, float(suffix[0]))

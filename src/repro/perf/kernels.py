@@ -13,14 +13,17 @@ This module maintains the sorted structure *incrementally* across
 arrivals instead:
 
 * :class:`IntervalLoads` keeps one interval's positive loads in
-  descending order inside a preallocated, grown-by-doubling array.
-  Accepting a job is a sorted **insertion** (one C-level ``memmove``);
-  splitting an interval on grid refinement is a **split-copy** (scale
-  by the child fraction — order is preserved, so no re-sort); suffix
-  sums are rebuilt with the exact accumulation order the reference
-  path used, which keeps every query bit-identical.
+  descending order in plain lists. Accepting a job is a sorted
+  **insertion** (one C-level ``memmove``); splitting an interval on
+  grid refinement is a **split-copy** (scale by the child fraction —
+  order is preserved, so no re-sort); suffix sums are rebuilt with the
+  exact accumulation order the reference path used, which keeps every
+  query bit-identical. A PD run holds each accepted load here only:
+  its planned loads are read off these stores.
 * :class:`WindowKernel` freezes the stores of one job's window and
-  answers ``total_at_speed`` / ``loads_at_speed`` for the water-fill,
+  answers every query on them: ``total_at_speed`` /
+  ``loads_at_speed`` for the water-fill (a one-interval kernel is the
+  scalar water-level query of a single store),
   plus ``clearing_speed``, the exact speed at which the window total
   reaches a workload (a sweep over the total's at most ``m + 2`` slope
   changes per interval). Each is a tight ``bisect``-based loop over
@@ -142,19 +145,6 @@ class IntervalLoads:
             acc += self.loads[i]
             suffix[i] = acc
         self.suffix = suffix
-
-    def max_load_at_speed(self, target_speed: float, m: int, length: float) -> float:
-        """Scalar water-level query; bit-identical to ``SortedLoads``."""
-        if target_speed <= 0.0:
-            return 0.0
-        target_load = target_speed * length
-        d = bisect_left(self.neg, -target_load)
-        if d >= m:
-            return 0.0
-        z = target_load * (m - d) - self.suffix[d]
-        if z <= 0.0:
-            return 0.0
-        return z if z <= target_load else target_load
 
 
 def _opening_level(suffix: list[float], m: int) -> float:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -58,6 +59,31 @@ class TestScenarios:
         path = write_result(payload, str(tmp_path))
         assert path.endswith("BENCH_cache-micro.json")
         assert load_result(path) == json.load(open(path))
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_getaffinity"), reason="no CPU affinity here"
+    )
+    def test_fabric_point_runs_pinned_and_restores_the_mask(self, monkeypatch):
+        """A fabric point runs on one CPU, and the caller's mask comes
+        back afterwards, also when the point raises."""
+        from repro.perf import bench
+
+        before = os.sched_getaffinity(0)
+        seen = []
+
+        def measure(point):
+            seen.append(os.sched_getaffinity(0))
+            if point.get("fail"):
+                raise RuntimeError("point failed")
+            return {}
+
+        monkeypatch.setattr(bench, "_fabric_run", measure)
+        point = SCENARIOS["fabric-throughput"].run_point
+        assert point({"op": "steal-hits"}) == {}
+        with pytest.raises(RuntimeError):
+            point({"op": "steal-hits", "fail": True})
+        assert seen == [{min(before)}] * 2
+        assert os.sched_getaffinity(0) == before
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(InvalidParameterError, match="unknown bench"):

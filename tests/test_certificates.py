@@ -18,23 +18,49 @@ from repro.workloads import (
 )
 
 
+def _windows(first, stop):
+    return np.array(first, dtype=np.int64), np.array(stop, dtype=np.int64)
+
+
 class TestContributingJobs:
     def test_top_m_by_s_hat(self):
-        avail = np.array([[True, True], [True, False], [True, True]])
+        windows = _windows([0, 0, 0], [2, 1, 2])
         s_hat = np.array([1.0, 3.0, 2.0])
-        phi = contributing_jobs(avail, s_hat, m=2)
+        phi = contributing_jobs(windows, 2, s_hat, m=2)
         assert phi[0] == (1, 2)  # two largest available
         assert phi[1] == (2, 0)  # job 1 unavailable in interval 1
 
     def test_zero_s_hat_excluded(self):
-        avail = np.array([[True], [True]])
-        phi = contributing_jobs(avail, np.array([0.0, 1.0]), m=2)
+        phi = contributing_jobs(_windows([0, 0], [1, 1]), 1, np.array([0.0, 1.0]), m=2)
         assert phi[0] == (1,)
 
     def test_fewer_jobs_than_m(self):
-        avail = np.array([[True]])
-        phi = contributing_jobs(avail, np.array([2.0]), m=4)
+        phi = contributing_jobs(_windows([0], [1]), 1, np.array([2.0]), m=4)
         assert phi[0] == (0,)
+
+
+class TestNoAvailabilityMatrix:
+    def test_certificates_read_windows_only(self, monkeypatch):
+        """No certificate path builds the ``(n, N)`` availability
+        matrix: PD's certificate, CLL's hook and the general-power
+        bound all run with it disabled."""
+        from repro.core.cll import _cll_certificate, run_cll
+        from repro.general import SumPower, general_dual_bound, run_pd_general
+        from repro.model.intervals import Grid
+
+        pd_inst = poisson_instance(30, m=2, alpha=3.0, seed=5)
+        cll_inst = poisson_instance(30, m=1, alpha=3.0, seed=5)
+        pd_result = run_pd(pd_inst)
+        cll_result = run_cll(cll_inst)
+        general = run_pd_general(pd_inst, SumPower([1.0, 0.5], [3.0, 1.0]), delta=0.1)
+
+        def refuse(self, instance):
+            raise AssertionError("a certificate built the availability matrix")
+
+        monkeypatch.setattr(Grid, "availability_matrix", refuse)
+        assert dual_certificate(pd_result).holds
+        assert np.isfinite(_cll_certificate(cll_result).g)
+        assert general_dual_bound(general).holds
 
 
 class TestDualCertificate:

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from repro.errors import GridMismatchError, InvalidParameterError
 from repro.model.intervals import Grid, grid_for_instance
-from repro.model.job import Instance, Job
+from repro.model.job import Instance
 from repro.perf.reference import _refine
 
 
@@ -49,20 +49,24 @@ class TestGridBasics:
         with pytest.raises(GridMismatchError):
             g.covering(0.5, 3.0)
 
-    def test_availability_mask(self):
-        g = make_grid(0.0, 1.0, 2.0, 3.0)
-        job = Job(1.0, 3.0, 1.0, 1.0)
-        np.testing.assert_array_equal(g.availability(job), [False, True, True])
-
     def test_availability_matrix(self):
         inst = Instance.from_tuples(
             [(0.0, 2.0, 1.0, 1.0), (1.0, 3.0, 1.0, 1.0)]
         )
         g = grid_for_instance(inst)
+        first, stop = g.windows(inst)
+        np.testing.assert_array_equal(first, [0, 1])
+        np.testing.assert_array_equal(stop, [2, 3])
         mat = g.availability_matrix(inst)
         np.testing.assert_array_equal(
             mat, [[True, True, False], [False, True, True]]
         )
+        # The first misaligned window raises the canonical error.
+        stale = Instance.from_tuples(
+            [(0.0, 2.0, 1.0, 1.0), (0.5, 3.0, 1.0, 1.0), (1.5, 3.0, 1.0, 1.0)]
+        )
+        with pytest.raises(GridMismatchError, match=r"\[0\.5, 3\.0\)"):
+            g.windows(stale)
 
     def test_grid_for_instance_has_at_most_2n_minus_1_intervals(self):
         inst = Instance.from_tuples(

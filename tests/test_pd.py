@@ -92,7 +92,7 @@ class TestOnlineDiscipline:
         """PD never redistributes earlier jobs (the Figure 3 property)."""
         sched = PDScheduler(m=1, alpha=3.0)
         sched.arrive(Job(0.0, 4.0, 2.0, 1e9))
-        loads_before = sched.snapshot_loads()
+        loads_before = sched.finish().schedule.loads
         grid_before = sched._grid
         sched.arrive(Job(1.0, 2.0, 1.0, 1e9))
         # Re-express the old loads on the new grid: they must be exactly
@@ -100,7 +100,7 @@ class TestOnlineDiscipline:
         ref = _refine(grid_before, [1.0, 2.0])
         expected_row0 = ref.split_row(loads_before[0])
         np.testing.assert_allclose(
-            sched.snapshot_loads()[0], expected_row0, rtol=1e-12
+            sched.finish().schedule.loads[0], expected_row0, rtol=1e-12
         )
 
     def test_grid_refinement_transparent(self):
@@ -121,6 +121,23 @@ class TestOnlineDiscipline:
         inst2 = Instance.from_tuples([jobs[2], jobs[0], jobs[3], jobs[1]], m=1, alpha=3.0)
         r2 = run_pd(inst2)
         assert r1.cost == pytest.approx(r2.cost, rel=1e-9)
+
+    def test_planned_loads_store_only_rejects(self):
+        """Only a rejected job's x̌ is kept beside the live stores; an
+        accepted job's planned row is its schedule row, bit for bit."""
+        inst = poisson_instance(60, m=2, alpha=3.0, seed=0).sorted_by_release()
+        sched = PDScheduler(m=2, alpha=3.0)
+        for job in inst.jobs:
+            sched.arrive(job)
+        result = sched.finish()
+        accepted = result.accepted_mask
+        assert accepted.any() and not accepted.all()
+        kept = {job_id for entries in sched._planned for job_id, _ in entries}
+        assert kept and not any(accepted[j] for j in kept)
+        assert np.array_equal(
+            result.planned_loads[accepted], result.schedule.loads[accepted]
+        )
+        assert not result.schedule.loads[~accepted].any()
 
 
 class TestAgainstClassicalAlgorithms:

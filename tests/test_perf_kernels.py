@@ -248,6 +248,14 @@ class TestPDParityProperty:
         assert np.array_equal(result.planned_loads, ref.planned_loads)
 
 
+def _store_load_at_speed(
+    store: IntervalLoads, speed: float, m: int, length: float
+) -> float:
+    """The scalar water-level query of one store: a one-interval
+    ``WindowKernel``'s load at ``speed``."""
+    return float(WindowKernel([store], [length], m).loads_at_speed(speed)[0])
+
+
 class TestKernelPrimitives:
     @pytest.mark.parametrize("m", [1, 2, 5])
     def test_interval_loads_matches_sorted_loads(self, m):
@@ -261,8 +269,8 @@ class TestKernelPrimitives:
             inserted.append(load)
             reference = SortedLoads(np.array(inserted), m, length)
             for speed in (0.0, 0.3, 1.0, 2.7, float(rng.uniform(0, 5))):
-                assert store.max_load_at_speed(
-                    speed, m, length
+                assert _store_load_at_speed(
+                    store, speed, m, length
                 ) == reference.max_load_at_speed(speed)
 
     def test_interval_loads_split_matches_rescaled_sort(self):
@@ -275,8 +283,8 @@ class TestKernelPrimitives:
         child = store.split(fraction)
         reference = SortedLoads(loads * fraction, 3, 0.5)
         for speed in np.linspace(0.0, 4.0, 23):
-            assert child.max_load_at_speed(
-                float(speed), 3, 0.5
+            assert _store_load_at_speed(
+                child, float(speed), 3, 0.5
             ) == reference.max_load_at_speed(float(speed))
 
     @pytest.mark.parametrize("k", [1, 3, 31, 32, 40])
@@ -333,8 +341,8 @@ class TestKernelPrimitives:
             assert from_column.suffix == store.suffix
             reference = SortedLoads(column, m, length)
             for speed in (0.0, 0.2, 0.9, 3.1):
-                assert from_column.max_load_at_speed(
-                    speed, m, length
+                assert _store_load_at_speed(
+                    from_column, speed, m, length
                 ) == reference.max_load_at_speed(speed)
             built.append(from_column)
             inserted.append(store)
@@ -408,10 +416,13 @@ class TestOpeningSpeedProperty:
         for speed in speeds:
             if speed * _SETTLE_MARGIN < open_speed:
                 assert not _kernel_opens(store, speed, m, length)
-                assert store.max_load_at_speed(speed, m, length) == 0.0
+                assert _store_load_at_speed(store, speed, m, length) == 0.0
         if 0.0 < open_speed < math.inf:
             # Not vacuous: a little above the opening speed, it opens.
-            assert store.max_load_at_speed(open_speed * (1 + 1e-6), m, length) > 0.0
+            assert (
+                _store_load_at_speed(store, open_speed * (1 + 1e-6), m, length)
+                > 0.0
+            )
 
         level = _opening_level(store.suffix, m)
         store.insert(len(loads), extra)
@@ -649,10 +660,12 @@ def _window_or_error(scan, view, remaining, events, frozen):
 
 
 class TestPlanWindowProperty:
-    """OA/CLL's one-pass plan scan against YDS's vectorized
-    ``_critical_window`` on generated common-release views, round after
-    round (so later rounds see the frozen prefix of earlier ones):
-    ``(g, a, b, inside)`` bitwise equal, float for float."""
+    """OA/CLL's one-pass plan scan on its float frontier against YDS's
+    vectorized ``_critical_window`` on the ``IntervalSet`` algebra, on
+    generated common-release views, round after round (so later rounds
+    see the frozen prefix of earlier ones): ``(g, a, b, inside)``
+    bitwise equal, float for float, and the frozen set always the one
+    block ``[now, front]`` that the frontier stands for."""
 
     @given(view=plan_views())
     @settings(max_examples=150, deadline=None)
@@ -662,31 +675,33 @@ class TestPlanWindowProperty:
         from repro.classical.yds import _critical_window
 
         remaining = set(range(len(view)))
+        now = front = view[0].release
         frozen = IntervalSet.empty()
         while remaining:
             events = sorted(
                 {view[j].release for j in remaining}
                 | {view[j].deadline for j in remaining}
             )
-            fast = _window_or_error(_plan_window, view, remaining, events, frozen)
+            fast = _window_or_error(_plan_window, view, remaining, events, front)
             slow = _window_or_error(
                 _critical_window, view, remaining, events, frozen
             )
             assert fast == slow
             if fast[0] == "error":
                 break
-            _, a, b, inside = _plan_window(view, remaining, events, frozen)
+            _, a, b, inside = _plan_window(view, remaining, events, front)
             frozen = frozen.union(IntervalSet.span(a, b).subtract(frozen))
+            front = b
+            assert frozen.parts == ((now, front),)
             remaining -= set(inside)
 
     def test_broken_structure_raises(self):
         from repro.classical.oa import _plan_window
-        from repro.classical.timeline import IntervalSet
         from repro.errors import SolverError
 
         view = [_PlanJob(0.0, 2.0, 1.0), _PlanJob(0.5, 3.0, 1.0)]
         with pytest.raises(SolverError, match="common-release"):
-            _plan_window(view, {0, 1}, [0.0, 0.5, 2.0, 3.0], IntervalSet.empty())
+            _plan_window(view, {0, 1}, [0.0, 0.5, 2.0, 3.0], 0.0)
 
 
 class TestBatchedEnergyParity:
@@ -838,6 +853,84 @@ class TestEnergyParityProperty:
         assert stores_energy(states, grid.lengths, m, power) == expected
         assert stores_energy(states, grid.lengths.tolist(), m, power) == expected
 
+    @given(case=load_matrices(), general=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_energy_with_power_matches_column_loop(self, case, general):
+        """``energy_with_power`` on the batched kernel == its former
+        per-column ``interval_energy`` loop over the zero-padded
+        columns, bit for bit, for a sum of powers and a polynomial."""
+        from repro.chen.interval_power import interval_energy
+        from repro.general import SumPower, energy_with_power
+        from repro.model.power import PolynomialPower
+        from repro.model.schedule import Schedule
+
+        loads, boundaries, m, alpha = case
+        power = (
+            SumPower([1.0, 0.5], [alpha, 1.0]) if general else PolynomialPower(alpha)
+        )
+        grid = Grid(boundaries)
+        instance = Instance.from_tuples(
+            [(0.0, float(boundaries[-1]), 1.0, 1.0)] * loads.shape[0],
+            m=m,
+            alpha=alpha,
+        )
+        schedule = Schedule(
+            instance=instance,
+            grid=grid,
+            loads=loads,
+            finished=np.ones(loads.shape[0], dtype=bool),
+        )
+        expected = 0.0
+        for k in range(grid.size):
+            col = schedule.loads[:, k]
+            if float(col.sum()) <= 1e-12:
+                continue
+            expected += interval_energy(col, m, float(grid.lengths[k]), power)
+        assert energy_with_power(schedule, power) == expected
+
+
+def _literal_phi(first, stop, size, s_hat, m):
+    """Lemma 5(c) read literally: per interval, rescan every job in
+    ``(-s_hat, id)`` order and keep the first ``m`` available ones with
+    ``s_hat > 0``."""
+    order_all = np.lexsort((np.arange(len(s_hat)), -s_hat))
+    expected = []
+    for k in range(size):
+        picked = []
+        for j in order_all:
+            if len(picked) == m:
+                break
+            if first[j] <= k < stop[j] and s_hat[j] > 0.0:
+                picked.append(int(j))
+        expected.append(tuple(picked))
+    return tuple(expected)
+
+
+@st.composite
+def phi_cases(draw):
+    """Job windows on a grid of ``size`` intervals (empty ones
+    included), ``s_hat`` drawn from a small pool so ties are common,
+    zeros mixed in, and ``m`` often larger than a window holds."""
+    size = draw(st.integers(min_value=1, max_value=12))
+    n = draw(st.integers(min_value=0, max_value=14))
+    first, stop = [], []
+    for _ in range(n):
+        lo = draw(st.integers(min_value=0, max_value=size))
+        first.append(lo)
+        stop.append(draw(st.integers(min_value=lo, max_value=size)))
+    pool = draw(
+        st.lists(st.floats(min_value=1e-3, max_value=10.0), min_size=1, max_size=3)
+    )
+    s_hat = [draw(st.sampled_from([0.0, *pool])) for _ in range(n)]
+    m = draw(st.integers(min_value=1, max_value=6))
+    return (
+        np.array(first, dtype=np.int64),
+        np.array(stop, dtype=np.int64),
+        size,
+        np.array(s_hat, dtype=np.float64),
+        m,
+    )
+
 
 class TestCertificateHelpersParity:
     def test_contributing_jobs_matches_literal_rescan(self):
@@ -846,33 +939,20 @@ class TestCertificateHelpersParity:
         rng = np.random.default_rng(3)
         n, big_n, m = 30, 17, 3
         first = rng.integers(0, big_n - 1, n)
-        width = rng.integers(1, 6, n)
-        avail = np.zeros((n, big_n), dtype=bool)
-        for j in range(n):
-            avail[j, first[j] : min(big_n, first[j] + width[j])] = True
+        stop = np.minimum(big_n, first + rng.integers(1, 6, n))
         s_hat = rng.exponential(1.0, n)
         s_hat[rng.random(n) < 0.2] = 0.0
+        expected = _literal_phi(first, stop, big_n, s_hat, m)
+        assert contributing_jobs((first, stop), big_n, s_hat, m) == expected
 
-        order_all = np.lexsort((np.arange(n), -s_hat))
-        expected = []
-        for k in range(big_n):
-            picked = []
-            for j in order_all:
-                if len(picked) == m:
-                    break
-                if avail[j, k] and s_hat[j] > 0.0:
-                    picked.append(int(j))
-            expected.append(tuple(picked))
-        assert contributing_jobs(avail, s_hat, m) == tuple(expected)
-
-    def test_contributing_jobs_noncontiguous_fallback(self):
+    @given(case=phi_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_contributing_jobs_window_pass_matches_literal_rescan(self, case):
         from repro.analysis.certificates import contributing_jobs
 
-        avail = np.array(
-            [[True, False, True], [True, True, True]], dtype=bool
-        )
-        s_hat = np.array([2.0, 1.0])
-        assert contributing_jobs(avail, s_hat, 1) == ((0,), (1,), (0,))
+        first, stop, size, s_hat, m = case
+        expected = _literal_phi(first, stop, size, s_hat, m)
+        assert contributing_jobs((first, stop), size, s_hat, m) == expected
 
     def test_pool_level_matches_literal_scan(self):
         from repro.chen.interval_power import _LOAD_EPS, pool_level
