@@ -12,8 +12,9 @@ guarantee. We sweep m, comparing PD against the offline convex optimum
 
 The m-grid is a fixed-instance :class:`ExperimentSpec` on the engine;
 the offline comparator is reconstructed per cell from each record's
-serialized schedule (acceptance set + machine environment travel with
-the record, so the comparison needs no second PD run).
+serialized schedule and the cell's request instance (the record holds
+the acceptance set, the request the jobs and machine environment, so
+the comparison needs no second PD run).
 """
 
 from __future__ import annotations
@@ -40,10 +41,10 @@ def multiproc_sweep():
         grid={"m": MS},
         algorithms=("pd",),
     )
+    requests = spec.requests()
     out = []
-    for cell in run_experiment(spec, BatchRunner()):
-        record = cell.records[0]
-        schedule = schedule_from_dict(record.schedule)
+    for request, record in zip(requests, BatchRunner().run(requests)):
+        schedule = schedule_from_dict(record.schedule, request.instance)
         # Offline comparator: cheapest way to finish exactly PD's accepted
         # set, plus the same lost value (an upper bound on how much of
         # PD's cost is online overhead rather than acceptance choices).
@@ -51,7 +52,7 @@ def multiproc_sweep():
         offline = solve_min_energy(schedule.instance, accepted)
         offline_cost = offline.energy + schedule.lost_value
         out.append(
-            (cell.params["m"], record.cost, offline_cost, record.certified_ratio)
+            (request.instance.m, record.cost, offline_cost, record.certified_ratio)
         )
     return out
 

@@ -3,6 +3,7 @@
 The engine's whole replay story rests on one assumption: anything
 folded into :func:`repro.io.serialize.stable_hash` /
 :func:`~repro.io.serialize.canonical_json` /
+:func:`~repro.io.serialize.instance_digest` /
 :func:`~repro.engine.runner.request_key` is a pure function of the
 experiment's declared inputs. A wall-clock read, an unseeded RNG draw,
 or an arbitrary-order set iteration anywhere in that closure silently
@@ -52,7 +53,9 @@ from .core import Checker, Finding, SourceFile
 __all__ = ["DeterminismChecker", "KNOWN_RECORD_SCHEMAS", "record_schema_fingerprint"]
 
 #: The functions whose arguments must be deterministic.
-HASH_PRIMITIVES = frozenset({"stable_hash", "canonical_json", "request_key"})
+HASH_PRIMITIVES = frozenset(
+    {"stable_hash", "canonical_json", "instance_digest", "request_key"}
+)
 
 #: Blessed record-payload schemas: ``RECORD_VERSION`` -> fingerprint of
 #: the sorted payload vocabulary (:func:`record_schema_fingerprint`).
@@ -63,6 +66,9 @@ KNOWN_RECORD_SCHEMAS: dict[int, str] = {
     2: "180645d38efa6ab46a04279709811152c11355219657bc7213e608e1ed1b673f",
     # Same vocabulary: 3 marks the exact water-fill's moved floats.
     3: "180645d38efa6ab46a04279709811152c11355219657bc7213e608e1ed1b673f",
+    # Same top-level vocabulary: 4 drops the schedule's instance, writes
+    # its loads as columns, and keys hash the instance digest.
+    4: "180645d38efa6ab46a04279709811152c11355219657bc7213e608e1ed1b673f",
 }
 
 #: RNG constructors that take (and therefore can carry) an explicit

@@ -2,8 +2,9 @@
 
 Every backend stores immutable JSON payloads under string keys (the
 :func:`repro.io.serialize.stable_hash` of the *request*: algorithm name
-+ parsed variant parameters + the instance's serialized form + the
-record schema version). Re-running a sweep with one changed cell
++ parsed variant parameters + the instance's
+:func:`~repro.io.serialize.instance_digest` + the record schema
+version). Re-running a sweep with one changed cell
 therefore recomputes exactly that cell: every other request hashes to an
 existing entry.
 

@@ -12,7 +12,7 @@ that reorders the stream back into **request order** — byte-identical to
 the records the historical eager implementation returned.
 
 Records are plain JSON-able measurements (cost, energy, acceptance,
-certified ratio, per-cell wall time, the full serialized schedule),
+certified ratio, per-cell wall time, the serialized schedule results),
 which buys two properties at once:
 
 * **parallel == serial**: worker processes ship back the exact payload a
@@ -23,7 +23,9 @@ which buys two properties at once:
   :class:`~repro.engine.cache.CacheBackend` stores, so a cache hit is
   indistinguishable from a fresh run (and a warm sweep recomputes
   nothing — only changed cells miss). The stored wall time is the
-  *original* measured cost of the cell.
+  *original* measured cost of the cell. A stored entry that is not a
+  record of this build for the cell (another version, a missing or
+  ill-typed field, a wrong job count) reads as a miss and is rewritten.
 
 The certified ratio is filled for exactly the algorithms whose registry
 entry declares the ``certificate-producing`` capability; other cells
@@ -52,7 +54,7 @@ from ..errors import CacheError, InvalidParameterError
 from ..io.serialize import (
     SCHEMA_VERSION,
     canonical_json,
-    instance_to_dict,
+    instance_digest,
     schedule_to_dict,
     stable_hash,
 )
@@ -79,8 +81,11 @@ __all__ = [
 #: (2: added the measured ``wall_time`` field. 3: PD's water-fill solves
 #: the clearing speed exactly instead of bisecting, which moves accepted
 #: speeds and loads within the old bisection tolerance; payload shape
-#: unchanged.)
-RECORD_VERSION = 3
+#: unchanged. 4: the schedule drops its instance, which the key fixes,
+#: and writes its loads as interval-major columns; keys hash the
+#: instance's :func:`~repro.io.serialize.instance_digest` instead of its
+#: text. Every float of every result is unchanged.)
+RECORD_VERSION = 4
 
 #: Claim-lease length, in seconds, of a claim table whose creator
 #: names none: every claim is leased, and a handed-out position not
@@ -270,8 +275,11 @@ class RunRequest:
 class RunRecord:
     """The measurements of one evaluated cell.
 
-    ``schedule`` is the full :func:`~repro.io.serialize.schedule_to_dict`
-    form — everything needed to audit or replay the cell offline.
+    ``schedule`` is the :func:`~repro.io.serialize.schedule_to_dict`
+    form of the run's results: grid, finished flags, load columns, cost
+    and energy, but not the instance, which the record's ``key`` fixes.
+    With the request's instance, ``schedule_from_dict(record.schedule,
+    instance)`` rebuilds the schedule to audit or replay the cell.
     ``certified_ratio`` / ``dual_g`` are ``NaN`` unless the algorithm's
     registry entry produces certificates. ``cached`` tells whether this
     record was served without a fresh evaluation for this request —
@@ -309,10 +317,14 @@ class RunRecord:
 #: object's life (a pickled copy carries the memo along).
 _KEY_MEMO = "_request_keys"
 
+#: The memo's slot for the instance's digest; every other slot is a
+#: ``(base, params, record, schema)`` tuple holding one key.
+_DIGEST_SLOT = "instance"
+
 
 def request_key(algorithm: str, instance: Instance) -> str:
     """Content address of a cell: algorithm (+ parsed variant
-    parameters) + full instance content.
+    parameters) + the instance's content digest.
 
     Variant specs are resolved through the registry first, so every
     spelling of the same variant (``pd?delta=0.05`` / ``pd?delta=5e-2``)
@@ -323,12 +335,14 @@ def request_key(algorithm: str, instance: Instance) -> str:
     (such as the one that added ``wall_time``) deliberately cold-starts
     existing caches rather than serving records an older build wrote.
 
-    The key is memoized on the instance, keyed by everything else the
-    hashed payload holds (base algorithm, canonical params text and the
-    two versions), so a sweep that fingerprints its requests and then
-    runs them encodes each (algorithm, instance) pair once. The
-    instance's encoded form itself is not kept: its size grows with the
-    job count.
+    The instance enters as its
+    :func:`~repro.io.serialize.instance_digest`: two instances key alike
+    if and only if their canonical JSON texts are equal, and no float is
+    written as text. The digest and each key are memoized on the
+    instance — a key under the base algorithm, canonical params text
+    and the two versions — so an instance keyed for several algorithms
+    hashes its columns once, and a sweep that fingerprints its requests
+    and then runs them computes each key once.
     """
     info = REGISTRY.info(algorithm)
     params = canonical_json(dict(info.params)) if info.params else None
@@ -339,12 +353,15 @@ def request_key(algorithm: str, instance: Instance) -> str:
         object.__setattr__(instance, _KEY_MEMO, memo)
     key = memo.get(slot)
     if key is None:
+        digest = memo.get(_DIGEST_SLOT)
+        if digest is None:
+            digest = memo[_DIGEST_SLOT] = instance_digest(instance)
         payload = {
             "kind": "run-request",
             "schema": SCHEMA_VERSION,
             "record": RECORD_VERSION,
             "algorithm": info.base,
-            "instance": instance_to_dict(instance),
+            "instance": digest,
         }
         if info.params:
             payload["params"] = dict(info.params)
@@ -389,6 +406,48 @@ def evaluate_request(request: RunRequest) -> dict[str, Any]:
         "schedule": schedule_to_dict(schedule),
         "wall_time": elapsed,
     }
+
+
+#: The numeric fields of an evaluated cell's payload (see
+#: :func:`evaluate_request`); :func:`_record_from_payload` reads each
+#: as a float.
+_RECORD_NUMBERS = (
+    "cost",
+    "energy",
+    "lost_value",
+    "acceptance",
+    "certified_ratio",
+    "dual_g",
+    "wall_time",
+)
+
+
+def _is_current_record(payload: Any, n: int) -> bool:
+    """Whether a cached payload is a record of this build for a cell of
+    ``n`` jobs: an object of the ``run-record`` kind, both versions
+    current, every field present and typed as
+    :func:`_record_from_payload` reads it, and one ``finished`` flag per
+    job. A cache probe treats anything else (a miss reads ``None``) as a
+    miss, so the cell is recomputed and its entry rewritten.
+    """
+    if (
+        not isinstance(payload, dict)
+        or payload.get("kind") != "run-record"
+        or payload.get("schema") != SCHEMA_VERSION
+        or payload.get("record") != RECORD_VERSION
+        or not isinstance(payload.get("algorithm"), str)
+    ):
+        return False
+    for name in _RECORD_NUMBERS:
+        value = payload.get(name)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            return False
+    schedule = payload.get("schedule")
+    return (
+        isinstance(schedule, dict)
+        and isinstance(schedule.get("finished"), list)
+        and len(schedule["finished"]) == n
+    )
 
 
 def _record_from_payload(
@@ -684,20 +743,24 @@ class BatchRunner:
         return self.run([RunRequest(algorithm, instance)])[0]
 
     def _probe_cache(
-        self, keys: Sequence[str]
+        self, job_counts: Mapping[str, int]
     ) -> Iterator[tuple[str, dict[str, Any]]]:
-        """Yield ``(key, payload)`` for every cache hit among ``keys``.
+        """Yield ``(key, payload)`` for every cache hit among the keys
+        of ``job_counts``, which maps each key to its cell's job count.
 
         Backends with a ``get_many`` (the HTTP client) are probed in
         chunks of their ``batch_size`` — one round trip per chunk
         instead of one per key; everything else falls back to per-key
-        ``get``. Either way hits stream out chunk by chunk.
+        ``get``. Either way hits stream out chunk by chunk. An entry
+        that is not a current record for its cell
+        (:func:`_is_current_record`) is not a hit.
         """
+        keys = list(job_counts)
         fetch_many = getattr(self.cache, "get_many", None)
         if fetch_many is None:
             for key in keys:
                 payload = self.cache.get(key)
-                if payload is not None:
+                if _is_current_record(payload, job_counts[key]):
                     yield key, payload
             return
         chunk = max(1, int(getattr(self.cache, "batch_size", 32)))
@@ -706,7 +769,7 @@ class BatchRunner:
             found = fetch_many(block)
             for key in block:
                 payload = found.get(key)
-                if payload is not None:
+                if _is_current_record(payload, job_counts[key]):
                     yield key, payload
 
     def iter_records(
@@ -744,7 +807,11 @@ class BatchRunner:
         # to amortize network latency.
         hit_keys: set[str] = set()
         if self.cache is not None:
-            for key, payload in self._probe_cache(list(positions)):
+            job_counts = {
+                key: requests[indexes[0]].instance.n
+                for key, indexes in positions.items()
+            }
+            for key, payload in self._probe_cache(job_counts):
                 hit_keys.add(key)
                 for index in positions[key]:
                     self.stats.cache_hits += 1
@@ -952,7 +1019,11 @@ class BatchRunner:
             resolved = [resolve(position) for position in claimed]
             seen.update(claimed)
             hits = (
-                dict(self._probe_cache([key for _, key in resolved]))
+                dict(
+                    self._probe_cache(
+                        {key: request.instance.n for request, key in resolved}
+                    )
+                )
                 if self.cache is not None
                 else {}
             )

@@ -119,7 +119,13 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     run.add_argument("instance", help="instance JSON path")
-    run.add_argument("--save-schedule", help="write the schedule JSON here")
+    run.add_argument(
+        "--save-schedule",
+        help=(
+            "write the schedule JSON here; it holds the run's results, "
+            "not the jobs, so it pairs with the instance file"
+        ),
+    )
     run.add_argument("--gantt", action="store_true", help="print a Gantt chart")
 
     cmp_ = sub.add_parser("compare", help="run several algorithms side by side")

@@ -5,19 +5,23 @@ shared, and replayed. This module defines a stable, versioned JSON schema
 for the three object kinds users exchange:
 
 * **instances** — the problem inputs (jobs + machine),
-* **schedules** — full solutions (grid + loads + acceptance),
+* **schedules** — a run's results (grid + loads + acceptance) for an
+  instance kept elsewhere,
 * **run records** — an algorithm name, its schedule, and its certificate,
-  which is everything needed to audit a claim offline.
+  which, with the instance the record's key fixes, is everything needed
+  to audit a claim offline.
 
 All functions are pure dict <-> object converters; file handling lives in
 :func:`save_json` / :func:`load_json`. Unknown schema versions fail loudly
-rather than guessing.
+rather than guessing. :func:`instance_digest` is the instance's content
+address inside the engine's cache keys.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 from typing import Any
 
@@ -38,6 +42,7 @@ __all__ = [
     "load_json",
     "canonical_json",
     "stable_hash",
+    "instance_digest",
 ]
 
 SCHEMA_VERSION = 1
@@ -156,48 +161,149 @@ def instance_from_dict(payload: dict[str, Any]) -> Instance:
 # ----------------------------------------------------------------------
 # Schedules
 # ----------------------------------------------------------------------
+#: The three load columns of a schedule payload, in payload order.
+_LOAD_COLUMNS = ("interval", "job", "load")
+
+
 def schedule_to_dict(schedule: Schedule) -> dict[str, Any]:
-    """Serialize a schedule; loads are stored sparsely (job, interval, load)."""
+    """Serialize a schedule's results; the instance is not part of it.
+
+    A run record's key already fixes its instance, so the payload keeps
+    only what the run decided: the grid ``boundaries`` (CLL's grid
+    holds segment cuts the instance does not), the ``finished`` flags,
+    the positive loads as three columns (:func:`_load_columns`), and
+    ``cost`` and ``energy``. :func:`schedule_from_dict` takes the
+    instance from its caller.
+    """
     return {
         "schema": SCHEMA_VERSION,
         "kind": "schedule",
-        "instance": instance_to_dict(schedule.instance),
         "boundaries": schedule.grid.boundaries.tolist(),
         "finished": schedule.finished.tolist(),
-        "loads": _sparse_loads(schedule.loads),
+        "loads": _load_columns(schedule.loads),
         "cost": schedule.cost,
         "energy": schedule.energy,
     }
 
 
-def _sparse_loads(loads: np.ndarray) -> list[list[Any]]:
-    """``[j, k, load]`` for every positive load, in row-major order.
+def _load_columns(loads: np.ndarray) -> dict[str, list[Any]]:
+    """Every positive load as ``{"interval": [k...], "job": [j...],
+    "load": [u...]}``, interval-major with ascending job ids inside each
+    interval: the order ``np.nonzero(loads.T > 0.0)`` yields.
 
-    One ``np.nonzero`` (C order, as ``np.argwhere``) and three ``tolist``
-    columns: the same Python ints and floats as indexing each element.
+    Three ``tolist`` columns: the same Python ints and floats as
+    indexing each element.
     """
-    rows, cols = np.nonzero(loads > 0.0)
-    return [
-        [j, k, u]
-        for j, k, u in zip(rows.tolist(), cols.tolist(), loads[rows, cols].tolist())
-    ]
+    cols, rows = np.nonzero(loads.T > 0.0)
+    return {
+        "interval": cols.tolist(),
+        "job": rows.tolist(),
+        "load": loads[rows, cols].tolist(),
+    }
 
 
-def schedule_from_dict(payload: dict[str, Any]) -> Schedule:
-    """Inverse of :func:`schedule_to_dict`; recomputes (and checks) cost."""
+def _finite_number(value: Any) -> bool:
+    """Whether ``value`` is an int or float (not a bool) that a finite
+    float64 holds."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
+
+
+def _index_column(column: list[Any], name: str, size: int) -> np.ndarray:
+    """``column`` as int64 indices in ``0..size-1``; anything else is an
+    :class:`~repro.errors.InvalidParameterError` naming the column."""
+    for value in column:
+        if type(value) is not int or not 0 <= value < size:
+            raise InvalidParameterError(
+                f"schedule field 'loads' column {name!r} must hold ints in "
+                f"0..{size - 1}, got {value!r}"
+            )
+    return np.array(column, dtype=np.int64)
+
+
+def _dense_loads(payload: dict[str, Any], n: int, size: int) -> np.ndarray:
+    """The ``(n, size)`` load matrix of a payload's load columns, each
+    column checked (see :func:`schedule_from_dict`)."""
+    columns = payload.get("loads")
+    if (
+        not isinstance(columns, dict)
+        or sorted(columns) != sorted(_LOAD_COLUMNS)
+        or not all(isinstance(columns[name], list) for name in _LOAD_COLUMNS)
+    ):
+        raise InvalidParameterError(
+            f"schedule field 'loads' must be an object of the list columns "
+            f"{list(_LOAD_COLUMNS)} (record version 3 wrote a list of "
+            f"[job, interval, load] triples), got {columns!r:.80}"
+        )
+    lengths = {name: len(columns[name]) for name in _LOAD_COLUMNS}
+    if len(set(lengths.values())) != 1:
+        raise InvalidParameterError(
+            f"schedule field 'loads' has columns of unequal length {lengths}"
+        )
+    intervals = _index_column(columns["interval"], "interval", size)
+    jobs = _index_column(columns["job"], "job", n)
+    if np.any(np.diff(intervals * n + jobs) <= 0):
+        raise InvalidParameterError(
+            "schedule field 'loads' must list each (interval, job) once, "
+            "interval-major with ascending job ids"
+        )
+    for value in columns["load"]:
+        if not (_finite_number(value) and value > 0.0):
+            raise InvalidParameterError(
+                "schedule field 'loads' column 'load' must hold finite "
+                f"positive numbers, got {value!r}"
+            )
+    loads = np.zeros((n, size))
+    loads[jobs, intervals] = np.array(columns["load"], dtype=np.float64)
+    return loads
+
+
+def schedule_from_dict(payload: dict[str, Any], instance: Instance) -> Schedule:
+    """Inverse of :func:`schedule_to_dict`, given the ``instance`` the
+    schedule was computed on; recomputes (and checks) cost.
+
+    Each field is checked, and a payload that does not fit raises an
+    :class:`~repro.errors.InvalidParameterError` naming the field:
+    ``boundaries`` must be a list of finite numbers forming a grid,
+    ``finished`` one bool per job of ``instance``, ``cost`` (if given) a
+    finite number, and ``loads`` three equal-length columns whose job
+    and interval entries are ints in range, each position listed once in
+    the order :func:`schedule_to_dict` writes, and whose loads are
+    finite and positive. A version-3 payload (a list of triples) is
+    refused.
+    """
     _require_kind(payload, "schedule")
-    instance = instance_from_dict(payload["instance"])
-    grid = Grid(np.array(payload["boundaries"], dtype=np.float64))
-    loads = np.zeros((instance.n, grid.size))
-    for j, k, u in payload["loads"]:
-        loads[int(j), int(k)] = float(u)
+    boundaries = payload.get("boundaries")
+    if not isinstance(boundaries, list) or not all(map(_finite_number, boundaries)):
+        raise InvalidParameterError(
+            f"schedule field 'boundaries' must be a list of finite numbers, "
+            f"got {boundaries!r:.80}"
+        )
+    grid = Grid(np.array(boundaries, dtype=np.float64))
+    finished = payload.get("finished")
+    if (
+        not isinstance(finished, list)
+        or len(finished) != instance.n
+        or not all(isinstance(f, bool) for f in finished)
+    ):
+        raise InvalidParameterError(
+            f"schedule field 'finished' must be {instance.n} bools, one per "
+            f"job of the instance, got {finished!r:.80}"
+        )
     schedule = Schedule(
         instance=instance,
         grid=grid,
-        loads=loads,
-        finished=np.array(payload["finished"], dtype=bool),
+        loads=_dense_loads(payload, instance.n, grid.size),
+        finished=np.array(finished, dtype=bool),
     )
-    stored = float(payload.get("cost", schedule.cost))
+    stored = payload.get("cost", schedule.cost)
+    if not _finite_number(stored):
+        raise InvalidParameterError(
+            f"schedule field 'cost' must be a finite number, got {stored!r:.80}"
+        )
     if abs(stored - schedule.cost) > 1e-6 * max(1.0, abs(stored)):
         raise InvalidParameterError(
             f"stored cost {stored} disagrees with recomputed {schedule.cost}; "
@@ -223,11 +329,57 @@ def stable_hash(payload: dict[str, Any]) -> str:
 
     This is the engine's cache-key primitive: an (algorithm × instance)
     cell is keyed by the stable hash of the instance's
-    :func:`instance_to_dict` form plus the algorithm name, so any change
-    to a job, the machine environment, or the schema version changes the
-    key, while re-ordering dict keys or re-serializing does not.
+    :func:`instance_digest` plus the algorithm name and the versions, so
+    any change to a job, the machine environment, or a schema version
+    changes the key, while re-ordering dict keys or re-serializing does
+    not.
     """
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+
+
+#: The ``Job`` fields the instance digest reads as columns, in order.
+_JOB_FIELDS = ("release", "deadline", "workload", "value")
+
+
+def instance_digest(instance: Instance) -> str:
+    """Content address of an instance, as the engine's cache keys hold it.
+
+    sha256 over a canonical-JSON header, then the four job columns as
+    little-endian float64 bytes. Two instances digest alike **if and
+    only if** their ``canonical_json(instance_to_dict(...))`` texts are
+    equal: a finite float's eight bytes and its ``repr`` fix each other,
+    and the header holds what a float column cannot — ``m`` and
+    ``alpha`` as the text writes them, ``n``, and, for a ``Job`` tuple,
+    each job ``name`` and each field that is not a Python float (``1``,
+    ``1.0`` and ``true`` are three texts but one float). A columnar
+    instance (nameless, all-float) therefore digests like its
+    ``Job``-tuple twin. The header is a JSON object, so none is a prefix
+    of another, and ``n`` fixes where each column ends.
+    """
+    header: dict[str, Any] = {
+        "m": instance.m,
+        "alpha": instance.alpha,
+        "n": instance.n,
+    }
+    if not instance.columnar:
+        names = [
+            [j, job.name] for j, job in enumerate(instance.jobs) if job.name is not None
+        ]
+        exact = [
+            [j, name, value]
+            for j, job in enumerate(instance.jobs)
+            for name in _JOB_FIELDS
+            if not isinstance(value := getattr(job, name), float)
+        ]
+        if names:
+            header["names"] = names
+        if exact:
+            header["exact"] = exact
+    digest = hashlib.sha256(canonical_json(header).encode("utf-8"))
+    arrays = instance.arrays
+    for column in (arrays.releases, arrays.deadlines, arrays.workloads, arrays.values):
+        digest.update(np.ascontiguousarray(column, dtype="<f8"))
+    return digest.hexdigest()
 
 
 # ----------------------------------------------------------------------

@@ -22,9 +22,10 @@ simulation paths scale without changing a single bit of their output:
   implementations (dense-matrix PD, per-column energy, the bisecting
   water-fill, OA's from-scratch replan), kept verbatim for
   differential ("bit parity") testing against the kernels;
-* :mod:`repro.perf.bench` — named perf scenarios, the machine-readable
-  ``BENCH_<scenario>.json`` emitter, and the baseline-comparison gate
-  behind ``python -m repro bench``.
+* :mod:`repro.perf.bench` — named perf scenarios (kernel points, and
+  the ``warm-sweep`` point: a warm engine sweep end to end), the
+  machine-readable ``BENCH_<scenario>.json`` emitter, and the
+  baseline-comparison gate behind ``python -m repro bench``.
 
 Every kernel is bit-parity-tested against the reference path: same
 schedules, same costs, same certificates, same cache keys. Speed is an
@@ -33,6 +34,9 @@ exception: the water-fill's exact clearing speed replaced a bisection
 whose accepted speeds it moves within the old tolerance
 (``RECORD_VERSION`` 3; oracle
 :func:`~repro.perf.reference.waterfill_job_reference`).
+``RECORD_VERSION`` 4 moved no float: records stopped embedding their
+instance and keys hash the instance digest, which cut the warm path's
+decode and key work.
 """
 
 from .energy import schedule_energy, stores_energy

@@ -350,6 +350,59 @@ def _fabric_run(point: Mapping[str, Any]) -> dict:
         server.stop()
 
 
+def _warm_sweep_point(point: Mapping[str, Any]) -> dict:
+    """A warm ``repro sweep``, end to end: every cell a cache hit.
+
+    A temporary :class:`~repro.engine.cache.DirectoryCache` is filled
+    with the grid's records outside the timed region; then ``passes``
+    warm passes each build the workloads, key every request, and read
+    and decode every record. Nothing computes (a pass that does is a
+    bug). ``wall_time`` is the total of the passes; ``cost`` sums one
+    pass's record costs, so a moved result fails the gate as well.
+    """
+    import tempfile
+
+    from ..engine.cache import DirectoryCache
+    from ..engine.experiment import ExperimentSpec, run_experiment
+    from ..engine.runner import BatchRunner
+
+    n, passes = int(point["n"]), int(point["passes"])
+    # perfbench's sweep-warm shape: the paper's PD-vs-CLL head-to-head,
+    # CLL skipped where m > 1.
+    spec = ExperimentSpec(
+        name="warm-sweep",
+        workloads=["poisson", "heavy-tail", "tight"],
+        grid={"alpha": [2.0, 3.0], "m": [1, 4]},
+        algorithms=("pd", "cll"),
+        skip_incapable=True,
+        n=n,
+        seeds=(0,),
+    )
+    with tempfile.TemporaryDirectory() as root:
+        run_experiment(spec, BatchRunner(cache=DirectoryCache(root)))
+        cache = DirectoryCache(root)
+
+        def exercise() -> list:
+            records: list = []
+            for _ in range(passes):
+                runner = BatchRunner(cache=cache)
+                cells = run_experiment(spec, runner)
+                if runner.stats.computed:  # pragma: no cover - a cache bug
+                    raise AssertionError("a warm pass computed a cell")
+                records = [record for cell in cells for record in cell.records]
+            return records
+
+        wall, records = _timed(exercise)
+    return {
+        "n": n,
+        "passes": passes,
+        "cells": len(records),
+        "wall_time": wall,
+        "records_per_s": passes * len(records) / wall,
+        "cost": float(sum(r.cost for r in records)),
+    }
+
+
 def _points(**axes: Iterable) -> tuple[dict, ...]:
     """Cartesian grid helper: ``_points(n=[1,2], m=[1])``."""
     out: list[dict] = [{}]
@@ -414,6 +467,14 @@ SCENARIOS: dict[str, BenchScenario] = {
             full=_points(n=[25_000, 100_000]),
             smoke=_points(n=[100_000]),
             run_point=_oa_stream_point,
+        ),
+        BenchScenario(
+            name="warm-sweep",
+            summary="warm PD-vs-CLL sweep on a directory cache: workload "
+            "build, request keys, record reads and decode",
+            full=_points(n=[200], passes=[20]) + _points(n=[2000], passes=[3]),
+            smoke=_points(n=[200], passes=[20]),
+            run_point=_warm_sweep_point,
         ),
         BenchScenario(
             name="fabric-throughput",

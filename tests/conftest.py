@@ -56,10 +56,37 @@ def numeric_gradient(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
 
 
 def unmemoized_key(algorithm: str, instance: Instance) -> str:
-    """The cache-key formula, written out: no memo involved."""
+    """The cache-key formula, written out: no memo involved.
+
+    The instance enters as sha256 over a canonical-JSON header (``m``,
+    ``alpha`` and ``n``; for a ``Job`` tuple also each job name and each
+    field that is not a float) and then the four job columns as
+    little-endian float64 bytes.
+    """
+    import hashlib
+
     from repro.engine.registry import REGISTRY
     from repro.engine.runner import RECORD_VERSION
-    from repro.io.serialize import SCHEMA_VERSION, instance_to_dict, stable_hash
+    from repro.io.serialize import SCHEMA_VERSION, canonical_json, stable_hash
+
+    fields = ("release", "deadline", "workload", "value")
+    header = {"m": instance.m, "alpha": instance.alpha, "n": instance.n}
+    if not instance.columnar:
+        names = [[j, job.name] for j, job in enumerate(instance.jobs) if job.name is not None]
+        exact = [
+            [j, name, getattr(job, name)]
+            for j, job in enumerate(instance.jobs)
+            for name in fields
+            if not isinstance(getattr(job, name), float)
+        ]
+        if names:
+            header["names"] = names
+        if exact:
+            header["exact"] = exact
+    digest = hashlib.sha256(canonical_json(header).encode("utf-8"))
+    for name in fields:
+        floats = [float(getattr(job, name)) for job in instance.jobs]
+        digest.update(np.array(floats, dtype="<f8").tobytes())
 
     info = REGISTRY.info(algorithm)
     payload = {
@@ -67,7 +94,7 @@ def unmemoized_key(algorithm: str, instance: Instance) -> str:
         "schema": SCHEMA_VERSION,
         "record": RECORD_VERSION,
         "algorithm": info.base,
-        "instance": instance_to_dict(instance),
+        "instance": digest.hexdigest(),
     }
     if info.params:
         payload["params"] = dict(info.params)

@@ -85,6 +85,12 @@ class TestScenarios:
         assert seen == [{min(before)}] * 2
         assert os.sched_getaffinity(0) == before
 
+    def test_warm_sweep_point_serves_every_cell_from_the_cache(self):
+        row = SCENARIOS["warm-sweep"].run_point({"n": 12, "passes": 2})
+        # PD on all 12 instances, CLL on the six with m=1.
+        assert row["n"] == 12 and row["passes"] == 2 and row["cells"] == 18
+        assert row["wall_time"] > 0.0 and row["cost"] > 0.0
+
     def test_unknown_scenario_rejected(self):
         with pytest.raises(InvalidParameterError, match="unknown bench"):
             run_scenario("warp-drive")

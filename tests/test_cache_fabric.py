@@ -39,8 +39,9 @@ from repro.engine import (
     RunRequest,
     SqliteCache,
 )
-from repro.engine.runner import DEFAULT_LEASE_TTL
+from repro.engine.runner import DEFAULT_LEASE_TTL, RECORD_VERSION, request_key
 from repro.errors import CacheError, InvalidParameterError
+from repro.io.serialize import instance_to_dict
 from repro.io.server import CacheServer
 from repro.workloads import poisson_instance
 
@@ -386,6 +387,80 @@ class TestServerHardening:
         try:
             with pytest.raises(CacheError, match="does not support gc"):
                 HttpCache(srv.url).gc(0.0)
+        finally:
+            srv.stop()
+
+
+def _v3_shaped(payload, instance):
+    """A record as version 3 wrote it: the instance inside the schedule,
+    ``[job, interval, load]`` triples, and here a wrong cost."""
+    loads = payload["schedule"]["loads"]
+    triples = sorted(zip(loads["job"], loads["interval"], loads["load"]))
+    schedule = {
+        **payload["schedule"],
+        "instance": instance_to_dict(instance),
+        "loads": [list(t) for t in triples],
+    }
+    return {**payload, "record": 3, "cost": 123.0, "schedule": schedule}
+
+
+#: Stored entries that are not current records for their cell.
+STALE_ENTRIES = {
+    "v3-shaped": _v3_shaped,
+    "missing-field": lambda payload, instance: {
+        k: v for k, v in payload.items() if k != "energy"
+    },
+    "wrong-kind": lambda payload, instance: {**payload, "kind": "schedule"},
+}
+
+
+class TestStaleEntriesAreMisses:
+    """A cache entry under a cell's key that is not a current record
+    for that cell is recomputed and overwritten, never served."""
+
+    def _stale_sweep(self, requests, plain_records, store, cache, loop):
+        BatchRunner(cache=cache).run(requests)
+        spoiled = {}
+        for (name, spoil), request in zip(STALE_ENTRIES.items(), requests):
+            key = request_key(request.algorithm, request.instance)
+            store.put(key, spoil(store.get(key), request.instance))
+            spoiled[name] = key
+        runner = BatchRunner(cache=cache)
+        if loop == "run":
+            records = runner.run(requests)
+        else:
+            pairs = runner.run_stolen(
+                requests, InProcessClaimTable(len(requests))
+            )
+            records = [record for _, record in pairs]
+        assert _strip(records) == _strip(plain_records)
+        assert runner.stats.computed == len(STALE_ENTRIES)
+        assert runner.stats.cache_hits == len(requests) - len(STALE_ENTRIES)
+        for key in spoiled.values():  # overwritten with the current record
+            entry = store.get(key)
+            assert entry["record"] == RECORD_VERSION and "energy" in entry
+            assert entry["kind"] == "run-record"
+        warm = BatchRunner(cache=cache)
+        warm.run(requests)
+        assert warm.stats.computed == 0
+
+    @pytest.mark.parametrize("loop", ["run", "stolen"])
+    def test_directory_cache(self, requests, plain_records, tmp_path, loop):
+        store = DirectoryCache(tmp_path / "dir")
+        self._stale_sweep(requests, plain_records, store, store, loop)
+
+    @pytest.mark.parametrize("loop", ["run", "stolen"])
+    def test_cache_server_through_http_cache(
+        self, requests, plain_records, tmp_path, loop
+    ):
+        store = DirectoryCache(tmp_path / "dir")
+        srv = CacheServer(store).start()
+        try:
+            cache = HttpCache(srv.url)
+            try:
+                self._stale_sweep(requests, plain_records, store, cache, loop)
+            finally:
+                cache.close()
         finally:
             srv.stop()
 

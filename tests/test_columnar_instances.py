@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -59,13 +60,15 @@ def text(instance: Instance) -> str:
 FAMILY_KNOBS = {"poisson": {}, "heavy-tail": {}, "uniform": {}, "tight": {"slack": 2}}
 GOLDEN_ALGORITHMS = ("pd", "pd?delta=0.05")
 
-#: sha256 over the newline-joined keys of :func:`golden_keys`, computed
-#: on the build whose families made ``Job`` objects one at a time.
+#: sha256 over the newline-joined keys of :func:`golden_keys`. Recorded
+#: once for record version 4 (keys hash the instance digest) from the
+#: ``Job``-tuple twins of the same instances, through the written-out
+#: formula ``conftest.unmemoized_key``.
 GOLDEN_DIGESTS = {
-    "poisson": "1402b473148485bdcaea2c6883f1444c75803e723f1469ad1fb7f8aac6999e5c",
-    "heavy-tail": "b937b44b9f2acb77332424d374f0f24f160a308371af72b43e0b077a6eb69851",
-    "uniform": "9a6367048dc4189c40b7b48799d5aa1485d4aae1e2f5ea9c9c357e4d9f9bdd8e",
-    "tight": "1032074eceaa246e1c66d0b37652b4b8ba3a3ebf4590cc653cebd04df9b0ba93",
+    "poisson": "08c2e0c7fb8b264eeb3244ac22723ee23b53c7aed1df9c326f7aba23519a8235",
+    "heavy-tail": "2fcf41c1dd04f9f50655ec5dcfce584ba016d1a07b1b8612b787b409df4f2db8",
+    "uniform": "0431e8b67b099b3b0f6bcfc74348b0fadd3d882fa11f2e9b57e448237a00164a",
+    "tight": "2fc4dbf1470fa50e3b6b414860740ba92f44c715fb7a2c9ec27ebbfe6b4f5199",
 }
 
 
@@ -225,7 +228,106 @@ def test_column_reader_matches_the_job_path(inst):
 
 
 # ----------------------------------------------------------------------
-# Sparse load triples
+# Keys: equal if and only if the canonical texts are equal
+# ----------------------------------------------------------------------
+_FIELDS = ("release", "deadline", "workload", "value")
+
+#: One perturbation of a base instance per pair (see ``_perturbed``).
+PERTURBATIONS = (
+    "twin",  # the same jobs, columnar <-> Job tuple
+    "ulp",  # one field one ulp away
+    "int",  # an int in place of a float field
+    "bool",  # True in place of a workload or value
+    "big-int",  # ints 2**60 and 2**60 + 1: one float, two texts
+    "name",  # a name added or changed
+    "alpha",  # alpha as int versus float
+    "m",
+    "swap",  # two jobs swapped
+)
+
+
+def _build(jobs, m, alpha, columnar):
+    """A columnar instance where its jobs allow one, else a Job tuple."""
+    plain = all(
+        job.name is None and all(type(getattr(job, f)) is float for f in _FIELDS)
+        for job in jobs
+    )
+    if columnar and plain:
+        return Instance.from_arrays(JobArrays.from_jobs(jobs), m=m, alpha=alpha)
+    return Instance(tuple(jobs), m=m, alpha=alpha)
+
+
+def _perturbed(draw, kind):
+    n = draw(st.integers(min_value=2, max_value=5))
+    jobs = []
+    for index in range(n):
+        release = draw(st.sampled_from([0.0, 0.1, 1.0, 2.0]))
+        jobs.append(
+            Job(
+                release,
+                release + draw(st.sampled_from([0.7, 1.0, 3.0])),
+                draw(st.sampled_from([0.3, 1.0, 2.0])),
+                draw(st.sampled_from([0.0, 1e-3, 1.0, 5.0])),
+                "a" if index == 0 and draw(st.booleans()) else None,
+            )
+        )
+    m = draw(st.integers(min_value=1, max_value=3))
+    alpha = draw(st.sampled_from([2.0, 2.5, 3.0]))
+    columnar = draw(st.booleans())
+    j = draw(st.integers(min_value=0, max_value=n - 1))
+    job = jobs[j]
+    changed = list(jobs)
+    other = dict(m=m, alpha=alpha, columnar=columnar)
+    if kind == "twin":
+        other["columnar"] = not columnar
+    elif kind == "ulp":
+        field = draw(st.sampled_from(_FIELDS))
+        x = getattr(job, field)
+        down = field == "release" and x > 0.0
+        y = float(np.nextafter(x, -np.inf if down else np.inf))
+        changed[j] = replace(job, **{field: y})
+    elif kind == "int":
+        field = draw(st.sampled_from(_FIELDS))
+        x = getattr(job, field)
+        changed[j] = replace(
+            job, **{field: math.floor(x) if field == "release" else math.ceil(x)}
+        )
+    elif kind == "bool":
+        changed[j] = replace(job, **{draw(st.sampled_from(["workload", "value"])): True})
+    elif kind == "big-int":
+        jobs[j] = replace(job, value=2**60)
+        changed[j] = replace(job, value=draw(st.sampled_from([2**60, 2**60 + 1])))
+    elif kind == "name":
+        changed[j] = replace(job, name=draw(st.sampled_from(["a", "b"])))
+    elif kind == "alpha":
+        other["alpha"] = int(alpha) if alpha.is_integer() else alpha
+    elif kind == "m":
+        other["m"] = draw(st.integers(min_value=1, max_value=3))
+    elif kind == "swap":
+        i = draw(st.integers(min_value=0, max_value=n - 1))
+        changed[i], changed[j] = changed[j], changed[i]
+    return _build(jobs, m, alpha, columnar), _build(changed, **other)
+
+
+@pytest.mark.parametrize("kind", PERTURBATIONS)
+@settings(
+    max_examples=15,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(data=st.data())
+def test_keys_are_equal_iff_texts_are_equal(kind, data):
+    base, other = _perturbed(data.draw, kind)
+    same_text = text(base) == text(other)
+    for algorithm in ("pd", "pd?delta=0.05"):
+        same_key = request_key(algorithm, base) == request_key(algorithm, other)
+        assert same_key == same_text, (kind, text(base), text(other))
+        assert request_key(algorithm, other) == unmemoized_key(algorithm, other)
+
+
+# ----------------------------------------------------------------------
+# Load columns
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("shape", [(1, 1), (3, 7), (40, 25)])
 def test_sparse_loads_equal_the_argwhere_formula(shape):
@@ -233,13 +335,22 @@ def test_sparse_loads_equal_the_argwhere_formula(shape):
     loads = rng.choice(
         [0.0, -0.0, 5e-324, 2.5e-310, 0.3, 1.0, 1e300, -1.0], size=shape
     )
-    old = [
-        [int(j), int(k), float(loads[j, k])] for j, k in np.argwhere(loads > 0.0)
-    ]
-    new = serialize._sparse_loads(loads)
+    positions = [(int(k), int(j)) for k, j in np.argwhere(loads.T > 0.0)]
+    assert positions == sorted(positions)  # interval-major, jobs ascending
+    old = {
+        "interval": [k for k, _ in positions],
+        "job": [j for _, j in positions],
+        "load": [float(loads[j, k]) for k, j in positions],
+    }
+    new = serialize._load_columns(loads)
     assert json.dumps(new) == json.dumps(old)
-    assert all(type(j) is int and type(k) is int and type(u) is float for j, k, u in new)
-    assert serialize._sparse_loads(np.zeros(shape)) == []
+    assert all(type(i) is int for i in new["interval"] + new["job"])
+    assert all(type(u) is float for u in new["load"])
+    assert serialize._load_columns(np.zeros(shape)) == {
+        "interval": [],
+        "job": [],
+        "load": [],
+    }
 
 
 # ----------------------------------------------------------------------

@@ -369,21 +369,30 @@ class TestRequestKeyMemo:
             seeds=(0, 1),
         )
         requests = spec.requests()
-        encoded = []
-        real = runner_mod.instance_to_dict
+        digested, hashed = [], []
+        real_digest, real_hash = runner_mod.instance_digest, runner_mod.stable_hash
 
-        def counting(instance):
-            encoded.append(id(instance))
-            return real(instance)
+        def counting_digest(instance):
+            digested.append(id(instance))
+            return real_digest(instance)
 
-        monkeypatch.setattr(runner_mod, "instance_to_dict", counting)
+        def counting_hash(payload):
+            hashed.append(payload["algorithm"])
+            return real_hash(payload)
+
+        monkeypatch.setattr(runner_mod, "instance_digest", counting_digest)
+        monkeypatch.setattr(runner_mod, "stable_hash", counting_hash)
         spec.fingerprint(requests)
         pairs = BatchRunner().run_stolen(
             requests, InProcessClaimTable(len(requests))
         )
         assert len(pairs) == len(requests)
-        unique = {(r.algorithm, id(r.instance)) for r in requests}
-        assert len(encoded) == len(unique) == len(requests)
+        # Each instance is keyed for both algorithms but digested once,
+        # and each (algorithm, instance) key is hashed once.
+        instances = {id(r.instance) for r in requests}
+        assert sorted(digested) == sorted(instances)
+        assert len(instances) == len(requests) // 2
+        assert len(hashed) == len(requests)
 
     def test_pickled_request_keeps_its_key(self):
         import pickle

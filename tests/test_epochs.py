@@ -679,8 +679,9 @@ class TestEngineCacheIdentity:
     def test_record_version_pinned(self):
         # The feeds change HOW results are computed, never WHAT — a
         # version bump here would cold-start every cache for nothing.
-        # (3 is the exact water-fill's bump.)
-        assert RECORD_VERSION == 3
+        # (4 is the record-layout and key bump: results, not inputs, and
+        # the instance digest; 3 was the exact water-fill's.)
+        assert RECORD_VERSION == 4
 
     @pytest.mark.parametrize("algorithm", ["pd", "oa"])
     def test_evaluate_request_payload_identical(self, algorithm):

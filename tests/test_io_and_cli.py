@@ -74,7 +74,7 @@ class TestScheduleSerialization:
     def test_roundtrip_preserves_cost(self):
         inst = poisson_instance(8, m=2, alpha=3.0, seed=3)
         sched = run_pd(inst).schedule
-        back = schedule_from_dict(schedule_to_dict(sched))
+        back = schedule_from_dict(schedule_to_dict(sched), inst)
         assert back.cost == pytest.approx(sched.cost, rel=1e-9)
         np.testing.assert_allclose(back.loads, sched.loads)
         np.testing.assert_array_equal(back.finished, sched.finished)
@@ -84,19 +84,109 @@ class TestScheduleSerialization:
         sched = run_pd(inst).schedule
         payload = schedule_to_dict(sched)
         dense = sched.loads.size
-        assert len(payload["loads"]) < dense  # zeros are omitted
+        assert len(payload["loads"]["load"]) < dense  # zeros are omitted
+        assert "instance" not in payload  # the caller holds it
 
     def test_tampered_cost_detected(self):
         inst = poisson_instance(5, m=1, alpha=3.0, seed=5)
         payload = schedule_to_dict(run_pd(inst).schedule)
         payload["cost"] = payload["cost"] * 2 + 1
         with pytest.raises(InvalidParameterError):
-            schedule_from_dict(payload)
+            schedule_from_dict(payload, inst)
 
     def test_payload_is_json_serializable(self):
         inst = poisson_instance(5, m=2, alpha=2.0, seed=6)
         payload = schedule_to_dict(run_pd(inst).schedule)
         json.dumps(payload)  # must not raise
+
+
+def _hostile(payload, field, value):
+    """``payload`` with one load column replaced by ``value``."""
+    loads = dict(payload["loads"])
+    loads[field] = value
+    return {**payload, "loads": loads}
+
+
+class TestHostileSchedulePayloads:
+    """Every malformed schedule payload is an InvalidParameterError that
+    names the field, never a raw error or a silently moved load."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        inst = poisson_instance(6, m=2, alpha=3.0, seed=4)
+        return inst, schedule_to_dict(run_pd(inst).schedule)
+
+    def test_the_untouched_payload_round_trips(self, case):
+        inst, payload = case
+        back = schedule_from_dict(payload, inst)
+        assert schedule_to_dict(back) == payload
+
+    @pytest.mark.parametrize(
+        "field,edit",
+        [
+            ("job", lambda col, n, N: col[:-1]),  # unequal lengths
+            ("load", lambda col, n, N: col + [1.0]),
+            ("job", lambda col, n, N: [-1] + col[1:]),  # out of range
+            ("job", lambda col, n, N: [n] + col[1:]),
+            ("interval", lambda col, n, N: col[:-1] + [N]),
+            ("interval", lambda col, n, N: [-1] + col[1:]),
+            ("job", lambda col, n, N: [float(col[0])] + col[1:]),  # not an int
+            ("job", lambda col, n, N: [True] + col[1:]),
+            ("interval", lambda col, n, N: ["0"] + col[1:]),
+            ("job", lambda col, n, N: [2**70] + col[1:]),
+            ("load", lambda col, n, N: [float("nan")] + col[1:]),  # not finite
+            ("load", lambda col, n, N: [float("inf")] + col[1:]),
+            ("load", lambda col, n, N: [0.0] + col[1:]),  # not positive
+            ("load", lambda col, n, N: [-1.5] + col[1:]),
+            ("load", lambda col, n, N: ["1.0"] + col[1:]),  # not a number
+            ("load", lambda col, n, N: [None] + col[1:]),
+            ("load", lambda col, n, N: [10**400] + col[1:]),
+            ("job", "not a list"),
+        ],
+    )
+    def test_bad_load_columns(self, case, field, edit):
+        inst, payload = case
+        column = payload["loads"][field]
+        n, size = inst.n, len(payload["boundaries"]) - 1
+        value = edit(list(column), n, size) if callable(edit) else edit
+        with pytest.raises(InvalidParameterError, match="'loads'"):
+            schedule_from_dict(_hostile(payload, field, value), inst)
+
+    def test_v3_triple_layout_is_refused(self, case):
+        inst, payload = case
+        loads = payload["loads"]
+        triples = sorted(zip(loads["job"], loads["interval"], loads["load"]))
+        v3 = {**payload, "loads": [list(t) for t in triples]}
+        with pytest.raises(InvalidParameterError, match="'loads'.*version 3"):
+            schedule_from_dict(v3, inst)
+
+    def test_repeated_or_reordered_positions_are_refused(self, case):
+        inst, payload = case
+        loads = payload["loads"]
+        twice = {name: col + col[-1:] for name, col in loads.items()}
+        reversed_ = {name: col[::-1] for name, col in loads.items()}
+        for columns in (twice, reversed_):
+            with pytest.raises(InvalidParameterError, match="'loads'"):
+                schedule_from_dict({**payload, "loads": columns}, inst)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("loads", None),
+            ("loads", {"job": [], "load": []}),
+            ("boundaries", [0.0, "1"]),
+            ("boundaries", [0.0, 10**400]),
+            ("boundaries", None),
+            ("finished", [True]),
+            ("finished", None),
+            ("cost", "cheap"),
+            ("cost", float("nan")),
+        ],
+    )
+    def test_other_bad_fields(self, case, field, value):
+        inst, payload = case
+        with pytest.raises(InvalidParameterError, match=f"'{field}'"):
+            schedule_from_dict({**payload, field: value}, inst)
 
 
 class TestAuditReport:
@@ -134,7 +224,8 @@ class TestCli:
         assert main(["run", "pd", inst_path, "--save-schedule", sched_path]) == 0
         payload = load_json(sched_path)
         assert payload["kind"] == "schedule"
-        schedule_from_dict(payload)  # must round-trip
+        # The schedule pairs with its instance file.
+        schedule_from_dict(payload, instance_from_dict(load_json(inst_path)))
 
     def test_compare_skips_incompatible(self, tmp_path, capsys):
         inst_path = str(tmp_path / "inst.json")

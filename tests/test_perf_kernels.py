@@ -114,10 +114,11 @@ class TestPDParity:
         version is pinned, request keys depend only on inputs, and
         the serialized schedule payload — the record body that gets
         content-hashed — is byte-identical old vs new."""
-        # 3 since the exact water-fill moved accepted speeds within the
-        # old bisection tolerance; kernels alone must never bump it (a
-        # bump cold-starts every cache).
-        assert RECORD_VERSION == 3
+        # 4 since records dropped the embedded instance and keys moved
+        # to the instance digest (3 was the exact water-fill's bump);
+        # kernels alone must never bump it (a bump cold-starts every
+        # cache).
+        assert RECORD_VERSION == 4
         inst = poisson_instance(30, m=2, alpha=3.0, seed=1)
         assert request_key("pd", inst) == request_key("pd", inst)
         new = run_pd(inst)
