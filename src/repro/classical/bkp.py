@@ -72,8 +72,13 @@ def run_bkp(instance: Instance, *, samples_per_interval: int = 32) -> Schedule:
     if samples_per_interval < 1:
         raise InvalidParameterError("samples_per_interval must be >= 1")
     ordered = instance.sorted_by_release()
+    # The simulation reads the float columns. Int fields past 2**53
+    # would meet float times in exact int/float comparisons that their
+    # arithmetic does not keep: a deadline past ``now`` whose distance
+    # from it rounds to 0.
+    sim = Instance.from_arrays(ordered.arrays, m=ordered.m, alpha=ordered.alpha)
     events = ordered.event_times()
-    remaining = {j: ordered[j].workload for j in range(ordered.n)}
+    remaining = {j: sim[j].workload for j in range(sim.n)}
     executed: list[tuple[int, float, float, float]] = []
 
     for k in range(events.size - 1):
@@ -82,18 +87,18 @@ def run_bkp(instance: Instance, *, samples_per_interval: int = 32) -> Schedule:
         for i in range(samples_per_interval):
             t0 = a + i * step
             t1 = t0 + step
-            speed = bkp_speed(ordered, t0)
+            speed = bkp_speed(sim, t0)
             # Safety bump: never let discretization miss a deadline. The
             # required speed is the max density of remaining work over the
             # urgent horizon.
-            urgent = _min_feasible_speed(ordered, remaining, t0)
+            urgent = _min_feasible_speed(sim, remaining, t0)
             speed = max(speed, urgent)
             if speed <= _EPS:
                 continue
-            _edf_slice(ordered, remaining, executed, t0, t1, speed)
+            _edf_slice(sim, remaining, executed, t0, t1, speed)
 
     finished = np.array(
-        [remaining[j] <= max(_WORK_TOL, 1e-6 * ordered[j].workload) for j in range(ordered.n)]
+        [remaining[j] <= max(_WORK_TOL, 1e-6 * sim[j].workload) for j in range(sim.n)]
     )
     return schedule_from_segments(ordered, executed, finished)
 

@@ -59,7 +59,10 @@ def schedule_from_segments(
         if not (0 <= job < instance.n):
             raise InfeasibleScheduleError(f"segment for unknown job {job}")
         k0 = grid.locate(start)
-        k1 = grid.locate(end - _EPS)
+        # The last interval that starts before ``end``. Not
+        # ``locate(end - _EPS)``: at large times ``end - _EPS`` rounds
+        # back to ``end``, and the grid's last point lies outside it.
+        k1 = min(int(np.searchsorted(bounds, end, side="left")), grid.size) - 1
         for k in range(k0, k1 + 1):
             lo = max(start, float(bounds[k]))
             hi = min(end, float(bounds[k + 1]))

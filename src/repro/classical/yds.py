@@ -275,7 +275,9 @@ def _loads_from_segments(
     bounds = grid.boundaries
     for job, start, end, speed in segments:
         k0 = grid.locate(start)
-        k1 = grid.locate(end - _EPS) if end - _EPS > start else k0
+        # The last interval that starts before ``end`` (see
+        # ``schedule_from_segments``: ``end - _EPS`` can round to ``end``).
+        k1 = min(int(np.searchsorted(bounds, end, side="left")), grid.size) - 1
         for k in range(k0, k1 + 1):
             lo = max(start, float(bounds[k]))
             hi = min(end, float(bounds[k + 1]))

@@ -85,7 +85,10 @@ def run_cll(instance: Instance) -> CLLResult:
     n = ordered.n
     alpha = ordered.alpha
     jobs = ordered.jobs
-    deadlines = [job.deadline for job in jobs]
+    # Deadlines as the float column, like the releases: an int deadline
+    # past 2**53 would sit in the plan's event list beside the float
+    # times its arithmetic rounds to, out of their order.
+    deadlines = ordered.deadlines.tolist()
     releases = ordered.releases
     release_list = releases.tolist()
 

@@ -372,17 +372,16 @@ class PDScheduler:
         planned = self._planned
         opens = self._open
         accepted = outcome.accepted
-        for offset, z in enumerate(outcome.loads.tolist()):
+        for k, z in enumerate(outcome.load_list, i0):
             if z == 0.0:
                 continue
-            k = i0 + offset
             if not accepted:
                 planned[k].append((job_id, z))
                 continue
             state = states[k]
             state.insert(job_id, z)
             if opens is not None:
-                opens[k] = _opening_speed(state.suffix, self._lengths[k], self.m)
+                opens[k] = _opening_speed(state, self._lengths[k], self.m)
 
     def _run(self, ordered: Instance) -> PDResult:
         """Feed the rows of a release-ordered instance through the
@@ -447,7 +446,7 @@ class PDScheduler:
         if self._open is None:
             m = self.m
             self._open = [
-                _opening_speed(state.suffix, length, m)
+                _opening_speed(state, length, m)
                 for state, length in zip(self._states, self._lengths)
             ]
         return self._open
@@ -530,7 +529,7 @@ class PDScheduler:
             if opens is not None:
                 # The children's lengths are these same subtractions.
                 opens[k : k + 1] = [
-                    _opening_speed(child.suffix, width, self.m)
+                    _opening_speed(child, width, self.m)
                     for child, width in zip(children, widths)
                 ]
             entries = self._planned[k]

@@ -91,21 +91,27 @@ class WaterfillOutcome:
     speed:
         The planned speed ``s~_j`` at which the job's marginal was priced
         when ``lambda_j`` got fixed (Equation (10) of the paper).
-    loads:
-        Per-interval loads. For an accepted job these are the final
-        assignment (summing to the workload); for a rejected job these are
-        the loads *planned just before rejection* — the paper's ``x̌_{jk}``
-        — which the analysis package needs for Propositions 7/8. The
-        algorithm itself resets them to zero.
+    load_list:
+        Per-interval loads, one float per interval of the window. For an
+        accepted job these are the final assignment (summing to the
+        workload); for a rejected job these are the loads *planned just
+        before rejection* — the paper's ``x̌_{jk}`` — which the analysis
+        package needs for Propositions 7/8. The algorithm itself resets
+        them to zero. :attr:`loads` is the same vector as an array.
     planned_work:
-        Sum of ``loads`` (equals the workload when accepted).
+        Sum of the loads (equals the workload when accepted).
     """
 
     accepted: bool
     lam: float
     speed: float
-    loads: FloatArray
+    load_list: list[float]
     planned_work: float
+
+    @property
+    def loads(self) -> FloatArray:
+        """The per-interval loads as a float64 array."""
+        return np.array(self.load_list, dtype=np.float64)
 
 
 def waterfill_job(
@@ -148,7 +154,7 @@ def waterfill_job(
             accepted=False,
             lam=value,
             speed=0.0,
-            loads=np.zeros(0),
+            load_list=[],
             planned_work=0.0,
         )
 
@@ -173,7 +179,7 @@ def waterfill_job(
             accepted=False,
             lam=value,
             speed=s_cap,
-            loads=kernel.loads_at_speed(s_cap),
+            load_list=kernel.loads_at_speed(s_cap),
             planned_work=placed_at_cap,
         )
 
@@ -186,22 +192,27 @@ def waterfill_job(
     else:
         s = kernel.clearing_speed(workload, s_cap)
     loads = kernel.loads_at_speed(s)
-    placed = sum(loads.tolist())
+    placed = sum(loads)
     if placed <= 0.0:
         # Degenerate: numerical cap hit; treat as rejection.
         return WaterfillOutcome(
-            accepted=False, lam=value, speed=s_cap, loads=loads, planned_work=placed
+            accepted=False,
+            lam=value,
+            speed=s_cap,
+            load_list=loads,
+            planned_work=placed,
         )
     if abs(placed - workload) > _WORK_TOL * workload:
         # The speed is exact, but each interval's load is evaluated as
         # ``target * (m - d) - suffix[d]``, which cancels when existing
         # loads dwarf the job, so the placed work can miss the workload
         # by about ``eps * m * s * sum(lengths)``: scale it back.
-        loads *= workload / placed
+        scale = workload / placed
+        loads = [z * scale for z in loads]
         placed = workload
 
     lam = delta * workload * power.derivative(s)
     lam = min(lam, value)
     return WaterfillOutcome(
-        accepted=True, lam=lam, speed=s, loads=loads, planned_work=placed
+        accepted=True, lam=lam, speed=s, load_list=loads, planned_work=placed
     )

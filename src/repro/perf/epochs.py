@@ -43,19 +43,20 @@ bookkeeping hoisted into batched numpy passes:
   ``minimum.reduceat`` over the block-start speeds settles most
   arrivals at once (an insert never lowers an opening speed); the rest
   take one list ``min`` against the live speeds, which accepts earlier
-  in the block have raised. What neither settles asks the reference
-  kernel's own per-interval question at the cap,
-  ``target*(m-d) - suffix[d] > 0``, and an all-zero answer is the same
-  reject;
+  in the block have raised. An arrival neither settles is filled; if
+  its cap opens no interval after all (the margin's band), the fill's
+  own cap test returns the same zero-work reject;
 * **store upkeep** — an accept inserts into the live stores (each
-  insert rebuilds that store's suffix) and refreshes their opening
-  speeds; grid refinement keeps the speeds current too;
+  insert re-sums only the suffix head in front of the new load and
+  drops the store's kept levels) and refreshes their opening speeds,
+  which derives those levels again for the next fill; grid refinement
+  keeps the speeds current too;
 * **columnar decisions** — accepted/lam/speed/planned-work land in
   the scheduler's decision columns, and the fed block is stored by
   reference; ``JobDecision``/``Instance`` objects materialize once, in
   ``finish()``.
 
-A job that opens some interval runs the *reference* scalar water-fill
+A job that is not settled runs the *reference* scalar water-fill
 (:func:`repro.core.waterfill.waterfill_job` over a ``WindowKernel`` of
 the live stores) — the same floats in the same order — so decisions,
 load stores, planned loads, certificates, record payloads, and cache
@@ -69,7 +70,6 @@ twin
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -171,10 +171,15 @@ def _price_caps(
         marginal = values / (delta * workloads)
     scaled = marginal / alpha
     ok = scaled > 0.0
-    logs = np.array(list(map(math.log, np.where(ok, scaled, 1.0).tolist())))
+    size = values.size
+    logs = np.fromiter(
+        map(math.log, np.where(ok, scaled, 1.0).tolist()), np.float64, size
+    )
     logs /= alpha - 1.0
     over = logs > 690.0  # the scalar's overflow edge: no cap
-    caps = np.array(list(map(math.exp, np.where(over, 0.0, logs).tolist())))
+    caps = np.fromiter(
+        map(math.exp, np.where(over, 0.0, logs).tolist()), np.float64, size
+    )
     # The rare rows are patched only in blocks that hold one: most
     # blocks are short, and every numpy call costs per block.
     if over.any():
@@ -314,26 +319,13 @@ def _process_block(sched: PDScheduler, arrays: JobArrays, lo: int, hi: int) -> i
             if s_cap != s_cap:  # NaN: left to the scalar by _price_caps
                 s_cap = caps[t] = price_cap(power, vl[t], wl[t], delta)
             # Settle against the live opening speeds (accepts earlier in
-            # the block included); failing that, the exact screen asks
-            # the reference kernel's own per-interval question at the
-            # cap. Either way an all-zero answer at a finite cap is the
-            # reference outcome the row already holds (reject at value,
-            # nothing placed, no state mutation); a non-finite cap is
-            # bracketed by doubling inside ``waterfill_job`` instead.
-            zero = s_cap < inf
-            if (
-                zero
-                and s_cap > 0.0
-                and not s_cap * _SETTLE_MARGIN < min(opens[i0:j0])
+            # the block included): the reference outcome the row already
+            # holds (reject at value, nothing placed, no state mutation).
+            # A non-finite cap is bracketed by doubling inside
+            # ``waterfill_job`` instead.
+            if s_cap < inf and (
+                s_cap <= 0.0 or s_cap * _SETTLE_MARGIN < min(opens[i0:j0])
             ):
-                for k in range(i0, j0):
-                    state = states[k]
-                    target = s_cap * len_list[k]
-                    dd = bisect_left(state.neg, -target)
-                    if dd < m and target * (m - dd) - state.suffix[dd] > 0.0:
-                        zero = False
-                        break
-            if zero:
                 continue
         # Full scalar water-fill against the live stores (reference
         # floats in reference order).

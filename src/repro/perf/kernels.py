@@ -14,20 +14,26 @@ arrivals instead:
 
 * :class:`IntervalLoads` keeps one interval's positive loads in
   descending order in plain lists. Accepting a job is a sorted
-  **insertion** (one C-level ``memmove``); splitting an interval on
-  grid refinement is a **split-copy** (scale by the child fraction —
-  order is preserved, so no re-sort); suffix sums are rebuilt with the
-  exact accumulation order the reference path used, which keeps every
-  query bit-identical. A PD run holds each accepted load here only:
-  its planned loads are read off these stores.
-* :class:`WindowKernel` freezes the stores of one job's window and
-  answers every query on them: ``total_at_speed`` /
+  **insertion** (one C-level ``memmove``) that re-sums only the suffix
+  head in front of the new load; splitting an interval on grid
+  refinement is a **split-copy** (scale by the child fraction — order
+  is preserved, so no re-sort). Suffix sums keep the exact
+  accumulation order the reference path used, which keeps every query
+  bit-identical. Each store also keeps its water-fill **levels** for
+  a processor count (:meth:`IntervalLoads.levels`): derived on the
+  first read after a change, dropped by the next ``insert``, so a
+  fill reads them instead of re-deriving them. A PD run holds each
+  accepted load here only: its planned loads are read off these
+  stores.
+* :class:`WindowKernel` is a view of the stores of one job's window
+  and answers every query on them: ``total_at_speed`` /
   ``loads_at_speed`` for the water-fill (a one-interval kernel is the
   scalar water-level query of a single store),
   plus ``clearing_speed``, the exact speed at which the window total
   reaches a workload (a sweep over the total's at most ``m + 2`` slope
-  changes per interval). Each is a tight ``bisect``-based loop over
-  the stores' lists: a fill makes three such passes, too few to repay
+  changes per interval, read off the stores' levels). Each is a tight
+  ``bisect``-based loop over the stores' lists: a fill makes at most
+  three such passes (cap test, solve, placement), too few to repay
   copying the window into numpy arrays, even at hundreds of intervals.
 
 Bit-parity notes (load-bearing, tested in ``tests/test_perf_kernels``):
@@ -37,7 +43,12 @@ Bit-parity notes (load-bearing, tested in ``tests/test_perf_kernels``):
   cumsum, which cannot change any bit of any partial sum.
 * Scaling a descending array by one positive fraction preserves order
   (monotone rounding), so a split-copy equals re-sorting the scaled
-  column.
+  column. Two loads the scaling rounds to one value keep their order,
+  which need not be ``from_column``'s ascending ids; equal loads make
+  the same sums, so no query tells them apart.
+* An insert at position ``q`` leaves ``suffix[q:]`` bitwise as it was,
+  shifted one place: the sums behind it add the same loads in the same
+  tail-first order. Only ``suffix[0..q]`` is re-summed.
 """
 
 from __future__ import annotations
@@ -71,18 +82,22 @@ class IntervalLoads:
     Maintains three aligned structures: ``loads`` (descending),
     ``neg`` (``-loads``, ascending — the ``bisect`` key the water-level
     count uses), and ``ids`` (the owning job of each load). ``suffix``
-    holds the suffix sums, ``suffix[d] == sum(loads[d:])``, rebuilt
-    after every mutation with the same tail-first accumulation as
-    :class:`repro.chen.interval_power.SortedLoads`.
+    holds the suffix sums, ``suffix[d] == sum(loads[d:])``, with the
+    same tail-first accumulation as
+    :class:`repro.chen.interval_power.SortedLoads`. :meth:`levels`
+    keeps the water-fill levels of the current loads.
     """
 
-    __slots__ = ("loads", "neg", "ids", "suffix")
+    __slots__ = ("loads", "neg", "ids", "suffix", "_levels")
 
     def __init__(self) -> None:
         self.loads: list[float] = []
         self.neg: list[float] = []
         self.ids: list[int] = []
         self.suffix: list[float] = [0.0]
+        #: ``(m, t_open, t_clip, above, clipped)`` of the current loads
+        #: (see :meth:`levels`), or None until read after a change.
+        self._levels: tuple[int, float, float, int, int] | None = None
 
     def __len__(self) -> int:
         return len(self.loads)
@@ -93,8 +108,9 @@ class IntervalLoads:
 
         Zeros are skipped. Equal loads keep ascending id order, and the
         suffix is numpy's tail-first ``cumsum`` — the accumulation order
-        of :meth:`_rebuild_suffix` — so the store is bit-identical to
-        inserting the positive loads one by one in id order.
+        of :meth:`insert` and :meth:`split` — so the store is
+        bit-identical to inserting the positive loads one by one in id
+        order.
         """
         ids = np.flatnonzero(column > 0.0)
         order = ids[np.argsort(-column[ids], kind="stable")]
@@ -104,10 +120,15 @@ class IntervalLoads:
         store.neg = (-loads).tolist()
         store.ids = order.tolist()
         store.suffix = np.append(np.cumsum(loads[::-1])[::-1], 0.0).tolist()
+        store._levels = None
         return store
 
     def insert(self, job_id: int, load: float) -> None:
-        """Sorted insertion of one accepted load (O(p) memmove)."""
+        """Sorted insertion of one accepted load (O(p) memmove).
+
+        Only the suffix sums in front of the new load are re-summed:
+        ``suffix'[i] == suffix[i - 1]`` for every ``i`` past it.
+        """
         if not (load > 0.0):
             raise InvalidParameterError(
                 f"interval loads must be > 0, got {load}"
@@ -116,10 +137,17 @@ class IntervalLoads:
         # order: a new job (highest id) lands *after* equal loads, the
         # same tie order as the reference's stable argsort.
         pos = bisect_right(self.neg, -load)
-        self.loads.insert(pos, load)
+        loads = self.loads
+        loads.insert(pos, load)
         self.neg.insert(pos, -load)
         self.ids.insert(pos, job_id)
-        self._rebuild_suffix()
+        suffix = self.suffix
+        acc = suffix[pos] + load
+        suffix.insert(pos, acc)
+        for i in range(pos - 1, -1, -1):
+            acc += loads[i]
+            suffix[i] = acc
+        self._levels = None
 
     def split(self, fraction: float) -> "IntervalLoads":
         """Split-copy for grid refinement: every load scaled once.
@@ -130,21 +158,57 @@ class IntervalLoads:
         keeps it descending, so no re-sort happens — or is needed.
         """
         child = IntervalLoads.__new__(IntervalLoads)
-        child.loads = [v * fraction for v in self.loads]
-        child.neg = [-v for v in child.loads]
+        child.loads = loads = [v * fraction for v in self.loads]
+        child.neg = [-v for v in loads]
         child.ids = list(self.ids)
-        child._rebuild_suffix()
-        return child
-
-    def _rebuild_suffix(self) -> None:
         # Tail-first accumulation — the exact operation order of
         # ``np.cumsum(loads[::-1])[::-1]`` in the reference cache.
-        suffix = [0.0] * (len(self.loads) + 1)
+        suffix = [0.0] * (len(loads) + 1)
         acc = 0.0
-        for i in range(len(self.loads) - 1, -1, -1):
-            acc += self.loads[i]
+        for i in range(len(loads) - 1, -1, -1):
+            acc += loads[i]
             suffix[i] = acc
-        self.suffix = suffix
+        child.suffix = suffix
+        child._levels = None
+        return child
+
+    def levels(self, m: int) -> tuple[int, float, float, int, int]:
+        """The water-fill levels of these loads on ``m`` processors:
+        ``(m, t_open, t_clip, above, clipped)``.
+
+        ``t_open`` is :func:`_opening_level`, the load level at which
+        the interval starts to absorb new load, and ``t_clip`` the level
+        from which it absorbs the whole target; ``above`` and
+        ``clipped`` count the loads above ``t_open`` and at or above
+        ``t_clip`` (both are prefixes of the top m loads, see
+        :meth:`WindowKernel.clearing_speed`). With fewer than m loads a
+        processor is free: both levels are 0. Derived on the first read
+        after a change and kept until the next one (or a read for
+        another ``m``).
+        """
+        levels = self._levels
+        if levels is not None and levels[0] == m:
+            return levels
+        neg = self.neg
+        if len(neg) < m:
+            levels = (m, 0.0, 0.0, len(neg), len(neg))
+        else:
+            suffix = self.suffix
+            t_open = _opening_level(suffix, m)
+            t_clip = math.inf
+            for d in range(m - 1):
+                level = suffix[d] / (m - 1 - d)
+                if level < t_clip:
+                    t_clip = level
+            if t_clip < t_open:
+                t_clip = t_open
+            # Loads are descending: the top-m loads above t_open, and
+            # those at or above t_clip, are prefixes of the row.
+            above = bisect_left(neg, -t_open, 0, m)
+            clipped = bisect_right(neg, -t_clip, 0, m)
+            levels = (m, t_open, t_clip, above, clipped)
+        self._levels = levels
+        return levels
 
 
 def _opening_level(suffix: list[float], m: int) -> float:
@@ -164,15 +228,16 @@ def _opening_level(suffix: list[float], m: int) -> float:
     return t_open
 
 
-def _opening_speed(suffix: list[float], length: float, m: int) -> float:
+def _opening_speed(store: IntervalLoads, length: float, m: int) -> float:
     """The speed ``t_open / length`` below which an interval of
-    ``length`` absorbs nothing: its :func:`_opening_level` as a speed.
+    ``length`` absorbs nothing: its :func:`_opening_level` as a speed,
+    read off the store's :meth:`~IntervalLoads.levels`.
 
     Reads 0 where the level or the speed is under ``_OPEN_FLOOR``. The
     speed never falls when a load is inserted: each suffix sum can only
     grow (rounding is monotone), and so can their minimum.
     """
-    t_open = _opening_level(suffix, m)
+    t_open = store.levels(m)[1]
     speed = t_open / length
     if t_open < _OPEN_FLOOR or speed < _OPEN_FLOOR:
         return 0.0
@@ -180,15 +245,17 @@ def _opening_speed(suffix: list[float], length: float, m: int) -> float:
 
 
 class WindowKernel:
-    """Frozen view of one job window for the water-fill.
+    """View of one job window for the water-fill.
 
     Exposes the queries :func:`repro.core.waterfill.waterfill_job`
-    asks — the window total and the per-interval load vector at a
-    candidate speed, and the clearing speed of a workload — as tight
-    scalar loops over each store's sorted lists.
+    asks — the window total and the per-interval loads at a candidate
+    speed, and the clearing speed of a workload — as tight scalar loops
+    over each store's sorted lists. It holds the caller's stores and
+    lengths, not copies: a store changed under it answers with its new
+    loads.
     """
 
-    __slots__ = ("m", "lengths", "_intervals")
+    __slots__ = ("m", "lengths", "_stores")
 
     def __init__(
         self, stores: "list[IntervalLoads]", lengths: "list[float]", m: int
@@ -199,17 +266,17 @@ class WindowKernel:
             raise InvalidParameterError(
                 f"got {len(stores)} interval stores for {len(lengths)} lengths"
             )
+        # One comparison per length: it rejects NaN wherever it sits,
+        # which ``min(lengths) > 0.0`` does not, and it is cheaper than
+        # ``min`` and ``sum`` on windows of a few intervals.
         for length in lengths:
             if not (length > 0.0):
                 raise InvalidParameterError(
                     f"interval length must be > 0, got {length}"
                 )
         self.m = m
-        self.lengths = [float(length) for length in lengths]
-        self._intervals = [
-            (store.neg, store.suffix, length)
-            for store, length in zip(stores, self.lengths)
-        ]
+        self.lengths = lengths
+        self._stores = stores
 
     def __len__(self) -> int:
         return len(self.lengths)
@@ -218,36 +285,38 @@ class WindowKernel:
     # Queries
     # ------------------------------------------------------------------
     def total_at_speed(self, speed: float) -> float:
-        """Sum of ``max_load_at_speed`` over the window's intervals,
-        accumulated left to right like the reference's Python ``sum``."""
+        """Sum of the per-interval loads at ``speed``, accumulated left
+        to right like the reference's Python ``sum``."""
         if speed <= 0.0:
             return 0.0
         total = 0.0
         m = self.m
-        for neg, suffix, length in self._intervals:
+        for store, length in zip(self._stores, self.lengths):
             target = speed * length
-            d = bisect_left(neg, -target)
+            d = bisect_left(store.neg, -target)
             if d >= m:
                 continue
-            z = target * (m - d) - suffix[d]
+            z = target * (m - d) - store.suffix[d]
             if z > 0.0:
                 total += z if z <= target else target
         return total
 
-    def loads_at_speed(self, speed: float) -> FloatArray:
-        """Per-interval load vector at ``speed`` (the final placement)."""
-        out = np.zeros(len(self.lengths), dtype=np.float64)
+    def loads_at_speed(self, speed: float) -> list[float]:
+        """Per-interval loads at ``speed`` (the final placement), one
+        float per interval of the window."""
         if speed <= 0.0:
-            return out
+            return [0.0] * len(self.lengths)
+        out: list[float] = []
         m = self.m
-        for i, (neg, suffix, length) in enumerate(self._intervals):
+        for store, length in zip(self._stores, self.lengths):
             target = speed * length
-            d = bisect_left(neg, -target)
-            if d >= m:
-                continue
-            z = target * (m - d) - suffix[d]
-            if z > 0.0:
-                out[i] = z if z <= target else target
+            d = bisect_left(store.neg, -target)
+            if d < m:
+                z = target * (m - d) - store.suffix[d]
+                if z > 0.0:
+                    out.append(z if z <= target else target)
+                    continue
+            out.append(0.0)
         return out
 
     def clearing_speed(self, workload: float, s_cap: float) -> float:
@@ -266,26 +335,17 @@ class WindowKernel:
         running total until it reaches ``workload``, and solve that
         linear segment.
 
-        Each interval reads only its top m loads and ``suffix[0..m-1]``.
+        Each interval reads only its top m loads and its kept
+        :meth:`~IntervalLoads.levels`.
         """
         m = self.m
         events: list[tuple[float, float]] = []
-        for neg, suffix, length in self._intervals:
+        for store, length in zip(self._stores, self.lengths):
+            neg = store.neg
             if len(neg) < m:
                 events.append((0.0, length))
                 continue
-            t_open = _opening_level(suffix, m)
-            t_clip = math.inf
-            for d in range(m - 1):
-                level = suffix[d] / (m - 1 - d)
-                if level < t_clip:
-                    t_clip = level
-            if t_clip < t_open:
-                t_clip = t_open
-            # Loads are descending: the top-m loads above t_open, and
-            # those at or above t_clip, are prefixes of the row.
-            above = bisect_left(neg, -t_open, 0, m)
-            clipped = bisect_right(neg, -t_clip, 0, m)
+            _, t_open, t_clip, above, clipped = store.levels(m)
             events.append((t_open / length, (m - above) * length))
             for i in range(clipped, above):
                 events.append((-neg[i] / length, length))

@@ -543,13 +543,16 @@ def waterfill_job_reference(
             accepted=False,
             lam=value,
             speed=0.0,
-            loads=np.zeros(0),
+            load_list=[],
             planned_work=0.0,
         )
 
     if hasattr(caches, "total_at_speed"):
         total_at_speed = caches.total_at_speed
-        loads_at_speed = caches.loads_at_speed
+
+        def loads_at_speed(s: float) -> FloatArray:
+            return np.array(caches.loads_at_speed(s), dtype=np.float64)
+
     else:
 
         def total_at_speed(s: float) -> float:  # type: ignore[no-redef]
@@ -581,7 +584,7 @@ def waterfill_job_reference(
             accepted=False,
             lam=value,
             speed=s_cap,
-            loads=loads_at_speed(s_cap),
+            load_list=loads_at_speed(s_cap).tolist(),
             planned_work=placed_at_cap,
         )
 
@@ -619,7 +622,11 @@ def waterfill_job_reference(
     if placed <= 0.0:
         # Degenerate: numerical cap hit; treat as rejection.
         return WaterfillOutcome(
-            accepted=False, lam=value, speed=s_cap, loads=loads, planned_work=placed
+            accepted=False,
+            lam=value,
+            speed=s_cap,
+            load_list=loads.tolist(),
+            planned_work=placed,
         )
     if abs(placed - workload) > _WATERFILL_WORK_TOL * workload:
         # Final exactness fix: scale within the (tiny) residual. The
@@ -631,7 +638,7 @@ def waterfill_job_reference(
     lam = delta * workload * power.derivative(s)
     lam = min(lam, value)
     return WaterfillOutcome(
-        accepted=True, lam=lam, speed=s, loads=loads, planned_work=placed
+        accepted=True, lam=lam, speed=s, load_list=loads.tolist(), planned_work=placed
     )
 
 

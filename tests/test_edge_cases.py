@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import random
+
 import numpy as np
 import pytest
 
@@ -10,7 +13,7 @@ from repro.classical.oa import oa_segments, run_oa, run_oa_multiprocessor
 from repro.classical.yds import yds
 from repro.core.pd import PDScheduler, run_pd
 from repro.engine.registry import REGISTRY
-from repro.errors import InvalidParameterError
+from repro.errors import InvalidParameterError, ReproError
 from repro.model.job import Instance, Job
 from repro.offline.convex import solve_min_energy
 from repro.perf.epochs import arrive_epochs
@@ -138,6 +141,47 @@ class TestExtremeParameters:
         if m >= 10:
             assert result.cost == pytest.approx(10.0)
         dual_certificate(result).require()
+
+
+def large_magnitude_twins() -> dict[str, Instance]:
+    """Nine jobs near 2**60, with int fields and as their float twin.
+
+    At this magnitude one float ulp is 256, so every absolute time
+    tolerance rounds away, and an int field compares exactly with the
+    floats its arithmetic rounds to.
+    """
+    rng = random.Random(0)
+    rows = []
+    for _ in range(9):
+        release = 2**60 + rng.randint(0, 2_000_000)
+        deadline = release + rng.randint(1, 2_000_000)
+        workload = rng.randint(1, 9)
+        value = 2**60 + rng.randint(0, 999)
+        rows.append((release, deadline, workload, value))
+    return {
+        "int": Instance(tuple(Job(*row) for row in rows), m=1, alpha=3),
+        "float": Instance(
+            tuple(Job(*map(float, row)) for row in rows), m=1, alpha=3.0
+        ),
+    }
+
+
+class TestLargeMagnitudes:
+    @pytest.mark.parametrize("twin", ["float", "int"])
+    def test_every_algorithm_runs_or_raises_canonical_error(self, twin):
+        """Each registered algorithm either runs to a finite cost or
+        fails with a ``ReproError``: no raw ``IndexError`` or
+        ``ZeroDivisionError`` from its time arithmetic."""
+        instance = large_magnitude_twins()[twin]
+        ran = 0
+        for name in REGISTRY.names():
+            try:
+                outcome = REGISTRY.run(name, instance)
+            except ReproError:
+                continue
+            assert math.isfinite(outcome.cost) and outcome.cost >= 0.0, name
+            ran += 1
+        assert ran > 0
 
 
 class TestSchedulerStateMachine:

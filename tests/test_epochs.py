@@ -197,7 +197,7 @@ def assert_opening_speeds_current(sched: PDScheduler) -> None:
     if sched._open is None:
         return
     assert sched._open == [
-        _opening_speed(state.suffix, length, sched.m)
+        _opening_speed(state, length, sched.m)
         for state, length in zip(sched._states, sched._lengths, strict=True)
     ]
 
@@ -226,10 +226,12 @@ def assert_scheduler_parity(instance: Instance, epoch_size: int, **kwargs) -> No
 
 
 class TestZeroWorkScreen:
-    """The exact zero-work screen is the only cheap-reject path: every
-    arrival whose price cap opens no interval of its window is settled
-    without a ``WindowKernel`` or a water-fill, against the live stores
-    (accepts earlier in the same block included)."""
+    """The zero-work settle is the only cheap-reject path: an arrival
+    whose price cap lies below the opening speed of every interval of
+    its window is settled without a ``WindowKernel`` or a water-fill,
+    against the live opening speeds (accepts earlier in the same block
+    included). Any other arrival is filled, and a fill whose cap opens
+    no interval returns the same zero-work reject."""
 
     @pytest.mark.parametrize("m", [1, 4])
     def test_waterfill_only_sees_jobs_that_place_work(self, m, monkeypatch):
@@ -457,6 +459,43 @@ class TestEpochDifferentialProperty:
     @settings(max_examples=60, deadline=None)
     def test_epochs_match_per_arrival_twin(self, instance, epoch_size):
         """``None`` draws one block spanning the whole stream."""
+        assert_scheduler_parity(instance, epoch_size or instance.n)
+
+
+@st.composite
+def tie_groups(draw):
+    """Groups of byte-identical jobs in shared windows.
+
+    Every price inside a group ties exactly, so an ordering slip
+    between the batched and the per-arrival feed would flip which job
+    the tie-break admits. Groups of 2-9 jobs, fed in blocks of 1, 7 or
+    the whole stream, put tie pairs on both sides of block boundaries.
+    """
+    slots = draw(st.integers(1, 4))
+    window = st.tuples(st.integers(0, slots - 1), st.integers(1, slots)).filter(
+        lambda ab: ab[0] < ab[1]
+    )
+    group = st.tuples(
+        window,
+        st.sampled_from([0.25, 0.5, 1.0, 2.0]),
+        st.floats(0.05, 8.0, allow_nan=False, allow_infinity=False),
+        st.integers(2, 9),
+    )
+    jobs = []
+    for (a, b), w, ratio, count in draw(st.lists(group, min_size=1, max_size=5)):
+        jobs += [(float(a), float(b), w, w * ratio)] * count
+    m = draw(st.integers(1, 4))
+    return Instance.from_tuples(jobs, m=m, alpha=3.0)
+
+
+class TestTiesAtEpochBoundaries:
+    @given(instance=tie_groups(), epoch_size=st.sampled_from([1, 7, None]))
+    @example(instance=tie_at_epoch_boundary(), epoch_size=7)
+    @settings(max_examples=40, deadline=None)
+    def test_tie_groups_match_the_row_by_row_feed(self, instance, epoch_size):
+        """``arrive_many``'s epoch layer against one ``arrive()`` per
+        row: stores, decisions and results bitwise. ``None`` draws one
+        block spanning the whole stream."""
         assert_scheduler_parity(instance, epoch_size or instance.n)
 
 

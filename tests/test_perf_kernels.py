@@ -28,6 +28,7 @@ from repro.classical.yds import yds
 from repro.core.pd import PDScheduler, run_pd
 from repro.core.waterfill import waterfill_job
 from repro.engine.runner import RECORD_VERSION, request_key
+from repro.errors import InvalidParameterError
 from repro.io.serialize import schedule_to_dict, stable_hash
 from repro.model.intervals import Grid
 from repro.model.job import Instance
@@ -367,6 +368,17 @@ class TestKernelPrimitives:
         with pytest.raises(Exception, match="> 0"):
             store.insert(0, 0.0)
 
+    @pytest.mark.parametrize("bad", [0.0, -0.0, -1.0, -math.inf, math.nan])
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_window_kernel_rejects_bad_lengths(self, bad, at):
+        """A non-positive or NaN length fails wherever it sits in the
+        window (a NaN past the first would slip by ``min``)."""
+        lengths = [0.5, 1.0, 2.0]
+        lengths[at] = bad
+        stores = [IntervalLoads() for _ in lengths]
+        with pytest.raises(InvalidParameterError, match="interval length"):
+            WindowKernel(stores, lengths, 2)
+
 
 @st.composite
 def opening_cases(draw):
@@ -402,7 +414,7 @@ class TestOpeningSpeedProperty:
         store = IntervalLoads()
         for job_id, load in enumerate(loads):
             store.insert(job_id, load)
-        open_speed = _opening_speed(store.suffix, length, m)
+        open_speed = _opening_speed(store, length, m)
         assert open_speed >= 0.0
         if len(loads) < m:
             assert open_speed == 0.0
@@ -428,7 +440,7 @@ class TestOpeningSpeedProperty:
         level = _opening_level(store.suffix, m)
         store.insert(len(loads), extra)
         assert _opening_level(store.suffix, m) >= level
-        assert _opening_speed(store.suffix, length, m) >= open_speed
+        assert _opening_speed(store, length, m) >= open_speed
 
     def test_opening_speed_under_the_floor_reads_zero(self):
         """Near the subnormal range roundings stop being relative, so
@@ -436,8 +448,84 @@ class TestOpeningSpeedProperty:
         store = IntervalLoads()
         store.insert(0, 1e-300)
         assert _opening_level(store.suffix, 1) == 1e-300
-        assert _opening_speed(store.suffix, 1.0, 1) == 1e-300
-        assert _opening_speed(store.suffix, 1e12, 1) == 0.0
+        assert _opening_speed(store, 1.0, 1) == 1e-300
+        assert _opening_speed(store, 1e12, 1) == 0.0
+
+
+@st.composite
+def store_upkeep(draw):
+    """A random interleaving of a store's changes and level reads.
+
+    Inserts take ascending ids and draw from a small pool of loads, so
+    ties are common; splits scale by positive fractions; level reads
+    ask for m in 1..5, so a level kept across a change would be read.
+    """
+    pool = draw(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=4))
+    op = st.one_of(
+        st.tuples(st.just("insert"), st.sampled_from(pool) | st.floats(1e-3, 1e3)),
+        st.tuples(st.just("split"), st.floats(1e-3, 1.0)),
+        st.tuples(st.just("levels"), st.integers(1, 5)),
+    )
+    return draw(st.lists(op, max_size=40))
+
+
+class TestStoreUpkeepProperty:
+    """A store kept up by ``insert`` and ``split`` equals, bit for bit,
+    the store ``from_column`` builds from scratch over the dense column
+    the same changes produce, and so do its kept levels."""
+
+    @staticmethod
+    def assert_matches_column(
+        store: IntervalLoads, column: list[float], first_m: int
+    ) -> None:
+        dense = np.array(column, dtype=np.float64)
+        fresh = IntervalLoads.from_column(dense)
+        assert store.loads == fresh.loads
+        assert store.neg == fresh.neg
+        assert store.suffix == fresh.suffix
+        # ``from_column`` orders equal loads by ascending id; a split can
+        # round two distinct loads to one value and keep their order.
+        assert sorted(zip(store.neg, store.ids)) == list(zip(fresh.neg, fresh.ids))
+        # The last m read comes first: its level is the one kept. Each
+        # m is checked against a store that never read another m.
+        for m in (first_m, 1, 2, 3, 4, 5):
+            assert store.levels(m) == IntervalLoads.from_column(dense).levels(m)
+
+    @given(ops=store_upkeep())
+    @settings(max_examples=80, deadline=None)
+    def test_upkeep_matches_a_fresh_store(self, ops):
+        store = IntervalLoads()
+        column: list[float] = []
+        last_m = 1
+        for kind, arg in ops:
+            if kind == "insert":
+                store.insert(len(column), arg)
+                column.append(arg)
+            elif kind == "split":
+                store = store.split(arg)
+                column = [z * arg for z in column]
+            else:
+                store.levels(arg)
+                last_m = arg
+                continue
+            self.assert_matches_column(store, column, last_m)
+            last_m = 5
+
+    def test_insert_keeps_the_suffix_tail(self):
+        """An insert at position q re-sums only ``suffix[0..q]``; the
+        tail keeps its floats, shifted one place."""
+        store = IntervalLoads()
+        for job_id, load in enumerate([5.0, 3.0, 0.1, 0.7, 2.0]):
+            store.insert(job_id, load)
+        tail = list(store.suffix[2:])
+        store.insert(5, 2.5)
+        assert store.loads == [5.0, 3.0, 2.5, 2.0, 0.7, 0.1]
+        assert store.suffix[3:] == tail
+        acc, head = 0.0, []
+        for load in reversed(store.loads):
+            acc += load
+            head.append(acc)
+        assert store.suffix[:3] == head[::-1][:3]
 
 
 class TestGridRefineParity:
