@@ -12,7 +12,7 @@ Run: ``python examples/admission_curve.py``
 
 from __future__ import annotations
 
-from repro.analysis.sweeps import acceptance_curve
+from repro import ExperimentSpec, run_experiment
 from repro.workloads import poisson_instance
 
 
@@ -22,15 +22,17 @@ def bar(fraction: float, width: int = 30) -> str:
 
 
 def main() -> None:
-    multipliers = [0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 100.0]
-    cells = acceptance_curve(
-        poisson_instance,
-        value_multipliers=multipliers,
+    spec = ExperimentSpec(
+        name="admission-curve",
+        family=poisson_instance,
+        # value_x scales every job value after generation.
+        grid={"value_x": [0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 100.0]},
+        algorithms=("pd",),
         n=25,
-        m=2,
-        alpha=3.0,
         seeds=range(4),
+        family_kwargs={"m": 2, "alpha": 3.0},
     )
+    cells = run_experiment(spec)
     print("acceptance rate vs value multiplier (25 jobs, m=2, alpha=3):\n")
     print(f"{'value x':>9} {'accepted':>9}  {'':30}  {'mean cost':>11} {'worst ratio':>12}")
     print("-" * 78)

@@ -11,6 +11,16 @@ This package turns the paper's *proof* into executable checks:
 * :func:`kkt_residual` (re-exported) — stationarity check for offline
   convex solutions.
 * :func:`schedule_metrics` — summary statistics for benchmark tables.
+* :func:`audit_run` — all of the above for one PD run, as one report.
+* :func:`hindsight_decomposition`, :func:`preemption_stats`,
+  :func:`search_adversarial` — where a run lost against the offline
+  optimum, what its realization preempts and migrates, and a search
+  for instances that push PD towards ``alpha**alpha``.
+
+Parameter sweeps are not here: an experiment is an
+:class:`repro.engine.ExperimentSpec`, which
+:func:`repro.engine.run_experiment` executes into one
+:class:`repro.engine.ExperimentCell` per cell.
 """
 
 from ..offline.convex import kkt_residual
@@ -32,16 +42,6 @@ from .hindsight import HindsightDecomposition, hindsight_decomposition
 from .metrics import ScheduleMetrics, empirical_ratio, schedule_metrics
 from .preemption import PreemptionStats, preemption_stats
 from .report import AuditReport, audit_run
-from .sweeps import (
-    SweepCell,
-    acceptance_curve,
-    augmentation_curve,
-    delta_ablation_curve,
-    format_cells,
-    menu_granularity_curve,
-    processor_scaling_curve,
-    ratio_sweep,
-)
 from .traces import TraceReport, build_traces, check_proposition7
 
 __all__ = [
@@ -70,12 +70,4 @@ __all__ = [
     "AuditReport",
     "hindsight_decomposition",
     "HindsightDecomposition",
-    "ratio_sweep",
-    "menu_granularity_curve",
-    "augmentation_curve",
-    "delta_ablation_curve",
-    "acceptance_curve",
-    "processor_scaling_curve",
-    "SweepCell",
-    "format_cells",
 ]

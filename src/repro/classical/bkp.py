@@ -29,6 +29,7 @@ import numpy as np
 from ..errors import InvalidParameterError
 from ..model.job import Instance
 from ..model.schedule import Schedule
+from ..types import left_sum
 from .execution import schedule_from_segments
 
 __all__ = ["run_bkp", "bkp_speed"]
@@ -46,7 +47,7 @@ def bkp_speed(instance: Instance, t: float) -> float:
     best = 0.0
     for t2 in candidates:
         t1 = e * t - (e - 1.0) * t2
-        w = sum(
+        w = left_sum(
             job.workload
             for job in instance.jobs
             if job.release <= t + _EPS
@@ -115,7 +116,7 @@ def _min_feasible_speed(
     best = 0.0
     for j in alive:
         horizon = instance[j].deadline
-        work = sum(
+        work = left_sum(
             remaining[i] for i in alive if instance[i].deadline <= horizon + _EPS
         )
         if horizon > now + _EPS:

@@ -21,8 +21,9 @@ from ..errors import InfeasibleScheduleError
 from ..model.intervals import Grid
 from ..model.job import Instance
 from ..model.schedule import Schedule
+from ..types import FloatArray
 
-__all__ = ["schedule_from_segments"]
+__all__ = ["schedule_from_segments", "loads_from_segments"]
 
 _EPS = 1e-12
 
@@ -50,13 +51,29 @@ def schedule_from_segments(
         points.add(float(start))
         points.add(float(end))
     grid = Grid.from_points(points)
+    return Schedule(
+        instance=instance,
+        grid=grid,
+        loads=loads_from_segments(instance.n, grid, segments),
+        finished=np.ascontiguousarray(finished, dtype=bool),
+    )
 
-    loads = np.zeros((instance.n, grid.size))
+
+def loads_from_segments(
+    n: int, grid: Grid, segments: Sequence[tuple[int, float, float, float]]
+) -> FloatArray:
+    """The ``(n, grid.size)`` load matrix of ``(job, start, end, speed)``
+    segments: each segment's work splits over the intervals it overlaps.
+
+    A segment no longer than ``_EPS`` places no work (no overlap of it
+    is longer), so it is skipped before its job id is checked.
+    """
+    loads = np.zeros((n, grid.size))
     bounds = grid.boundaries
     for job, start, end, speed in segments:
         if end <= start + _EPS:
             continue
-        if not (0 <= job < instance.n):
+        if not (0 <= job < n):
             raise InfeasibleScheduleError(f"segment for unknown job {job}")
         k0 = grid.locate(start)
         # The last interval that starts before ``end``. Not
@@ -68,10 +85,4 @@ def schedule_from_segments(
             hi = min(end, float(bounds[k + 1]))
             if hi > lo + _EPS:
                 loads[job, k] += (hi - lo) * speed
-
-    return Schedule(
-        instance=instance,
-        grid=grid,
-        loads=loads,
-        finished=np.ascontiguousarray(finished, dtype=bool),
-    )
+    return loads

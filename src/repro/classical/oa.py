@@ -35,6 +35,7 @@ import numpy as np
 from ..errors import InvalidParameterError, SolverError
 from ..model.job import Instance, Job
 from ..model.schedule import Schedule
+from ..types import left_sum
 from .execution import schedule_from_segments
 from .timeline import IntervalSet, edf_execute
 from .yds import YdsResult, yds
@@ -282,7 +283,7 @@ def _plan_window(
             f"no available time left in candidate window [{a}, {b}] "
             "yet jobs remain — inconsistent frozen state"
         )
-    g = sum(view[j].workload for j in inside) / avail
+    g = left_sum(view[j].workload for j in inside) / avail
     return g, a, b, inside
 
 

@@ -3,9 +3,9 @@
 Two pieces of machinery shared by the classical algorithms:
 
 * :class:`IntervalSet` — an immutable union of disjoint half-open
-  intervals with measure, union, subtraction, and window-restricted
-  measure. YDS freezes critical regions as interval sets; OA executes
-  plans over them.
+  intervals with union, subtraction, and window-restricted measure.
+  YDS freezes critical regions as interval sets; OA executes plans over
+  them.
 * :func:`edf_execute` — run a set of jobs earliest-deadline-first at a
   constant speed inside an interval set, producing time-resolved
   ``(job, start, end, speed)`` segments. Used to realize YDS critical
@@ -65,25 +65,14 @@ class IntervalSet:
         return cls(parts=tuple((a, b) for a, b in merged))
 
     # ------------------------------------------------------------------
-    # Measure / queries
+    # Measure
     # ------------------------------------------------------------------
-    @property
-    def measure(self) -> float:
-        return sum(b - a for a, b in self.parts)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.parts
-
     def measure_within(self, lo: float, hi: float) -> float:
         """Length of the intersection with ``[lo, hi)``."""
         total = 0.0
         for a, b in self.parts:
             total += max(0.0, min(b, hi) - max(a, lo))
         return total
-
-    def contains(self, t: float) -> bool:
-        return any(a - _EPS <= t < b for a, b in self.parts)
 
     # ------------------------------------------------------------------
     # Set algebra
@@ -109,11 +98,6 @@ class IntervalSet:
                 pieces = next_pieces
             result.extend(pieces)
         return IntervalSet.from_parts(result)
-
-    def intersect_window(self, lo: float, hi: float) -> "IntervalSet":
-        return IntervalSet.from_parts(
-            (max(a, lo), min(b, hi)) for a, b in self.parts if min(b, hi) > max(a, lo)
-        )
 
 
 def edf_execute(

@@ -44,7 +44,8 @@ from ..errors import InvalidParameterError, SolverError
 from ..model.intervals import Grid, grid_for_instance
 from ..model.job import Instance
 from ..model.schedule import Schedule
-from ..types import FloatArray
+from ..types import FloatArray, left_sum
+from .execution import loads_from_segments
 from .timeline import IntervalSet, edf_execute
 
 __all__ = ["YdsResult", "yds"]
@@ -187,7 +188,7 @@ def _critical_window(
             f"no available time left in candidate window [{a}, {b}] "
             "yet jobs remain — inconsistent frozen state"
         )
-    g = sum(instance[j].workload for j in inside) / avail
+    g = left_sum(instance[j].workload for j in inside) / avail
     return g, a, b, inside
 
 
@@ -249,11 +250,10 @@ def _yds(instance: Instance, grid: Grid | None, find_window) -> YdsResult:
     all_segments.sort(key=lambda s: (s[1], s[0]))
 
     target_grid = grid or grid_for_instance(instance)
-    loads = _loads_from_segments(instance.n, target_grid, all_segments)
     schedule = Schedule(
         instance=instance,
         grid=target_grid,
-        loads=loads,
+        loads=loads_from_segments(instance.n, target_grid, all_segments),
         finished=np.ones(instance.n, dtype=bool),
     )
     return YdsResult(
@@ -262,28 +262,6 @@ def _yds(instance: Instance, grid: Grid | None, find_window) -> YdsResult:
         groups=tuple(groups),
         segments=tuple(all_segments),
     )
-
-
-def _loads_from_segments(
-    n: int, grid: Grid, segments: list[tuple[int, float, float, float]]
-) -> FloatArray:
-    """Accumulate segment work into a per-job per-interval load matrix.
-
-    Segments may straddle grid boundaries; the work splits by overlap.
-    """
-    loads = np.zeros((n, grid.size))
-    bounds = grid.boundaries
-    for job, start, end, speed in segments:
-        k0 = grid.locate(start)
-        # The last interval that starts before ``end`` (see
-        # ``schedule_from_segments``: ``end - _EPS`` can round to ``end``).
-        k1 = min(int(np.searchsorted(bounds, end, side="left")), grid.size) - 1
-        for k in range(k0, k1 + 1):
-            lo = max(start, float(bounds[k]))
-            hi = min(end, float(bounds[k + 1]))
-            if hi > lo + _EPS:
-                loads[job, k] += (hi - lo) * speed
-    return loads
 
 
 # ----------------------------------------------------------------------

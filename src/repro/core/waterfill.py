@@ -35,7 +35,7 @@ import numpy as np
 from ..errors import InvalidParameterError
 from ..model.power import PolynomialPower, PowerFunction
 from ..perf.kernels import WindowKernel
-from ..types import FloatArray
+from ..types import FloatArray, left_sum
 
 __all__ = ["WaterfillOutcome", "price_cap", "waterfill_job"]
 
@@ -192,7 +192,7 @@ def waterfill_job(
     else:
         s = kernel.clearing_speed(workload, s_cap)
     loads = kernel.loads_at_speed(s)
-    placed = sum(loads)
+    placed = left_sum(loads)
     if placed <= 0.0:
         # Degenerate: numerical cap hit; treat as rejection.
         return WaterfillOutcome(

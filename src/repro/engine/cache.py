@@ -463,10 +463,11 @@ class SqliteCache:
 class MemoryCache:
     """An unbounded in-process backend: a dict behind a lock.
 
-    Payloads are stored in their canonical JSON text form and re-parsed
-    on ``get`` — the same round trip every other backend performs — so
-    a caller mutating a returned dict can never corrupt the stored
-    entry, and parity with the on-disk backends holds bit for bit.
+    Payloads are stored as their plain ``json.dumps`` text (key order
+    as given, not sorted) and re-parsed on ``get`` — the same round trip
+    the directory and sqlite backends perform — so a caller mutating a
+    returned dict can never corrupt the stored entry, and parity with
+    the on-disk backends holds bit for bit.
     Nothing is ever evicted: under ``cache-serve --backend memory`` the
     memory cache is the whole store, and a bound would drop a fleet's
     results mid-sweep. Entries remember their insertion time, so

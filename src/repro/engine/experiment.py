@@ -4,9 +4,9 @@ An :class:`ExperimentSpec` names *what* to measure — a workload source,
 a parameter grid, seeds, and algorithms — and :func:`run_experiment`
 compiles it into the flat (workload × cell × seed × algorithm) request
 list a :class:`~repro.engine.runner.BatchRunner` executes, then
-aggregates the records back into per-cell summaries. The hand-rolled
-triple loops of :mod:`repro.analysis.sweeps`, the benchmark harnesses,
-and the CLI ``sweep`` subcommand are all this one shape.
+aggregates the records back into per-cell summaries. The benchmark
+harnesses, the examples and the CLI ``sweep`` subcommand are all this
+one shape.
 
 The workload source is exactly one of:
 
@@ -31,9 +31,8 @@ Grid parameters are applied by name:
 
 Cells are emitted in deterministic order: workloads vary slowest, then
 grid axes in declaration order, algorithms cycle innermost. Seeds
-replicate each cell and are aggregated (mean cost/acceptance, worst
-certified ratio) — the same statistics the sweeps module always
-reported.
+replicate each cell and are aggregated (mean cost/energy/acceptance,
+worst certified ratio).
 """
 
 from __future__ import annotations
@@ -45,6 +44,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 from ..errors import InvalidParameterError
 from ..model.job import Instance
+from ..types import left_sum
 from .registry import canonical_variant_name, parse_variant_name
 from .runner import BatchRunner, RunRecord, RunRequest
 
@@ -191,9 +191,6 @@ class ExperimentSpec:
         Mutually exclusive with ``family`` and ``base_instance``.
     n, seeds, family_kwargs:
         Forwarded to the generator; each cell is replicated per seed.
-    transform:
-        Optional hook ``(instance, params) -> instance`` applied after
-        generation — for derived axes no named parameter covers.
     """
 
     name: str
@@ -206,7 +203,6 @@ class ExperimentSpec:
     n: int = 20
     seeds: Sequence[int] = (0, 1, 2)
     family_kwargs: Mapping[str, Any] = field(default_factory=dict)
-    transform: Callable[[Instance, Mapping[str, Any]], Instance] | None = None
     skip_incapable: bool = False
 
     def __post_init__(self) -> None:
@@ -405,8 +401,6 @@ class ExperimentSpec:
             inst = family(self.n, seed=seed, **kwargs)
         if value_x is not None:
             inst = inst.with_values_scaled(value_x)
-        if self.transform is not None:
-            inst = self.transform(inst, dict(params))
         return inst
 
     def fingerprint(self, requests: Sequence[RunRequest] | None = None) -> str:
@@ -538,9 +532,9 @@ def aggregate_records(records: Sequence[RunRecord]) -> list[ExperimentCell]:
             ExperimentCell(
                 algorithm=algorithm,
                 params=params,
-                mean_cost=sum(r.cost for r in reps) / len(reps),
-                mean_energy=sum(r.energy for r in reps) / len(reps),
-                mean_acceptance=sum(r.acceptance for r in reps) / len(reps),
+                mean_cost=left_sum(r.cost for r in reps) / len(reps),
+                mean_energy=left_sum(r.energy for r in reps) / len(reps),
+                mean_acceptance=left_sum(r.acceptance for r in reps) / len(reps),
                 worst_certified_ratio=_worst_ratio(
                     [r.certified_ratio for r in reps]
                 ),

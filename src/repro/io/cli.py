@@ -953,19 +953,16 @@ def _cells_payload(experiment: str, cells) -> dict:
 
 
 def _print_cells(experiment: str, cells) -> None:
-    from ..analysis.sweeps import SweepCell, format_cells
-
-    table = [
-        SweepCell(
-            params={"algorithm": c.algorithm, **c.params},
-            mean_cost=c.mean_cost,
-            worst_certified_ratio=c.worst_certified_ratio,
-            mean_acceptance=c.mean_acceptance,
-            runs=c.runs,
+    if experiment:
+        print(experiment)
+    for c in cells:
+        params = {"algorithm": c.algorithm, **c.params}
+        keys = " ".join(f"{k}={v!r}" for k, v in params.items())
+        print(
+            f"{keys:<32} cost={c.mean_cost:>12.4f} "
+            f"worst_ratio={c.worst_certified_ratio:>8.3f} "
+            f"acc={100 * c.mean_acceptance:>5.1f}%"
         )
-        for c in cells
-    ]
-    print(format_cells(table, title=experiment))
 
 
 def _is_int(value) -> bool:

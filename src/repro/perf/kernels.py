@@ -286,7 +286,7 @@ class WindowKernel:
     # ------------------------------------------------------------------
     def total_at_speed(self, speed: float) -> float:
         """Sum of the per-interval loads at ``speed``, accumulated left
-        to right like the reference's Python ``sum``."""
+        to right."""
         if speed <= 0.0:
             return 0.0
         total = 0.0

@@ -21,7 +21,7 @@ Deliberately slow. Never import this module from a hot path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from ..model.job import Instance, Job
 from ..model.job_arrays import JobArrays
 from ..model.power import PolynomialPower, PowerFunction
 from ..model.schedule import Schedule
-from ..types import FloatArray, Time
+from ..types import FloatArray, Time, left_sum
 from .kernels import IntervalLoads, WindowKernel
 
 __all__ = [
@@ -496,7 +496,7 @@ _MAX_BISECT = 200
 
 
 def waterfill_job_reference(
-    caches: Any,
+    kernel: WindowKernel,
     *,
     workload: float,
     value: float,
@@ -515,15 +515,10 @@ def waterfill_job_reference(
 
     Parameters
     ----------
-    caches:
-        The frozen pre-arrival assignment of the job's window: either
-        one :class:`SortedLoads` per atomic interval (the historical
-        shape, still used by the offline solver), or any object
-        exposing batched ``total_at_speed(s)`` / ``loads_at_speed(s)``
-        queries — in practice a
-        :class:`~repro.perf.kernels.WindowKernel`, which evaluates the
-        whole window per bisection step instead of looping interval by
-        interval. Both shapes produce bit-identical outcomes.
+    kernel:
+        The frozen pre-arrival assignment of the job's window, as a
+        :class:`~repro.perf.kernels.WindowKernel` over its atomic
+        intervals.
     workload, value:
         The job's ``w_j`` and ``v_j``.
     delta:
@@ -536,7 +531,7 @@ def waterfill_job_reference(
         raise InvalidParameterError(f"workload must be > 0, got {workload}")
     if delta <= 0.0:
         raise InvalidParameterError(f"delta must be > 0, got {delta}")
-    if len(caches) == 0:
+    if len(kernel) == 0:
         # No interval can host the job (can happen only with a stale
         # grid); the job is rejected at its value.
         return WaterfillOutcome(
@@ -547,21 +542,10 @@ def waterfill_job_reference(
             planned_work=0.0,
         )
 
-    if hasattr(caches, "total_at_speed"):
-        total_at_speed = caches.total_at_speed
+    total_at_speed = kernel.total_at_speed
 
-        def loads_at_speed(s: float) -> FloatArray:
-            return np.array(caches.loads_at_speed(s), dtype=np.float64)
-
-    else:
-
-        def total_at_speed(s: float) -> float:  # type: ignore[no-redef]
-            return float(sum(c.max_load_at_speed(s) for c in caches))
-
-        def loads_at_speed(s: float) -> FloatArray:  # type: ignore[no-redef]
-            return np.array(
-                [c.max_load_at_speed(s) for c in caches], dtype=np.float64
-            )
+    def loads_at_speed(s: float) -> FloatArray:
+        return np.array(kernel.loads_at_speed(s), dtype=np.float64)
 
     # Price cap: lambda <= value <=> planned speed <= s_cap. An infinite
     # value (classical must-finish jobs, the offline solver's block
@@ -675,7 +659,7 @@ def _critical_window_reference(
                     f"no available time left in candidate window [{a}, {b}] "
                     "yet jobs remain — inconsistent frozen state"
                 )
-            g = sum(instance[j].workload for j in inside) / avail
+            g = left_sum(instance[j].workload for j in inside) / avail
             if best is None or g > best[0] + _EPS:
                 best = (g, a, b, inside)
     if best is None:  # pragma: no cover - remaining non-empty implies a window

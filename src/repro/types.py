@@ -7,7 +7,7 @@ but annotating them with their semantic alias documents intent.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence, TypeAlias
+from typing import Callable, Iterable, Sequence, TypeAlias
 
 import numpy as np
 import numpy.typing as npt
@@ -28,6 +28,7 @@ __all__ = [
     "Seed",
     "as_float_array",
     "as_int_array",
+    "left_sum",
 ]
 
 #: A point in (continuous) time.
@@ -82,3 +83,17 @@ def as_int_array(values: Sequence[int] | IntArray) -> IntArray:
     if arr.ndim != 1:
         raise ValueError(f"expected a 1-D array, got shape {arr.shape}")
     return arr
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """Sum floats left to right, rounding after every add.
+
+    This is the builtin ``sum`` of Python 3.10 and 3.11. From 3.12 on,
+    ``sum`` compensates float rounding, so ``sum([1e16, 1.0, -1e16])``
+    is ``1.0`` there and ``0.0`` before; result floats summed here are
+    the same on every interpreter.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total

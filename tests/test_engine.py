@@ -11,6 +11,7 @@ declarative sweeps) builds on that.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -20,11 +21,13 @@ from repro.engine import (
     DirectoryCache,
     ExperimentSpec,
     RunRequest,
+    aggregate_records,
     run_experiment,
 )
 from repro.engine.runner import record_to_payload, request_key
 from repro.errors import InvalidParameterError
 from repro.io.serialize import schedule_to_dict, stable_hash
+from repro.types import left_sum
 from repro.workloads import poisson_instance
 
 from conftest import unmemoized_key
@@ -153,14 +156,22 @@ class TestCache:
         assert calls == ["cll"]
         assert [r.cached for r in records] == [True, False, True]
 
-    def test_duplicates_computed_once(self, instance):
-        runner = BatchRunner(workers=1)
-        records = runner.run([RunRequest("pd", instance)] * 3)
-        assert runner.stats.computed == 1
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_duplicates_computed_once(self, instance, workers):
+        """Two distinct cells, each requested twice: at ``workers=2``
+        they reach the process pool (a single unique cell would take the
+        serial branch), and either way each computes once."""
+        requests = [RunRequest(a, instance) for a in ("pd", "oa", "pd", "oa")]
+        runner = BatchRunner(workers=workers)
+        records = runner.run(requests)
+        assert runner.stats.computed == 2
         assert runner.stats.deduplicated == 2
         assert runner.stats.cache_hits == 0  # no cache configured
-        assert len({r.cost for r in records}) == 1
-        assert [r.cached for r in records] == [False, True, True]
+        assert [r.cached for r in records] == [False, False, True, True]
+        serial = BatchRunner(workers=1).run(requests)
+        assert [_canonical(r) for r in records] == [
+            _canonical(r) for r in serial
+        ]
 
     def test_corrupt_entry_is_a_miss(self, instance, tmp_path):
         cache = DirectoryCache(tmp_path / "c")
@@ -285,6 +296,18 @@ class TestExperimentSpec:
         )
         assert cell.mean_cost == manual.schedule.cost
 
+    def test_means_add_left_to_right(self, instance):
+        """Cell means add replicates left to right on every Python, where
+        3.12's builtin ``sum`` would compensate the rounding."""
+        assert left_sum([1e16, 1.0, -1e16]) == 0.0
+        (record,) = BatchRunner().run(
+            [RunRequest("pd", instance, tag={"cell": 0})]
+        )
+        reps = [replace(record, cost=cost) for cost in (1e16, 1.0, 1.0)]
+        (cell,) = aggregate_records(reps)
+        # 1e16 + 1.0 rounds back to 1e16, twice; 1e16 + 2.0 would not.
+        assert cell.mean_cost == 1e16 / 3
+
     def test_validation(self):
         with pytest.raises(InvalidParameterError, match="exactly one"):
             ExperimentSpec(name="t")
@@ -295,30 +318,36 @@ class TestExperimentSpec:
 
 
 class TestSweepsOnEngine:
-    """The public sweep helpers must behave identically on any runner."""
+    """An experiment's cells are the same on any runner."""
 
     def test_ratio_sweep_runner_equivalence(self, tmp_path):
-        from repro.analysis.sweeps import ratio_sweep
+        spec = ExperimentSpec(
+            name="t",
+            family=poisson_instance,
+            grid={"alpha": [2.0, 3.0], "m": [1, 2]},
+            algorithms=("pd",),
+            n=6,
+            seeds=(0, 1),
+        )
 
-        kwargs = dict(alphas=[2.0, 3.0], ms=[1, 2], n=6, seeds=[0, 1])
-        plain = ratio_sweep(poisson_instance, **kwargs)
-        cached = ratio_sweep(
-            poisson_instance,
-            runner=BatchRunner(workers=2, cache=tmp_path / "c"),
-            **kwargs,
-        )
-        warm = ratio_sweep(
-            poisson_instance,
-            runner=BatchRunner(workers=1, cache=tmp_path / "c"),
-            **kwargs,
-        )
+        def summaries(runner=None):
+            # A cell's records differ only in their ``cached`` flags.
+            return [
+                replace(cell, records=())
+                for cell in run_experiment(spec, runner)
+            ]
+
+        plain = summaries()
+        cached = summaries(BatchRunner(workers=2, cache=tmp_path / "c"))
+        warm = summaries(BatchRunner(workers=1, cache=tmp_path / "c"))
         assert plain == cached == warm
 
     def test_processor_scaling_curve_cll_gets_real_ratio(self):
-        from repro.analysis.sweeps import processor_scaling_curve
-
         inst = poisson_instance(8, m=1, alpha=3.0, seed=2)
-        (cell,) = processor_scaling_curve(inst, ms=[1], algorithm="cll")
+        spec = ExperimentSpec(
+            name="t", base_instance=inst, grid={"m": [1]}, algorithms=("cll",)
+        )
+        (cell,) = run_experiment(spec)
         assert math.isfinite(cell.worst_certified_ratio)
         assert cell.worst_certified_ratio >= 1.0 - 1e-9
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import socket
 
 import numpy as np
@@ -369,7 +370,15 @@ class TestSweepSubcommand:
         out_path = str(tmp_path / "cells.json")
         argv = self.BASE + ["--variant", "delta=0.01,0.05", "--json", out_path]
         assert main(argv) == 0
-        assert "pd?delta=0.01" in capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
+        # The title, then one row per cell: its labels padded to 32
+        # columns, then the mean cost, worst ratio and acceptance.
+        assert lines[0] == "sweep:poisson"
+        assert re.fullmatch(
+            r"algorithm='pd\?delta=0\.01' alpha=3\.0 m=1 delta=0\.01 "
+            r"cost= +\d+\.\d{4} worst_ratio= +\d+\.\d{3} acc= *\d+\.\d%",
+            lines[1],
+        )
         payload = load_json(out_path)
         assert [c["algorithm"] for c in payload["cells"]] == [
             "pd?delta=0.01", "pd?delta=0.05",

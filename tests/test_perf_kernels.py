@@ -46,6 +46,7 @@ from repro.perf.reference import (
     run_pd_reference,
     yds_reference,
 )
+from repro.types import left_sum
 from repro.workloads import (
     heavy_tail_instance,
     poisson_instance,
@@ -291,9 +292,8 @@ class TestKernelPrimitives:
 
     @pytest.mark.parametrize("k", [1, 3, 31, 32, 40])
     def test_window_kernel_matches_python_sum(self, k):
-        """The kernel's scalar loop must equal the reference's
-        left-to-right Python sum over SortedLoads bit for bit, at every
-        window width."""
+        """The kernel's scalar loop must equal a left-to-right sum over
+        SortedLoads bit for bit, at every window width."""
         rng = np.random.default_rng(k)
         m = 3
         stores, caches, lengths = [], [], []
@@ -311,7 +311,7 @@ class TestKernelPrimitives:
         for speed in [0.0, *np.linspace(0.01, 6.0, 37)]:
             speed = float(speed)
             expected_total = float(
-                sum(c.max_load_at_speed(speed) for c in caches)
+                left_sum(c.max_load_at_speed(speed) for c in caches)
             )
             expected_loads = np.array(
                 [c.max_load_at_speed(speed) for c in caches]

@@ -1,4 +1,10 @@
-"""Tests for the experiment sweep utilities."""
+"""The paper's sweeps as ``ExperimentSpec`` grids: what their cells show.
+
+Each test states one property of an experiment (E1's alpha x m ratio
+grid, the admission S-curve, the processor-scaling curve, E9's delta
+ablation, E12's augmentation curve) on the cells ``run_experiment``
+returns.
+"""
 
 from __future__ import annotations
 
@@ -6,63 +12,100 @@ import math
 
 import pytest
 
-from repro.analysis.sweeps import (
-    acceptance_curve,
-    format_cells,
-    processor_scaling_curve,
-    ratio_sweep,
-)
-from repro.errors import InvalidParameterError
+from repro import ExperimentSpec, run_experiment
+from repro.profit import run_pd_augmented, vanishing_margin_instance
 from repro.workloads import poisson_instance
+
+
+def _ratio_grid(n: int, seeds: tuple[int, ...]):
+    return run_experiment(
+        ExperimentSpec(
+            name="ratio-grid",
+            family=poisson_instance,
+            grid={"alpha": [2.0, 3.0], "m": [1, 2]},
+            algorithms=("pd",),
+            n=n,
+            seeds=seeds,
+        )
+    )
+
+
+def _value_x_curve(multipliers, n: int, seeds: tuple[int, ...]):
+    return run_experiment(
+        ExperimentSpec(
+            name="admission-curve",
+            family=poisson_instance,
+            grid={"value_x": list(multipliers)},
+            algorithms=("pd",),
+            n=n,
+            seeds=seeds,
+            family_kwargs={"m": 1, "alpha": 3.0},
+        )
+    )
+
+
+def _scaling_curve(instance, ms, algorithm: str = "pd"):
+    return run_experiment(
+        ExperimentSpec(
+            name="processor-scaling",
+            base_instance=instance,
+            grid={"m": list(ms)},
+            algorithms=(algorithm,),
+        )
+    )
+
+
+def _augmentation_rows(instance, epsilons):
+    """``(epsilon, profit, energy)`` per ``pd-aug?epsilon=...`` cell, the
+    profit read from the record by ``total - lost - energy``."""
+    cells = run_experiment(
+        ExperimentSpec(
+            name="augmentation",
+            base_instance=instance,
+            algorithms=("pd-aug",),
+            variants={"epsilon": list(epsilons)},
+        )
+    )
+    total = float(instance.total_value)
+    rows = []
+    for cell in cells:
+        (record,) = cell.records
+        profit = total - record.lost_value - record.energy
+        rows.append((cell.params["epsilon"], profit, record.energy))
+    return rows
 
 
 class TestRatioSweep:
     def test_grid_shape(self):
-        cells = ratio_sweep(
-            poisson_instance, alphas=[2.0, 3.0], ms=[1, 2], n=8, seeds=[0]
-        )
+        cells = _ratio_grid(n=8, seeds=(0,))
         assert len(cells) == 4
         params = {(c.params["alpha"], c.params["m"]) for c in cells}
         assert params == {(2.0, 1), (2.0, 2), (3.0, 1), (3.0, 2)}
 
     def test_ratios_within_bounds(self):
-        cells = ratio_sweep(
-            poisson_instance, alphas=[2.0, 3.0], ms=[1, 2], n=10, seeds=[0, 1]
-        )
-        for cell in cells:
+        for cell in _ratio_grid(n=10, seeds=(0, 1)):
             bound = cell.params["alpha"] ** cell.params["alpha"]
             assert cell.worst_certified_ratio <= bound * (1 + 1e-7)
             assert cell.runs == 2
 
-    def test_empty_seeds_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            ratio_sweep(poisson_instance, alphas=[2.0], ms=[1], seeds=[])
-
 
 class TestAcceptanceCurve:
     def test_monotone_endpoints(self):
-        cells = acceptance_curve(
-            poisson_instance,
-            value_multipliers=[1e-4, 1.0, 1e4],
-            n=12,
-            seeds=[0, 1],
-        )
+        cells = _value_x_curve([1e-4, 1.0, 1e4], n=12, seeds=(0, 1))
         accs = [c.mean_acceptance for c in cells]
         assert accs[0] < 0.3  # near-worthless jobs mostly rejected
         assert accs[-1] > 0.9  # hugely valuable jobs mostly accepted
         assert accs[0] <= accs[1] <= accs[-1] + 1e-9
 
     def test_params_recorded(self):
-        cells = acceptance_curve(
-            poisson_instance, value_multipliers=[0.5], n=6, seeds=[0]
-        )
+        cells = _value_x_curve([0.5], n=6, seeds=(0,))
         assert cells[0].params == {"value_x": 0.5}
 
 
 class TestProcessorScalingCurve:
     def test_cost_monotone_in_m(self):
         inst = poisson_instance(12, m=1, alpha=3.0, seed=0)
-        cells = processor_scaling_curve(inst, ms=[1, 2, 4])
+        cells = _scaling_curve(inst, [1, 2, 4])
         costs = [c.mean_cost for c in cells]
         assert all(b <= a * (1 + 1e-9) for a, b in zip(costs, costs[1:]))
         for c in cells:
@@ -70,83 +113,40 @@ class TestProcessorScalingCurve:
 
     def test_non_pd_algorithm_has_nan_ratio(self):
         inst = poisson_instance(6, m=1, alpha=3.0, seed=1).with_values([1e12] * 6)
-        cells = processor_scaling_curve(inst, ms=[1], algorithm="oa")
+        cells = _scaling_curve(inst, [1], algorithm="oa")
         assert math.isnan(cells[0].worst_certified_ratio)
 
 
-class TestFormatting:
-    def test_format_cells(self):
-        cells = ratio_sweep(poisson_instance, alphas=[2.0], ms=[1], n=5, seeds=[0])
-        text = format_cells(cells, title="demo")
-        assert text.startswith("demo")
-        assert "worst_ratio" in text
-
-
 class TestExtensionCurves:
-    def test_menu_granularity_curve_invariants(self):
-        from repro.analysis import menu_granularity_curve
-        from repro.workloads import poisson_instance
-
-        rows = menu_granularity_curve(
-            poisson_instance, level_counts=[2, 8, 32], n=8, seeds=(0, 1)
-        )
-        assert [r[0] for r in rows] == [2, 8, 32]
-        for _, worst, bound in rows:
-            assert 1.0 - 1e-12 <= worst <= bound + 1e-9
-        # refinement helps
-        assert rows[-1][1] < rows[0][1]
-
-    def test_menu_granularity_curve_validation(self):
-        from repro.analysis import menu_granularity_curve
-        from repro.errors import InvalidParameterError
-        from repro.workloads import poisson_instance
-
-        with pytest.raises(InvalidParameterError):
-            menu_granularity_curve(poisson_instance, level_counts=[])
-
     def test_augmentation_curve_on_trap(self):
-        from repro.analysis import augmentation_curve
-        from repro.profit import vanishing_margin_instance
-
         inst = vanishing_margin_instance(0.01, 3.0)
-        rows = augmentation_curve(inst, epsilons=[0.0, 0.2, 0.5])
+        rows = _augmentation_rows(inst, [0.0, 0.2, 0.5])
         profits = [p for _, p, _ in rows]
         energies = [e for _, _, e in rows]
         assert profits == sorted(profits)        # more speed, more profit
         assert energies == sorted(energies, reverse=True)
 
-    def test_augmentation_curve_validation(self):
-        from repro.analysis import augmentation_curve
-        from repro.errors import InvalidParameterError
-        from repro.workloads import poisson_instance
-
-        with pytest.raises(InvalidParameterError):
-            augmentation_curve(poisson_instance(3, seed=0), epsilons=[])
-
     def test_augmentation_curve_matches_direct_runs(self):
-        from repro.analysis import augmentation_curve
-        from repro.profit import run_pd_augmented, vanishing_margin_instance
-
         inst = vanishing_margin_instance(0.05, 3.0)
-        rows = augmentation_curve(inst, epsilons=[0.0, 0.3])
+        rows = _augmentation_rows(inst, [0.0, 0.3])
         for eps, profit, energy in rows:
             direct = run_pd_augmented(inst, eps)
             assert profit == pytest.approx(direct.profit.profit, abs=1e-12)
             assert energy == direct.energy
 
     def test_delta_ablation_curve_degrades_away_from_optimum(self):
-        from repro.analysis.sweeps import delta_ablation_curve
-        from repro.errors import InvalidParameterError
-        from repro.workloads import poisson_instance
-
         alpha = 3.0
         delta_star = alpha ** (1.0 - alpha)
-        cells = delta_ablation_curve(
-            poisson_instance,
-            deltas=[0.25 * delta_star, delta_star],
-            n=10,
-            alpha=alpha,
-            seeds=(0, 1),
+        cells = run_experiment(
+            ExperimentSpec(
+                name="delta-ablation",
+                family=poisson_instance,
+                algorithms=("pd",),
+                variants={"delta": [0.25 * delta_star, delta_star]},
+                n=10,
+                seeds=(0, 1),
+                family_kwargs={"m": 1, "alpha": alpha},
+            )
         )
         assert [c.params["delta"] for c in cells] == [
             0.25 * delta_star, delta_star,
@@ -154,5 +154,3 @@ class TestExtensionCurves:
         # the certified ratio is worse below the paper's optimum
         assert cells[0].worst_certified_ratio > cells[1].worst_certified_ratio
         assert cells[1].worst_certified_ratio <= alpha**alpha * (1 + 1e-7)
-        with pytest.raises(InvalidParameterError):
-            delta_ablation_curve(poisson_instance, deltas=[])

@@ -281,15 +281,15 @@ class TestWorkloadAxis:
             )
 
     def test_workload_comparison_sweep(self):
-        from repro.analysis.sweeps import workload_comparison
-
-        cells = workload_comparison(
-            ["poisson", "heavy-tail?pareto_shape=2.0"],
+        spec = ExperimentSpec(
+            name="t",
+            workloads=["poisson", "heavy-tail?pareto_shape=2.0"],
             algorithms=("pd", "oa"),
             n=5,
             seeds=(0,),
         )
-        assert [(c.params["workload"], c.params["algorithm"]) for c in cells] == [
+        cells = run_experiment(spec)
+        assert [(c.params["workload"], c.algorithm) for c in cells] == [
             ("poisson", "pd"),
             ("poisson", "oa"),
             ("heavy-tail?pareto_shape=2.0", "pd"),
