@@ -69,6 +69,9 @@ KNOWN_RECORD_SCHEMAS: dict[int, str] = {
     # Same top-level vocabulary: 4 drops the schedule's instance, writes
     # its loads as columns, and keys hash the instance digest.
     4: "180645d38efa6ab46a04279709811152c11355219657bc7213e608e1ed1b673f",
+    # Same top-level vocabulary: 5 packs the schedule's numeric columns
+    # as base64 text of their little-endian bytes.
+    5: "180645d38efa6ab46a04279709811152c11355219657bc7213e608e1ed1b673f",
 }
 
 #: RNG constructors that take (and therefore can carry) an explicit

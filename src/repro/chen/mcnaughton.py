@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..errors import InfeasibleScheduleError
+from ..types import left_sum
 
 __all__ = ["Segment", "mcnaughton_layout"]
 
@@ -94,7 +95,7 @@ def mcnaughton_layout(
     """
     if len(job_ids) != len(durations):
         raise InfeasibleScheduleError("job_ids and durations must align")
-    total = float(sum(durations))
+    total = float(left_sum(durations))
     if total > num_processors * length * (1.0 + 1e-9) + _DURATION_EPS:
         raise InfeasibleScheduleError(
             f"pool work ({total}) exceeds capacity "

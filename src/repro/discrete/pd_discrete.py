@@ -34,6 +34,7 @@ import numpy as np
 from ..core.pd import PDResult, run_pd
 from ..errors import InvalidParameterError
 from ..model.job import Instance
+from ..types import left_sum
 from .rounding import DiscreteSchedule, discretize_schedule
 from .speedset import SpeedSet
 
@@ -115,7 +116,7 @@ class DiscretePDResult:
     @cached_property
     def screened_value(self) -> float:
         """Total value of jobs rejected by screening/degradation."""
-        return float(sum(self.instance.values[list(self.screened_ids)], 0.0))
+        return float(left_sum(self.instance.values[list(self.screened_ids)]))
 
     @property
     def cost(self) -> float:

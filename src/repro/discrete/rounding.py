@@ -25,6 +25,7 @@ from ..chen.mcnaughton import Segment
 from ..errors import InvalidParameterError
 from ..model.power import PowerFunction
 from ..model.schedule import Schedule
+from ..types import left_sum
 from .envelope import DiscreteEnvelopePower
 from .speedset import SpeedSet
 
@@ -111,7 +112,7 @@ class DiscreteSchedule:
         """Total energy of the discrete segments under the instance's power law."""
         power: PowerFunction = self.source.instance.power
         return float(
-            sum(power(seg.speed) * seg.duration for seg in self.segments)
+            left_sum(power(seg.speed) * seg.duration for seg in self.segments)
         )
 
     @property

@@ -54,6 +54,7 @@ from ..errors import CacheError, InvalidParameterError
 from ..io.serialize import (
     SCHEMA_VERSION,
     canonical_json,
+    has_schedule_layout,
     instance_digest,
     schedule_to_dict,
     stable_hash,
@@ -84,8 +85,12 @@ __all__ = [
 #: unchanged. 4: the schedule drops its instance, which the key fixes,
 #: and writes its loads as interval-major columns; keys hash the
 #: instance's :func:`~repro.io.serialize.instance_digest` instead of its
-#: text. Every float of every result is unchanged.)
-RECORD_VERSION = 4
+#: text. 5: the schedule's boundaries and load columns are base64 text
+#: of their little-endian bytes instead of number lists, and the last
+#: builtin float sums add left to right (:func:`repro.types.left_sum`),
+#: so records agree from Python 3.10 to 3.12. On 3.10 and 3.11 neither
+#: 4 nor 5 moved a float of any result.)
+RECORD_VERSION = 5
 
 #: Claim-lease length, in seconds, of a claim table whose creator
 #: names none: every claim is leased, and a handed-out position not
@@ -426,9 +431,11 @@ def _is_current_record(payload: Any, n: int) -> bool:
     """Whether a cached payload is a record of this build for a cell of
     ``n`` jobs: an object of the ``run-record`` kind, both versions
     current, every field present and typed as
-    :func:`_record_from_payload` reads it, and one ``finished`` flag per
-    job. A cache probe treats anything else (a miss reads ``None``) as a
-    miss, so the cell is recomputed and its entry rewritten.
+    :func:`_record_from_payload` reads it, and a schedule in this
+    version's layout (:func:`~repro.io.serialize.has_schedule_layout`:
+    one ``finished`` flag per job, the numeric columns as text). A cache
+    probe treats anything else (a miss reads ``None``) as a miss, so the
+    cell is recomputed and its entry rewritten.
     """
     if (
         not isinstance(payload, dict)
@@ -442,12 +449,7 @@ def _is_current_record(payload: Any, n: int) -> bool:
         value = payload.get(name)
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             return False
-    schedule = payload.get("schedule")
-    return (
-        isinstance(schedule, dict)
-        and isinstance(schedule.get("finished"), list)
-        and len(schedule["finished"]) == n
-    )
+    return has_schedule_layout(payload.get("schedule"), n)
 
 
 def _record_from_payload(

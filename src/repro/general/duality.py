@@ -32,6 +32,7 @@ import numpy as np
 
 from ..analysis.certificates import contributions
 from ..model.power import PowerFunction
+from ..types import left_sum
 from .pd_general import GeneralPDResult
 
 __all__ = ["GeneralDualBound", "general_dual_bound"]
@@ -87,7 +88,7 @@ def general_dual_bound(result: GeneralPDResult) -> GeneralDualBound:
     _, l_of_j = contributions(schedule, s_hat)
 
     x_contrib = float(
-        sum(
+        left_sum(
             l_of_j[j]
             * (power(float(s_hat[j])) - float(s_hat[j]) * power.derivative(float(s_hat[j])))
             for j in range(instance.n)

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import ConvergenceError, InvalidParameterError
-from ..types import FloatArray
+from ..types import FloatArray, left_sum
 
 __all__ = ["SumPower"]
 
@@ -93,7 +93,7 @@ class SumPower:
         if speed <= 0.0:
             return 0.0
         return float(
-            sum(c * speed**a for c, a in zip(self.coefficients, self.exponents))
+            left_sum(c * speed**a for c, a in zip(self.coefficients, self.exponents))
         )
 
     def derivative(self, speed: float) -> float:
@@ -101,7 +101,7 @@ class SumPower:
         if speed <= 0.0:
             return self.marginal_at_zero
         return float(
-            sum(
+            left_sum(
                 c * a * speed ** (a - 1.0)
                 for c, a in zip(self.coefficients, self.exponents)
             )
@@ -111,7 +111,7 @@ class SumPower:
     def marginal_at_zero(self) -> float:
         """``P'(0+)`` — nonzero when a linear term is present."""
         return float(
-            sum(
+            left_sum(
                 c * a
                 for c, a in zip(self.coefficients, self.exponents)
                 if a == 1.0
@@ -168,7 +168,7 @@ class SumPower:
 
     def _second_derivative(self, speed: float) -> float:
         return float(
-            sum(
+            left_sum(
                 c * a * (a - 1.0) * speed ** (a - 2.0)
                 for c, a in zip(self.coefficients, self.exponents)
                 if a > 1.0

@@ -19,6 +19,7 @@ address inside the engine's cache keys.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import sys
@@ -38,6 +39,7 @@ __all__ = [
     "instance_from_dict",
     "schedule_to_dict",
     "schedule_from_dict",
+    "has_schedule_layout",
     "save_json",
     "load_json",
     "canonical_json",
@@ -161,8 +163,9 @@ def instance_from_dict(payload: dict[str, Any]) -> Instance:
 # ----------------------------------------------------------------------
 # Schedules
 # ----------------------------------------------------------------------
-#: The three load columns of a schedule payload, in payload order.
-_LOAD_COLUMNS = ("interval", "job", "load")
+#: The three load columns of a schedule payload, in payload order, and
+#: the little-endian dtype each is stored in.
+_LOAD_COLUMNS = {"interval": "<u4", "job": "<u4", "load": "<f8"}
 
 
 def schedule_to_dict(schedule: Schedule) -> dict[str, Any]:
@@ -172,13 +175,17 @@ def schedule_to_dict(schedule: Schedule) -> dict[str, Any]:
     only what the run decided: the grid ``boundaries`` (CLL's grid
     holds segment cuts the instance does not), the ``finished`` flags,
     the positive loads as three columns (:func:`_load_columns`), and
-    ``cost`` and ``energy``. :func:`schedule_from_dict` takes the
-    instance from its caller.
+    ``cost`` and ``energy``. The four numeric columns are base64 text of
+    their little-endian bytes (``boundaries`` as ``<f8``), so reading a
+    payload back parses four strings instead of a number per value;
+    ``finished`` stays a list of bools and ``cost`` and ``energy`` stay
+    numbers. :func:`schedule_from_dict` takes the instance from its
+    caller.
     """
     return {
         "schema": SCHEMA_VERSION,
         "kind": "schedule",
-        "boundaries": schedule.grid.boundaries.tolist(),
+        "boundaries": _pack(schedule.grid.boundaries, "<f8"),
         "finished": schedule.finished.tolist(),
         "loads": _load_columns(schedule.loads),
         "cost": schedule.cost,
@@ -186,20 +193,29 @@ def schedule_to_dict(schedule: Schedule) -> dict[str, Any]:
     }
 
 
-def _load_columns(loads: np.ndarray) -> dict[str, list[Any]]:
-    """Every positive load as ``{"interval": [k...], "job": [j...],
-    "load": [u...]}``, interval-major with ascending job ids inside each
-    interval: the order ``np.nonzero(loads.T > 0.0)`` yields.
+def _pack(values: np.ndarray, dtype: str) -> str:
+    """``values`` as base64 text of their ``dtype`` bytes."""
+    packed = np.ascontiguousarray(values, dtype=dtype)
+    return base64.b64encode(packed).decode("ascii")
 
-    Three ``tolist`` columns: the same Python ints and floats as
-    indexing each element.
+
+def _load_columns(loads: np.ndarray) -> dict[str, str]:
+    """Every positive load as the packed columns ``interval``, ``job``
+    and ``load`` (dtypes in :data:`_LOAD_COLUMNS`), interval-major with
+    ascending job ids inside each interval: the order
+    ``np.nonzero(loads.T > 0.0)`` yields.
+
+    The ids are ``<u4``, so a matrix with ``2**32`` or more jobs or
+    intervals raises instead of wrapping.
     """
+    if max(loads.shape) >= 2**32:
+        raise InvalidParameterError(
+            f"a schedule of shape {loads.shape} has more jobs or intervals "
+            "than its <u4 load columns can index"
+        )
     cols, rows = np.nonzero(loads.T > 0.0)
-    return {
-        "interval": cols.tolist(),
-        "job": rows.tolist(),
-        "load": loads[rows, cols].tolist(),
-    }
+    values = {"interval": cols, "job": rows, "load": loads[rows, cols]}
+    return {name: _pack(values[name], dtype) for name, dtype in _LOAD_COLUMNS.items()}
 
 
 def _finite_number(value: Any) -> bool:
@@ -212,53 +228,91 @@ def _finite_number(value: Any) -> bool:
     )
 
 
-def _index_column(column: list[Any], name: str, size: int) -> np.ndarray:
-    """``column`` as int64 indices in ``0..size-1``; anything else is an
-    :class:`~repro.errors.InvalidParameterError` naming the column."""
-    for value in column:
-        if type(value) is not int or not 0 <= value < size:
-            raise InvalidParameterError(
-                f"schedule field 'loads' column {name!r} must hold ints in "
-                f"0..{size - 1}, got {value!r}"
-            )
-    return np.array(column, dtype=np.int64)
+def _unpack(value: Any, dtype: str, where: str) -> np.ndarray:
+    """The ``dtype`` values of a :func:`_pack` text; anything else is an
+    :class:`~repro.errors.InvalidParameterError` that starts with
+    ``where``, the field's name."""
+    if not isinstance(value, str):
+        hint = ""
+        if isinstance(value, list):
+            hint = "record version 4 wrote number lists; "
+        raise InvalidParameterError(
+            f"{where} must be base64 text of {dtype} values ({hint}got {value!r:.80})"
+        )
+    try:
+        raw = base64.b64decode(value, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise InvalidParameterError(f"{where} is not base64 text ({exc})") from None
+    if len(raw) % np.dtype(dtype).itemsize:
+        raise InvalidParameterError(
+            f"{where} holds {len(raw)} bytes, not a whole number of {dtype} values"
+        )
+    return np.frombuffer(raw, dtype=dtype)
 
 
 def _dense_loads(payload: dict[str, Any], n: int, size: int) -> np.ndarray:
     """The ``(n, size)`` load matrix of a payload's load columns, each
     column checked (see :func:`schedule_from_dict`)."""
     columns = payload.get("loads")
-    if (
-        not isinstance(columns, dict)
-        or sorted(columns) != sorted(_LOAD_COLUMNS)
-        or not all(isinstance(columns[name], list) for name in _LOAD_COLUMNS)
-    ):
+    if not isinstance(columns, dict) or sorted(columns) != sorted(_LOAD_COLUMNS):
         raise InvalidParameterError(
-            f"schedule field 'loads' must be an object of the list columns "
+            f"schedule field 'loads' must be an object of the columns "
             f"{list(_LOAD_COLUMNS)} (record version 3 wrote a list of "
             f"[job, interval, load] triples), got {columns!r:.80}"
         )
-    lengths = {name: len(columns[name]) for name in _LOAD_COLUMNS}
-    if len(set(lengths.values())) != 1:
+    intervals, jobs, loads = (
+        _unpack(columns[name], dtype, f"schedule field 'loads' column {name!r}")
+        for name, dtype in _LOAD_COLUMNS.items()
+    )
+    if not intervals.size == jobs.size == loads.size:
         raise InvalidParameterError(
-            f"schedule field 'loads' has columns of unequal length {lengths}"
+            "schedule field 'loads' has columns of unequal length "
+            f"{dict(interval=intervals.size, job=jobs.size, load=loads.size)}"
         )
-    intervals = _index_column(columns["interval"], "interval", size)
-    jobs = _index_column(columns["job"], "job", n)
+    # int64 before any arithmetic: ``interval * n + job`` must not wrap.
+    intervals = intervals.astype(np.int64)
+    jobs = jobs.astype(np.int64)
+    for name, ids, bound in (("interval", intervals, size), ("job", jobs, n)):
+        if ids.size and ids.max() >= bound:
+            raise InvalidParameterError(
+                f"schedule field 'loads' column {name!r} must hold ids in "
+                f"0..{bound - 1}, got {int(ids.max())}"
+            )
     if np.any(np.diff(intervals * n + jobs) <= 0):
         raise InvalidParameterError(
             "schedule field 'loads' must list each (interval, job) once, "
             "interval-major with ascending job ids"
         )
-    for value in columns["load"]:
-        if not (_finite_number(value) and value > 0.0):
-            raise InvalidParameterError(
-                "schedule field 'loads' column 'load' must hold finite "
-                f"positive numbers, got {value!r}"
-            )
-    loads = np.zeros((n, size))
-    loads[jobs, intervals] = np.array(columns["load"], dtype=np.float64)
-    return loads
+    bad = ~((loads > 0.0) & (loads < np.inf))  # NaN fails both
+    if bad.any():
+        raise InvalidParameterError(
+            "schedule field 'loads' column 'load' must hold finite "
+            f"positive numbers, got {float(loads[bad.argmax()])!r}"
+        )
+    dense = np.zeros((n, size))
+    dense[jobs, intervals] = loads
+    return dense
+
+
+def has_schedule_layout(payload: Any, n: int) -> bool:
+    """Whether ``payload`` has the field types :func:`schedule_to_dict`
+    writes for an instance of ``n`` jobs: ``n`` ``finished`` flags in a
+    list, and ``boundaries`` and the three load columns as text.
+
+    A type check only, for a cache probe: nothing is decoded, so a
+    payload that passes may still fail :func:`schedule_from_dict`.
+    """
+    if not (
+        isinstance(payload, dict)
+        and isinstance(payload.get("finished"), list)
+        and len(payload["finished"]) == n
+        and isinstance(payload.get("boundaries"), str)
+    ):
+        return False
+    columns = payload.get("loads")
+    return isinstance(columns, dict) and all(
+        isinstance(columns.get(name), str) for name in _LOAD_COLUMNS
+    )
 
 
 def schedule_from_dict(payload: dict[str, Any], instance: Instance) -> Schedule:
@@ -267,22 +321,22 @@ def schedule_from_dict(payload: dict[str, Any], instance: Instance) -> Schedule:
 
     Each field is checked, and a payload that does not fit raises an
     :class:`~repro.errors.InvalidParameterError` naming the field:
-    ``boundaries`` must be a list of finite numbers forming a grid,
-    ``finished`` one bool per job of ``instance``, ``cost`` (if given) a
-    finite number, and ``loads`` three equal-length columns whose job
-    and interval entries are ints in range, each position listed once in
-    the order :func:`schedule_to_dict` writes, and whose loads are
-    finite and positive. A version-3 payload (a list of triples) is
-    refused.
+    ``boundaries`` must be base64 text of finite ``<f8`` values forming
+    a grid, ``finished`` one bool per job of ``instance``, ``cost`` (if
+    given) a finite number, and ``loads`` three columns of base64 text
+    holding equally many values, whose ids are in range, list each
+    position once in the order :func:`schedule_to_dict` writes, and
+    whose loads are finite and positive. A version-4 payload (number
+    lists) and a version-3 one (a list of triples) are refused.
     """
     _require_kind(payload, "schedule")
-    boundaries = payload.get("boundaries")
-    if not isinstance(boundaries, list) or not all(map(_finite_number, boundaries)):
+    where = "schedule field 'boundaries'"
+    boundaries = _unpack(payload.get("boundaries"), "<f8", where)
+    if not np.isfinite(boundaries).all():
         raise InvalidParameterError(
-            f"schedule field 'boundaries' must be a list of finite numbers, "
-            f"got {boundaries!r:.80}"
+            f"{where} must hold finite numbers, got {boundaries.tolist()!r:.80}"
         )
-    grid = Grid(np.array(boundaries, dtype=np.float64))
+    grid = Grid(boundaries)
     finished = payload.get("finished")
     if (
         not isinstance(finished, list)

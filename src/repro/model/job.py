@@ -38,7 +38,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .job_arrays import JobArrays
 
 from ..errors import InvalidInstanceError, InvalidJobError, InvalidParameterError
-from ..types import FloatArray, JobId, Time
+from ..types import FloatArray, JobId, Time, left_sum
 from .power import PolynomialPower
 
 __all__ = ["Job", "Instance"]
@@ -324,7 +324,7 @@ class Instance:
     @property
     def total_value(self) -> float:
         """Sum of all job values (cost of rejecting everything)."""
-        return float(sum(j.value for j in self.jobs))
+        return float(left_sum(j.value for j in self.jobs))
 
     @property
     def horizon(self) -> tuple[Time, Time]:

@@ -33,7 +33,7 @@ from ..model.intervals import Grid, grid_for_instance
 from ..model.job import Instance
 from ..model.schedule import Schedule
 from ..perf.kernels import IntervalLoads, WindowKernel
-from ..types import FloatArray
+from ..types import FloatArray, left_sum
 
 __all__ = ["OfflineSolution", "solve_min_energy", "kkt_residual"]
 
@@ -106,7 +106,7 @@ def solve_min_energy(
         ks = list(g.covering(job.release, job.deadline))
         windows[j] = ks
         # AVR warm start: uniform density over the window.
-        span = float(sum(lengths[k] for k in ks))
+        span = float(left_sum(lengths[k] for k in ks))
         for k in ks:
             loads[j, k] = job.workload * float(lengths[k]) / span
 

@@ -36,7 +36,7 @@ from ..errors import InvalidParameterError, SolverError
 from ..model.intervals import Grid, grid_for_instance
 from ..model.job import Instance
 from ..model.schedule import Schedule
-from ..types import FloatArray
+from ..types import FloatArray, left_sum
 
 __all__ = [
     "FlowFeasibility",
@@ -173,7 +173,7 @@ def _speed_lower_bound(instance: Instance, ids: tuple[int, ...]) -> float:
         best = max(best, job.workload / job.span)
     for a_idx, t1 in enumerate(events):
         for t2 in events[a_idx + 1 :]:
-            inside = sum(
+            inside = left_sum(
                 instance[j].workload
                 for j in ids
                 if instance[j].release >= t1 and instance[j].deadline <= t2

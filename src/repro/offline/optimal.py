@@ -23,6 +23,7 @@ from ..errors import InvalidParameterError
 from ..model.job import Instance
 from ..model.power import optimal_constant_speed_energy
 from ..model.schedule import Schedule
+from ..types import left_sum
 from .convex import OfflineSolution, solve_min_energy
 
 __all__ = ["ExactSolution", "solve_exact", "solo_energy"]
@@ -82,7 +83,7 @@ def solve_exact(
     for size in range(1, n + 1):
         for subset in combinations(range(n), size):
             rejected_value = total_value - float(values[list(subset)].sum())
-            lower = rejected_value + sum(solo[j] for j in subset)
+            lower = rejected_value + left_sum(solo[j] for j in subset)
             if lower >= best_cost - 1e-12:
                 pruned += 1
                 continue

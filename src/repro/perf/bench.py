@@ -36,6 +36,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 import numpy as np
 
 from ..errors import InvalidParameterError
+from ..types import left_sum
 
 if TYPE_CHECKING:
     from ..model.job import Instance
@@ -225,7 +226,7 @@ def _oa_stream_point(point: Mapping[str, Any]) -> dict:
     wall, out = _timed(lambda: oa_segments(instance))
     _, executed = out
     power = PolynomialPower(3.0)
-    energy = sum(
+    energy = left_sum(
         (hi - lo) * power(speed) for _, lo, hi, speed in executed
     )
     return {"n": n, "m": 1, "wall_time": wall, "cost": float(energy)}
@@ -399,7 +400,7 @@ def _warm_sweep_point(point: Mapping[str, Any]) -> dict:
         "cells": len(records),
         "wall_time": wall,
         "records_per_s": passes * len(records) / wall,
-        "cost": float(sum(r.cost for r in records)),
+        "cost": float(left_sum(r.cost for r in records)),
     }
 
 

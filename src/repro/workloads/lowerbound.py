@@ -17,6 +17,7 @@ import numpy as np
 
 from ..errors import InvalidParameterError
 from ..model.job import Instance, Job
+from ..types import left_sum
 from .registry import register_workload
 
 __all__ = [
@@ -72,7 +73,7 @@ def optimal_cost_closed_form(n: int, alpha: float) -> float:
     running alone during ``[j-1, j)`` at speed ``(n-j+1)**(-1/alpha)``.
     Hence OPT = ``sum_j (n-j+1)**(-1)`` = the harmonic number ``H_n``.
     """
-    return float(sum(1.0 / (n - j + 1) for j in range(1, n + 1)))
+    return float(left_sum(1.0 / (n - j + 1) for j in range(1, n + 1)))
 
 
 @register_workload(

@@ -18,6 +18,7 @@ Four guarantees, each load-bearing for multi-machine sweeps:
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 import socket
@@ -27,6 +28,7 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+import numpy as np
 import pytest
 
 from repro.engine import (
@@ -391,22 +393,53 @@ class TestServerHardening:
             srv.stop()
 
 
+#: The dtype each packed load column is stored in.
+LOAD_DTYPES = {"interval": "<u4", "job": "<u4", "load": "<f8"}
+
+
+def _listed(text, dtype):
+    """A packed schedule column's values, as the number list record
+    version 4 wrote."""
+    return np.frombuffer(base64.b64decode(text), dtype=dtype).tolist()
+
+
 def _v3_shaped(payload, instance):
     """A record as version 3 wrote it: the instance inside the schedule,
     ``[job, interval, load]`` triples, and here a wrong cost."""
-    loads = payload["schedule"]["loads"]
+    loads = {
+        name: _listed(text, LOAD_DTYPES[name])
+        for name, text in payload["schedule"]["loads"].items()
+    }
     triples = sorted(zip(loads["job"], loads["interval"], loads["load"]))
     schedule = {
         **payload["schedule"],
         "instance": instance_to_dict(instance),
+        "boundaries": _listed(payload["schedule"]["boundaries"], "<f8"),
         "loads": [list(t) for t in triples],
     }
     return {**payload, "record": 3, "cost": 123.0, "schedule": schedule}
 
 
+def _v4_layout(payload, instance):
+    """A record that claims the current version but holds its columns as
+    the number lists version 4 wrote, and a wrong cost: the probe must
+    not serve it (only an audit would decode the columns)."""
+    schedule = payload["schedule"]
+    listed = {
+        **schedule,
+        "boundaries": _listed(schedule["boundaries"], "<f8"),
+        "loads": {
+            name: _listed(text, LOAD_DTYPES[name])
+            for name, text in schedule["loads"].items()
+        },
+    }
+    return {**payload, "cost": payload["cost"] * 2.0 + 1.0, "schedule": listed}
+
+
 #: Stored entries that are not current records for their cell.
 STALE_ENTRIES = {
     "v3-shaped": _v3_shaped,
+    "v4-layout": _v4_layout,
     "missing-field": lambda payload, instance: {
         k: v for k, v in payload.items() if k != "energy"
     },

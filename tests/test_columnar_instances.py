@@ -9,8 +9,8 @@ contract: the same floats, the same canonical text, the same keys as the
 
 from __future__ import annotations
 
+import base64
 import hashlib
-import json
 import math
 from dataclasses import replace
 
@@ -61,14 +61,14 @@ FAMILY_KNOBS = {"poisson": {}, "heavy-tail": {}, "uniform": {}, "tight": {"slack
 GOLDEN_ALGORITHMS = ("pd", "pd?delta=0.05")
 
 #: sha256 over the newline-joined keys of :func:`golden_keys`. Recorded
-#: once for record version 4 (keys hash the instance digest) from the
-#: ``Job``-tuple twins of the same instances, through the written-out
-#: formula ``conftest.unmemoized_key``.
+#: for record version 5 (keys hash the instance digest; 5 changed only
+#: the version they fold in) from the ``Job``-tuple twins of the same
+#: instances, through the written-out formula ``conftest.unmemoized_key``.
 GOLDEN_DIGESTS = {
-    "poisson": "08c2e0c7fb8b264eeb3244ac22723ee23b53c7aed1df9c326f7aba23519a8235",
-    "heavy-tail": "2fcf41c1dd04f9f50655ec5dcfce584ba016d1a07b1b8612b787b409df4f2db8",
-    "uniform": "0431e8b67b099b3b0f6bcfc74348b0fadd3d882fa11f2e9b57e448237a00164a",
-    "tight": "2fc4dbf1470fa50e3b6b414860740ba92f44c715fb7a2c9ec27ebbfe6b4f5199",
+    "poisson": "b60e8a27d80a254c0b4869ae3ff07694a609430ba72e5e436a87cad854cb02c1",
+    "heavy-tail": "671160a2498136473a0c9b2bd0779a71d9a4a280568870f8f53ee58f56e7edd4",
+    "uniform": "524102b904808daf27561b836605be1d45e7382960361c1ca6f22a470c458c0f",
+    "tight": "ea52c415efa1f03cf5fdd60fb4e743f304dc6c7d8d405a364ffd8a41e2b4f503",
 }
 
 
@@ -342,15 +342,29 @@ def test_sparse_loads_equal_the_argwhere_formula(shape):
         "job": [j for _, j in positions],
         "load": [float(loads[j, k]) for k, j in positions],
     }
-    new = serialize._load_columns(loads)
-    assert json.dumps(new) == json.dumps(old)
-    assert all(type(i) is int for i in new["interval"] + new["job"])
-    assert all(type(u) is float for u in new["load"])
-    assert serialize._load_columns(np.zeros(shape)) == {
-        "interval": [],
-        "job": [],
-        "load": [],
+    packed = serialize._load_columns(loads)
+    assert all(type(text) is str for text in packed.values())
+    new = {
+        name: np.frombuffer(base64.b64decode(packed[name]), dtype=dtype)
+        for name, dtype in (("interval", "<u4"), ("job", "<u4"), ("load", "<f8"))
     }
+    assert new["interval"].tolist() == old["interval"]
+    assert new["job"].tolist() == old["job"]
+    assert new["load"].tobytes() == np.array(old["load"], dtype="<f8").tobytes()
+    assert serialize._load_columns(np.zeros(shape)) == {
+        "interval": "",
+        "job": "",
+        "load": "",
+    }
+
+
+def test_load_columns_refuse_ids_beyond_u4():
+    """Job ids and interval indices are stored as ``<u4``: a matrix with
+    2**32 jobs or intervals raises instead of wrapping (a zero-stride
+    view, so nothing is allocated)."""
+    for shape in ((2**32, 1), (1, 2**32)):
+        with pytest.raises(InvalidParameterError, match="<u4"):
+            serialize._load_columns(np.broadcast_to(1.0, shape))
 
 
 # ----------------------------------------------------------------------

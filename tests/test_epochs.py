@@ -718,9 +718,10 @@ class TestEngineCacheIdentity:
     def test_record_version_pinned(self):
         # The feeds change HOW results are computed, never WHAT — a
         # version bump here would cold-start every cache for nothing.
-        # (4 is the record-layout and key bump: results, not inputs, and
-        # the instance digest; 3 was the exact water-fill's.)
-        assert RECORD_VERSION == 4
+        # (5 packs the record's columns as little-endian bytes; 4 was the
+        # record-layout and key bump, results, not inputs, and the
+        # instance digest; 3 was the exact water-fill's.)
+        assert RECORD_VERSION == 5
 
     @pytest.mark.parametrize("algorithm", ["pd", "oa"])
     def test_evaluate_request_payload_identical(self, algorithm):

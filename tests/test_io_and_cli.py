@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 import re
 import socket
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.io.server as server_module
 from repro.analysis.report import audit_run
@@ -23,7 +26,9 @@ from repro.io.serialize import (
     schedule_from_dict,
     schedule_to_dict,
 )
+from repro.model.intervals import Grid
 from repro.model.job import Instance
+from repro.model.schedule import Schedule
 from repro.workloads import poisson_instance
 
 
@@ -85,7 +90,8 @@ class TestScheduleSerialization:
         sched = run_pd(inst).schedule
         payload = schedule_to_dict(sched)
         dense = sched.loads.size
-        assert len(payload["loads"]["load"]) < dense  # zeros are omitted
+        stored = _column(payload["loads"]["load"], "<f8")
+        assert 0 < stored.size < dense  # zeros are omitted
         assert "instance" not in payload  # the caller holds it
 
     def test_tampered_cost_detected(self):
@@ -101,8 +107,63 @@ class TestScheduleSerialization:
         json.dumps(payload)  # must not raise
 
 
+@st.composite
+def _schedules(draw):
+    """A schedule on n in 1..30 jobs and 1..40 intervals: random
+    sparsity (the empty schedule included), positive loads from
+    subnormal to 1e300, and interval lengths at least the largest load,
+    so that the cost stays finite."""
+    n = draw(st.integers(1, 30))
+    size = draw(st.integers(1, 40))
+    mask = draw(st.lists(st.booleans(), min_size=n * size, max_size=n * size))
+    positive = st.floats(min_value=5e-324, max_value=1e300)
+    loads = np.array(
+        [draw(positive) if bit else 0.0 for bit in mask], dtype=np.float64
+    ).reshape(n, size)
+    unit = max(1.0, float(loads.max()))
+    lengths = draw(st.lists(st.floats(1.0, 1e3), min_size=size, max_size=size))
+    boundaries = np.concatenate([[0.0], np.cumsum(np.array(lengths) * unit)])
+    instance = Instance.from_tuples(
+        [(0.0, 1.0, 1.0, draw(st.floats(0.5, 2.0))) for _ in range(n)],
+        m=draw(st.sampled_from([1, 2, 4])),
+        alpha=draw(st.sampled_from([1.5, 2.0, 3.0])),
+    )
+    finished = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return Schedule(instance, Grid(boundaries), loads, np.array(finished))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(schedule=_schedules())
+def test_generated_schedules_round_trip_bitwise(schedule):
+    text = json.dumps(schedule_to_dict(schedule))
+    back = schedule_from_dict(json.loads(text), schedule.instance)
+    assert back.grid.boundaries.tobytes() == schedule.grid.boundaries.tobytes()
+    assert back.loads.tobytes() == schedule.loads.tobytes()
+    assert back.finished.tolist() == schedule.finished.tolist()
+    assert math.isfinite(schedule.cost) and back.cost == schedule.cost
+
+
+#: The dtype each packed load column is stored in.
+LOAD_DTYPES = {"interval": "<u4", "job": "<u4", "load": "<f8"}
+
+
+def _column(text, dtype):
+    """The values of a packed payload column."""
+    return np.frombuffer(base64.b64decode(text), dtype=dtype)
+
+
+def _packed(values, dtype):
+    """``values`` cast to ``dtype`` (ints wrap, as a careless writer's
+    would: -1 becomes 2**32 - 1 in ``<u4``) and packed as a column."""
+    raw = np.asarray(values).astype(dtype).tobytes()
+    return base64.b64encode(raw).decode("ascii")
+
+
 def _hostile(payload, field, value):
-    """``payload`` with one load column replaced by ``value``."""
+    """``payload`` with one load column replaced by ``value``; a list is
+    packed in that column's dtype first."""
+    if isinstance(value, list):
+        value = _packed(value, LOAD_DTYPES[field])
     loads = dict(payload["loads"])
     loads[field] = value
     return {**payload, "loads": loads}
@@ -122,40 +183,90 @@ class TestHostileSchedulePayloads:
         back = schedule_from_dict(payload, inst)
         assert schedule_to_dict(back) == payload
 
+    # Each edit gets a column's values as a list and returns either a
+    # list, packed back in the column's dtype, or the column's new text.
     @pytest.mark.parametrize(
         "field,edit",
         [
             ("job", lambda col, n, N: col[:-1]),  # unequal lengths
             ("load", lambda col, n, N: col + [1.0]),
-            ("job", lambda col, n, N: [-1] + col[1:]),  # out of range
+            ("job", lambda col, n, N: [-1] + col[1:]),  # out of range: 2**32 - 1
             ("job", lambda col, n, N: [n] + col[1:]),
             ("interval", lambda col, n, N: col[:-1] + [N]),
             ("interval", lambda col, n, N: [-1] + col[1:]),
-            ("job", lambda col, n, N: [float(col[0])] + col[1:]),  # not an int
-            ("job", lambda col, n, N: [True] + col[1:]),
-            ("interval", lambda col, n, N: ["0"] + col[1:]),
-            ("job", lambda col, n, N: [2**70] + col[1:]),
-            ("load", lambda col, n, N: [float("nan")] + col[1:]),  # not finite
-            ("load", lambda col, n, N: [float("inf")] + col[1:]),
+            ("job", lambda col, n, N: _packed(col, "<f8")),  # not <u4
+            ("job", lambda col, n, N: _packed(col, "?")),
+            ("interval", lambda col, n, N: " ".join(map(str, col))),  # not base64
+            ("job", lambda col, n, N: _packed(col, "<i8")),
+            ("load", lambda col, n, N: [math.nan] + col[1:]),  # not finite
+            ("load", lambda col, n, N: [math.inf] + col[1:]),
             ("load", lambda col, n, N: [0.0] + col[1:]),  # not positive
             ("load", lambda col, n, N: [-1.5] + col[1:]),
-            ("load", lambda col, n, N: ["1.0"] + col[1:]),  # not a number
-            ("load", lambda col, n, N: [None] + col[1:]),
-            ("load", lambda col, n, N: [10**400] + col[1:]),
+            ("load", lambda col, n, N: _packed(col, "<f4")),  # not <f8
+            ("load", lambda col, n, N: None),  # not text
+            ("load", lambda col, n, N: [-math.inf] + col[1:]),
             ("job", "not a list"),
         ],
     )
     def test_bad_load_columns(self, case, field, edit):
         inst, payload = case
-        column = payload["loads"][field]
-        n, size = inst.n, len(payload["boundaries"]) - 1
-        value = edit(list(column), n, size) if callable(edit) else edit
+        column = _column(payload["loads"][field], LOAD_DTYPES[field]).tolist()
+        n, size = inst.n, _column(payload["boundaries"], "<f8").size - 1
+        value = edit(column, n, size) if callable(edit) else edit
         with pytest.raises(InvalidParameterError, match="'loads'"):
             schedule_from_dict(_hostile(payload, field, value), inst)
 
+    @pytest.mark.parametrize(
+        "field,edit",
+        [
+            pytest.param("job", lambda text: "*" + text[1:], id="non-base64"),
+            pytest.param("interval", lambda text: "é" + text[1:], id="non-ascii"),
+            pytest.param(
+                "load",
+                lambda text: base64.b64encode(base64.b64decode(text)[:-1]).decode(),
+                id="one-byte-short",
+            ),
+            pytest.param("interval", lambda text: "", id="unequal-columns"),
+            pytest.param(
+                "interval",
+                lambda text: _packed([2**32 - 1] + _column(text, "<u4")[1:].tolist(),
+                                     "<u4"),
+                id="id-2**32-1",
+            ),
+            pytest.param(
+                "load",
+                lambda text: _packed([-0.0] + _column(text, "<f8")[1:].tolist(),
+                                     "<f8"),
+                id="negative-zero-load",
+            ),
+        ],
+    )
+    def test_bad_packed_text(self, case, field, edit):
+        inst, payload = case
+        value = edit(payload["loads"][field])
+        with pytest.raises(InvalidParameterError, match=f"'loads'.*'{field}'"):
+            schedule_from_dict(_hostile(payload, field, value), inst)
+
+    @pytest.mark.parametrize("field", sorted(LOAD_DTYPES))
+    def test_v4_number_lists_are_refused(self, case, field):
+        inst, payload = case
+        listed = _column(payload["loads"][field], LOAD_DTYPES[field]).tolist()
+        loads = {**payload["loads"], field: listed}  # not packed: v4's layout
+        with pytest.raises(InvalidParameterError, match="'loads'.*version 4"):
+            schedule_from_dict({**payload, "loads": loads}, inst)
+
+    def test_v4_boundary_list_is_refused(self, case):
+        inst, payload = case
+        listed = _column(payload["boundaries"], "<f8").tolist()
+        with pytest.raises(InvalidParameterError, match="'boundaries'.*version 4"):
+            schedule_from_dict({**payload, "boundaries": listed}, inst)
+
     def test_v3_triple_layout_is_refused(self, case):
         inst, payload = case
-        loads = payload["loads"]
+        loads = {
+            name: _column(text, LOAD_DTYPES[name]).tolist()
+            for name, text in payload["loads"].items()
+        }
         triples = sorted(zip(loads["job"], loads["interval"], loads["load"]))
         v3 = {**payload, "loads": [list(t) for t in triples]}
         with pytest.raises(InvalidParameterError, match="'loads'.*version 3"):
@@ -163,12 +274,35 @@ class TestHostileSchedulePayloads:
 
     def test_repeated_or_reordered_positions_are_refused(self, case):
         inst, payload = case
-        loads = payload["loads"]
+        loads = {
+            name: _column(text, LOAD_DTYPES[name]).tolist()
+            for name, text in payload["loads"].items()
+        }
         twice = {name: col + col[-1:] for name, col in loads.items()}
         reversed_ = {name: col[::-1] for name, col in loads.items()}
         for columns in (twice, reversed_):
+            packed = {
+                name: _packed(col, LOAD_DTYPES[name]) for name, col in columns.items()
+            }
             with pytest.raises(InvalidParameterError, match="'loads'"):
-                schedule_from_dict({**payload, "loads": columns}, inst)
+                schedule_from_dict({**payload, "loads": packed}, inst)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda b: [math.nan] + b[1:], id="nan"),
+            pytest.param(lambda b: b[:-1] + [math.inf], id="inf"),
+            pytest.param(lambda b: [b[1]] + b[1:], id="repeated"),
+            pytest.param(lambda b: b[::-1], id="decreasing"),
+            pytest.param(lambda b: b[:1], id="one-boundary"),
+        ],
+    )
+    def test_bad_boundaries(self, case, edit):
+        inst, payload = case
+        boundaries = _column(payload["boundaries"], "<f8").tolist()
+        value = _packed(edit(boundaries), "<f8")
+        with pytest.raises(InvalidParameterError, match="boundaries"):
+            schedule_from_dict({**payload, "boundaries": value}, inst)
 
     @pytest.mark.parametrize(
         "field,value",

@@ -116,11 +116,11 @@ class TestPDParity:
         version is pinned, request keys depend only on inputs, and
         the serialized schedule payload — the record body that gets
         content-hashed — is byte-identical old vs new."""
-        # 4 since records dropped the embedded instance and keys moved
-        # to the instance digest (3 was the exact water-fill's bump);
-        # kernels alone must never bump it (a bump cold-starts every
-        # cache).
-        assert RECORD_VERSION == 4
+        # 5 since records pack their columns as little-endian bytes (4
+        # dropped the embedded instance and moved keys to the instance
+        # digest, 3 was the exact water-fill's bump); kernels alone must
+        # never bump it (a bump cold-starts every cache).
+        assert RECORD_VERSION == 5
         inst = poisson_instance(30, m=2, alpha=3.0, seed=1)
         assert request_key("pd", inst) == request_key("pd", inst)
         new = run_pd(inst)

@@ -13,6 +13,7 @@ Three layers of assurance:
 
 from __future__ import annotations
 
+import ast
 import json
 import shutil
 import subprocess
@@ -465,10 +466,57 @@ class TestFrameworkPlumbing:
             assert all(code.startswith("RPR") for code in checker.codes)
 
 
+#: Where ``src/repro`` may call the builtin ``sum``, as (module, enclosing
+#: function): integer counts, which every Python sums exactly, and the
+#: bench calibration kernel, whose value is discarded (a Python loop
+#: there would move ``calibration_seconds`` and every gate budget).
+BUILTIN_SUM_SITES = {
+    ("analysis/preemption.py", "preemption_stats"),
+    ("engine/cache.py", "__len__"),
+    ("engine/cache.py", "stats"),
+    ("engine/experiment.py", "__post_init__"),
+    ("perf/bench.py", "_calibration_seconds"),
+}
+
+
+class _SumCalls(ast.NodeVisitor):
+    """Collects the enclosing function of every builtin ``sum(...)``."""
+
+    def __init__(self) -> None:
+        self.scopes = ["<module>"]
+        self.calls: list[str] = []
+
+    def visit_FunctionDef(self, node) -> None:
+        self.scopes.append(node.name)
+        self.generic_visit(node)
+        self.scopes.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Call(self, node) -> None:
+        if isinstance(node.func, ast.Name) and node.func.id == "sum":
+            self.calls.append(self.scopes[-1])
+        self.generic_visit(node)
+
+
 class TestSelfRun:
     def test_repo_src_is_clean(self):
         """The invariant CI gates on: the shipped tree has no findings."""
         assert run_lint([REPO_ROOT / "src"], root=REPO_ROOT) == []
+
+    def test_builtin_sum_only_adds_ints(self):
+        """Python 3.12's builtin ``sum`` compensates float rounding and
+        3.10's and 3.11's do not, so a float sum in ``src/repro`` goes
+        through ``repro.types.left_sum``: results then agree on every
+        interpreter CI runs."""
+        package = REPO_ROOT / "src" / "repro"
+        sites = []
+        for path in sorted(package.rglob("*.py")):
+            visitor = _SumCalls()
+            visitor.visit(ast.parse(path.read_text()))
+            module = path.relative_to(package).as_posix()
+            sites += [(module, scope) for scope in visitor.calls]
+        assert sorted(sites) == sorted(BUILTIN_SUM_SITES)
 
 
 class TestExternalLinters:
