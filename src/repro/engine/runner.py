@@ -186,7 +186,16 @@ class InProcessClaimTable:
     reissued to the next claimer — the crash-recovery semantics of the
     claim-lease protocol. ``clock`` is injectable for deterministic
     tests.
+
+    A cache server keeps one table per steal session for its lifetime,
+    so a drained table must stay small: done positions are one bit each,
+    and the lease dict gives its storage back once no lease is out.
     """
+
+    __slots__ = (
+        "total", "lease_ttl", "_clock", "_cursor", "_outstanding", "_done",
+        "_done_count", "_reissued", "_lock",
+    )
 
     def __init__(
         self,
@@ -201,7 +210,9 @@ class InProcessClaimTable:
         self._cursor = 0
         #: position -> lease deadline (leased, not yet reported done)
         self._outstanding: dict[int, float] = {}
-        self._done: set[int] = set()
+        #: bit ``p % 8`` of byte ``p // 8`` is set once ``p`` is done
+        self._done = bytearray((self.total + 7) // 8)
+        self._done_count = 0
         self._reissued = 0
         self._lock = threading.Lock()
 
@@ -230,7 +241,12 @@ class InProcessClaimTable:
         with self._lock:
             for position in checked:
                 self._outstanding.pop(position, None)
-                self._done.add(position)
+                byte, bit = divmod(position, 8)
+                if not self._done[byte] >> bit & 1:
+                    self._done[byte] |= 1 << bit
+                    self._done_count += 1
+            if not self._outstanding:
+                self._outstanding.clear()  # an emptied dict keeps its table
 
     def pending(self) -> int:
         """Leased positions not yet reported done.
@@ -248,7 +264,7 @@ class InProcessClaimTable:
     def done_count(self) -> int:
         """Positions reported done so far."""
         with self._lock:
-            return len(self._done)
+            return self._done_count
 
     @property
     def reissued(self) -> int:

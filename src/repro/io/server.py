@@ -213,7 +213,7 @@ class _LockStripes:
                 lock.release()
 
 
-@dataclass
+@dataclass(slots=True)
 class _ClaimState:
     """One claim table: the shared lease state machine plus its session
     token. Guarded by the server's claims lock.

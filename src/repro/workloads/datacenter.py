@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from ..errors import InvalidParameterError
 from ..model.job import Instance, Job
 from ..model.power import optimal_constant_speed_energy
 from ..types import Seed
+from .random_instances import _rng, check_knob
 from .registry import register_workload
 
 __all__ = ["diurnal_instance", "diurnal_intensity"]
@@ -60,36 +59,46 @@ def diurnal_instance(
     solo energy (rejecting them is usually a mistake). Batch jobs:
     workload ~ Exp(3.0), window 2–8 h, value 0.3–2 x solo energy (some
     are not worth their energy at peak load).
+
+    Each draw is the arithmetic numpy runs behind its scalar call:
+    ``rng.uniform(low, high)`` is ``low + (high - low) * rng.random()``
+    and ``rng.exponential(scale)`` is ``scale * rng.standard_exponential()``.
     """
     if n < 1:
         raise InvalidParameterError(f"need n >= 1, got {n}")
-    if not (0.0 <= interactive_fraction <= 1.0):
-        raise InvalidParameterError("interactive_fraction must be in [0, 1]")
-    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
+    check_knob("day", day, day > 0.0, "> 0")
+    check_knob(
+        "interactive_fraction", interactive_fraction,
+        0.0 <= interactive_fraction <= 1.0, "in [0, 1]",
+    )
+    check_knob("base_rate", base_rate, base_rate > 0.0, "> 0")
+    rng = _rng(seed)
+    exponential, random = rng.standard_exponential, rng.random
 
     # Thinning: sample candidate arrival times against the diurnal curve.
+    scale = 1.0 / base_rate
     releases: list[float] = []
     t = 0.0
     while len(releases) < n:
-        t += float(rng.exponential(1.0 / base_rate))
+        t += scale * exponential()
         if t >= day:
             t = t % day  # wrap; ordering restored below
-        if rng.uniform() <= diurnal_intensity(t, day=day):
+        if random() <= diurnal_intensity(t, day=day):
             releases.append(t)
     releases.sort()
 
     jobs: list[Job] = []
     for i, r in enumerate(releases):
-        interactive = rng.uniform() < interactive_fraction
+        interactive = random() < interactive_fraction
         if interactive:
-            w = float(rng.exponential(0.3)) + 0.02
-            span = float(rng.uniform(0.1, 0.5))
-            ratio = float(rng.uniform(2.0, 8.0))
+            w = 0.3 * exponential() + 0.02
+            span = 0.1 + (0.5 - 0.1) * random()
+            ratio = 2.0 + (8.0 - 2.0) * random()
             name = f"web{i}"
         else:
-            w = float(rng.exponential(3.0)) + 0.1
-            span = float(rng.uniform(2.0, 8.0))
-            ratio = float(rng.uniform(0.3, 2.0))
+            w = 3.0 * exponential() + 0.1
+            span = 2.0 + (8.0 - 2.0) * random()
+            ratio = 0.3 + (2.0 - 0.3) * random()
             name = f"batch{i}"
         solo = optimal_constant_speed_energy(alpha, w, span)
         jobs.append(Job(r, r + span, w, ratio * solo, name=name))

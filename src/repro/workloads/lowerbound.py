@@ -17,6 +17,7 @@ import numpy as np
 
 from ..errors import InvalidParameterError
 from ..model.job import Instance, Job
+from ..model.power import PolynomialPower
 from ..types import left_sum
 from .registry import register_workload
 
@@ -38,6 +39,7 @@ def lower_bound_instance(n: int, alpha: float, *, value: float = _SAFE_VALUE) ->
     """
     if n < 1:
         raise InvalidParameterError(f"need n >= 1 jobs, got {n}")
+    PolynomialPower(alpha)  # the canonical error for a bad alpha
     jobs = tuple(
         Job(
             release=float(j - 1),

@@ -36,22 +36,36 @@ def _rng(seed: Seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def check_value_ratio(value_ratio: object) -> None:
+def check_value_ratio(value_ratio: object) -> tuple[float, float]:
     """Raise the canonical error unless ``value_ratio`` is a finite
     ``(lo, hi)`` pair with ``0 < lo <= hi``.
 
-    Every family that draws values calls this before its first draw.
+    Every family that draws values calls this before its first draw. It
+    returns ``(lo, hi - lo)`` as floats, the offset and width numpy's
+    ``uniform`` draws a ratio with: ``lo + width * rng.random()`` is
+    that draw, bit for bit.
     """
     try:
         lo, hi = value_ratio  # type: ignore[misc]
         ok = math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo <= hi
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:
         raise InvalidParameterError(
             f"value_ratio must be a finite (lo, hi) with 0 < lo <= hi, "
             f"got {value_ratio!r}"
         )
+    return float(lo), float(hi) - float(lo)
+
+
+def check_knob(name: str, value: object, ok: bool, rule: str) -> None:
+    """Raise the canonical error naming knob ``name`` unless ``ok``.
+
+    Every family checks its knobs before its first draw, so a bad value
+    fails here, not in numpy's argument checks or a job's constructor.
+    """
+    if not ok:
+        raise InvalidParameterError(f"{name} must be {rule}, got {value!r}")
 
 
 def valued_instance(
@@ -130,6 +144,11 @@ def poisson_instance(
     """
     if n < 1:
         raise InvalidParameterError(f"need n >= 1, got {n}")
+    check_knob("arrival_rate", arrival_rate, arrival_rate > 0.0, "> 0")
+    for name, mean in (("mean_span", mean_span), ("mean_workload", mean_workload)):
+        # numpy rejects a -0.0 scale as negative: test the sign bit.
+        ok = math.isfinite(mean) and math.copysign(1.0, mean) > 0.0
+        check_knob(name, mean, ok, "a finite number >= 0")
     check_value_ratio(value_ratio)
     rng = _rng(seed)
     gaps = rng.exponential(1.0 / arrival_rate, size=n)
@@ -165,6 +184,11 @@ def heavy_tail_instance(
     """
     if n < 1:
         raise InvalidParameterError(f"need n >= 1, got {n}")
+    check_knob("pareto_shape", pareto_shape, pareto_shape > 0.0, "> 0")
+    check_knob(
+        "horizon", horizon, math.isfinite(horizon) and 0.2 * horizon >= 0.5,
+        "a finite number >= 2.5",
+    )
     check_value_ratio(value_ratio)
     rng = _rng(seed)
     releases = np.sort(rng.uniform(0.0, horizon, size=n))
@@ -193,6 +217,10 @@ def uniform_instance(
     """Everything uniform: the bland control family."""
     if n < 1:
         raise InvalidParameterError(f"need n >= 1, got {n}")
+    check_knob(
+        "horizon", horizon, math.isfinite(horizon) and horizon * 0.3 >= 0.2,
+        "a finite number >= 2/3",
+    )
     check_value_ratio(value_ratio)
     rng = _rng(seed)
     releases = rng.uniform(0.0, horizon * 0.8, size=n)

@@ -20,9 +20,18 @@ do. ``agreeable``, ``laminar`` and ``batch`` build ``Job`` tuples:
 ``batch`` passes its caller's ``deadline`` through unconverted, and a
 float column would change an int's canonical text (``1`` to ``1.0``) and
 with it the cache key.
+
+A family that draws one value at a time writes the draw as the
+arithmetic numpy runs behind the scalar call, on the cheaper call that
+reads the same bit-generator outputs: ``rng.uniform(low, high)`` is
+``low + (high - low) * rng.random()`` and ``rng.exponential(scale)`` is
+``scale * rng.standard_exponential()``. The argument handling of the
+scalar calls costs about three times the draw.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -31,7 +40,7 @@ from ..model.job import Instance, Job
 from ..model.job_arrays import JobArrays
 from ..model.power import optimal_constant_speed_energy
 from ..types import Seed
-from .random_instances import _rng, check_value_ratio, valued_instance
+from .random_instances import _rng, check_knob, check_value_ratio, valued_instance
 from .registry import register_workload
 
 __all__ = [
@@ -42,12 +51,6 @@ __all__ = [
     "bursty_instance",
     "slotted_instance",
 ]
-
-
-def _value(rng: np.random.Generator, alpha: float, w: float, span: float,
-           value_ratio: tuple[float, float]) -> float:
-    solo = optimal_constant_speed_energy(alpha, w, span)
-    return float(rng.uniform(*value_ratio)) * solo
 
 
 @register_workload(
@@ -65,20 +68,19 @@ def agreeable_instance(
     """Releases and deadlines increase together (FIFO-like windows)."""
     if n < 1:
         raise InvalidParameterError(f"need n >= 1, got {n}")
-    check_value_ratio(value_ratio)
+    lo, width = check_value_ratio(value_ratio)
     rng = _rng(seed)
     releases = np.sort(rng.uniform(0.0, 10.0, size=n))
     spans = rng.uniform(1.0, 3.0, size=n)
     deadlines = releases + spans
     deadlines = np.maximum.accumulate(deadlines)  # enforce agreeability
+    random = rng.random
     jobs = []
-    for i in range(n):
-        w = float(rng.uniform(0.2, 1.5))
-        span = float(deadlines[i] - releases[i])
-        jobs.append(
-            Job(float(releases[i]), float(deadlines[i]), w,
-                _value(rng, alpha, w, span, value_ratio))
-        )
+    for r, d in zip(releases.tolist(), deadlines.tolist()):
+        w = 0.2 + (1.5 - 0.2) * random()
+        ratio = lo + width * random()
+        value = ratio * optimal_constant_speed_energy(alpha, w, d - r)
+        jobs.append(Job(r, d, w, value))
     return Instance(tuple(jobs), m=m, alpha=alpha)
 
 
@@ -101,14 +103,16 @@ def laminar_instance(
         raise InvalidParameterError(f"need depth >= 1, got {depth}")
     if branching < 2:
         raise InvalidParameterError(f"need branching >= 2, got {branching}")
-    check_value_ratio(value_ratio)
-    rng = _rng(seed)
+    ratio_lo, ratio_width = check_value_ratio(value_ratio)
+    random = _rng(seed).random
     jobs: list[Job] = []
 
     def recurse(lo: float, hi: float, level: int) -> None:
         span = hi - lo
-        w = float(rng.uniform(0.2, 0.8)) * span
-        jobs.append(Job(lo, hi, w, _value(rng, alpha, w, span, value_ratio)))
+        w = (0.2 + (0.8 - 0.2) * random()) * span
+        ratio = ratio_lo + ratio_width * random()
+        value = ratio * optimal_constant_speed_energy(alpha, w, span)
+        jobs.append(Job(lo, hi, w, value))
         if level + 1 >= depth:
             return
         step = span / branching
@@ -136,14 +140,18 @@ def batch_instance(
     """All jobs released at 0 with a common deadline (Figure 2's shape)."""
     if n < 1:
         raise InvalidParameterError(f"need n >= 1, got {n}")
-    check_value_ratio(value_ratio)
-    rng = _rng(seed)
+    check_knob(
+        "deadline", deadline, math.isfinite(deadline) and deadline > 0.0,
+        "a finite number > 0",
+    )
+    lo, width = check_value_ratio(value_ratio)
+    random = _rng(seed).random
     jobs = []
     for _ in range(n):
-        w = float(rng.uniform(0.1, 2.0))
-        jobs.append(
-            Job(0.0, deadline, w, _value(rng, alpha, w, deadline, value_ratio))
-        )
+        w = 0.1 + (2.0 - 0.1) * random()
+        ratio = lo + width * random()
+        value = ratio * optimal_constant_speed_energy(alpha, w, deadline)
+        jobs.append(Job(0.0, deadline, w, value))
     return Instance(tuple(jobs), m=m, alpha=alpha)
 
 
@@ -164,25 +172,27 @@ def tight_instance(
     """Windows only ``slack`` times longer than the work at unit speed.
 
     Each job draws its gap, its workload and its value ratio in turn, so
-    the draws stay one job at a time; the columns are built after.
+    the draws stay one job at a time, on ``standard_exponential`` and
+    ``random`` (the module docstring gives the arithmetic). The columns
+    are built after: ``np.cumsum`` adds the gaps left to right, as a
+    running sum would.
     """
     if n < 1:
         raise InvalidParameterError(f"need n >= 1, got {n}")
-    if slack <= 1.0:
-        raise InvalidParameterError(f"slack must be > 1, got {slack}")
-    check_value_ratio(value_ratio)
+    check_knob(
+        "slack", slack, 1.0 < slack < math.inf, "a finite number > 1"
+    )
+    lo, width = check_value_ratio(value_ratio)
     rng = _rng(seed)
-    rows = []
-    t = 0.0
-    for _ in range(n):
-        t += float(rng.exponential(0.5))
-        w = float(rng.uniform(0.2, 1.5))
-        ratio = float(rng.uniform(*value_ratio))
-        span = w * slack
-        rows.append((t, t + span, w, span, ratio))
-    releases, deadlines, workloads, spans, ratios = np.array(rows).T
+    exponential, random = rng.standard_exponential, rng.random
+    gaps, workloads, ratios = np.array([
+        (0.5 * exponential(), 0.2 + (1.5 - 0.2) * random(), lo + width * random())
+        for _ in range(n)
+    ]).T
+    releases = np.cumsum(gaps)
+    spans = workloads * slack
     return valued_instance(
-        releases, deadlines, workloads, spans, ratios, alpha=alpha, m=m
+        releases, releases + spans, workloads, spans, ratios, alpha=alpha, m=m
     )
 
 
@@ -218,15 +228,15 @@ def bursty_instance(
     """
     if n < 1:
         raise InvalidParameterError(f"need n >= 1, got {n}")
-    if burstiness < 1.0:
-        raise InvalidParameterError(
-            f"burstiness must be >= 1, got {burstiness}"
-        )
-    if spike_period < 2:
-        raise InvalidParameterError(
-            f"spike_period must be >= 2, got {spike_period}"
-        )
-    rng = _rng(seed)
+    check_knob("burstiness", burstiness, burstiness >= 1.0, ">= 1")
+    check_knob("spike_period", spike_period, spike_period >= 2, ">= 2")
+    check_knob(
+        "base_span", base_span, math.isfinite(base_span) and base_span > 0.0,
+        "a finite number > 0",
+    )
+    random = _rng(seed).random
+    low = 0.25 * base_span
+    width = 0.5 * base_span - low
     rows = []
     t = 0.0
     for i in range(n):
@@ -236,7 +246,7 @@ def bursty_instance(
             else base_span
         )
         rows.append((t, t + span, 1.0))
-        t += float(rng.uniform(0.25 * base_span, 0.5 * base_span))
+        t += low + width * random()
     return Instance.classical(rows, m=m, alpha=alpha)
 
 

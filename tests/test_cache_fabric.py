@@ -885,6 +885,73 @@ class TestClaimLeases:
         assert code == 2  # InvalidParameterError surfaced as exit 2
 
 
+class TestDrainedClaimTables:
+    """A cache server keeps every steal session's claim table, so a late
+    worker still reads "drained". A drained table answers as it did
+    while live, and stays small: one bit per done position, and no lease
+    storage once no lease is out."""
+
+    @staticmethod
+    def _drain(server, claim_id, total=18, batch=4):
+        server.claim_create(claim_id, total, DEFAULT_LEASE_TTL)
+        while True:
+            reply = server.claim_next(claim_id, batch)
+            if not reply["positions"]:
+                return reply
+            server.claim_done(claim_id, reply["positions"])
+
+    def test_a_drained_table_still_answers(self, server):
+        from repro.engine.remote import HttpConnectionPool
+
+        reply = self._drain(server, "drained")
+        assert reply["positions"] == [] and reply["outstanding"] == 0
+        again = server.claim_create("drained", 18, DEFAULT_LEASE_TTL)
+        assert again["token"] == reply["token"] and again["claimed"] == 18
+        assert server.claim_done("drained", [0, 17])["done"] == 18
+        with HttpConnectionPool(server.url) as pool:
+            status, _, raw = pool.request(
+                "POST",
+                "/claims/drained/done",
+                json.dumps({"positions": [18]}).encode("utf-8"),
+            )
+        assert status == 400
+        assert "done positions" in json.loads(raw)["error"]
+        late = server.claim_next("drained", 4)
+        assert late["positions"] == [] and late["outstanding"] == 0
+
+    def test_done_count_counts_each_position_once(self):
+        table = InProcessClaimTable(20)
+        assert table.claim(20) == list(range(20))
+        table.done([3, 3, 19])
+        table.done([19, 0, 8])
+        assert table.done_count == 4 and table.pending() == 16
+        with pytest.raises(InvalidParameterError, match="done positions"):
+            table.done([20])
+        table.done(range(20))
+        assert table.done_count == 20 and table.pending() == 0
+        assert table.claim(4) == []
+
+    def test_a_drained_session_keeps_under_800_bytes(self, server):
+        import gc
+        import tracemalloc
+
+        sessions = 200
+        for warm in range(10):
+            self._drain(server, f"warm-{warm}")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot()
+            for session in range(sessions):
+                self._drain(server, f"{session:064x}")
+            gc.collect()
+            after = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        grown = sum(stat.size_diff for stat in after.compare_to(before, "filename"))
+        assert grown / sessions < 800
+
+
 class TestSqliteConcurrency:
     """Satellite bugfix: SQLITE_BUSY retries instead of crashing."""
 

@@ -518,6 +518,26 @@ class TestSelfRun:
             sites += [(module, scope) for scope in visitor.calls]
         assert sorted(sites) == sorted(BUILTIN_SUM_SITES)
 
+    def test_workload_scalar_draws_take_the_cheap_calls(self):
+        """A scalar ``rng.uniform(...)`` or ``rng.exponential(...)``
+        spends about three times its draw in numpy's argument handling.
+        A family drawing one value at a time calls ``rng.random()`` or
+        ``rng.standard_exponential()`` and does numpy's arithmetic
+        itself, which gives the same bits; a draw of a whole column
+        names its ``size=``."""
+        package = REPO_ROOT / "src" / "repro" / "workloads"
+        scalar = []
+        for path in sorted(package.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("uniform", "exponential")
+                    and not any(kw.arg == "size" for kw in node.keywords)
+                ):
+                    scalar.append(f"{path.name}:{node.lineno}")
+        assert scalar == []
+
 
 class TestExternalLinters:
     """ruff/mypy run against the committed pyproject.toml config when the

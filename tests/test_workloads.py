@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.classical.yds import yds
 from repro.core.pd import run_pd
+from repro.engine import ExperimentSpec
 from repro.errors import InvalidParameterError
+from repro.io.cli import main
 from repro.workloads import (
+    WORKLOADS,
     agreeable_instance,
     batch_instance,
     diurnal_instance,
@@ -197,3 +202,113 @@ class TestBurstyFamily:
                 run_uniform_speed(inst).energy / yds(inst).energy
             )
         assert ratios[1] > ratios[0]
+
+
+#: ``(family, knob, value)`` for knob values that build no instance:
+#: each once failed with a raw numpy or Python error, or (NaN) got past
+#: the checks and failed later on a duration or a deadline.
+BAD_KNOBS = [
+    ("poisson", "arrival_rate", 0.0),
+    ("poisson", "arrival_rate", -1.0),
+    ("poisson", "arrival_rate", math.nan),
+    ("poisson", "mean_span", -5.0),
+    ("poisson", "mean_span", -0.0),
+    ("poisson", "mean_span", math.inf),
+    ("poisson", "mean_workload", -1.0),
+    ("poisson", "mean_workload", math.nan),
+    ("heavy-tail", "pareto_shape", 0.0),
+    ("heavy-tail", "pareto_shape", -1.0),
+    ("heavy-tail", "horizon", -1.0),
+    ("heavy-tail", "horizon", 2.4999999999999996),
+    ("heavy-tail", "horizon", math.nan),
+    ("heavy-tail", "horizon", math.inf),
+    ("uniform", "horizon", 0.0),
+    ("uniform", "horizon", -1.0),
+    ("uniform", "horizon", 0.6666666666666666),
+    ("diurnal", "day", 0.0),
+    ("diurnal", "day", -1.0),
+    ("diurnal", "day", math.nan),
+    ("diurnal", "base_rate", 0.0),
+    ("diurnal", "base_rate", -1.0),
+    ("diurnal", "base_rate", math.nan),
+    ("diurnal", "interactive_fraction", 1.5),
+    ("bursty", "base_span", -1.0),
+    ("bursty", "base_span", 0.0),
+    ("bursty", "base_span", math.nan),
+    ("bursty", "base_span", math.inf),
+    ("bursty", "burstiness", 0.5),
+    ("bursty", "burstiness", math.nan),
+    ("bursty", "spike_period", 1),
+    ("tight", "slack", 0.5),
+    ("tight", "slack", math.nan),
+    ("tight", "slack", math.inf),
+    ("batch", "deadline", 0.0),
+    ("batch", "deadline", math.nan),
+    ("batch", "deadline", math.inf),
+]
+
+#: The edge of each knob's range, which still builds.
+EDGE_KNOBS = [
+    ("poisson", "arrival_rate", math.inf),
+    ("poisson", "mean_span", 0.0),
+    ("poisson", "mean_workload", 0.0),
+    ("heavy-tail", "pareto_shape", math.inf),
+    ("heavy-tail", "horizon", 2.5),
+    ("uniform", "horizon", 0.6666666666666667),
+    ("diurnal", "day", math.inf),
+    ("diurnal", "base_rate", math.inf),
+    ("bursty", "burstiness", 1.0),
+    ("bursty", "base_span", 1e-300),
+    ("tight", "slack", 1.0000000000000002),
+    ("batch", "deadline", 1e-3),
+]
+
+
+def _spec(family, knob, value):
+    return f"{family}?{knob}={value!r}"
+
+
+@pytest.mark.parametrize(
+    "family,knob,value", BAD_KNOBS, ids=[_spec(*case) for case in BAD_KNOBS]
+)
+class TestKnobChecks:
+    """Each family checks its knobs before its first draw: a value that
+    builds no instance is an ``InvalidParameterError`` naming the knob,
+    from the registry, from an experiment spec and from the CLI."""
+
+    def test_registry(self, family, knob, value):
+        with pytest.raises(InvalidParameterError, match=knob):
+            WORKLOADS.build(_spec(family, knob, value), 10, seed=1)
+
+    def test_experiment_spec(self, family, knob, value):
+        spec = ExperimentSpec(
+            name="knobs",
+            workloads=[_spec(family, knob, value)],
+            algorithms=("pd",),
+            n=10,
+            seeds=(1,),
+        )
+        with pytest.raises(InvalidParameterError, match=knob):
+            spec.requests()
+
+    def test_cli_sweep(self, family, knob, value, capsys):
+        argv = [
+            "sweep", "--workload", _spec(family, knob, value), "-n", "10",
+            "--seeds", "1", "--algorithms", "pd",
+        ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert knob in err
+
+
+@pytest.mark.parametrize(
+    "family,knob,value", EDGE_KNOBS, ids=[_spec(*case) for case in EDGE_KNOBS]
+)
+def test_knob_range_edges_build(family, knob, value):
+    assert WORKLOADS.build(_spec(family, knob, value), 10, seed=1).n >= 1
+
+
+def test_lower_bound_checks_alpha_first():
+    with pytest.raises(InvalidParameterError, match="alpha"):
+        lower_bound_instance(5, 0.0)
