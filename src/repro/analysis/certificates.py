@@ -13,7 +13,13 @@ the largest ``s^`` values (the "contributing jobs", Lemma 5c). A job is
 available exactly in its contiguous window on the grid, so
 :func:`contributions` reads each window as a first interval and a stop
 (:meth:`~repro.model.intervals.Grid.windows`) and never builds an
-``(n, N)`` availability matrix.
+``(n, N)`` availability matrix. One pass over the jobs in ``(-s^, id)``
+order fills the sets, with a union-find over the next interval that
+still has a slot, at O(n + N·m) (:func:`contributing_jobs`). The core,
+:func:`certify`, takes a grid, an instance, a cost and dual vectors, so
+:meth:`~repro.core.pd.PDScheduler.streaming_certificate` certifies a
+million-job stream without a dense schedule, and CLL's three candidate
+vectors share one pass wherever their orders agree.
 
 Weak duality makes ``g(lambda~)`` a lower bound on the cost of *any*
 schedule, so each run carries a machine-checkable certificate:
@@ -33,7 +39,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.pd import PDResult
-from ..errors import CertificateError
+from ..errors import CertificateError, InvalidParameterError
+from ..model.intervals import Grid
+from ..model.job import Instance
 from ..model.schedule import Schedule
 from ..types import FloatArray
 
@@ -41,6 +49,7 @@ __all__ = [
     "DualCertificate",
     "dual_certificate",
     "certificate_from_duals",
+    "certify",
     "contributing_jobs",
     "contributions",
 ]
@@ -113,41 +122,74 @@ def contributing_jobs(
     ``windows`` is :meth:`~repro.model.intervals.Grid.windows`: job
     ``j`` is available exactly in the intervals ``first[j] <= k <
     stop[j]`` of a grid with ``size`` intervals. One pass over the jobs
-    in priority order fills per-interval slots, so each interval picks
-    the same jobs in the same order as the literal per-interval rescan,
-    at O(sum of window widths) instead of O(n * N).
+    in priority order hands each job the intervals of its window that
+    still have an open slot, so each interval picks the same jobs in
+    the same order as the literal per-interval rescan. A union-find over
+    the next open interval (path compression on plain lists) finds
+    those intervals, which makes the pass O(n + sum of |phi(k)|), about
+    O(n + N·m), instead of one scan per window.
     """
+    return _contributors(windows, size, _priority(s_hat), m)
+
+
+def _priority(s_hat: FloatArray) -> np.ndarray:
+    """The job ids in ``(-s_hat, id)`` order, those with ``s_hat <= 0``
+    left out: all that ``phi`` and ``l(j)`` read of ``s_hat``."""
+    order = np.lexsort((np.arange(s_hat.size), -s_hat))
+    return order[~(s_hat[order] <= 0.0)]
+
+
+def _contributors(
+    windows: tuple[np.ndarray, np.ndarray], size: int, order: np.ndarray, m: int
+) -> tuple[tuple[int, ...], ...]:
+    """``phi(k)`` of the jobs in ``order``, filled in that order."""
     first, stop = windows
-    slots = np.zeros(size, dtype=np.int64)
     picked: list[list[int]] = [[] for _ in range(size)]
-    # s_hat descending, then id ascending.
-    for j in np.lexsort((np.arange(s_hat.size), -s_hat)).tolist():
-        if s_hat[j] <= 0.0:
-            continue
-        lo = int(first[j])
-        segment = slots[lo : int(stop[j])]
-        open_positions = np.nonzero(segment < m)[0]
-        if open_positions.size:
-            segment[open_positions] += 1
-            for k in open_positions.tolist():
-                picked[lo + k].append(j)
+    # Each interval points at itself while it has an open slot, and at
+    # a later interval once full; following the pointers from k reaches
+    # the first open interval at or after k (``size`` if none).
+    nxt = list(range(size + 1))
+
+    def open_from(k: int) -> int:
+        root = k
+        while nxt[root] != root:
+            root = nxt[root]
+        while nxt[k] != root:
+            nxt[k], k = root, nxt[k]
+        return root
+
+    for j, lo, hi in zip(order.tolist(), first[order].tolist(), stop[order].tolist()):
+        k = open_from(lo)
+        while k < hi:
+            members = picked[k]
+            members.append(j)
+            if len(members) == m:
+                nxt[k] = k + 1
+            k = open_from(k + 1)
     return tuple(tuple(members) for members in picked)
 
 
 def contributions(
-    schedule: Schedule, s_hat: FloatArray
+    grid: Grid, instance: Instance, s_hat: FloatArray
 ) -> tuple[tuple[tuple[int, ...], ...], FloatArray]:
-    """``phi(k)`` for every interval and each job's contributing time
-    ``l(j)``, the lengths of its intervals summed in ascending order."""
-    grid = schedule.grid
-    instance = schedule.instance
-    phi = contributing_jobs(grid.windows(instance), grid.size, s_hat, instance.m)
-    lengths = grid.lengths
-    l_of_j = np.zeros(instance.n)
-    for k, members in enumerate(phi):
+    """``phi(k)`` for every interval of ``grid`` and each job's
+    contributing time ``l(j)``, the lengths of its intervals summed in
+    ascending order."""
+    return _contributions(grid, grid.windows(instance), _priority(s_hat), instance)
+
+
+def _contributions(
+    grid: Grid,
+    windows: tuple[np.ndarray, np.ndarray],
+    order: np.ndarray,
+    instance: Instance,
+) -> tuple[tuple[tuple[int, ...], ...], FloatArray]:
+    phi = _contributors(windows, grid.size, order, instance.m)
+    l_of_j = [0.0] * instance.n
+    for length, members in zip(grid.lengths.tolist(), phi):
         for j in members:
-            l_of_j[j] += float(lengths[k])
-    return phi, l_of_j
+            l_of_j[j] += length
+    return phi, np.array(l_of_j, dtype=np.float64)
 
 
 def dual_certificate(result: PDResult) -> DualCertificate:
@@ -166,24 +208,52 @@ def certificate_from_duals(schedule: Schedule, lambdas: FloatArray) -> DualCerti
     *guaranteed* to stay under ``alpha**alpha``; for other sources the
     ratio is an honest measurement that may exceed the bound.
     """
-    instance = schedule.instance
+    return certify(schedule.grid, schedule.instance, schedule.cost, lambdas)
+
+
+def certify(
+    grid: Grid, instance: Instance, cost: float, *duals: FloatArray
+) -> DualCertificate:
+    """The certificate of a run of ``cost`` on ``grid``: of the dual
+    vectors in ``duals``, the one with the largest ``g`` (the first on
+    a tie, as ``max`` picks).
+
+    :func:`certificate_from_duals` and
+    :meth:`~repro.core.pd.PDScheduler.streaming_certificate` pass one
+    vector; CLL's hook passes three (``lambda``, ``lambda/2``,
+    ``lambda/4``). ``phi(k)`` and ``l(j)`` read the duals only through the
+    ``(-s_hat, id)`` order of the jobs with ``s_hat > 0``, so vectors
+    with equal orders share one contributor pass, exactly. Scaling
+    ``lambda`` by a power of two usually keeps that order, but rounding
+    can tie or swap two jobs, so the order is compared, never assumed.
+    """
     alpha = instance.alpha
     w = instance.workloads
-    lam = np.asarray(lambdas, dtype=np.float64)
+    windows = grid.windows(instance)
+    passes: dict[bytes, tuple[tuple[tuple[int, ...], ...], FloatArray]] = {}
+    best: DualCertificate | None = None
+    for lambdas in duals:
+        lam = np.asarray(lambdas, dtype=np.float64)
+        s_hat = (np.maximum(lam, 0.0) / (alpha * w)) ** (1.0 / (alpha - 1.0))
+        order = _priority(s_hat)
+        key = order.tobytes()
+        if key not in passes:
+            passes[key] = _contributions(grid, windows, order, instance)
+        phi, l_of_j = passes[key]
 
-    s_hat = (np.maximum(lam, 0.0) / (alpha * w)) ** (1.0 / (alpha - 1.0))
-    phi, l_of_j = contributions(schedule, s_hat)
-
-    e_lambda = l_of_j * s_hat**alpha
-    x_hat = np.where(w > 0, l_of_j * s_hat / w, 0.0)
-    g = float((1.0 - alpha) * e_lambda.sum() + lam.sum())
-
-    return DualCertificate(
-        g=g,
-        cost=schedule.cost,
-        bound=alpha**alpha,
-        s_hat=s_hat,
-        e_lambda=e_lambda,
-        x_hat=x_hat,
-        contributors=phi,
-    )
+        e_lambda = l_of_j * s_hat**alpha
+        x_hat = np.where(w > 0, l_of_j * s_hat / w, 0.0)
+        g = float((1.0 - alpha) * e_lambda.sum() + lam.sum())
+        if best is None or g > best.g:
+            best = DualCertificate(
+                g=g,
+                cost=cost,
+                bound=alpha**alpha,
+                s_hat=s_hat,
+                e_lambda=e_lambda,
+                x_hat=x_hat,
+                contributors=phi,
+            )
+    if best is None:
+        raise InvalidParameterError("certify needs at least one dual vector")
+    return best

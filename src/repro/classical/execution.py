@@ -13,12 +13,13 @@ interval, in which case Chen's partition dedicates all of them).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Sequence
 
 import numpy as np
 
 from ..errors import InfeasibleScheduleError
-from ..model.intervals import Grid
+from ..model.intervals import _TIME_EPS, Grid
 from ..model.job import Instance
 from ..model.schedule import Schedule
 from ..types import FloatArray
@@ -46,17 +47,24 @@ def schedule_from_segments(
     finished:
         The executor's claim of which jobs completed.
     """
-    points = set(instance.event_times().tolist())
-    for _, start, end, _ in segments:
-        points.add(float(start))
-        points.add(float(end))
-    grid = Grid.from_points(points)
+    grid = _segment_grid(instance, segments)
     return Schedule(
         instance=instance,
         grid=grid,
         loads=loads_from_segments(instance.n, grid, segments),
         finished=np.ascontiguousarray(finished, dtype=bool),
     )
+
+
+def _segment_grid(
+    instance: Instance, segments: Sequence[tuple[int, float, float, float]]
+) -> Grid:
+    """The instance's event times refined by every segment boundary."""
+    points = set(instance.event_times().tolist())
+    for _, start, end, _ in segments:
+        points.add(float(start))
+        points.add(float(end))
+    return Grid.from_points(points)
 
 
 def loads_from_segments(
@@ -66,23 +74,38 @@ def loads_from_segments(
     segments: each segment's work splits over the intervals it overlaps.
 
     A segment no longer than ``_EPS`` places no work (no overlap of it
-    is longer), so it is skipped before its job id is checked.
+    is longer), so it is skipped before its job id is checked; a start
+    outside the grid raises :meth:`Grid.locate`'s ``IndexError``. The
+    interval lookups ``bisect`` the grid's boundary floats, each
+    ``(job, interval)`` cell sums its overlaps in segment order on
+    Python floats (the additions a numpy ``+=`` per overlap makes), and
+    the cells are written with one fancy assignment.
     """
-    loads = np.zeros((n, grid.size))
-    bounds = grid.boundaries
+    points = grid._points
+    size = grid.size
+    lo_span = points[0] - _TIME_EPS
+    hi_span = points[-1]
+    cells: dict[tuple[int, int], float] = {}
     for job, start, end, speed in segments:
         if end <= start + _EPS:
             continue
         if not (0 <= job < n):
             raise InfeasibleScheduleError(f"segment for unknown job {job}")
-        k0 = grid.locate(start)
+        if start < lo_span or start >= hi_span:
+            grid.locate(start)  # raises the canonical IndexError
+        k0 = min(max(bisect_right(points, start) - 1, 0), size - 1)
         # The last interval that starts before ``end``. Not
         # ``locate(end - _EPS)``: at large times ``end - _EPS`` rounds
         # back to ``end``, and the grid's last point lies outside it.
-        k1 = min(int(np.searchsorted(bounds, end, side="left")), grid.size) - 1
+        k1 = min(bisect_left(points, end), size) - 1
         for k in range(k0, k1 + 1):
-            lo = max(start, float(bounds[k]))
-            hi = min(end, float(bounds[k + 1]))
+            lo = max(start, points[k])
+            hi = min(end, points[k + 1])
             if hi > lo + _EPS:
-                loads[job, k] += (hi - lo) * speed
+                cell = (job, k)
+                cells[cell] = cells.get(cell, 0.0) + (hi - lo) * speed
+    loads = np.zeros((n, size))
+    if cells:
+        jobs, ks = zip(*cells)
+        loads[jobs, ks] = list(cells.values())
     return loads

@@ -202,20 +202,19 @@ def _cll_certificate(result: CLLResult):
     guarantee. Damped variants are tried because CLL's planned speeds
     are admission-time snapshots, not equilibrium prices — the raw
     vector can overshoot into the concave region where ``g`` collapses.
+    The three share one contributor pass wherever their ``(-s_hat,
+    id)`` orders agree (:func:`~repro.analysis.certificates.certify`).
     """
-    from ..analysis.certificates import certificate_from_duals
+    from ..analysis.certificates import certify
 
-    inst = result.schedule.instance
+    schedule = result.schedule
+    inst = schedule.instance
     alpha = inst.alpha
     prices = alpha * inst.workloads * result.planned_speeds ** (alpha - 1.0)
     lam = np.where(
         result.accepted_mask, np.minimum(prices, inst.values), inst.values
     )
-    candidates = (lam, 0.5 * lam, 0.25 * lam)
-    return max(
-        (certificate_from_duals(result.schedule, c) for c in candidates),
-        key=lambda cert: cert.g,
-    )
+    return certify(schedule.grid, inst, schedule.cost, lam, 0.5 * lam, 0.25 * lam)
 
 
 @register_algorithm(

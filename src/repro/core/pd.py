@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -59,6 +59,7 @@ from ..types import FloatArray
 from .waterfill import waterfill_job
 
 if TYPE_CHECKING:
+    from ..analysis.certificates import DualCertificate
     from ..model.job_arrays import JobArrays
     from .waterfill import WaterfillOutcome
 
@@ -291,18 +292,35 @@ class PDScheduler:
         """Sum of values of rejected jobs so far (no dense schedule)."""
         if self._count == 0:
             return 0.0
-        values = np.concatenate(
-            [
-                [chunk.value] if isinstance(chunk, Job) else chunk[0].values[: chunk[1]]
-                for chunk in self._chunks
-            ],
-            dtype=np.float64,
-        )
+        values = self._fed("value")
         return float(values[~np.array(self._accepted, dtype=bool)].sum())
 
     def streaming_cost(self) -> float:
         """Energy plus lost value of the run so far (Equation (1))."""
         return self.streaming_energy() + self.streaming_lost_value()
+
+    def streaming_certificate(self) -> DualCertificate:
+        """Theorem 3's certificate of the run so far, off the live state.
+
+        Reads the grid, the ``lambda~`` column and the fed job columns,
+        and builds neither the dense schedule nor a ``Job``, so it runs
+        at a million jobs. Bit-identical to
+        ``dual_certificate(finish())`` (``g``, ``s_hat``, ``e_lambda``,
+        ``x_hat``, the contributors and the cost, which is
+        :meth:`streaming_cost`).
+        """
+        if self._count == 0:
+            raise InvalidParameterError("no jobs were processed")
+        from ..analysis.certificates import certify  # lazy: layering
+        from ..model.job_arrays import JobArrays
+
+        columns = ("release", "deadline", "workload", "value")
+        instance = Instance.from_arrays(
+            JobArrays(*map(self._fed, columns)), m=self.m, alpha=self._alpha
+        )
+        return certify(
+            self._grid, instance, self.streaming_cost(), np.array(self._lams)
+        )
 
     # ------------------------------------------------------------------
     # Internals
@@ -311,6 +329,19 @@ class PDScheduler:
     def _count(self) -> int:
         """Total arrivals so far."""
         return len(self._accepted)
+
+    def _fed(self, field: str) -> FloatArray:
+        """One column of the fed jobs in arrival order: ``release``,
+        ``deadline``, ``workload`` or ``value``."""
+        return np.concatenate(
+            [
+                [getattr(chunk, field)]
+                if isinstance(chunk, Job)
+                else getattr(chunk[0], field + "s")[: chunk[1]]
+                for chunk in self._chunks
+            ],
+            dtype=np.float64,
+        )
 
     def _arrive_row(
         self, release: float, deadline: float, workload: float, value: float
@@ -416,10 +447,15 @@ class PDScheduler:
                 zip(self._accepted, self._lams, self._speeds, self._planned_work)
             )
         )
-        loads = np.zeros((n, len(self._lengths)))
+        ids: list[int] = []
+        ks: list[int] = []
+        vals: list[float] = []
         for k, state in enumerate(self._states):
-            if state.ids:
-                loads[state.ids, k] = state.loads
+            ids += state.ids
+            ks += [k] * len(state.ids)
+            vals += state.loads
+        loads = np.zeros((n, len(self._lengths)))
+        loads[np.array(ids, dtype=np.intp), np.array(ks, dtype=np.intp)] = vals
         # An accepted job's planned loads are its store loads: both were
         # split by the same multiplies. Only the rejects' x̌ is added.
         planned = loads.copy()
@@ -464,22 +500,31 @@ class PDScheduler:
         """Insert the new job's window endpoints, splitting frozen loads.
 
         An arrival only ever splits the (at most two) intervals its
-        endpoints land in and possibly extends the span, so the surgery
-        here is two ``bisect`` insertions into the boundary and length
-        lists plus a split of exactly those stores; every other store
-        object stays in place. Each new interval's length is the
-        subtraction of its two boundaries (what ``np.diff`` computes),
-        and it must exceed ``_TIME_EPS`` as ``Grid`` requires. Unsplit
-        intervals keep their exact loads: the reference path multiplied
-        them by a fraction that is exactly ``1.0`` (child and parent read
-        their endpoints from the same boundary floats), a bitwise no-op.
-        Split children scale by ``(child_end - child_start) /
-        parent_length`` — the same single multiply, in the same float
-        order, as the reference oracle's dense split
-        (:mod:`repro.perf.reference`).
+        endpoints land in and possibly extends the span. The fresh
+        points are grouped by the old interval they split (or by the
+        side of the span they extend), every new interval's width is
+        checked, and only then are ``_bounds``, ``_lengths``,
+        ``_states``, ``_planned`` and ``_open`` spliced in place, right
+        to left so that each group's indices still hold; a refused point
+        leaves every list as it was. Each width is the subtraction of
+        its two boundaries (what ``np.diff`` computes), and it must
+        exceed ``_TIME_EPS`` as ``Grid`` requires. Unsplit intervals
+        keep their store objects and exact loads: the reference path
+        multiplied them by a fraction that is exactly ``1.0`` (child and
+        parent read their endpoints from the same boundary floats), a
+        bitwise no-op. Each child of a split interval ``[a, b)`` scales
+        its parent's loads once, by ``width / (b - a)`` — the same
+        single multiply, in the same float order, as the reference
+        oracle's dense split (:mod:`repro.perf.reference`); splitting
+        a child again would round twice.
+
+        The surgery is safe in place because nothing holds the lists
+        across a refinement: the epoch layer (:mod:`repro.perf.epochs`)
+        holds ``_states``, ``_lengths`` and ``_open`` by reference for
+        one block, and a refining arrival always ends its block.
         """
-        old = self._bounds
-        if not old:
+        bounds = self._bounds
+        if not bounds:
             grid = Grid.from_points([release, deadline])
             self._bounds = grid.boundaries.tolist()
             self._lengths = grid.lengths.tolist()
@@ -487,67 +532,62 @@ class PDScheduler:
             self._states = [IntervalLoads() for _ in range(grid.size)]
             self._planned = [[] for _ in range(grid.size)]
             return True
-        fresh = _fresh_points(old, (release, deadline))
+        fresh = _fresh_points(bounds, (release, deadline))
         if not fresh:
             return False
 
-        lo = old[0]
-        hi = old[-1]
-        bounds = old[:]
-        lengths = self._lengths[:]
-        front = tail = 0
-        # Interior points grouped by the old interval they split.
-        splits: dict[int, list[float]] = {}
+        size = len(self._lengths)
+        lo = bounds[0]
+        hi = bounds[-1]
+        # The points by the old interval k they split, k ascending: -1
+        # left of the span, ``size`` right of it (where a NaN lands too,
+        # and fails below).
+        groups: list[tuple[int, list[float]]] = []
         for p in fresh:
-            if p < lo:
-                front += 1
-            elif p > hi:
-                tail += 1
+            k = -1 if p < lo else size if p > hi else bisect_right(bounds, p) - 1
+            if groups and groups[-1][0] == k:
+                groups[-1][1].append(p)
             else:
-                splits.setdefault(bisect_right(old, p) - 1, []).append(p)
-            i = bisect_left(bounds, p)
-            bounds.insert(i, p)
-            # The one or two intervals next to p replace the old length
-            # that spanned p, if any.
-            first, stop = max(i - 1, 0), min(i + 1, len(bounds) - 1)
-            created = [bounds[k + 1] - bounds[k] for k in range(first, stop)]
-            lengths[first : stop - 1] = created
-            if not all(length > _TIME_EPS for length in created):
-                raise InvalidParameterError(
-                    "grid boundaries must be strictly increasing"
-                )
+                groups.append((k, [p]))
+        # Each group's points between the old boundaries around them.
+        cuts = [
+            bounds[max(k, 0) : k + 1] + points + bounds[k + 1 : k + 2]
+            for k, points in groups
+        ]
+        widths = [[b - a for a, b in zip(row, row[1:])] for row in cuts]
+        for row in widths:
+            for width in row:
+                if not width > _TIME_EPS:
+                    raise InvalidParameterError(
+                        "grid boundaries must be strictly increasing"
+                    )
 
+        lengths = self._lengths
+        states = self._states
+        planned = self._planned
         opens = self._open
-        for k in sorted(splits, reverse=True):
-            cuts = [old[k], *splits[k], old[k + 1]]
-            length = old[k + 1] - old[k]
-            widths = [cuts[i + 1] - cuts[i] for i in range(len(cuts) - 1)]
-            fractions = [width / length for width in widths]
-            state = self._states[k]
-            children = [state.split(f) for f in fractions]
-            self._states[k : k + 1] = children
+        for (k, points), ends, row in reversed(list(zip(groups, cuts, widths))):
+            if 0 <= k < size:
+                length = ends[-1] - ends[0]
+                fractions = [width / length for width in row]
+                children = [states[k].split(f) for f in fractions]
+                entries = planned[k]
+                kept = [[(job_id, z * f) for job_id, z in entries] for f in fractions]
+                at, replaced = k, 1
+            else:
+                children = [IntervalLoads() for _ in row]
+                kept = [[] for _ in row]
+                at, replaced = max(k, 0), 0
+            bounds[at + (k >= 0) : at + (k >= 0)] = points
+            lengths[at : at + replaced] = row
+            states[at : at + replaced] = children
+            planned[at : at + replaced] = kept
             if opens is not None:
                 # The children's lengths are these same subtractions.
-                opens[k : k + 1] = [
+                opens[at : at + replaced] = [
                     _opening_speed(child, width, self.m)
-                    for child, width in zip(children, widths)
+                    for child, width in zip(children, row)
                 ]
-            entries = self._planned[k]
-            self._planned[k : k + 1] = [
-                [(job_id, z * f) for job_id, z in entries] for f in fractions
-            ]
-        if front:
-            self._states[0:0] = [IntervalLoads() for _ in range(front)]
-            self._planned[0:0] = [[] for _ in range(front)]
-            if opens is not None:
-                opens[0:0] = [0.0] * front
-        if tail:
-            self._states.extend(IntervalLoads() for _ in range(tail))
-            self._planned.extend([] for _ in range(tail))
-            if opens is not None:
-                opens.extend([0.0] * tail)
-        self._bounds = bounds
-        self._lengths = lengths
         self._grid_cache = None
         return True
 

@@ -121,6 +121,7 @@ def waterfill_job(
     value: float,
     delta: float,
     power: PolynomialPower,
+    cap: float | None = None,
 ) -> WaterfillOutcome:
     """Price job ``j`` against the intervals of ``kernel``.
 
@@ -138,6 +139,10 @@ def waterfill_job(
         ``alpha**(1-alpha)``).
     power:
         The power function ``P_alpha``.
+    cap:
+        The job's :func:`price_cap`, where the caller already holds it
+        (the epoch layer prices every arrival of a block in one pass);
+        None computes it here.
     """
     if not (math.isfinite(workload) and workload > 0.0):
         raise InvalidParameterError(
@@ -162,7 +167,7 @@ def waterfill_job(
     # value (classical must-finish jobs, the offline solver's block
     # steps, or a near-1 exponent mapping a huge value to inf) means no
     # effective cap: bracket by doubling instead.
-    s_cap = price_cap(power, value, workload, delta)
+    s_cap = price_cap(power, value, workload, delta) if cap is None else cap
     if not math.isfinite(s_cap):
         s_cap = max(1.0, workload)
         for _ in range(200):

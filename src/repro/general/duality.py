@@ -85,7 +85,7 @@ def general_dual_bound(result: GeneralPDResult) -> GeneralDualBound:
     s_hat = np.array(
         [power.derivative_inverse(float(l) / float(wj)) for l, wj in zip(lam, w)]
     )
-    _, l_of_j = contributions(schedule, s_hat)
+    _, l_of_j = contributions(schedule.grid, instance, s_hat)
 
     x_contrib = float(
         left_sum(

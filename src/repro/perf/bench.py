@@ -56,6 +56,7 @@ _MEASURE_KEYS = frozenset(
         "wall_time",
         "run_time",
         "certify_time",
+        "certified_ratio",
         "cost",
         "records_per_s",
     }
@@ -188,7 +189,8 @@ def _cache_point(point: Mapping[str, Any]) -> dict:
 
 
 def _pd_stream_point(point: Mapping[str, Any]) -> dict:
-    """PD at 10k–1M jobs: SoA generation, epoch batching, streaming cost.
+    """PD at 10k–1M jobs: SoA generation, epoch batching, streaming cost
+    and the Theorem 3 certificate.
 
     The dense ``(n, N)`` schedule matrix a ``finish()`` would build is
     tens of gigabytes at a million jobs — this point exercises exactly
@@ -198,6 +200,9 @@ def _pd_stream_point(point: Mapping[str, Any]) -> dict:
     :meth:`PDScheduler.streaming_cost` off the live stores. The ``cost``
     field is byte-identical to what the per-arrival loop produces, so
     baselines emitted before the epoch path still match on identity.
+    ``wall_time`` is the stream; ``certify_time`` is
+    :meth:`PDScheduler.streaming_certificate`, whose ratio must stay
+    within ``alpha**alpha``.
     """
     from ..core.pd import PDScheduler
     from ..workloads import slotted_instance
@@ -205,14 +210,24 @@ def _pd_stream_point(point: Mapping[str, Any]) -> dict:
     n, m = int(point["n"]), int(point["m"])
     instance = slotted_instance(n, slots=1000, m=m, alpha=3.0, seed=0)
     arrays = instance.sorted_by_release().arrays
+    sched = PDScheduler(m=m, alpha=3.0)
 
     def exercise() -> float:
-        sched = PDScheduler(m=m, alpha=3.0)
         sched.arrive_many(arrays)
         return sched.streaming_cost()
 
     wall, cost = _timed(exercise)
-    return {"n": n, "m": m, "wall_time": wall, "cost": float(cost)}
+    t_cert, cert = _timed(sched.streaming_certificate)
+    if not cert.holds:  # pragma: no cover - a failing bound is a bug
+        raise AssertionError(f"certificate violated at n={n}, m={m}")
+    return {
+        "n": n,
+        "m": m,
+        "wall_time": wall,
+        "certify_time": t_cert,
+        "certified_ratio": cert.ratio,
+        "cost": float(cost),
+    }
 
 
 def _oa_stream_point(point: Mapping[str, Any]) -> dict:
@@ -454,7 +469,7 @@ SCENARIOS: dict[str, BenchScenario] = {
         BenchScenario(
             name="pd-1m",
             summary="PD at 10k-1M jobs: SoA instances, epoch batching, "
-            "streaming cost",
+            "streaming cost and certificate",
             # The 10k point appears in both grids so the smoke run's
             # fastest point is still matched (and gated) against the
             # committed full-grid baseline.

@@ -32,7 +32,8 @@ bookkeeping hoisted into batched numpy passes:
   ``derivative_inverse(v / (delta * w))`` in one pass per block,
   float for float what the scalar
   :func:`~repro.core.waterfill.price_cap` returns; the rows it solves
-  in log space are left to it (:func:`_price_caps`);
+  in log space are left to it (:func:`_price_caps`). A fill takes its
+  row's cap instead of pricing the job again;
 * **zero-work settle** — most arrivals at scale are rejected at their
   value because no interval of their window opens at their price cap.
   The scheduler keeps each interval's opening speed
@@ -314,8 +315,11 @@ def _process_block(sched: PDScheduler, arrays: JobArrays, lo: int, hi: int) -> i
     for t in np.flatnonzero(~settled).tolist():
         i0 = il[t]
         j0 = jl[t]
-        if algn[t] and j0 > i0:
-            s_cap = spd[t]
+        if not algn[t]:  # pragma: no cover - near implies aligned; insurance only
+            ks = grid.covering(float(r[t]), float(d[t]))
+            i0, j0 = ks.start, ks.stop
+        s_cap = spd[t]
+        if j0 > i0:
             if s_cap != s_cap:  # NaN: left to the scalar by _price_caps
                 s_cap = caps[t] = price_cap(power, vl[t], wl[t], delta)
             # Settle against the live opening speeds (accepts earlier in
@@ -328,10 +332,8 @@ def _process_block(sched: PDScheduler, arrays: JobArrays, lo: int, hi: int) -> i
             ):
                 continue
         # Full scalar water-fill against the live stores (reference
-        # floats in reference order).
-        if not algn[t]:  # pragma: no cover - near implies aligned; insurance only
-            ks = grid.covering(float(r[t]), float(d[t]))
-            i0, j0 = ks.start, ks.stop
+        # floats in reference order), at the cap priced above; an empty
+        # window rejects before reading it.
         kernel = WindowKernel(states[i0:j0], len_list[i0:j0], m)
         outcome = waterfill_job(
             kernel,
@@ -339,6 +341,7 @@ def _process_block(sched: PDScheduler, arrays: JobArrays, lo: int, hi: int) -> i
             value=vl[t],
             delta=delta,
             power=power,
+            cap=s_cap,
         )
         sched._commit(i0, outcome, base_id + t)
         acc[t] = outcome.accepted

@@ -20,19 +20,19 @@ Deliberately slow. Never import this module from a hot path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from dataclasses import dataclass, replace
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..classical.execution import schedule_from_segments
+from ..classical.execution import _segment_grid
 from ..classical.oa import oa_plan
 from ..classical.timeline import IntervalSet
 from ..classical.yds import YdsResult, _yds
 from ..core.cll import CLLResult, cll_admits
 from ..core.pd import JobDecision, PDResult, PDScheduler
 from ..core.waterfill import WaterfillOutcome, price_cap, waterfill_job
-from ..errors import InvalidParameterError, SolverError
+from ..errors import InfeasibleScheduleError, InvalidParameterError, SolverError
 from ..model.intervals import Grid, _fresh_points
 from ..model.job import Instance, Job
 from ..model.job_arrays import JobArrays
@@ -45,6 +45,7 @@ __all__ = [
     "PARITY_PAIRS",
     "PDSchedulerReference",
     "arrive_epochs_reference",
+    "loads_from_segments_reference",
     "oa_segments_reference",
     "run_cll_reference",
     "run_pd_reference",
@@ -480,8 +481,12 @@ def run_cll_reference(instance: Instance) -> CLLResult:
             if remaining[job_id] < 0.0:
                 remaining[job_id] = 0.0
 
-    schedule = schedule_from_segments(
-        ordered, executed, np.array(admitted, dtype=bool)
+    grid = _segment_grid(ordered, executed)
+    schedule = Schedule(
+        instance=ordered,
+        grid=grid,
+        loads=loads_from_segments_reference(n, grid, executed),
+        finished=np.array(admitted, dtype=bool),
     )
     return CLLResult(
         schedule=schedule,
@@ -632,9 +637,44 @@ def yds_reference(instance: Instance, *, grid: Grid | None = None) -> YdsResult:
     The frozen oracle of :func:`repro.classical.yds.yds`, whose
     vectorized prefix-workload scan replaced the literal O(E^2 · n)
     rescan below; the parity suite asserts identical groups, speeds,
-    segments and schedules.
+    segments and schedules. Its loads are rebuilt from its segments by
+    :func:`loads_from_segments_reference`.
     """
-    return _yds(instance, grid, _critical_window_reference)
+    result = _yds(instance, grid, _critical_window_reference)
+    schedule = result.schedule
+    loads = loads_from_segments_reference(instance.n, schedule.grid, result.segments)
+    return replace(result, schedule=replace(schedule, loads=loads))
+
+
+def loads_from_segments_reference(
+    n: int, grid: Grid, segments: Sequence[tuple[int, float, float, float]]
+) -> FloatArray:
+    """The historical segment loop, verbatim: one ``Grid.locate`` and
+    one numpy element ``+=`` per overlap.
+
+    Replaced by :func:`repro.classical.execution.loads_from_segments`,
+    which bisects plain boundary floats and scatters each ``(job,
+    interval)`` cell once; kept as its oracle, and the CLL and YDS
+    oracles here build their schedules through it.
+    """
+    loads = np.zeros((n, grid.size))
+    bounds = grid.boundaries
+    for job, start, end, speed in segments:
+        if end <= start + _EPS:
+            continue
+        if not (0 <= job < n):
+            raise InfeasibleScheduleError(f"segment for unknown job {job}")
+        k0 = grid.locate(start)
+        # The last interval that starts before ``end``. Not
+        # ``locate(end - _EPS)``: at large times ``end - _EPS`` rounds
+        # back to ``end``, and the grid's last point lies outside it.
+        k1 = min(int(np.searchsorted(bounds, end, side="left")), grid.size) - 1
+        for k in range(k0, k1 + 1):
+            lo = max(start, float(bounds[k]))
+            hi = min(end, float(bounds[k + 1]))
+            if hi > lo + _EPS:
+                loads[job, k] += (hi - lo) * speed
+    return loads
 
 
 def _critical_window_reference(

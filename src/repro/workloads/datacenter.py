@@ -18,9 +18,8 @@ import math
 
 from ..errors import InvalidParameterError
 from ..model.job import Instance, Job
-from ..model.power import optimal_constant_speed_energy
 from ..types import Seed
-from .random_instances import _rng, check_knob
+from .random_instances import _rng, check_knob, solo_energy
 from .registry import register_workload
 
 __all__ = ["diurnal_instance", "diurnal_intensity"]
@@ -100,6 +99,6 @@ def diurnal_instance(
             span = 2.0 + (8.0 - 2.0) * random()
             ratio = 0.3 + (2.0 - 0.3) * random()
             name = f"batch{i}"
-        solo = optimal_constant_speed_energy(alpha, w, span)
+        solo = solo_energy(alpha, w, span)
         jobs.append(Job(r, r + span, w, ratio * solo, name=name))
     return Instance(tuple(jobs), m=m, alpha=alpha)

@@ -23,7 +23,7 @@ import numpy as np
 from ..errors import InvalidParameterError
 from ..model.job import Instance
 from ..model.job_arrays import JobArrays
-from ..model.power import PolynomialPower
+from ..model.power import PolynomialPower, optimal_constant_speed_energy
 from ..types import FloatArray, Seed
 from .registry import register_workload
 
@@ -68,6 +68,24 @@ def check_knob(name: str, value: object, ok: bool, rule: str) -> None:
         raise InvalidParameterError(f"{name} must be {rule}, got {value!r}")
 
 
+def solo_energy(alpha: float, workload: float, duration: float) -> float:
+    """A job's solo energy, the float
+    :func:`~repro.model.power.optimal_constant_speed_energy` returns,
+    with the canonical error where it overflows a float."""
+    try:
+        return optimal_constant_speed_energy(alpha, workload, duration)
+    except OverflowError:
+        raise _overflow(alpha) from None
+
+
+def _overflow(alpha: float) -> InvalidParameterError:
+    return InvalidParameterError(
+        "a job's solo energy duration * (workload / duration)**alpha "
+        f"overflows a float at alpha={alpha!r}; the workloads, windows or "
+        "alpha are out of range"
+    )
+
+
 def valued_instance(
     releases: FloatArray,
     deadlines: FloatArray,
@@ -91,7 +109,10 @@ def valued_instance(
             "cannot finish a job's workload in a non-positive duration"
         )
     speeds = (workloads / durations).tolist()
-    solo = np.array([s**alpha for s in speeds]) * durations
+    try:
+        solo = np.array([s**alpha for s in speeds]) * durations
+    except OverflowError:
+        raise _overflow(alpha) from None
     arrays = JobArrays(
         releases=releases,
         deadlines=deadlines,

@@ -38,9 +38,14 @@ import numpy as np
 from ..errors import InvalidParameterError
 from ..model.job import Instance, Job
 from ..model.job_arrays import JobArrays
-from ..model.power import optimal_constant_speed_energy
 from ..types import Seed
-from .random_instances import _rng, check_knob, check_value_ratio, valued_instance
+from .random_instances import (
+    _rng,
+    check_knob,
+    check_value_ratio,
+    solo_energy,
+    valued_instance,
+)
 from .registry import register_workload
 
 __all__ = [
@@ -79,7 +84,7 @@ def agreeable_instance(
     for r, d in zip(releases.tolist(), deadlines.tolist()):
         w = 0.2 + (1.5 - 0.2) * random()
         ratio = lo + width * random()
-        value = ratio * optimal_constant_speed_energy(alpha, w, d - r)
+        value = ratio * solo_energy(alpha, w, d - r)
         jobs.append(Job(r, d, w, value))
     return Instance(tuple(jobs), m=m, alpha=alpha)
 
@@ -111,7 +116,7 @@ def laminar_instance(
         span = hi - lo
         w = (0.2 + (0.8 - 0.2) * random()) * span
         ratio = ratio_lo + ratio_width * random()
-        value = ratio * optimal_constant_speed_energy(alpha, w, span)
+        value = ratio * solo_energy(alpha, w, span)
         jobs.append(Job(lo, hi, w, value))
         if level + 1 >= depth:
             return
@@ -150,7 +155,7 @@ def batch_instance(
     for _ in range(n):
         w = 0.1 + (2.0 - 0.1) * random()
         ratio = lo + width * random()
-        value = ratio * optimal_constant_speed_energy(alpha, w, deadline)
+        value = ratio * solo_energy(alpha, w, deadline)
         jobs.append(Job(0.0, deadline, w, value))
     return Instance(tuple(jobs), m=m, alpha=alpha)
 

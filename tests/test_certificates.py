@@ -4,12 +4,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.analysis.certificates import contributing_jobs, dual_certificate
-from repro.core.pd import run_pd
-from repro.errors import CertificateError
+from repro.analysis.certificates import (
+    certificate_from_duals,
+    contributing_jobs,
+    dual_certificate,
+)
+from repro.core.pd import PDScheduler, run_pd
+from repro.errors import CertificateError, InvalidParameterError
 from repro.offline import solve_exact
 from repro.workloads import (
+    WORKLOADS,
     batch_instance,
     heavy_tail_instance,
     lower_bound_instance,
@@ -150,3 +156,129 @@ class TestDualCertificate:
         cert = dual_certificate(run_pd(classical))
         assert cert.g > 0
         assert cert.holds
+
+
+def assert_same_certificate(a, b) -> None:
+    """Two certificates equal bit for bit."""
+    assert (a.g, a.cost, a.bound) == (b.g, b.cost, b.bound)
+    for name in ("s_hat", "e_lambda", "x_hat"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+    assert a.contributors == b.contributors
+
+
+def _cll_candidates(result):
+    """The dual vectors CLL's hook certifies: lambda, lambda/2, lambda/4."""
+    inst = result.schedule.instance
+    alpha = inst.alpha
+    prices = alpha * inst.workloads * result.planned_speeds ** (alpha - 1.0)
+    lam = np.where(result.accepted_mask, np.minimum(prices, inst.values), inst.values)
+    return lam, 0.5 * lam, 0.25 * lam
+
+
+def _priority_orders(result) -> set[bytes]:
+    """The distinct ``(-s_hat, id)`` orders of the positive ``s_hat`` of
+    CLL's candidates."""
+    inst = result.schedule.instance
+    alpha = inst.alpha
+    orders = set()
+    for lam in _cll_candidates(result):
+        s_hat = (np.maximum(lam, 0.0) / (alpha * inst.workloads)) ** (
+            1.0 / (alpha - 1.0)
+        )
+        order = np.lexsort((np.arange(inst.n), -s_hat))
+        orders.add(order[s_hat[order] > 0.0].tobytes())
+    return orders
+
+
+class TestSharedCllCertificate:
+    """CLL's hook runs one contributor pass per distinct priority order
+    of its three candidates and returns what the best of three
+    independent ``certificate_from_duals`` calls returns."""
+
+    @staticmethod
+    def check(result, monkeypatch) -> int:
+        from repro.analysis import certificates
+        from repro.core.cll import _cll_certificate
+
+        independent = [
+            certificate_from_duals(result.schedule, lam)
+            for lam in _cll_candidates(result)
+        ]
+        expected = max(independent, key=lambda cert: cert.g)
+        calls = []
+        passes = certificates._contributions
+
+        def counting(*args):
+            calls.append(1)
+            return passes(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(certificates, "_contributions", counting)
+            shared = _cll_certificate(result)
+        assert_same_certificate(shared, expected)
+        return len(calls)
+
+    @given(
+        family=st.sampled_from(["poisson", "heavy-tail", "tight", "uniform"]),
+        n=st.integers(1, 40),
+        seed=st.integers(0, 10**6),
+        alpha=st.sampled_from([1.5, 2.0, 3.0]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_generated_runs(self, family, n, seed, alpha):
+        from repro.core.cll import run_cll
+
+        result = run_cll(WORKLOADS.build(family, n, seed=seed, m=1, alpha=alpha))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            passes = self.check(result, monkeypatch)
+        assert passes == len(_priority_orders(result))
+
+    def test_reordering_cell(self, monkeypatch):
+        """``tight`` at alpha=3, seed 7001, n=200 (a sweep-cold cell):
+        a damped candidate reorders ``s_hat``, so two passes run."""
+        from repro.core.cll import run_cll
+
+        result = run_cll(WORKLOADS.build("tight", 200, seed=7001, m=1, alpha=3.0))
+        assert len(_priority_orders(result)) == 2
+        assert self.check(result, monkeypatch) == 2
+
+
+class TestStreamingCertificate:
+    """``PDScheduler.streaming_certificate`` off the live state equals
+    the dense ``dual_certificate(finish())`` bit for bit."""
+
+    @pytest.mark.parametrize("family", ["poisson", "heavy-tail", "tight", "slotted"])
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_equals_dense_certificate(self, family, m):
+        instance = WORKLOADS.build(family, 120, seed=3, m=m, alpha=3.0)
+        arrays = instance.sorted_by_release().arrays
+        sched = PDScheduler(m=m, alpha=3.0)
+        sched.arrive_many(arrays)
+        streamed = sched.streaming_certificate()
+        assert streamed.cost == sched.streaming_cost()
+        assert_same_certificate(streamed, dual_certificate(sched.finish()))
+
+    def test_rows_and_blocks_mixed(self):
+        from repro.model.job_arrays import JobArrays
+
+        instance = WORKLOADS.build("poisson", 60, seed=8, m=2, alpha=2.5)
+        ordered = instance.sorted_by_release()
+        sched = PDScheduler(m=2, alpha=2.5)
+        for job in ordered.jobs[:20]:
+            sched.arrive(job)
+        rest = ordered.arrays
+        sched.arrive_many(
+            JobArrays(
+                rest.releases[20:],
+                rest.deadlines[20:],
+                rest.workloads[20:],
+                rest.values[20:],
+            )
+        )
+        assert_same_certificate(
+            sched.streaming_certificate(), dual_certificate(sched.finish())
+        )
+
+    def test_needs_a_job(self):
+        with pytest.raises(InvalidParameterError, match="no jobs"):
+            PDScheduler(m=1, alpha=3.0).streaming_certificate()

@@ -251,6 +251,183 @@ class TestPDParityProperty:
         assert np.array_equal(result.planned_loads, ref.planned_loads)
 
 
+#: A value no job here is rejected at, and one every job is.
+_ACCEPT, _REJECT = 1e6, 1e-9
+
+
+@st.composite
+def refine_streams(draw):
+    """Release-ordered arrivals that take PD's grid refinement through
+    every branch, in this order: ``m + 1`` accepted jobs on one window
+    (a store holding at least m loads), a release 1e-12 left of the span,
+    two fresh points inside that full window, a rejected job wholly right
+    of the span (two points beyond it, and an empty store holding x̌), two
+    points inside that empty window, and a deadline right of the span;
+    then random arrivals of the same kinds."""
+    m = draw(st.integers(1, 3))
+    alpha = draw(st.sampled_from([2.0, 3.0]))
+    lo = draw(st.sampled_from(_LEFT_EXTENDABLE))
+    hi = lo + draw(st.floats(1.0, 3.0))
+    work = st.floats(0.05, 3.0)
+    value = st.sampled_from([_ACCEPT, _REJECT, 0.5, 5.0])
+    inner = st.tuples(st.floats(0.1, 0.45), st.floats(0.55, 0.9))
+    rows = [(lo, hi, draw(work), _ACCEPT) for _ in range(m + 1)]
+    rows.append((lo - 1e-12, hi, draw(work), draw(value)))
+    bounds = [lo - 1e-12, lo, hi]
+    t = lo
+
+    def inside(a, b, job_value):
+        nonlocal t
+        a = max(a, t)
+        u, v = draw(inner)
+        rows.append((a + (b - a) * u, a + (b - a) * v, draw(work), job_value))
+        bounds.extend(rows[-1][:2])
+        bounds.sort()
+        t = rows[-1][0]
+
+    def beyond(job_value):
+        nonlocal t
+        r = bounds[-1] + draw(st.floats(0.1, 1.0))
+        rows.append((r, r + draw(st.floats(0.5, 2.0)), draw(work), job_value))
+        bounds.extend(rows[-1][:2])
+        t = r
+
+    def right(job_value):
+        d = bounds[-1] + draw(st.floats(0.1, 1.0))
+        rows.append((t, d, draw(work), job_value))
+        bounds.append(d)
+
+    inside(lo, hi, draw(value))
+    beyond(_REJECT)
+    inside(bounds[-2], bounds[-1], draw(value))
+    right(draw(value))
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["inside", "beyond", "right", "on-grid"]))
+        # Only intervals wide enough that fresh points stay fresh.
+        open_ = [(a, b) for a, b in zip(bounds, bounds[1:]) if b - max(a, t) > 1e-3]
+        if kind == "inside" and open_:
+            inside(*draw(st.sampled_from(open_)), draw(value))
+        elif kind == "right":
+            right(draw(value))
+        elif kind == "on-grid" and bounds[-1] > t:
+            ends = [b for b in bounds if b > t]
+            rows.append((t, draw(st.sampled_from(ends)), draw(work), draw(value)))
+        else:
+            beyond(draw(value))
+    return m, alpha, rows
+
+
+def _refine_events(before: list[float], after: list[float]) -> set[str]:
+    """Which refinement branches turned boundary list ``before`` into
+    ``after``."""
+    events = set()
+    per_interval: dict[int, int] = {}
+    for p in sorted(set(after) - set(before)):
+        if p < before[0]:
+            events.add("left")
+        elif p > before[-1]:
+            events.add("right")
+        else:
+            k = bisect_left(before, p) - 1
+            per_interval[k] = per_interval.get(k, 0) + 1
+    if any(count >= 2 for count in per_interval.values()):
+        events.add("two in one interval")
+    return events
+
+
+class TestRefineInPlace:
+    """PD's in-place grid refinement against the reference's dense
+    remap, on streams that reach every branch of it."""
+
+    @given(case=refine_streams(), epoch_size=st.integers(1, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_every_branch_bitwise_identical(self, case, epoch_size):
+        from unittest import mock
+
+        from repro.model.job import Job
+        from repro.model.job_arrays import JobArrays
+        from repro.perf.reference import PDSchedulerReference
+
+        m, alpha, rows = case
+        new = PDScheduler(m=m, alpha=alpha)
+        old = PDSchedulerReference(m=m, alpha=alpha)
+        events: set[str] = set()
+        split = IntervalLoads.split
+
+        def recording_split(store, fraction):
+            events.add("split empty" if not store.loads else f"split {len(store)}")
+            return split(store, fraction)
+
+        with mock.patch.object(IntervalLoads, "split", recording_split):
+            for row in rows:
+                before = list(new._bounds)
+                job = Job(*row)
+                assert new.arrive(job) == old.arrive(job)
+                if before:
+                    events |= _refine_events(before, new._bounds)
+                assert new._bounds == old._grid.boundaries.tolist()
+                assert new._lengths == old._grid.lengths.tolist()
+        assert {"left", "right", "two in one interval", "split empty"} <= events
+        assert any(f"split {p}" in events for p in range(m, len(rows)))
+
+        ref = old.finish()
+        for sched in (new, PDScheduler(m=m, alpha=alpha)):
+            if sched is not new:
+                arrive_epochs(
+                    sched, JobArrays(*map(list, zip(*rows))), epoch_size=epoch_size
+                )
+            result = sched.finish()
+            assert result.decisions == ref.decisions
+            assert result.schedule.loads.tobytes() == ref.schedule.loads.tobytes()
+            assert result.planned_loads.tobytes() == ref.planned_loads.tobytes()
+            assert result.schedule.energy == ref.schedule.energy
+
+    @pytest.mark.parametrize("epochs", [False, True])
+    @pytest.mark.parametrize(
+        "points",
+        [
+            (2.25, math.nan),
+            (math.nan, 2.25),
+            (math.inf, math.inf),
+            (-math.inf, -math.inf),
+        ],
+    )
+    def test_refused_point_leaves_every_list_unchanged(self, points, epochs):
+        from repro.model.job_arrays import JobArrays
+
+        # The last arrival refines nothing, so the epoch layer fills it
+        # in a block and starts keeping opening speeds.
+        rows = [
+            (1.0, 3.0, 1.0, _ACCEPT),
+            (1.0, 2.0, 0.5, _ACCEPT),
+            (1.5, 4.0, 1.0, _REJECT),
+            (1.5, 3.0, 0.2, _ACCEPT),
+        ]
+        sched = PDScheduler(m=1, alpha=3.0)
+        if epochs:
+            arrive_epochs(sched, JobArrays(*map(list, zip(*rows))), epoch_size=2)
+        else:
+            for row in rows:
+                sched._arrive_row(*row)
+
+        def snapshot():
+            return (
+                list(sched._bounds),
+                list(sched._lengths),
+                [(s.loads[:], s.ids[:], s.suffix[:]) for s in sched._states],
+                [entries[:] for entries in sched._planned],
+                None if sched._open is None else list(sched._open),
+            )
+
+        before = snapshot()
+        stores = list(sched._states)
+        assert (sched._open is not None) == epochs
+        with pytest.raises(InvalidParameterError, match="strictly increasing"):
+            sched._refine_grid(*points)
+        assert snapshot() == before
+        assert all(a is b for a, b in zip(sched._states, stores))
+
+
 def _store_load_at_speed(
     store: IntervalLoads, speed: float, m: int, length: float
 ) -> float:
@@ -997,21 +1174,24 @@ def _literal_phi(first, stop, size, s_hat, m):
 
 @st.composite
 def phi_cases(draw):
-    """Job windows on a grid of ``size`` intervals (empty ones
-    included), ``s_hat`` drawn from a small pool so ties are common,
-    zeros mixed in, and ``m`` often larger than a window holds."""
-    size = draw(st.integers(min_value=1, max_value=12))
-    n = draw(st.integers(min_value=0, max_value=14))
+    """Job windows on a grid of up to 64 intervals (empty windows and
+    whole-grid ones included), ``s_hat`` drawn from a small pool so ties
+    are common, zeros mixed in, and ``m`` often larger than a window
+    holds."""
+    size = draw(st.integers(min_value=1, max_value=64))
+    n = draw(st.integers(min_value=0, max_value=40))
     first, stop = [], []
     for _ in range(n):
-        lo = draw(st.integers(min_value=0, max_value=size))
+        lo = draw(st.one_of(st.just(0), st.integers(min_value=0, max_value=size)))
         first.append(lo)
-        stop.append(draw(st.integers(min_value=lo, max_value=size)))
+        stop.append(
+            draw(st.one_of(st.just(size), st.integers(min_value=lo, max_value=size)))
+        )
     pool = draw(
         st.lists(st.floats(min_value=1e-3, max_value=10.0), min_size=1, max_size=3)
     )
     s_hat = [draw(st.sampled_from([0.0, *pool])) for _ in range(n)]
-    m = draw(st.integers(min_value=1, max_value=6))
+    m = draw(st.integers(min_value=1, max_value=8))
     return (
         np.array(first, dtype=np.int64),
         np.array(stop, dtype=np.int64),

@@ -302,6 +302,53 @@ class TestKnobChecks:
         assert knob in err
 
 
+#: Knobs in range whose jobs' solo energy overflows a float.
+OVERFLOW_KNOBS = [
+    ("poisson", "mean_workload", 1e300),
+    ("batch", "deadline", 1e-300),
+] + [
+    (family, "alpha", 1e300)
+    for family in ("poisson", "heavy-tail", "uniform", "diurnal", "batch", "jitter")
+]
+
+
+@pytest.mark.parametrize(
+    "family,knob,value",
+    OVERFLOW_KNOBS,
+    ids=[_spec(*case) for case in OVERFLOW_KNOBS],
+)
+class TestSoloEnergyOverflow:
+    """A family that values its jobs at a multiple of a solo energy that
+    overflows a float fails with ``InvalidParameterError``, not a raw
+    ``OverflowError``, from the registry, an experiment spec and the
+    CLI."""
+
+    def test_registry(self, family, knob, value):
+        with pytest.raises(InvalidParameterError, match="overflows"):
+            WORKLOADS.build(_spec(family, knob, value), 10, seed=1)
+
+    def test_experiment_spec(self, family, knob, value):
+        spec = ExperimentSpec(
+            name="overflow",
+            workloads=[_spec(family, knob, value)],
+            algorithms=("pd",),
+            n=10,
+            seeds=(1,),
+        )
+        with pytest.raises(InvalidParameterError, match="overflows"):
+            spec.requests()
+
+    def test_cli_sweep(self, family, knob, value, capsys):
+        argv = [
+            "sweep", "--workload", _spec(family, knob, value), "-n", "10",
+            "--seeds", "1", "--algorithms", "pd",
+        ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "overflows" in err
+
+
 @pytest.mark.parametrize(
     "family,knob,value", EDGE_KNOBS, ids=[_spec(*case) for case in EDGE_KNOBS]
 )
